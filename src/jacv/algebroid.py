@@ -18,7 +18,7 @@ exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .coeff import ExpPoly
@@ -185,21 +185,34 @@ def bracket_sections(
     return calculus.MultiVector(A, 1, comps)
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    failures: List[Tuple[str, str]] = field(default_factory=list)
-
-    def first_failure(self) -> Optional[Tuple[str, str]]:
-        return self.failures[0] if self.failures else None
+PASS = "pass"
+FAIL = "fail"
+NOT_DECIDED = "not-decided"
 
 
-def validate_algebroid(A: AlgebroidPatch) -> ValidationReport:
+@dataclass(frozen=True)
+class Report:
+    """Outcome of a check: ``pass``, ``fail`` or ``not-decided``.
+
+    ``strategy`` names how the verdict was reached; ``fail`` and
+    ``not-decided`` carry a printable witness.  A failed check never raises.
+    """
+
+    status: str
+    strategy: str = ""
+    witness: Optional[str] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.status == PASS
+
+
+def validate_algebroid(A: AlgebroidPatch) -> Report:
     """Check the anchor is bracket-compatible and the Jacobi identity holds.
 
     Both checks run on frame elements, which suffices: the Leibniz rule
-    propagates them to arbitrary sections.  Returns the first failing identity
-    with its nonzero residue.
+    propagates them to arbitrary sections.  A failure's witness names the
+    first failing identity and its nonzero residue.
     """
     names = A.patch.anchor_coords
     for i in range(A.rank):
@@ -219,7 +232,7 @@ def validate_algebroid(A: AlgebroidPatch) -> ValidationReport:
                         f"anchor([{A.frame_labels[i]},{A.frame_labels[j]}])"
                         f" on {name}"
                     )
-                    return ValidationReport(False, [(label, str(lhs - rhs))])
+                    return _frame_failure(label, lhs - rhs)
     for i in range(A.rank):
         for j in range(i + 1, A.rank):
             for k in range(j + 1, A.rank):
@@ -238,8 +251,12 @@ def validate_algebroid(A: AlgebroidPatch) -> ValidationReport:
                         f"jacobi({A.frame_labels[i]},{A.frame_labels[j]},"
                         f"{A.frame_labels[k]})"
                     )
-                    return ValidationReport(False, [(label, str(total))])
-    return ValidationReport(True)
+                    return _frame_failure(label, total)
+    return Report(PASS, "frame identities")
+
+
+def _frame_failure(label: str, residue: object) -> Report:
+    return Report(FAIL, "frame identities", f"{label}: {residue}")
 
 
 # -- constructions ---------------------------------------------------------
@@ -327,14 +344,15 @@ class JacobiAlgebroidData:
             raise ValueError("the twist cosection must live on the same algebroid")
 
 
-def validate_jacobi(J: JacobiAlgebroidData) -> ValidationReport:
+def validate_jacobi(J: JacobiAlgebroidData) -> Report:
+    """The algebroid identities, then closedness of the twist."""
     report = validate_algebroid(J.algebroid)
     if not report.ok:
         return report
     residue = calculus.differential(J.algebroid, J.phi0)
     if not residue.is_zero:
-        return ValidationReport(False, [("d(phi0)", str(residue))])
-    return ValidationReport(True)
+        return _frame_failure("d(phi0)", residue)
+    return report
 
 
 def extend_with_R(A: AlgebroidPatch) -> JacobiAlgebroidData:

@@ -272,6 +272,8 @@ def wedge_power(u: Section, power: int) -> Section:
         raise MismatchError("negative wedge power")
     out: Section = type(u).scalar_section(u.algebroid, u.algebroid.scalar(1))
     for _ in range(power):
+        if out.is_zero:
+            return type(u).zero(u.algebroid, power * u.degree)
         out = wedge(out, u)
     return out
 

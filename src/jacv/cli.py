@@ -16,15 +16,19 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from operator import itemgetter
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import dsl
 from .algebroid import (
+    FAIL,
+    PASS,
     AlgebroidPatch,
     JacobiAlgebroidData,
     Patch,
+    Report,
     extend_with_R,
     make_tangent,
     make_trivial,
@@ -34,7 +38,6 @@ from .calculus import (
     Form,
     MismatchError,
     MultiVector,
-    Section,
     contract,
     differential,
     eval_on,
@@ -43,11 +46,13 @@ from .calculus import (
     phi0_schouten,
     split,
     wedge,
+    wedge_power,
 )
 from .coeff import ExpPoly, NotInvertible
 from .dirac import (
+    STRATEGIES,
     GraphRelation,
-    INCONCLUSIVE_SET,
+    _as_bialgebroid,
     condition_image_check,
     dirac_pair_check,
     hamiltonian_pair_check,
@@ -66,7 +71,6 @@ from .lift import (
     verify_hat_bar_differentials,
 )
 from .structures import (
-    CheckReport,
     JacobiBialgebroidData,
     TensorMap,
     bialgebroid_compat_check,
@@ -124,29 +128,7 @@ class RunReport:
         return 0
 
 
-def _normalize_status(status: str) -> str:
-    if status in ("not_decided", "inconclusive"):
-        return "not-decided"
-    return status
-
-
 # -- interpreter ------------------------------------------------------------
-
-def _as_bialgebroid(value: Value) -> JacobiBialgebroidData:
-    if isinstance(value, JacobiBialgebroidData):
-        return value
-    if isinstance(value, JacobiAlgebroidData):
-        return make_standard_bialgebroid(value)
-    raise MismatchError("expected twisted data or a dual pair")
-
-
-def _as_jacobi(value: Value) -> JacobiAlgebroidData:
-    if isinstance(value, JacobiAlgebroidData):
-        return value
-    if isinstance(value, AlgebroidPatch):
-        return JacobiAlgebroidData(value, Form.zero(value, 1))
-    raise MismatchError("expected an algebroid or twisted data")
-
 
 def _scalarize(value: Value, like: Value) -> Value:
     """Promote a rational constant next to a ring element."""
@@ -200,6 +182,12 @@ class Interpreter:
             if 1 <= i <= A.rank:
                 return MultiVector.frame(A, i - 1)
         return None
+
+    def variables(self) -> Tuple[str, ...]:
+        """Variables of the ambient ring, for constants that need one."""
+        if self.ambient is None:
+            raise MismatchError("no ambient algebroid for a constant")
+        return self.ambient.patch.variables
 
     # ---- expression evaluation
 
@@ -264,10 +252,7 @@ class Interpreter:
                     raise dsl.ScriptError("wedge power needs a positive integer", line)
                 if not isinstance(left, (MultiVector, Form)):
                     raise dsl.ScriptError("wedge power needs a section", line)
-                out = left
-                for _ in range(int(right) - 1):
-                    out = wedge(out, left)
-                return out
+                return wedge_power(left, int(right))
             if isinstance(left, (MultiVector, Form)) and type(left) is type(right):
                 return wedge(left, right)
             raise dsl.ScriptError("^ joins two sections of the same kind", line)
@@ -279,11 +264,11 @@ class Interpreter:
 
     def _call(self, e: dsl.Call, line: int) -> Value:
         args = [self.eval(a, line) for a in e.args]
-        fn = _FUNCTIONS.get(e.func)
-        if fn is None:
+        sig = SIGNATURES.get(e.func)
+        if sig is None:
             raise dsl.ScriptError(f"unknown function {e.func!r}", line)
         try:
-            return fn(self, args, line)
+            return sig.apply(self, e.func, args, (), line)
         except (MismatchError, NotInvertible, TypeError, ValueError) as exc:
             raise dsl.ScriptError(f"{e.func}: {exc}", line)
 
@@ -312,68 +297,20 @@ class Interpreter:
         if isinstance(stmt, dsl.PatchDecl):
             self._bind(stmt.name, Patch(stmt.coords), stmt.line)
             return
-        value = self.eval(stmt.value, stmt.line)
-        kw = stmt.keyword
-        if kw == "algebroid":
-            if not isinstance(value, AlgebroidPatch):
-                raise dsl.ScriptError("algebroid declaration needs an algebroid",
-                                      stmt.line)
-            self.ambient = value
-        elif kw == "jacobi":
-            value = self._coerce_jacobi(value, stmt.line)
-            self.ambient = value.algebroid
-        elif kw == "bialgebroid":
-            if not isinstance(value, JacobiBialgebroidData):
-                raise dsl.ScriptError("bialgebroid declaration needs a dual pair",
-                                      stmt.line)
-            self.ambient = value.A
-        elif kw == "lift":
-            if not isinstance(value, LiftHandle):
-                raise dsl.ScriptError("lift declaration needs jacobize(..)",
-                                      stmt.line)
-        elif kw == "form":
-            if isinstance(value, (Fraction, ExpPoly)) and _is_zero(value):
-                raise dsl.ScriptError("use zero_form(A, degree) for a zero form",
-                                      stmt.line)
-            if not isinstance(value, Form):
-                raise dsl.ScriptError("form declaration needs a form", stmt.line)
-        elif kw == "section":
-            if not isinstance(value, MultiVector):
-                raise dsl.ScriptError("section declaration needs a multivector",
-                                      stmt.line)
-        elif kw == "scalar":
-            if isinstance(value, Fraction):
-                if self.ambient is None:
-                    raise dsl.ScriptError("no ambient algebroid for a constant",
-                                          stmt.line)
-                value = ExpPoly.const(self.ambient.patch.variables, value)
-            if not isinstance(value, ExpPoly):
-                raise dsl.ScriptError("scalar declaration needs a ring element",
-                                      stmt.line)
-        elif kw == "map":
-            if not isinstance(value, TensorMap):
-                raise dsl.ScriptError("map declaration needs a tensor map",
-                                      stmt.line)
+        kind, ambient_of = DECLARATIONS[stmt.keyword]
+        value = kind.coerce(self, self.eval(stmt.value, stmt.line))
+        if value is None:
+            raise dsl.ScriptError(f"{stmt.keyword} declaration needs {kind.what}",
+                                  stmt.line)
+        if ambient_of is not None:
+            self.ambient = ambient_of(value)
         self._bind(stmt.name, value, stmt.line)
-
-    def _coerce_jacobi(self, value: Value, line: int) -> JacobiAlgebroidData:
-        if isinstance(value, JacobiAlgebroidData):
-            return value
-        if isinstance(value, tuple) and len(value) == 2:
-            base, twist = value
-            if not isinstance(base, AlgebroidPatch):
-                raise dsl.ScriptError("first slot must be an algebroid", line)
-            if isinstance(twist, (Fraction, ExpPoly)) and _is_zero(twist):
-                twist = Form.zero(base, 1)
-            if not isinstance(twist, Form) or twist.degree != 1:
-                raise dsl.ScriptError("second slot must be a degree-1 form", line)
-            return JacobiAlgebroidData(base, twist)
-        raise dsl.ScriptError("jacobi declaration needs (A, phi) or extend(A)", line)
 
     def _run_check(self, stmt: dsl.CheckStmt) -> None:
         name = f"[L{stmt.line}] " + dsl.render_statement(stmt)[len("check "):]
-        handler = _CHECKS.get(stmt.subcommand)
-        if handler is None:
+        key = f"check {stmt.subcommand}"
+        sig = SIGNATURES.get(key)
+        if sig is None:
             self.records.append(
                 CheckRecord(name, "error", "dispatch",
                             f"unknown check {stmt.subcommand!r}")
@@ -381,460 +318,199 @@ class Interpreter:
             return
         try:
             args = [self.eval(a, stmt.line) for a in stmt.args]
-            options = dict(stmt.options)
-            report = handler(self, args, options, stmt.line)
+            report = sig.apply(self, key, args, stmt.options, stmt.line)
         except (dsl.ScriptError, MismatchError, NotInvertible,
                 TypeError, ValueError) as exc:
             self.records.append(CheckRecord(name, "error", "evaluation", str(exc)))
             return
         self.records.append(
-            CheckRecord(
-                name,
-                _normalize_status(report.status),
-                report.strategy or "",
-                report.witness,
-            )
+            CheckRecord(name, report.status, report.strategy, report.witness)
         )
 
 
 def _is_zero(value: Value) -> bool:
     if isinstance(value, Fraction):
         return value == 0
+    return value.is_zero
+
+
+def _is_integer(value: Value) -> bool:
+    return isinstance(value, Fraction) and value.denominator == 1
+
+
+def _as_degree0(cls: type, A: AlgebroidPatch, value: Value) -> Value:
+    """A rational or ring element as a degree-0 section of ``cls`` over A."""
+    if isinstance(value, Fraction):
+        value = A.scalar(value)
     if isinstance(value, ExpPoly):
-        return value.is_zero
-    if isinstance(value, (MultiVector, Form)):
-        return value.is_zero
-    if isinstance(value, TensorMap):
-        return value.is_zero
-    return False
+        return cls.scalar_section(A, value)
+    return value
 
 
-# -- script functions -------------------------------------------------------
+# -- argument kinds ---------------------------------------------------------
 
-def _need(args: Sequence[Value], count: int, what: str, line: int) -> None:
-    if len(args) != count:
-        raise dsl.ScriptError(f"{what} takes {count} argument(s)", line)
+@dataclass(frozen=True)
+class Kind:
+    """What one argument slot accepts.
 
+    ``coerce`` returns the value in the type the library expects, or None
+    to reject it.
+    """
 
-def _fn_tangent(interp, args, line):
-    _need(args, 1, "tangent", line)
-    if not isinstance(args[0], Patch):
-        raise dsl.ScriptError("tangent needs a patch", line)
-    return make_tangent(args[0])
-
-
-def _fn_trivial(interp, args, line):
-    _need(args, 2, "trivial", line)
-    patch, rank = args
-    if not isinstance(patch, Patch) or not isinstance(rank, Fraction):
-        raise dsl.ScriptError("trivial needs a patch and a rank", line)
-    return make_trivial(patch, int(rank))
+    what: str
+    coerce: Callable[[Interpreter, Value], Optional[Value]]
 
 
-def _fn_extend(interp, args, line):
-    _need(args, 1, "extend", line)
-    if not isinstance(args[0], AlgebroidPatch):
-        raise dsl.ScriptError("extend needs an algebroid", line)
-    return extend_with_R(args[0])
+def _isa(what: str, *types: type) -> Kind:
+    return Kind(what, lambda interp, v: v if isinstance(v, types) else None)
 
 
-def _fn_standard(interp, args, line):
-    _need(args, 1, "standard", line)
-    return make_standard_bialgebroid(_as_jacobi(args[0]))
+def _algebroid(interp: Interpreter, v: Value) -> Optional[AlgebroidPatch]:
+    if isinstance(v, JacobiAlgebroidData):
+        return v.algebroid
+    return v if isinstance(v, AlgebroidPatch) else None
 
 
-def _fn_couple(interp, args, line):
-    _need(args, 2, "couple", line)
-    a, b = args
-    if not isinstance(a, JacobiAlgebroidData) or not isinstance(
-        b, JacobiAlgebroidData
-    ):
-        raise dsl.ScriptError("couple needs two twisted sides", line)
-    return JacobiBialgebroidData(a, b)
+def _twisted(interp: Interpreter, v: Value) -> Optional[JacobiAlgebroidData]:
+    """Twisted data as is, an algebroid with a zero twist, or (A, phi)."""
+    if isinstance(v, JacobiAlgebroidData):
+        return v
+    if isinstance(v, AlgebroidPatch):
+        v = (v, Fraction(0))
+    if not (isinstance(v, tuple) and len(v) == 2
+            and isinstance(v[0], AlgebroidPatch)):
+        return None
+    base, twist = v
+    if isinstance(twist, (Fraction, ExpPoly)) and _is_zero(twist):
+        twist = Form.zero(base, 1)
+    return JacobiAlgebroidData(base, twist) if isinstance(twist, Form) else None
 
 
-def _fn_jacobize(interp, args, line):
-    _need(args, 1, "jacobize", line)
-    B = _as_bialgebroid(args[0])
-    return LiftHandle(B, lift_bialgebroid(B))
+def _dual_pair(interp: Interpreter, v: Value) -> Optional[JacobiBialgebroidData]:
+    if not isinstance(v, JacobiBialgebroidData):
+        v = _twisted(interp, v)
+    return None if v is None else _as_bialgebroid(v)
 
 
-def _fn_d(interp, args, line):
-    _need(args, 2, "d", line)
-    J = _as_jacobi(args[0])
-    target = args[1]
-    if isinstance(target, (Fraction, ExpPoly)):
-        scalar = target
-        if isinstance(scalar, Fraction):
-            scalar = ExpPoly.const(J.algebroid.patch.variables, scalar)
-        target = Form(J.algebroid, 0, {} if scalar.is_zero else {(): scalar})
-    if not isinstance(target, (Form, MultiVector)):
-        raise dsl.ScriptError("d needs a section", line)
-    return differential(J, target)
+def _section_pair(interp: Interpreter, v: Value) -> Optional[Tuple[Value, Value]]:
+    """(P, Q) with P a section; a scalar Q becomes a degree-0 section."""
+    if not (isinstance(v, tuple) and len(v) == 2
+            and isinstance(v[0], (Form, MultiVector))):
+        return None
+    P, Q = v
+    return P, _as_degree0(type(P), P.algebroid, Q)
 
 
-def _fn_d_phi(interp, args, line):
-    _need(args, 2, "d_phi", line)
-    if not isinstance(args[0], JacobiAlgebroidData):
-        raise dsl.ScriptError("d_phi needs twisted data first", line)
-    return _fn_d(interp, args, line)
+def _musical(interp: Interpreter, v: Value) -> Optional[TensorMap]:
+    if isinstance(v, MultiVector):
+        return sharp_map(v)
+    if isinstance(v, Form):
+        return flat_map(v)
+    return v if isinstance(v, TensorMap) else None
 
 
-def _fn_schouten(interp, args, line):
-    _need(args, 3, "schouten", line)
-    J = _as_jacobi(args[0])
-    a, b = args[1], args[2]
-    if not isinstance(a, MultiVector) or not isinstance(b, MultiVector):
-        raise dsl.ScriptError("schouten needs two multivectors", line)
-    return phi0_schouten(J, a, b)
+def _scalar(interp: Interpreter, v: Value) -> Optional[ExpPoly]:
+    if isinstance(v, Fraction):
+        return ExpPoly.const(interp.variables(), v)
+    return v if isinstance(v, ExpPoly) else None
 
 
-def _fn_iota(interp, args, line):
-    _need(args, 2, "iota", line)
-    return contract(args[0], args[1])
+PATCH = _isa("a patch", Patch)
+ALGEBROID = Kind("an algebroid", _algebroid)
+TWISTED = Kind("twisted data, an algebroid or (A, phi)", _twisted)
+DUAL_PAIR = Kind("a dual pair or twisted data", _dual_pair)
+FORM = _isa("a form", Form)
+MULTIVECTOR = _isa("a multivector", MultiVector)
+SECTION = _isa("a section", Form, MultiVector)
+SECTION_PAIR = Kind("a pair (P, Q) of sections", _section_pair)
+FORM_OR_SCALAR = _isa("a form or a scalar", Form, Fraction, ExpPoly)
+SCALAR = Kind("a ring element", _scalar)
+MAP = _isa("a map", TensorMap)
+MUSICAL = Kind("a map or a 2-section", _musical)
+GRAPH = _isa("a graph literal (sharp ..)/(flat ..)", GraphRelation)
+LIFT = _isa("a lift, made by jacobize(..)", LiftHandle)
+INTEGER = Kind("an integer", lambda interp, v: int(v) if _is_integer(v) else None)
+WEIGHT = Kind(
+    "an integer weight",
+    lambda interp, v: ExpPoly.exp(interp.variables(), int(v)) if _is_integer(v) else None,
+)
+PAIR = Kind("a pair (a, b)",
+            lambda interp, v: v if isinstance(v, tuple) and len(v) == 2 else None)
+VALUE = _isa("a scalar, section or map", Fraction, ExpPoly, Form, MultiVector, TensorMap)
+ANY = Kind("a value", lambda interp, v: v)
 
-
-def _fn_pair(interp, args, line):
-    _need(args, 2, "pair", line)
-    return pair(args[0], args[1])
-
-
-def _fn_eval_on(interp, args, line):
-    if len(args) < 2:
-        raise dsl.ScriptError("eval_on takes a section then arguments", line)
-    return eval_on(args[0], args[1:])
-
-
-def _fn_sharp(interp, args, line):
-    _need(args, 1, "sharp", line)
-    if not isinstance(args[0], MultiVector):
-        raise dsl.ScriptError("sharp needs a bivector", line)
-    return sharp_map(args[0])
-
-
-def _fn_flat(interp, args, line):
-    _need(args, 1, "flat", line)
-    if not isinstance(args[0], Form):
-        raise dsl.ScriptError("flat needs a two-form", line)
-    return flat_map(args[0])
-
-
-def _fn_inverse(interp, args, line):
-    _need(args, 1, "inverse", line)
-    if not isinstance(args[0], TensorMap):
-        raise dsl.ScriptError("inverse needs a map", line)
-    return args[0].inverse()
-
-
-def _fn_dual(interp, args, line):
-    _need(args, 1, "dual", line)
-    if not isinstance(args[0], TensorMap):
-        raise dsl.ScriptError("dual needs a map", line)
-    return args[0].dual()
-
-
-def _fn_id(interp, args, line):
-    _need(args, 1, "id", line)
-    if not isinstance(args[0], AlgebroidPatch):
-        raise dsl.ScriptError("id needs an algebroid", line)
-    return TensorMap.identity(args[0])
-
-
-def _fn_merge(interp, args, line):
-    _need(args, 2, "merge", line)
-    holder, tup = args
-    ext = holder.algebroid if isinstance(holder, JacobiAlgebroidData) else holder
-    if not isinstance(ext, AlgebroidPatch):
-        raise dsl.ScriptError("merge needs the extension first", line)
-    if not isinstance(tup, tuple) or len(tup) != 2:
-        raise dsl.ScriptError("merge needs a pair (P, Q)", line)
-    P, Q = tup
-    if isinstance(Q, (Fraction, ExpPoly)) and isinstance(P, (Form, MultiVector)):
-        scalar = Q
-        if isinstance(scalar, Fraction):
-            scalar = ExpPoly.const(P.algebroid.patch.variables, scalar)
-        kind = type(P)
-        Q = kind(P.algebroid, 0, {} if scalar.is_zero else {(): scalar})
-    return merge(ext, P, Q)
-
-
-def _fn_split(interp, args, line):
-    _need(args, 1, "split", line)
-    if not isinstance(args[0], (Form, MultiVector)):
-        raise dsl.ScriptError("split needs a section", line)
-    return split(args[0])
-
-
-def _fn_first(interp, args, line):
-    _need(args, 1, "first", line)
-    if not isinstance(args[0], tuple) or not args[0]:
-        raise dsl.ScriptError("first needs a tuple", line)
-    return args[0][0]
-
-
-def _fn_second(interp, args, line):
-    _need(args, 1, "second", line)
-    if not isinstance(args[0], tuple) or len(args[0]) < 2:
-        raise dsl.ScriptError("second needs a pair", line)
-    return args[0][1]
-
-
-def _fn_pi_from_omega(interp, args, line):
-    _need(args, 2, "pi_from_omega", line)
-    if not isinstance(args[1], Form):
-        raise dsl.ScriptError("pi_from_omega needs a two-form", line)
-    return pi_from_omega(_as_jacobi(args[0]), args[1])
-
-
-def _fn_omega_from_pi(interp, args, line):
-    _need(args, 2, "omega_from_pi", line)
-    if not isinstance(args[1], MultiVector):
-        raise dsl.ScriptError("omega_from_pi needs a bivector", line)
-    return omega_from_pi(_as_jacobi(args[0]), args[1])
-
-
-def _fn_bivector_of(interp, args, line):
-    _need(args, 1, "bivector_of", line)
-    return bivector_of(args[0])
-
-
-def _fn_two_form_of(interp, args, line):
-    _need(args, 1, "two_form_of", line)
-    return two_form_of(args[0])
-
-
-def _fn_zero_form(interp, args, line):
-    _need(args, 2, "zero_form", line)
-    holder, deg = args
-    A = holder.algebroid if isinstance(holder, JacobiAlgebroidData) else holder
-    return Form.zero(A, int(deg))
-
-
-def _fn_zero_section(interp, args, line):
-    _need(args, 2, "zero_section", line)
-    holder, deg = args
-    A = holder.algebroid if isinstance(holder, JacobiAlgebroidData) else holder
-    return MultiVector.zero(A, int(deg))
-
-
-def _fn_exp_t(interp, args, line):
-    _need(args, 1, "exp_t", line)
-    if interp.ambient is None:
-        raise dsl.ScriptError("no ambient algebroid for exp_t", line)
-    k = args[0]
-    if not isinstance(k, Fraction) or k.denominator != 1:
-        raise dsl.ScriptError("exp_t needs an integer weight", line)
-    return ExpPoly.exp(interp.ambient.patch.variables, int(k))
-
-
-_FUNCTIONS: Dict[str, Callable] = {
-    "tangent": _fn_tangent,
-    "trivial": _fn_trivial,
-    "extend": _fn_extend,
-    "standard": _fn_standard,
-    "couple": _fn_couple,
-    "jacobize": _fn_jacobize,
-    "d": _fn_d,
-    "d_phi": _fn_d_phi,
-    "schouten": _fn_schouten,
-    "iota": _fn_iota,
-    "pair": _fn_pair,
-    "eval_on": _fn_eval_on,
-    "sharp": _fn_sharp,
-    "flat": _fn_flat,
-    "inverse": _fn_inverse,
-    "dual": _fn_dual,
-    "id": _fn_id,
-    "merge": _fn_merge,
-    "split": _fn_split,
-    "first": _fn_first,
-    "second": _fn_second,
-    "pi_from_omega": _fn_pi_from_omega,
-    "omega_from_pi": _fn_omega_from_pi,
-    "bivector_of": _fn_bivector_of,
-    "two_form_of": _fn_two_form_of,
-    "zero_form": _fn_zero_form,
-    "zero_section": _fn_zero_section,
-    "exp_t": _fn_exp_t,
+# declaration keyword -> (kind of the bound value, ambient algebroid it sets)
+DECLARATIONS: Dict[str, Tuple[Kind, Optional[Callable[[Value], AlgebroidPatch]]]] = {
+    "algebroid": (ALGEBROID, lambda A: A),
+    "jacobi": (TWISTED, lambda J: J.algebroid),
+    "bialgebroid": (DUAL_PAIR, lambda B: B.A),
+    "lift": (LIFT, None),
+    "form": (FORM, None),
+    "section": (MULTIVECTOR, None),
+    "scalar": (SCALAR, None),
+    "map": (MAP, None),
+    "let": (ANY, None),
 }
 
 
-# -- check handlers ---------------------------------------------------------
+# -- signature table --------------------------------------------------------
 
-def _ck_algebroid(interp, args, options, line) -> CheckReport:
-    _need(args, 1, "check algebroid", line)
-    A = args[0].algebroid if isinstance(args[0], JacobiAlgebroidData) else args[0]
-    if not isinstance(A, AlgebroidPatch):
-        raise dsl.ScriptError("check algebroid needs an algebroid", line)
-    report = validate_algebroid(A)
-    if report.ok:
-        return CheckReport("pass", strategy="frame identities")
-    label, detail = report.failures[0]
-    return CheckReport("fail", witness=f"{label}: {detail}",
-                       strategy="frame identities")
+Options = Mapping[str, Mapping[str, object]]
 
 
-def _ck_jacobi(interp, args, options, line) -> CheckReport:
-    _need(args, 2, "check jacobi", line)
-    return jacobi_check(_as_jacobi(args[0]), args[1])
+@dataclass(frozen=True)
+class Sig:
+    """A script function or check: callable, argument kinds, options.
+
+    ``tail`` is the kind of one or more trailing arguments; ``options``
+    maps each accepted key to its allowed values and what they pass on.
+    """
+
+    fn: Callable[..., Value]
+    kinds: Tuple[Kind, ...]
+    tail: Optional[Kind] = None
+    options: Options = field(default_factory=dict)
+
+    def apply(self, interp: Interpreter, name: str, args: Sequence[Value],
+              options: Sequence[Tuple[str, str]], line: int) -> Value:
+        n = len(self.kinds)
+        wanted = n + (self.tail is not None)
+        if len(args) < wanted or (self.tail is None and len(args) > n):
+            least = "at least " if self.tail else ""
+            raise dsl.ScriptError(f"{name} takes {least}{wanted} argument(s)", line)
+        kinds = self.kinds + (self.tail,) * (len(args) - n)
+        values = []
+        for i, (kind, arg) in enumerate(zip(kinds, args), start=1):
+            value = kind.coerce(interp, arg)
+            if value is None:
+                raise dsl.ScriptError(f"{name}: argument {i} must be {kind.what}", line)
+            values.append(value)
+        chosen = {}
+        for key, raw in options:
+            allowed = self.options.get(key)
+            if allowed is None:
+                raise dsl.ScriptError(f"{name}: unknown option {key!r}", line)
+            if raw not in allowed:
+                raise dsl.ScriptError(
+                    f"{name}: option {key} must be one of {'|'.join(allowed)}", line
+                )
+            chosen[key] = allowed[raw]
+        return self.fn(*values, **chosen)
 
 
-def _ck_presymplectic(interp, args, options, line) -> CheckReport:
-    _need(args, 2, "check presymplectic", line)
-    return presymplectic_check(_as_jacobi(args[0]), args[1])
+def _zero_report(value: Value) -> Report:
+    if _is_zero(value):
+        return Report(PASS, "exact zero test")
+    return Report(FAIL, "exact zero test", f"value = {value}")
 
 
-def _ck_nondegenerate(interp, args, options, line) -> CheckReport:
-    _need(args, 1, "check nondegenerate", line)
-    target = args[0]
-    if isinstance(target, MultiVector):
-        target = sharp_map(target)
-    elif isinstance(target, Form):
-        target = flat_map(target)
-    if not isinstance(target, TensorMap):
-        raise dsl.ScriptError("check nondegenerate needs a map or 2-section", line)
-    return nondegenerate_check(target)
-
-
-def _ck_mc(interp, args, options, line) -> CheckReport:
-    _need(args, 2, "check mc", line)
-    return maurer_cartan_check(_as_bialgebroid(args[0]), args[1])
-
-
-def _ck_closure(interp, args, options, line) -> CheckReport:
-    _need(args, 2, "check closure", line)
-    return graph_closure_check(_as_bialgebroid(args[0]), args[1])
-
-
-def _ck_bialgebroid(interp, args, options, line) -> CheckReport:
-    _need(args, 1, "check bialgebroid", line)
-    return bialgebroid_compat_check(_as_bialgebroid(args[0]))
-
-
-def _pair_verdict_report(verdict) -> CheckReport:
-    return CheckReport(verdict.status, witness=verdict.witness,
-                       strategy=verdict.strategy)
-
-
-def _ck_dirac_pair(interp, args, options, line) -> CheckReport:
-    _need(args, 3, "check dirac_pair", line)
-    data, left, right = args
-    if not isinstance(left, GraphRelation) or not isinstance(right, GraphRelation):
-        raise dsl.ScriptError(
-            "check dirac_pair needs two graph literals (sharp ..)/(flat ..)", line
-        )
-    strategy = options.get("strategy", "auto")
-    verdict = dirac_pair_check(_bialgebroid_or_jacobi(data, line), left, right,
-                               strategy=strategy)
-    return _pair_verdict_report(verdict)
-
-
-def _bialgebroid_or_jacobi(value, line):
-    if isinstance(value, (JacobiBialgebroidData, JacobiAlgebroidData)):
-        return value
-    if isinstance(value, AlgebroidPatch):
-        return JacobiAlgebroidData(value, Form.zero(value, 1))
-    raise dsl.ScriptError("expected twisted data or a dual pair", line)
-
-
-def _ck_jacobi_pair(interp, args, options, line) -> CheckReport:
-    _need(args, 3, "check jacobi_pair", line)
-    strategy = options.get("strategy", "auto")
-    verdict = jacobi_pair_check(_as_jacobi(args[0]), args[1], args[2],
-                                strategy=strategy)
-    return _pair_verdict_report(verdict)
-
-
-def _ck_presymplectic_pair(interp, args, options, line) -> CheckReport:
-    _need(args, 3, "check presymplectic_pair", line)
-    strategy = options.get("strategy", "auto")
-    verdict = presymplectic_pair_check(_as_jacobi(args[0]), args[1], args[2],
-                                       strategy=strategy)
-    return _pair_verdict_report(verdict)
-
-
-def _ck_symplectic_pair(interp, args, options, line) -> CheckReport:
-    _need(args, 3, "check symplectic_pair", line)
-    verdict = symplectic_pair_check(_as_jacobi(args[0]), args[1], args[2])
-    return _pair_verdict_report(verdict)
-
-
-def _ck_hamiltonian_pair(interp, args, options, line) -> CheckReport:
-    _need(args, 3, "check hamiltonian_pair", line)
-    verdict = hamiltonian_pair_check(_as_jacobi(args[0]), args[1], args[2])
-    return _pair_verdict_report(verdict)
-
-
-def _ck_condition31(interp, args, options, line) -> CheckReport:
-    _need(args, 2, "check condition31", line)
-    return condition_image_check(args[0], args[1])
-
-
-def _ck_jomega(interp, args, options, line) -> CheckReport:
-    _need(args, 3, "check jomega", line)
-    return jomega_check(_as_jacobi(args[0]), args[1], args[2])
-
-
-def _ck_omegan(interp, args, options, line) -> CheckReport:
-    _need(args, 3, "check omegan", line)
-    weak = options.get("weak", "false") == "true"
-    return omegan_check(_as_jacobi(args[0]), args[1], args[2], weak=weak)
-
-
-def _ck_torsion(interp, args, options, line) -> CheckReport:
-    _need(args, 1, "check torsion", line)
-    if not isinstance(args[0], TensorMap):
-        raise dsl.ScriptError("check torsion needs a map", line)
-    return torsion_tensor_check(args[0])
-
-
-def _ck_lift_scaling(interp, args, options, line) -> CheckReport:
-    if not args or not isinstance(args[0], LiftHandle):
-        raise dsl.ScriptError("check lift_scaling needs a lift then sections", line)
-    handle = args[0]
-    sections = args[1:]
-    if not sections:
-        raise dsl.ScriptError("check lift_scaling needs at least one section", line)
-    instance = lift_instance(handle.source, sections)
-    return verify_bracket_scaling(instance)
-
-
-def _ck_lift_formulas(interp, args, options, line) -> CheckReport:
-    _need(args, 3, "check lift_formulas", line)
-    J = _as_jacobi(args[0])
-    scalar = args[1]
-    if isinstance(scalar, Fraction):
-        scalar = ExpPoly.const(J.algebroid.patch.variables, scalar)
-    return verify_hat_bar_differentials(J, scalar, args[2])
-
-
-def _ck_main1(interp, args, options, line) -> CheckReport:
-    _need(args, 3, "check main1", line)
-    data, left, right = args
-    if not isinstance(left, GraphRelation) or not isinstance(right, GraphRelation):
-        raise dsl.ScriptError(
-            "check main1 needs two graph literals (sharp ..)/(flat ..)", line
-        )
-    strategy = options.get("strategy", "auto")
-    return theorem_main1_crosscheck(_bialgebroid_or_jacobi(data, line),
-                                    left, right, strategy=strategy)
-
-
-def _ck_zero(interp, args, options, line) -> CheckReport:
-    _need(args, 1, "check zero", line)
-    if _is_zero(args[0]):
-        return CheckReport("pass", strategy="exact zero test")
-    return CheckReport("fail", witness=f"value = {args[0]}",
-                       strategy="exact zero test")
-
-
-def _difference_witness(a: Value, b: Value, line: int) -> Optional[str]:
+def _difference_witness(a: Value, b: Value) -> Optional[str]:
     """None when equal, else a printable discrepancy."""
     if isinstance(a, tuple) and isinstance(b, tuple):
         if len(a) != len(b):
             return f"tuple lengths differ: {len(a)} vs {len(b)}"
         for i, (x, y) in enumerate(zip(a, b)):
-            w = _difference_witness(x, y, line)
+            w = _difference_witness(x, y)
             if w is not None:
                 return f"slot {i}: {w}"
         return None
@@ -845,39 +521,89 @@ def _difference_witness(a: Value, b: Value, line: int) -> Optional[str]:
     if type(a) is type(b) and isinstance(a, (MultiVector, Form, TensorMap)):
         diff = a - b
         return None if _is_zero(diff) else f"difference = {diff}"
-    raise dsl.ScriptError("check equal needs comparable values", line)
+    raise MismatchError("check equal needs comparable values")
 
 
-def _ck_equal(interp, args, options, line) -> CheckReport:
-    _need(args, 2, "check equal", line)
-    witness = _difference_witness(args[0], args[1], line)
+def _equal_report(a: Value, b: Value) -> Report:
+    witness = _difference_witness(a, b)
     if witness is None:
-        return CheckReport("pass", strategy="exact difference")
-    return CheckReport("fail", witness=witness, strategy="exact difference")
+        return Report(PASS, "exact difference")
+    return Report(FAIL, "exact difference", witness)
 
 
-_CHECKS: Dict[str, Callable] = {
-    "algebroid": _ck_algebroid,
-    "jacobi": _ck_jacobi,
-    "presymplectic": _ck_presymplectic,
-    "nondegenerate": _ck_nondegenerate,
-    "mc": _ck_mc,
-    "closure": _ck_closure,
-    "bialgebroid": _ck_bialgebroid,
-    "dirac_pair": _ck_dirac_pair,
-    "jacobi_pair": _ck_jacobi_pair,
-    "presymplectic_pair": _ck_presymplectic_pair,
-    "symplectic_pair": _ck_symplectic_pair,
-    "hamiltonian_pair": _ck_hamiltonian_pair,
-    "condition31": _ck_condition31,
-    "jomega": _ck_jomega,
-    "omegan": _ck_omegan,
-    "torsion": _ck_torsion,
-    "lift_scaling": _ck_lift_scaling,
-    "lift_formulas": _ck_lift_formulas,
-    "main1": _ck_main1,
-    "zero": _ck_zero,
-    "equal": _ck_equal,
+STRATEGY: Options = {"strategy": {s: s for s in STRATEGIES}}
+WEAK: Options = {"weak": {"true": True, "false": False}}
+
+# Script functions by name, checks under "check <name>".  Rows call library
+# names through lambdas, so each call resolves the name when it runs and a
+# wrapped or patched function (a tracer, a test double) is the one called.
+SIGNATURES: Dict[str, Sig] = {
+    "tangent": Sig(lambda p: make_tangent(p), (PATCH,)),
+    "trivial": Sig(lambda p, r: make_trivial(p, r), (PATCH, INTEGER)),
+    "extend": Sig(lambda A: extend_with_R(A), (ALGEBROID,)),
+    "standard": Sig(lambda J: make_standard_bialgebroid(J), (TWISTED,)),
+    "couple": Sig(JacobiBialgebroidData, (TWISTED, TWISTED)),
+    "jacobize": Sig(lambda B: LiftHandle(B, lift_bialgebroid(B)), (DUAL_PAIR,)),
+    "d": Sig(lambda J, w: differential(J, _as_degree0(Form, J.algebroid, w)),
+             (TWISTED, FORM_OR_SCALAR)),
+    "schouten": Sig(lambda J, a, b: phi0_schouten(J, a, b),
+                    (TWISTED, MULTIVECTOR, MULTIVECTOR)),
+    "iota": Sig(lambda x, u: contract(x, u), (SECTION, SECTION)),
+    "pair": Sig(lambda w, p: pair(w, p), (SECTION, SECTION)),
+    "eval_on": Sig(lambda u, *xs: eval_on(u, xs), (SECTION,), tail=SECTION),
+    "sharp": Sig(lambda pi: sharp_map(pi), (MULTIVECTOR,)),
+    "flat": Sig(lambda om: flat_map(om), (FORM,)),
+    "inverse": Sig(lambda m: m.inverse(), (MAP,)),
+    "dual": Sig(lambda m: m.dual(), (MAP,)),
+    "id": Sig(lambda A: TensorMap.identity(A), (ALGEBROID,)),
+    "merge": Sig(lambda ext, pq: merge(ext, *pq), (ALGEBROID, SECTION_PAIR)),
+    "split": Sig(lambda u: split(u), (SECTION,)),
+    "first": Sig(itemgetter(0), (PAIR,)),
+    "second": Sig(itemgetter(1), (PAIR,)),
+    "pi_from_omega": Sig(lambda J, om: pi_from_omega(J, om), (TWISTED, FORM)),
+    "omega_from_pi": Sig(lambda J, pi: omega_from_pi(J, pi), (TWISTED, MULTIVECTOR)),
+    "bivector_of": Sig(lambda m: bivector_of(m), (MAP,)),
+    "two_form_of": Sig(lambda m: two_form_of(m), (MAP,)),
+    "zero_form": Sig(lambda A, k: Form.zero(A, k), (ALGEBROID, INTEGER)),
+    "zero_section": Sig(lambda A, k: MultiVector.zero(A, k), (ALGEBROID, INTEGER)),
+    "exp_t": Sig(lambda weight: weight, (WEIGHT,)),
+    "check algebroid": Sig(lambda A: validate_algebroid(A), (ALGEBROID,)),
+    "check jacobi": Sig(lambda J, pi: jacobi_check(J, pi), (TWISTED, MULTIVECTOR)),
+    "check presymplectic": Sig(lambda J, om: presymplectic_check(J, om),
+                               (TWISTED, FORM)),
+    "check nondegenerate": Sig(lambda m: nondegenerate_check(m), (MUSICAL,)),
+    "check mc": Sig(lambda B, s: maurer_cartan_check(B, s), (DUAL_PAIR, SECTION)),
+    "check closure": Sig(lambda B, s: graph_closure_check(B, s), (DUAL_PAIR, SECTION)),
+    "check bialgebroid": Sig(lambda B: bialgebroid_compat_check(B), (DUAL_PAIR,)),
+    "check dirac_pair": Sig(lambda B, l, r, **o: dirac_pair_check(B, l, r, **o),
+                            (DUAL_PAIR, GRAPH, GRAPH), options=STRATEGY),
+    "check jacobi_pair": Sig(lambda J, a, b, **o: jacobi_pair_check(J, a, b, **o),
+                             (TWISTED, MULTIVECTOR, MULTIVECTOR), options=STRATEGY),
+    "check presymplectic_pair": Sig(
+        lambda J, a, b, **o: presymplectic_pair_check(J, a, b, **o),
+        (TWISTED, FORM, FORM), options=STRATEGY,
+    ),
+    "check symplectic_pair": Sig(lambda J, a, b: symplectic_pair_check(J, a, b),
+                                 (TWISTED, FORM, FORM)),
+    "check hamiltonian_pair": Sig(lambda J, a, b: hamiltonian_pair_check(J, a, b),
+                                  (TWISTED, MULTIVECTOR, MULTIVECTOR)),
+    "check condition31": Sig(lambda a, b: condition_image_check(a, b),
+                             (MULTIVECTOR, MULTIVECTOR)),
+    "check jomega": Sig(lambda J, pi, om: jomega_check(J, pi, om),
+                        (TWISTED, MULTIVECTOR, FORM)),
+    "check omegan": Sig(lambda J, om, N, **o: omegan_check(J, om, N, **o),
+                        (TWISTED, FORM, MAP), options=WEAK),
+    "check torsion": Sig(lambda N: torsion_tensor_check(N), (MAP,)),
+    "check lift_scaling": Sig(
+        lambda h, *s: verify_bracket_scaling(lift_instance(h.source, s)),
+        (LIFT,), tail=SECTION,
+    ),
+    "check lift_formulas": Sig(lambda J, f, w: verify_hat_bar_differentials(J, f, w),
+                               (TWISTED, SCALAR, FORM)),
+    "check main1": Sig(lambda B, l, r, **o: theorem_main1_crosscheck(B, l, r, **o),
+                       (DUAL_PAIR, GRAPH, GRAPH), options=STRATEGY),
+    "check zero": Sig(_zero_report, (VALUE,)),
+    "check equal": Sig(_equal_report, (ANY, ANY)),
 }
 
 
@@ -948,8 +674,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     check = sub.add_parser("check", help="run a script of declarations and checks")
     check.add_argument("file", help="script file")
     check.add_argument("--json", action="store_true", help="emit JSON")
-    check.add_argument("--seed", type=int, default=0,
-                       help="seed recorded for reproducibility")
     check.add_argument("--strict", action="store_true",
                        help="exit 3 when any check is not decided")
     ns = parser.parse_args(argv)

@@ -15,17 +15,25 @@ The checkers here grade a pair of graphs in three escalating ways:
   maps has unit determinant),
 * evidence from caller-supplied cosection triples otherwise.
 
-Verdicts distinguish "fail" (a concrete obstruction was computed) from
-"inconclusive" (no complete strategy applied), so a report never claims
+Verdicts distinguish ``fail`` (a concrete obstruction was computed) from
+``not-decided`` (no complete strategy applied), so a report never claims
 more than the arithmetic shows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .algebroid import AlgebroidPatch, JacobiAlgebroidData, bracket_sections
+from .algebroid import (
+    FAIL,
+    NOT_DECIDED,
+    PASS,
+    AlgebroidPatch,
+    JacobiAlgebroidData,
+    Report,
+    bracket_sections,
+)
 from .calculus import (
     Form,
     MismatchError,
@@ -38,10 +46,6 @@ from .calculus import (
 )
 from .coeff import ExpPoly
 from .structures import (
-    FAIL,
-    NOT_DECIDED,
-    PASS,
-    CheckReport,
     JacobiBialgebroidData,
     TensorMap,
     flat_map,
@@ -53,11 +57,6 @@ from .structures import (
     sharp_map,
     two_form_of,
 )
-
-INCONCLUSIVE = "inconclusive"
-
-# Statuses that mean "no complete strategy applied", across report kinds.
-INCONCLUSIVE_SET = frozenset({INCONCLUSIVE, NOT_DECIDED})
 
 KIND_SHARP = "sharp"
 KIND_FLAT = "flat"
@@ -109,23 +108,6 @@ class GraphRelation:
         return f"{self.kind} graph of {self.section}"
 
 
-@dataclass(frozen=True)
-class PairVerdict:
-    """Graded outcome of a pair check.
-
-    ``pass`` and ``fail`` are only issued when a complete strategy (or a
-    decisive witness) applies; everything weaker is ``inconclusive``.
-    """
-
-    status: str
-    strategy: str
-    witness: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status == PASS
-
-
 # -- torsion of an endomorphism ---------------------------------------------
 
 def torsion_tensor(N: TensorMap, X: MultiVector, Y: MultiVector) -> MultiVector:
@@ -144,7 +126,7 @@ def torsion_tensor(N: TensorMap, X: MultiVector, Y: MultiVector) -> MultiVector:
     return out
 
 
-def torsion_tensor_check(N: TensorMap) -> CheckReport:
+def torsion_tensor_check(N: TensorMap) -> Report:
     """Evaluate the torsion on every frame pair; tensoriality makes this full."""
     A = N.algebroid
     for i in range(A.rank):
@@ -152,12 +134,12 @@ def torsion_tensor_check(N: TensorMap) -> CheckReport:
             value = torsion_tensor(N, MultiVector.frame(A, i), MultiVector.frame(A, j))
             if not value.is_zero:
                 where = f"({A.frame_labels[i]}, {A.frame_labels[j]})"
-                return CheckReport(
+                return Report(
                     FAIL,
                     witness=f"torsion at {where} = {value}",
                     strategy="torsion on frame pairs",
                 )
-    return CheckReport(PASS, strategy="torsion on frame pairs")
+    return Report(PASS, strategy="torsion on frame pairs")
 
 
 # -- torsion of a composed graph relation -----------------------------------
@@ -259,7 +241,7 @@ STRATEGY_COMPAT = "compatibility_sufficient"
 STRATEGY_INVERT = "invertible_reduction"
 STRATEGY_WITNESS = "witness_triples"
 
-_STRATEGIES = (STRATEGY_AUTO, STRATEGY_COMPAT, STRATEGY_INVERT, STRATEGY_WITNESS)
+STRATEGIES = (STRATEGY_AUTO, STRATEGY_COMPAT, STRATEGY_INVERT, STRATEGY_WITNESS)
 
 DataLike = Union[JacobiAlgebroidData, JacobiBialgebroidData]
 
@@ -272,20 +254,19 @@ def _as_bialgebroid(data: DataLike) -> JacobiBialgebroidData:
 
 def _member_gate(
     B: JacobiBialgebroidData, relation: GraphRelation, side: str
-) -> Optional[PairVerdict]:
+) -> Optional[Report]:
     report = maurer_cartan_check(B, relation.section)
     if report.ok:
         return None
-    return PairVerdict(
+    return Report(
         FAIL,
         strategy="member validity",
         witness=f"{side} member fails its structure equation: {report.witness}",
     )
 
 
-def _tensor_verdict(N: TensorMap, note: str) -> PairVerdict:
-    report = torsion_tensor_check(N)
-    return PairVerdict(report.status, strategy=note, witness=report.witness)
+def _tensor_verdict(N: TensorMap, note: str) -> Report:
+    return replace(torsion_tensor_check(N), strategy=note)
 
 
 def _sharp_sharp(
@@ -294,14 +275,14 @@ def _sharp_sharp(
     pi2: MultiVector,
     strategy: str,
     triples: Optional[Sequence[WitnessItem]],
-) -> PairVerdict:
+) -> Report:
     if strategy in (STRATEGY_AUTO, STRATEGY_COMPAT):
         mixed = phi0_schouten(J, pi1, pi2)
         if mixed.is_zero:
-            return PairVerdict(PASS, strategy="bracket compatibility")
+            return Report(PASS, strategy="bracket compatibility")
         if strategy == STRATEGY_COMPAT:
-            return PairVerdict(
-                INCONCLUSIVE,
+            return Report(
+                NOT_DECIDED,
                 strategy="bracket compatibility",
                 witness=f"mixed bracket = {mixed}; the test is only sufficient",
             )
@@ -317,8 +298,8 @@ def _sharp_sharp(
                 m2.compose(m1.inverse()), "tensor reduction through the first sharp"
             )
         if strategy == STRATEGY_INVERT:
-            return PairVerdict(
-                INCONCLUSIVE,
+            return Report(
+                NOT_DECIDED,
                 strategy="tensor reduction",
                 witness="neither sharp map has unit determinant",
             )
@@ -330,24 +311,24 @@ def _sharp_sharp(
             used += 1
             value = torsion_triple(J, pi1, pi2, xi1, xi2, triple)
             if not value.is_zero:
-                return PairVerdict(
+                return Report(
                     FAIL,
                     strategy="witness triples",
                     witness=f"torsion value {value} on a chained triple",
                 )
         if used:
-            return PairVerdict(
-                INCONCLUSIVE,
+            return Report(
+                NOT_DECIDED,
                 strategy="witness triples",
                 witness=f"{used} chained triples vanish; evidence only",
             )
-        return PairVerdict(
-            INCONCLUSIVE,
+        return Report(
+            NOT_DECIDED,
             strategy="witness triples",
             witness="no supplied triple satisfies the chain condition",
         )
-    return PairVerdict(
-        INCONCLUSIVE,
+    return Report(
+        NOT_DECIDED,
         strategy="no complete strategy",
         witness="bivector pair with degenerate sharps and no witnesses",
     )
@@ -355,7 +336,7 @@ def _sharp_sharp(
 
 def _flat_flat(
     om1: Form, om2: Form, strategy: str
-) -> PairVerdict:
+) -> Report:
     if strategy == STRATEGY_WITNESS:
         raise ValueError(
             "witness triples are only supported for two bivector graphs"
@@ -370,8 +351,8 @@ def _flat_flat(
         return _tensor_verdict(
             m1.inverse().compose(m2), "tensor reduction through the first flat"
         )
-    return PairVerdict(
-        INCONCLUSIVE,
+    return Report(
+        NOT_DECIDED,
         strategy="tensor reduction",
         witness="neither flat map has unit determinant",
     )
@@ -383,15 +364,15 @@ def dirac_pair_check(
     right: GraphRelation,
     strategy: str = STRATEGY_AUTO,
     triples: Optional[Sequence[WitnessItem]] = None,
-) -> PairVerdict:
+) -> Report:
     """Grade a pair of graphs: members first, then the composed relation.
 
     Mixed pairs always reduce to an honest endomorphism, so their verdicts
     are complete.  Matched pairs go through the strategy ladder; a verdict
-    of ``inconclusive`` means no complete strategy applied, never that an
+    of ``not-decided`` means no complete strategy applied, never that an
     obstruction was found.
     """
-    if strategy not in _STRATEGIES:
+    if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     B = _as_bialgebroid(data)
     if left.algebroid is not B.A or right.algebroid is not B.A:
@@ -421,7 +402,7 @@ def _closedness(J: JacobiAlgebroidData, omega: Form) -> Section:
 
 def jomega_check(
     J: JacobiAlgebroidData, pi: MultiVector, omega: Form
-) -> CheckReport:
+) -> Report:
     """Bivector-form pair: bivector integrable, both forms closed.
 
     The partner form is the original one precomposed with the recursion
@@ -430,29 +411,29 @@ def jomega_check(
     """
     base = jacobi_check(J, pi)
     if not base.ok:
-        return CheckReport(
+        return Report(
             FAIL, witness=f"bivector: {base.witness}", strategy="component checks"
         )
     d_omega = _closedness(J, omega)
     if not d_omega.is_zero:
-        return CheckReport(
+        return Report(
             FAIL, witness=f"form not closed: {d_omega}", strategy="component checks"
         )
     N = sharp_map(pi).compose(flat_map(omega))
     omega_n = two_form_of(flat_map(omega).compose(N))
     d_omega_n = _closedness(J, omega_n)
     if not d_omega_n.is_zero:
-        return CheckReport(
+        return Report(
             FAIL,
             witness=f"recursion image of the form not closed: {d_omega_n}",
             strategy="component checks",
         )
-    return CheckReport(PASS, strategy="component checks")
+    return Report(PASS, strategy="component checks")
 
 
 def omegan_check(
     J: JacobiAlgebroidData, omega: Form, N: TensorMap, weak: bool = False
-) -> CheckReport:
+) -> Report:
     """Form-endomorphism pair: commutation, torsion, and two closed forms.
 
     ``weak`` replaces vanishing of the torsion itself by vanishing of its
@@ -464,7 +445,7 @@ def omegan_check(
     fl = flat_map(omega)
     commute = fl.compose(N) - N.dual().compose(fl)
     if not commute.is_zero:
-        return CheckReport(
+        return Report(
             FAIL,
             witness="flat does not intertwine the endomorphism with its dual",
             strategy="matrix commutation",
@@ -479,20 +460,20 @@ def omegan_check(
             if not value.is_zero:
                 where = f"({A.frame_labels[i]}, {A.frame_labels[j]})"
                 kind = "flattened torsion" if weak else "torsion"
-                return CheckReport(
+                return Report(
                     FAIL,
                     witness=f"{kind} at {where} = {value}",
                     strategy="torsion on frame pairs",
                 )
     d_omega = _closedness(J, omega)
     if not d_omega.is_zero:
-        return CheckReport(
+        return Report(
             FAIL, witness=f"form not closed: {d_omega}", strategy="closedness"
         )
     omega_n = two_form_of(fl.compose(N))
     d_omega_n = _closedness(J, omega_n)
     if not d_omega_n.is_zero:
-        return CheckReport(
+        return Report(
             FAIL,
             witness=f"composed form not closed: {d_omega_n}",
             strategy="closedness",
@@ -500,7 +481,7 @@ def omegan_check(
     label = "weak commutation/torsion/closedness" if weak else (
         "commutation/torsion/closedness"
     )
-    return CheckReport(PASS, strategy=label)
+    return Report(PASS, strategy=label)
 
 
 # -- named pair wrappers -----------------------------------------------------
@@ -511,7 +492,7 @@ def jacobi_pair_check(
     pi2: MultiVector,
     strategy: str = STRATEGY_AUTO,
     triples: Optional[Sequence[WitnessItem]] = None,
-) -> PairVerdict:
+) -> Report:
     """Two integrable bivectors whose graphs form a compatible pair."""
     return dirac_pair_check(
         J,
@@ -527,7 +508,7 @@ def presymplectic_pair_check(
     om1: Form,
     om2: Form,
     strategy: str = STRATEGY_AUTO,
-) -> PairVerdict:
+) -> Report:
     """Two closed forms whose graphs form a compatible pair."""
     return dirac_pair_check(
         J,
@@ -539,12 +520,12 @@ def presymplectic_pair_check(
 
 def symplectic_pair_check(
     J: JacobiAlgebroidData, om1: Form, om2: Form
-) -> PairVerdict:
+) -> Report:
     """Presymplectic pair with both flats invertible over the patch ring."""
     for omega, side in ((om1, "left"), (om2, "right")):
         report = nondegenerate_check(flat_map(omega))
         if not report.ok:
-            return PairVerdict(
+            return Report(
                 FAIL,
                 strategy="non-degeneracy",
                 witness=f"{side} form is degenerate: {report.witness}",
@@ -554,26 +535,26 @@ def symplectic_pair_check(
 
 def hamiltonian_pair_check(
     J: JacobiAlgebroidData, pi1: MultiVector, pi2: MultiVector
-) -> PairVerdict:
+) -> Report:
     """Sufficient test: both bivectors integrable and their bracket zero.
 
     A compatible pair is always a compatible graph pair; the converse needs
     an image condition this checker does not decide, so a nonzero bracket
-    only downgrades the verdict to inconclusive (unless a member fails).
+    only downgrades the verdict to not-decided (unless a member fails).
     """
     for pi, side in ((pi1, "left"), (pi2, "right")):
         report = jacobi_check(J, pi)
         if not report.ok:
-            return PairVerdict(
+            return Report(
                 FAIL,
                 strategy="member validity",
                 witness=f"{side} member fails its structure equation: {report.witness}",
             )
     mixed = phi0_schouten(J, pi1, pi2)
     if mixed.is_zero:
-        return PairVerdict(PASS, strategy="bracket compatibility")
-    return PairVerdict(
-        INCONCLUSIVE,
+        return Report(PASS, strategy="bracket compatibility")
+    return Report(
+        NOT_DECIDED,
         strategy="bracket compatibility",
         witness=f"mixed bracket = {mixed}; compatibility is only sufficient",
     )
@@ -581,7 +562,7 @@ def hamiltonian_pair_check(
 
 def condition_image_check(
     pi1: MultiVector, pi2: MultiVector
-) -> CheckReport:
+) -> Report:
     """Full-preimage condition on the two sharps.
 
     The condition compares preimages of images of the two sharp maps; over
@@ -592,14 +573,14 @@ def condition_image_check(
     u1 = sharp_map(pi1).is_unit_determinant()
     u2 = sharp_map(pi2).is_unit_determinant()
     if u1 and u2:
-        return CheckReport(PASS, strategy="unit determinants: preimages are full")
+        return Report(PASS, strategy="unit determinants: preimages are full")
     lacking = []
     if not u1:
         lacking.append("first")
     if not u2:
         lacking.append("second")
     which = " and ".join(lacking)
-    return CheckReport(
+    return Report(
         NOT_DECIDED,
         witness=f"{which} sharp map lacks unit determinant",
         strategy="image condition undecidable over the coefficient ring",

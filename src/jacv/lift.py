@@ -20,8 +20,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 from .algebroid import (
+    FAIL,
+    NOT_DECIDED,
+    PASS,
     AlgebroidPatch,
     JacobiAlgebroidData,
+    Report,
     lift_bar,
     lift_hat,
 )
@@ -39,15 +43,10 @@ from .coeff import ExpPoly
 from .dirac import (
     DataLike,
     GraphRelation,
-    INCONCLUSIVE_SET,
     _as_bialgebroid,
     dirac_pair_check,
 )
 from .structures import (
-    FAIL,
-    NOT_DECIDED,
-    PASS,
-    CheckReport,
     JacobiBialgebroidData,
     dual_differential,
     dual_schouten,
@@ -153,7 +152,7 @@ def _scaling_residues(
     )
 
 
-def verify_bracket_scaling(L: LiftedInstance) -> CheckReport:
+def verify_bracket_scaling(L: LiftedInstance) -> Report:
     """Brackets and differentials upstairs against weighted ones downstairs.
 
     For every carried section both sides of both identities are computed
@@ -165,19 +164,19 @@ def verify_bracket_scaling(L: LiftedInstance) -> CheckReport:
     for index, item in enumerate(L.sections):
         for label, residue in _scaling_residues(L, item):
             if not residue.is_zero:
-                return CheckReport(
+                return Report(
                     FAIL,
                     witness=f"{label} fails for section {index}: {residue}",
                     strategy="independent double computation",
                 )
-    return CheckReport(PASS, strategy="independent double computation")
+    return Report(PASS, strategy="independent double computation")
 
 
 # -- closed formulas for the lifted differentials ---------------------------
 
 def verify_hat_bar_differentials(
     J: JacobiAlgebroidData, scalar: ExpPoly, cosection: Form
-) -> CheckReport:
+) -> Report:
     """Closed formulas for both lifted differentials on low degrees.
 
     The weighted lift differentiates a scalar to exp(-t) times the plain
@@ -230,12 +229,12 @@ def verify_hat_bar_differentials(
     for label, direct, formula in cases:
         residue = direct - formula
         if not residue.is_zero:
-            return CheckReport(
+            return Report(
                 FAIL,
                 witness=f"{label}: residue {residue}",
                 strategy="formula against direct evaluation",
             )
-    return CheckReport(PASS, strategy="formula against direct evaluation")
+    return Report(PASS, strategy="formula against direct evaluation")
 
 
 # -- verdict transport -------------------------------------------------------
@@ -250,13 +249,12 @@ def theorem_main1_crosscheck(
     left: GraphRelation,
     right: GraphRelation,
     strategy: str = "auto",
-) -> CheckReport:
+) -> Report:
     """Pair verdict downstairs against the same check on the lifted data.
 
     Both levels run the full pair checker independently; the report passes
     when the two verdicts agree, fails with both witnesses when they
-    disagree, and stays undecided when either strategy ladder came back
-    inconclusive.
+    disagree, and stays not-decided when either strategy ladder did.
     """
     B = _as_bialgebroid(data)
     down = dirac_pair_check(B, left, right, strategy=strategy)
@@ -267,8 +265,8 @@ def theorem_main1_crosscheck(
         _lift_relation(upstairs.A, right),
         strategy=strategy,
     )
-    if down.status in INCONCLUSIVE_SET or up.status in INCONCLUSIVE_SET:
-        return CheckReport(
+    if NOT_DECIDED in (down.status, up.status):
+        return Report(
             NOT_DECIDED,
             witness=(
                 f"downstairs {down.status} ({down.strategy}), "
@@ -277,12 +275,12 @@ def theorem_main1_crosscheck(
             strategy="verdict transport",
         )
     if down.status == up.status:
-        return CheckReport(
+        return Report(
             PASS,
             witness=f"both levels: {down.status}",
             strategy="verdict transport",
         )
-    return CheckReport(
+    return Report(
         FAIL,
         witness=(
             f"downstairs {down.status} ({down.witness}), "

@@ -11,7 +11,7 @@ Conventions pinned here:
 * inversion goes through the adjugate and exists exactly when the
   determinant is a unit of the coefficient ring;
 * the dual of a map transposes the matrix and swaps bundle sides;
-* check outcomes are values (``CheckReport``); a failed check never raises.
+* check outcomes are values (``Report``); a failed check never raises.
 """
 
 from __future__ import annotations
@@ -22,8 +22,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coeff import ExpPoly, NotInvertible
 from .algebroid import (
+    FAIL,
+    PASS,
     AlgebroidPatch,
     JacobiAlgebroidData,
+    Report,
     bracket_sections,
 )
 from . import calculus
@@ -346,28 +349,11 @@ def pi_from_omega(J: JacobiAlgebroidData, omega: Form) -> MultiVector:
 
 # -- reports ---------------------------------------------------------------
 
-PASS = "pass"
-FAIL = "fail"
-NOT_DECIDED = "not_decided"
 
-
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of a structure check; failures carry a printable witness."""
-
-    status: str
-    witness: Optional[str] = None
-    strategy: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status == PASS
-
-
-def _report_zero(residue: Section, strategy: Optional[str] = None) -> CheckReport:
+def _report_zero(residue: Section) -> Report:
     if residue.is_zero:
-        return CheckReport(PASS, strategy=strategy)
-    return CheckReport(FAIL, witness=str(residue), strategy=strategy)
+        return Report(PASS)
+    return Report(FAIL, witness=str(residue))
 
 
 def _check_over(J: JacobiAlgebroidData, *sections: Section) -> None:
@@ -401,7 +387,7 @@ def jacobi_bracket(
     )
 
 
-def jacobi_check(J: JacobiAlgebroidData, pi: MultiVector) -> CheckReport:
+def jacobi_check(J: JacobiAlgebroidData, pi: MultiVector) -> Report:
     """Pass iff the twisted self-bracket of the bivector vanishes."""
     _check_over(J, pi)
     if pi.degree != 2:
@@ -411,13 +397,13 @@ def jacobi_check(J: JacobiAlgebroidData, pi: MultiVector) -> CheckReport:
 
 def compat_check(
     J: JacobiAlgebroidData, pi1: MultiVector, pi2: MultiVector
-) -> CheckReport:
+) -> Report:
     """Pass iff the twisted bracket of the two bivectors vanishes."""
     _check_over(J, pi1, pi2)
     return _report_zero(phi0_schouten(J, pi1, pi2))
 
 
-def presymplectic_check(J: JacobiAlgebroidData, omega: Form) -> CheckReport:
+def presymplectic_check(J: JacobiAlgebroidData, omega: Form) -> Report:
     """Pass iff the twisted differential of the two-form vanishes."""
     _check_over(J, omega)
     if omega.degree != 2:
@@ -425,11 +411,11 @@ def presymplectic_check(J: JacobiAlgebroidData, omega: Form) -> CheckReport:
     return _report_zero(differential(J, omega))
 
 
-def nondegenerate_check(m: TensorMap) -> CheckReport:
+def nondegenerate_check(m: TensorMap) -> Report:
     det = m.determinant()
     if det.is_unit():
-        return CheckReport(PASS, strategy="unit determinant")
-    return CheckReport(FAIL, witness=f"det = {det}", strategy="unit determinant")
+        return Report(PASS, strategy="unit determinant")
+    return Report(FAIL, witness=f"det = {det}", strategy="unit determinant")
 
 
 # -- dual pairs of twisted algebroids ---------------------------------------
@@ -519,7 +505,7 @@ def dual_lie(B: JacobiBialgebroidData, xi: Form, target: Section) -> Section:
     return flip_dual(lie_derivative(B.astar_side, direction, flipped), B.A)
 
 
-def maurer_cartan_check(B: JacobiBialgebroidData, s: Section) -> CheckReport:
+def maurer_cartan_check(B: JacobiBialgebroidData, s: Section) -> Report:
     """Residue of d(s) + (1/2)[s, s] with the differential from the other side."""
     if s.degree != 2:
         raise MismatchError("the Maurer-Cartan check needs a degree-2 section")
@@ -551,7 +537,7 @@ def bialgebroid_compat_check(
     B: JacobiBialgebroidData,
     pairs: Optional[Sequence[Tuple[MultiVector, MultiVector]]] = None,
     multis: Optional[Sequence[MultiVector]] = None,
-) -> CheckReport:
+) -> Report:
     """Both compatibility identities, evaluated on a finite section family.
 
     Identity one: the dual differential is a derivation from the primal
@@ -585,14 +571,14 @@ def bialgebroid_compat_check(
         )
         if lhs != rhs:
             witness = f"derivation identity on ({X}, {Y}): {lhs - rhs}"
-            return CheckReport(FAIL, witness=witness, strategy=strategy)
+            return Report(FAIL, witness=witness, strategy=strategy)
     x0 = B.X0
     for P in multis:
         residue = lie_derivative(B.a_side, x0, P) + dual_lie(B, B.phi0, P)
         if not residue.is_zero:
             witness = f"twist derivative identity on {P}: {residue}"
-            return CheckReport(FAIL, witness=witness, strategy=strategy)
-    return CheckReport(PASS, strategy=strategy)
+            return Report(FAIL, witness=witness, strategy=strategy)
+    return Report(PASS, strategy=strategy)
 
 
 # -- pairings and the structure bracket on A + A* ---------------------------
@@ -662,7 +648,7 @@ def _coframe_family(A: AlgebroidPatch) -> List[Form]:
     return out
 
 
-def graph_closure_check(B: JacobiBialgebroidData, s: Section) -> CheckReport:
+def graph_closure_check(B: JacobiBialgebroidData, s: Section) -> Report:
     """Whether the graph couples of a degree-2 section close under the bracket.
 
     For a bivector the couples are (sharp xi, xi); for a two-form they are
@@ -684,8 +670,8 @@ def graph_closure_check(B: JacobiBialgebroidData, s: Section) -> CheckReport:
                 defect = w.vector - sharp.apply(w.covector)
                 if not defect.is_zero:
                     witness = f"bracket of graph couples at ({xi}, {eta}): {defect}"
-                    return CheckReport(FAIL, witness=witness, strategy=strategy)
-        return CheckReport(PASS, strategy=strategy)
+                    return Report(FAIL, witness=witness, strategy=strategy)
+        return Report(PASS, strategy=strategy)
     if s.degree != 2:
         raise MismatchError("graph closure needs a degree-2 section")
     flat = flat_map(s)
@@ -698,5 +684,5 @@ def graph_closure_check(B: JacobiBialgebroidData, s: Section) -> CheckReport:
             defect = w.covector - flat.apply(w.vector)
             if not defect.is_zero:
                 witness = f"bracket of graph couples at ({X}, {Y}): {defect}"
-                return CheckReport(FAIL, witness=witness, strategy=strategy)
-    return CheckReport(PASS, strategy=strategy)
+                return Report(FAIL, witness=witness, strategy=strategy)
+    return Report(PASS, strategy=strategy)

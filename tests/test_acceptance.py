@@ -375,7 +375,7 @@ def test_perturbed_form_fails_at_both_levels_simultaneously():
 def test_shipped_script_runs_clean_and_deterministically(capsys):
     outputs = []
     for _ in range(2):
-        code = cli.main(["check", "scripts/paper.jac", "--json", "--seed", "0"])
+        code = cli.main(["check", "scripts/paper.jac", "--json"])
         outputs.append(capsys.readouterr().out)
         assert code == 0
     assert outputs[0] == outputs[1]

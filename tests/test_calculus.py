@@ -84,6 +84,10 @@ def test_wedge_power_matches_iteration():
     cubed = wedge(wedge(c.Om, c.Om), c.Om)
     assert wedge_power(c.Om, 3) == cubed
     assert not cubed.is_zero
+    # past the rank the power is zero, of the full degree
+    _, A = small_tangent()
+    w = Form(A, 2, {(0, 2): A.scalar(1), (1, 2): A.patch.coord("x")})
+    assert wedge_power(w, 50) == Form.zero(A, 100)
 
 
 def test_differential_squares_to_zero():

@@ -1,8 +1,12 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from jacv import cli, dsl
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 ROUND_TRIP = [
     "patch p = (x1, x2, y1, y2, z)",
@@ -71,6 +75,10 @@ check equal (pair(dx, ddx)) 1
 jacobi C = extend(A)
 check equal ehat e3
 check equal epshat eps3
+form w = eps1^eps3 + x*(eps2^eps3)
+check zero (w^50)
+form f = iota(e1, (1 + x)*eps1)
+check equal (f^4) (f^f^f^f)
 """
 
 
@@ -118,6 +126,35 @@ def test_exit_two_on_missing_file(tmp_path, capsys):
     assert "error:" in captured.err
 
 
+MALFORMED_PROLOGUE = """\
+patch p = (x, y)
+algebroid A = tangent(p)
+jacobi J = (A, 0)
+form w = dx^dy
+map N = id(A)
+"""
+
+
+@pytest.mark.parametrize("line", [
+    "check presymplectic A x",
+    "check jacobi A 3",
+    "check mc J 3",
+    "check hamiltonian_pair J 3 w",
+    "check lift_formulas J x 3",
+    "check zero A",
+    "check algebroid A foo=bar",
+    "check omegan J w N weak=yes",
+    "check symplectic_pair J w w strategy=auto",
+    "form z = iota(A, 3)",
+    "form z = bivector_of(3)",
+])
+def test_malformed_line_exits_two_with_its_location(tmp_path, capsys, line):
+    code, out, err = _run(tmp_path, capsys, MALFORMED_PROLOGUE + line + "\n")
+    assert code == 2
+    assert "[L6]" in out or "line 6" in err
+    assert "Traceback" not in out + err
+
+
 def test_check_errors_are_recorded_and_run_continues(tmp_path, capsys):
     text = PASSING + "check zero nosuchname\ncheck algebroid A\n"
     code, out, _ = _run(tmp_path, capsys, text, "--json")
@@ -148,9 +185,8 @@ def test_strict_turns_not_decided_into_exit_three(tmp_path, capsys):
 
 
 def test_json_output_is_byte_stable(tmp_path, capsys):
-    args = ("--json", "--seed", "7")
-    code1, out1, _ = _run(tmp_path, capsys, PASSING, *args)
-    code2, out2, _ = _run(tmp_path, capsys, PASSING, *args)
+    code1, out1, _ = _run(tmp_path, capsys, PASSING, "--json")
+    code2, out2, _ = _run(tmp_path, capsys, PASSING, "--json")
     assert code1 == code2 == 0
     assert out1 == out2
     data = json.loads(out1)
@@ -199,3 +235,25 @@ def test_names_bind_once():
 def test_frame_tokens_need_an_ambient():
     with pytest.raises(dsl.ScriptError):
         cli.run_text("patch p = (x)\nlet v = ddx\n")
+
+
+def _readme_names(label):
+    paragraph = re.search(rf"^{label}: (.*?)\.$", README.read_text(), re.M | re.S)
+    return set(re.findall(r"`(\w+)`", paragraph.group(1)))
+
+
+def test_readme_lists_exactly_the_signature_table():
+    checks = {k[len("check "):] for k in cli.SIGNATURES if k.startswith("check ")}
+    functions = {k for k in cli.SIGNATURES if not k.startswith("check ")}
+    assert _readme_names("Functions") == functions
+    assert _readme_names("Checks") == checks
+    documented = {
+        key: set(values.split("|"))
+        for key, values in re.findall(r"\(`(\w+)=([\w|]+)`\)", README.read_text())
+    }
+    accepted = {
+        key: set(allowed)
+        for sig in cli.SIGNATURES.values()
+        for key, allowed in sig.options.items()
+    }
+    assert documented == accepted

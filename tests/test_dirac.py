@@ -132,14 +132,14 @@ def test_witness_strategy_is_only_evidence_when_nothing_fails():
          _chained_triple(c.Pi, PiE, Form.coframe(c.ext, 0))),
     ]
     v = jacobi_pair_check(c.C, c.Pi, PiE, strategy="witness_triples", triples=triples)
-    assert v.status == "inconclusive"
+    assert v.status == "not-decided"
     assert "evidence only" in v.witness
     # unchained triples are discarded instead of evaluated
     dx = Form.coframe(c.ext, 0)
     v2 = jacobi_pair_check(
         c.C, c.Pi, PiE, strategy="witness_triples", triples=[(dx, dx, (dx, dx, dx))]
     )
-    assert v2.status == "inconclusive"
+    assert v2.status == "not-decided"
     assert "chain condition" in v2.witness
 
 
@@ -160,13 +160,13 @@ def test_incomplete_strategies_stay_inconclusive():
     pi2 = MultiVector(A, 2, {(2, 3): p.coord("x1")})
     assert jacobi_check(J, pi1).ok and jacobi_check(J, pi2).ok
     compat = jacobi_pair_check(J, pi1, pi2, strategy="compatibility_sufficient")
-    assert compat.status == "inconclusive"
+    assert compat.status == "not-decided"
     assert "only sufficient" in compat.witness
     invert = jacobi_pair_check(J, pi1, pi2, strategy="invertible_reduction")
-    assert invert.status == "inconclusive"
+    assert invert.status == "not-decided"
     assert "unit determinant" in invert.witness
     auto = jacobi_pair_check(J, pi1, pi2)
-    assert auto.status == "inconclusive"
+    assert auto.status == "not-decided"
     assert auto.strategy == "no complete strategy"
 
 
@@ -209,7 +209,7 @@ def test_flat_flat_reduction_and_degenerate_fallback():
     om1 = Form(A, 2, {(0, 1): p.const(1)})
     om2 = Form(A, 2, {(2, 3): p.const(1)})
     und = presymplectic_pair_check(J, om1, om2)
-    assert und.status == "inconclusive"
+    assert und.status == "not-decided"
     with pytest.raises(ValueError):
         presymplectic_pair_check(J, om1, om2, strategy="witness_triples")
 
@@ -219,7 +219,7 @@ def test_hamiltonian_pair_grading():
     assert hamiltonian_pair_check(c.C, c.Pi, c.Pi).ok
     p, A, J, pi1, pi2 = _incompatible_pair()
     v = hamiltonian_pair_check(J, pi1, pi2)
-    assert v.status == "inconclusive"
+    assert v.status == "not-decided"
     assert "mixed bracket" in v.witness
     broken = MultiVector(A, 2, {(0, 1): p.coord("x1"), (2, 3): p.coord("x1")})
     assert not jacobi_check(J, broken).ok
@@ -234,7 +234,7 @@ def test_image_condition_only_decided_for_units():
     p, A, _ = _plane4()
     degenerate = MultiVector(A, 2, {(0, 1): p.const(1)})
     report = condition_image_check(c.Pi, degenerate)
-    assert report.status == "not_decided"
+    assert report.status == "not-decided"
     assert "second" in report.witness
     both = condition_image_check(degenerate, degenerate)
     assert "first and second" in both.witness

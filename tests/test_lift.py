@@ -172,5 +172,5 @@ def test_main1_crosscheck_stays_undecided_without_a_strategy():
     report = theorem_main1_crosscheck(
         J, GraphRelation.of_bivector(pi1), GraphRelation.of_bivector(pi2)
     )
-    assert report.status == "not_decided"
-    assert "downstairs inconclusive" in report.witness
+    assert report.status == "not-decided"
+    assert "downstairs not-decided" in report.witness

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -6,7 +7,8 @@ import pytest
 
 from jacv import cli, dsl
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 ROUND_TRIP = [
     "patch p = (x1, x2, y1, y2, z)",
@@ -202,6 +204,13 @@ def test_shipped_script_is_all_green(tmp_path, capsys):
     code = cli.main(["check", "scripts/paper.jac", "--json"])
     captured = capsys.readouterr()
     assert code == 0
+    # the benchmark's recorded hash pins every byte of the document, labels included
+    recorded = re.search(
+        r'^CORPUS_SHA256 = "([0-9a-f]{64})"$',
+        (ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8"),
+        re.M,
+    ).group(1)
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == recorded
     data = json.loads(captured.out)
     summary = data["summary"]
     assert summary["fail"] == 0

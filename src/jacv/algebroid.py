@@ -133,56 +133,38 @@ class AlgebroidPatch:
 
     # -- anchor and frame brackets ----------------------------------------
 
-    def anchor_deriv(self, coeffs: Sequence[ExpPoly], f: ExpPoly) -> ExpPoly:
-        """Apply the anchored derivation of the section sum_i coeffs[i] e_i to f."""
+    def anchor_deriv(self, index: int, f: ExpPoly) -> ExpPoly:
+        """rho(e_index) f: the anchored derivative of f along one frame element,
+        sum over base coordinates x of anchor[x][index] * df/dx."""
         out = self.zero_scalar()
-        names = self.patch.anchor_coords
-        partials = [f.diff(name) for name in names]
-        for a, row in enumerate(self.anchor):
-            if partials[a].is_zero:
+        for name, row in zip(self.patch.anchor_coords, self.anchor):
+            entry = row[index]
+            if entry.is_zero:
                 continue
-            for i, entry in enumerate(row):
-                if entry.is_zero or coeffs[i].is_zero:
-                    continue
-                out = out + coeffs[i] * entry * partials[a]
+            df = f.diff(name)
+            if not df.is_zero:
+                out = out + entry * df
         return out
-
-    def frame_bracket(self, i: int, j: int) -> Tuple[ExpPoly, ...]:
-        return self.structure[i][j]
 
 
 def anchor_apply(A: AlgebroidPatch, X: "calculus.MultiVector", f: ExpPoly) -> ExpPoly:
     """The derivation of a degree-1 section applied to a scalar."""
     if X.degree != 1:
         raise ValueError("anchor_apply expects a degree-1 section")
-    coeffs = [X.components.get((i,), A.zero_scalar()) for i in range(A.rank)]
-    return A.anchor_deriv(coeffs, f)
+    out = A.zero_scalar()
+    for (i,), c in X.components.items():
+        out = out + c * A.anchor_deriv(i, f)
+    return out
 
 
 def bracket_sections(
     A: AlgebroidPatch, X: "calculus.MultiVector", Y: "calculus.MultiVector"
 ) -> "calculus.MultiVector":
-    """Leibniz expansion of the bracket of two degree-1 sections."""
+    """Bracket of two degree-1 sections: the Schouten bracket in degree 1,
+    fg[e_i, e_j] + f rho(e_i)g e_j - g rho(e_j)f e_i summed over components."""
     if X.degree != 1 or Y.degree != 1:
         raise ValueError("bracket_sections expects degree-1 sections")
-    zero = A.zero_scalar()
-    xc = [X.components.get((i,), zero) for i in range(A.rank)]
-    yc = [Y.components.get((i,), zero) for i in range(A.rank)]
-    comps = {}
-    for k in range(A.rank):
-        acc = zero
-        for i in range(A.rank):
-            if xc[i].is_zero:
-                continue
-            for j in range(A.rank):
-                c = A.structure[i][j][k]
-                if c.is_zero or yc[j].is_zero:
-                    continue
-                acc = acc + xc[i] * yc[j] * c
-        acc = acc + A.anchor_deriv(xc, yc[k]) - A.anchor_deriv(yc, xc[k])
-        if not acc.is_zero:
-            comps[(k,)] = acc
-    return calculus.MultiVector(A, 1, comps)
+    return calculus.schouten(X, Y)
 
 
 PASS = "pass"
@@ -223,7 +205,6 @@ def validate_algebroid(A: AlgebroidPatch) -> Report:
                 lhs = A.zero_scalar()
                 for k in range(A.rank):
                     lhs = lhs + A.structure[i][j][k] * A.anchor[a][k]
-                rhs = A.zero_scalar()
                 coord = ExpPoly.var(A.patch.variables, name)
                 rhs = anchor_apply(A, ei, anchor_apply(A, ej, coord))
                 rhs = rhs - anchor_apply(A, ej, anchor_apply(A, ei, coord))

@@ -14,9 +14,29 @@ Sign conventions fixed here and relied on everywhere else:
                      + sum_{i<j} (-1)^{i+j} w([X_i,X_j], ..no i, no j..);
 * the Lie derivative is Cartan's formula on forms and the Schouten bracket
   with a degree-1 section on multivectors;
-* the Schouten bracket extends the frame bracket by
+* the Schouten bracket extends the frame bracket [e_i, e_j] and the anchor
+  [e_i, f] = rho(e_i) f, [f, g] = 0, by the graded rules
       [D1, D2 ^ D3] = [D1,D2] ^ D3 + (-1)^((a1+1) a2) D2 ^ [D1,D3],
       [D1, D2] = -(-1)^((a1-1)(a2-1)) [D2, D1];
+  on frame monomials f e_I and g e_J of degrees p and q, with 0-based
+  positions a in I and b in J and I\a the key I without its a-th index,
+  this is the closed form computed by ``schouten``:
+      [f e_I, g e_J]
+        = f g sum_{a,b} (-1)^(a+b) [e_{I_a}, e_{J_b}] ^ e_{I\a} ^ e_{J\b}
+          + f sum_a (-1)^(p-1-a) rho(e_{I_a}) g  e_{I\a} ^ e_J
+          - (-1)^((p-1)(q-1)) g sum_b (-1)^(q-1-b) rho(e_{J_b}) f  e_{J\b} ^ e_I.
+  Derivation: by the first rule [D, .] is a derivation of degree deg D - 1.
+  Expanding g e_J = g ^ e_{J_0} ^ ... factor by factor, and moving the
+  degree-p bracket in front of the b factors e_{J<b},
+      [f e_I, g e_J] = [f e_I, g] ^ e_J
+                       + g sum_b (-1)^b [f e_I, e_{J_b}] ^ e_{J\b}.
+  The second rule gives [f e_I, e_j] = -[e_j, f e_I]; expanding f e_I under
+  the degree-0 derivation [e_j, .] gives
+      [f e_I, e_j] = f sum_a (-1)^a [e_{I_a}, e_j] ^ e_{I\a} - rho(e_j) f  e_I,
+  whose first part is the structure term and whose second part, with
+  e_I ^ e_{J\b} = (-1)^(p(q-1)) e_{J\b} ^ e_I, is the third term.  Under the
+  degree-(-1) derivation [g, .], [g, f e_I] = -f sum_a (-1)^a rho(e_{I_a}) g
+  e_{I\a}, and the second rule turns it into the second term;
 * the twisted variants add the standard correction terms built from a fixed
   closed degree-1 cosection (the twist), with contraction of the twist into a
   degree-0 section read as 0 inside those formulas.
@@ -31,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .coeff import ExpPoly
 
@@ -228,19 +248,22 @@ def _perm_sign(order: Sequence[int]) -> int:
     return sign
 
 
-def _shuffle_sign(left: Key, right: Key) -> int:
-    inversions = sum(1 for i in left for j in right if i > j)
-    return -1 if inversions % 2 else 1
+def _wedge_keys(left: Key, right: Key) -> Optional[Tuple[int, Key]]:
+    """Sign and increasing key of e_left ^ e_right; None when the keys overlap."""
+    inversions = 0
+    for i in left:
+        for j in right:
+            if i == j:
+                return None
+            inversions += i > j
+    return (-1 if inversions % 2 else 1), tuple(sorted(left + right))
 
 
-def _insert_index(index: int, rest: Key) -> Optional[Tuple[int, Key]]:
-    """Sign and sorted key for e_index wedged in front of an increasing tuple."""
-    if index in rest:
-        return None
-    smaller = sum(1 for j in rest if j < index)
-    sign = -1 if smaller % 2 else 1
-    merged = tuple(sorted(rest + (index,)))
-    return sign, merged
+def _accumulate(comps: Dict[Key, ExpPoly], sign: int, key: Key, term: ExpPoly) -> None:
+    if sign < 0:
+        term = -term
+    old = comps.get(key)
+    comps[key] = term if old is None else old + term
 
 
 # -- wedge, contraction, pairing ------------------------------------------
@@ -252,18 +275,12 @@ def wedge(u: Section, v: Section) -> Section:
         raise MismatchError("wedge needs two sections of the same kind")
     if u.algebroid is not v.algebroid:
         raise MismatchError("sections live over different algebroids")
-    zero = u.algebroid.zero_scalar()
     comps: Dict[Key, ExpPoly] = {}
     for ka, ca in u.components.items():
         for kb, cb in v.components.items():
-            if set(ka) & set(kb):
-                continue
-            sign = _shuffle_sign(ka, kb)
-            key = tuple(sorted(ka + kb))
-            term = ca * cb
-            if sign < 0:
-                term = -term
-            comps[key] = comps.get(key, zero) + term
+            placed = _wedge_keys(ka, kb)
+            if placed is not None:
+                _accumulate(comps, *placed, ca * cb)
     return type(u)(u.algebroid, u.degree + v.degree, comps)
 
 
@@ -341,18 +358,6 @@ def _twist_of(arg: object) -> Tuple[object, Optional[Form]]:
     return arg.algebroid, phi0
 
 
-def _frame_deriv(A: object, index: int, f: ExpPoly) -> ExpPoly:
-    out = A.zero_scalar()
-    for name, row in zip(A.patch.anchor_coords, A.anchor):
-        entry = row[index]
-        if entry.is_zero:
-            continue
-        df = f.diff(name)
-        if not df.is_zero:
-            out = out + entry * df
-    return out
-
-
 def differential(arg: object, w: Form) -> Form:
     """Frame form of the algebroid differential; twisted when given twist data.
 
@@ -373,7 +378,7 @@ def differential(arg: object, w: Form) -> Form:
             c = w.components.get(rest)
             if c is None:
                 continue
-            term = _frame_deriv(A, idx, c)
+            term = A.anchor_deriv(idx, c)
             if pos % 2:
                 term = -term
             acc = acc + term
@@ -388,7 +393,7 @@ def differential(arg: object, w: Form) -> Form:
                     cm = bracket[m]
                     if cm.is_zero:
                         continue
-                    placed = _insert_index(m, rest)
+                    placed = _wedge_keys((m,), rest)
                     if placed is None:
                         continue
                     sign, full = placed
@@ -430,92 +435,60 @@ def lie_derivative(arg: object, X: MultiVector, u: Section) -> Section:
 
 # -- Schouten bracket ------------------------------------------------------
 
-_Atom = Tuple[str, object]  # ("f", scalar) or ("e", frame index)
-
-
-def _list_degree(items: List[_Atom]) -> int:
-    return sum(1 for kind, _ in items if kind == "e")
-
-
-def _list_to_section(A: object, items: List[_Atom]) -> MultiVector:
-    out: MultiVector = MultiVector.scalar_section(A, A.scalar(1))
-    for kind, value in items:
-        if kind == "f":
-            out = value * out
-        else:
-            out = wedge(out, MultiVector.frame(A, value))
-    return out
-
-
-def _atom_bracket(A: object, a: _Atom, b: _Atom) -> MultiVector:
-    ka, va = a
-    kb, vb = b
-    if ka == "f" and kb == "f":
-        return MultiVector.zero(A, 0)
-    if ka == "e" and kb == "f":
-        return MultiVector.scalar_section(A, _frame_deriv(A, va, vb))
-    if ka == "f" and kb == "e":
-        return MultiVector.scalar_section(A, -_frame_deriv(A, vb, va))
-    comps = {
-        (k,): c for k, c in enumerate(A.structure[va][vb]) if not c.is_zero
-    }
-    return MultiVector(A, 1, comps)
-
-
-def _bracket_lists(A: object, left: List[_Atom], right: List[_Atom]) -> MultiVector:
-    p = _list_degree(left)
-    q = _list_degree(right)
-    target = max(p + q - 1, 0)
-    if len(left) == 1 and len(right) == 1:
-        return _atom_bracket(A, left[0], right[0])
-    if len(right) > 1:
-        # A genuinely zero summand may carry the wrong formal degree (the
-        # rank -1 slot), so only nonzero pieces are accumulated.
-        head, tail = right[0], right[1:]
-        du = 0 if head[0] == "f" else 1
-        total = MultiVector.zero(A, target)
-        inner = _bracket_lists(A, left, [head])
-        if not inner.is_zero:
-            total = total + wedge(inner, _list_to_section(A, tail))
-        inner = _bracket_lists(A, left, tail)
-        if not inner.is_zero:
-            piece = wedge(_list_to_section(A, [head]), inner)
-            if ((p + 1) * du) % 2:
-                piece = -piece
-            total = total + piece
-        return total
-    # left is composite, right is a single atom: flip with the graded sign
-    flipped = _bracket_lists(A, right, left)
-    if ((p - 1) * (q - 1)) % 2 == 0:
-        flipped = -flipped
-    return flipped
-
-
-def _monomials(P: MultiVector) -> List[List[_Atom]]:
-    out = []
-    for key, c in P.components.items():
-        items: List[_Atom] = [("f", c)]
-        items.extend(("e", i) for i in key)
-        out.append(items)
-    return out
-
-
 def schouten(P: MultiVector, Q: MultiVector) -> MultiVector:
-    """Schouten bracket, expanded from the frame bracket by the graded rules."""
+    """Schouten bracket of two multivectors, by the closed form on frame
+    monomials given in the module docstring.
+
+    Index pairs whose structure row is zero contribute no structure term, so
+    f g is formed only for monomial pairs with a nonzero row.  On degree-1
+    sections this is the Leibniz bracket fg[e_i, e_j] + f rho(e_i)g e_j -
+    g rho(e_j)f e_i; on degree 0 against degree 1 it is the anchored
+    derivative, and two scalars bracket to 0.
+    """
     if not isinstance(P, MultiVector) or not isinstance(Q, MultiVector):
         raise MismatchError("the Schouten bracket acts on multivectors")
     if P.algebroid is not Q.algebroid:
         raise MismatchError("sections live over different algebroids")
     A = P.algebroid
-    out_degree = max(P.degree + Q.degree - 1, 0)
-    total = MultiVector.zero(A, out_degree)
-    for left in _monomials(P):
-        for right in _monomials(Q):
-            term = _bracket_lists(A, left, right)
-            if term.is_zero:
-                continue
-            total = total + term
-    return total
+    p, q = P.degree, Q.degree
+    swap = 1 if (p - 1) * (q - 1) % 2 else -1  # -(-1)^((p-1)(q-1))
+    comps: Dict[Key, ExpPoly] = {}
+    for I, f in P.components.items():
+        for J, g in Q.components.items():
+            fg = None
+            for a, i in enumerate(I):
+                I_a = I[:a] + I[a + 1 :]
+                for b, j in enumerate(J):
+                    row = [
+                        (m, c) for m, c in enumerate(A.structure[i][j]) if not c.is_zero
+                    ]
+                    rest = _wedge_keys(I_a, J[:b] + J[b + 1 :]) if row else None
+                    if rest is None:
+                        continue
+                    sign, K = rest
+                    sign *= (-1) ** (a + b)
+                    if fg is None:
+                        fg = f * g
+                    for m, c in row:
+                        placed = _wedge_keys((m,), K)
+                        if placed is not None:
+                            s, key = placed
+                            _accumulate(comps, s * sign, key, fg * c)
+                placed = _wedge_keys(I_a, J)
+                if placed is not None:
+                    sign, key = placed
+                    dg = A.anchor_deriv(i, g)
+                    if not dg.is_zero:
+                        _accumulate(comps, sign * (-1) ** (p - 1 - a), key, f * dg)
+            for b, j in enumerate(J):
+                placed = _wedge_keys(J[:b] + J[b + 1 :], I)
+                if placed is not None:
+                    sign, key = placed
+                    df = A.anchor_deriv(j, f)
+                    if not df.is_zero:
+                        sign *= swap * (-1) ** (q - 1 - b)
+                        _accumulate(comps, sign, key, g * df)
+    return MultiVector(A, max(p + q - 1, 0), comps)
 
 
 def _iota_twist(phi0: Form, D: MultiVector) -> Optional[MultiVector]:

@@ -396,10 +396,6 @@ def dirac_pair_check(
 
 # -- bivector-with-form and form-with-endomorphism structures ----------------
 
-def _closedness(J: JacobiAlgebroidData, omega: Form) -> Section:
-    return differential(J, omega)
-
-
 def jomega_check(
     J: JacobiAlgebroidData, pi: MultiVector, omega: Form
 ) -> Report:
@@ -414,14 +410,14 @@ def jomega_check(
         return Report(
             FAIL, witness=f"bivector: {base.witness}", strategy="component checks"
         )
-    d_omega = _closedness(J, omega)
+    d_omega = differential(J, omega)
     if not d_omega.is_zero:
         return Report(
             FAIL, witness=f"form not closed: {d_omega}", strategy="component checks"
         )
     N = sharp_map(pi).compose(flat_map(omega))
     omega_n = two_form_of(flat_map(omega).compose(N))
-    d_omega_n = _closedness(J, omega_n)
+    d_omega_n = differential(J, omega_n)
     if not d_omega_n.is_zero:
         return Report(
             FAIL,
@@ -465,13 +461,13 @@ def omegan_check(
                     witness=f"{kind} at {where} = {value}",
                     strategy="torsion on frame pairs",
                 )
-    d_omega = _closedness(J, omega)
+    d_omega = differential(J, omega)
     if not d_omega.is_zero:
         return Report(
             FAIL, witness=f"form not closed: {d_omega}", strategy="closedness"
         )
     omega_n = two_form_of(fl.compose(N))
-    d_omega_n = _closedness(J, omega_n)
+    d_omega_n = differential(J, omega_n)
     if not d_omega_n.is_zero:
         return Report(
             FAIL,

@@ -9,6 +9,7 @@ from jacv.algebroid import (
     anchor_apply,
     bracket_sections,
     extend_with_R,
+    lift_hat,
     make_tangent,
 )
 from jacv.calculus import (
@@ -126,37 +127,153 @@ def test_nonclosed_twist_breaks_d_squared():
     assert not differential(J, differential(J, one)).is_zero
 
 
+def _twisted_hat():
+    """lift_hat of a 3-d tangent algebroid twisted by a closed cosection:
+    nonzero structure functions and anchor entries in e^{-t}."""
+    _, A = small_tangent()
+    twist = closed_twist(random.Random(3), A)
+    assert not twist.is_zero
+    return lift_hat(JacobiAlgebroidData(A, twist))
+
+
+def _rand_mv(r, A, degree, density=0.6, terms=1):
+    """Random multivector with t and e^{+-t} in its coefficients on lifted patches."""
+    lifted = A.patch.has_time
+    return rand_multivector(
+        r, A, degree, density, max_degree=1, terms=terms, with_t=lifted,
+        exp_range=int(lifted),
+    )
+
+
 def test_schouten_graded_antisymmetry():
-    c = contact()
-    for seed in range(25):
-        r = random.Random(seed)
-        p = r.randint(1, 3)
-        q = r.randint(1, 3)
-        P = rand_multivector(r, c.TA, p, max_degree=1, terms=1)
-        Q = rand_multivector(r, c.TA, q, max_degree=1, terms=1)
-        lhs = schouten(P, Q)
-        rhs = schouten(Q, P)
-        if ((p - 1) * (q - 1)) % 2 == 0:
-            rhs = -rhs
-        assert lhs == rhs, f"seed={seed} degrees=({p},{q})"
+    for A in (contact().TA, _twisted_hat()):
+        for seed in range(25):
+            r = random.Random(seed)
+            p = r.randint(1, 3)
+            q = r.randint(1, 3)
+            P = _rand_mv(r, A, p)
+            Q = _rand_mv(r, A, q)
+            lhs = schouten(P, Q)
+            rhs = schouten(Q, P)
+            if ((p - 1) * (q - 1)) % 2 == 0:
+                rhs = -rhs
+            assert lhs == rhs, f"rank={A.rank} seed={seed} degrees=({p},{q})"
 
 
 def test_schouten_graded_leibniz():
-    _, A = small_tangent(("x", "y", "z", "w"))
-    for seed in range(25):
-        r = random.Random(seed)
-        p = r.randint(1, 2)
-        q = r.randint(1, 2)
-        s = r.randint(1, 2)
-        P = rand_multivector(r, A, p, max_degree=1, terms=1)
-        Q = rand_multivector(r, A, q, max_degree=1, terms=1)
-        R = rand_multivector(r, A, s, max_degree=1, terms=1)
-        lhs = schouten(P, wedge(Q, R))
-        rhs = wedge(schouten(P, Q), R)
-        cross = wedge(Q, schouten(P, R))
-        if ((p - 1) * q) % 2:
-            cross = -cross
-        assert lhs == rhs + cross, f"seed={seed} degrees=({p},{q},{s})"
+    for A in (small_tangent(("x", "y", "z", "w"))[1], _twisted_hat()):
+        for seed in range(25):
+            r = random.Random(seed)
+            p = r.randint(1, 2)
+            q = r.randint(1, 2)
+            s = r.randint(1, 2)
+            P = _rand_mv(r, A, p)
+            Q = _rand_mv(r, A, q)
+            R = _rand_mv(r, A, s)
+            lhs = schouten(P, wedge(Q, R))
+            rhs = wedge(schouten(P, Q), R)
+            cross = wedge(Q, schouten(P, R))
+            if ((p - 1) * q) % 2:
+                cross = -cross
+            where = f"rank={A.rank} seed={seed} degrees=({p},{q},{s})"
+            assert lhs == rhs + cross, where
+
+
+def test_schouten_graded_jacobi():
+    # [P,[Q,R]] = [[P,Q],R] + (-1)^((p-1)(q-1)) [Q,[P,R]]
+    for A in (small_tangent()[1], _twisted_hat(), solvable_bialgebroid().A):
+        for seed in range(20):
+            r = random.Random(seed)
+            p, q, s = (r.randint(1, 2) for _ in range(3))
+            P, Q, R = (_rand_mv(r, A, d) for d in (p, q, s))
+            lhs = schouten(P, schouten(Q, R))
+            cross = schouten(Q, schouten(P, R))
+            if ((p - 1) * (q - 1)) % 2:
+                cross = -cross
+            rhs = schouten(schouten(P, Q), R) + cross
+            assert lhs == rhs, f"rank={A.rank} seed={seed} degrees=({p},{q},{s})"
+
+
+def _recursive_schouten(P, Q):
+    """Oracle: the Schouten bracket by recursion over lists of atoms, ("f",
+    scalar) or ("e", frame index), applying the graded rules one atom at a
+    time.  This was the library's implementation before the closed form."""
+    A = P.algebroid
+
+    def degree(items):
+        return sum(1 for kind, _ in items if kind == "e")
+
+    def to_section(items):
+        out = MultiVector.scalar_section(A, A.scalar(1))
+        for kind, value in items:
+            if kind == "f":
+                out = value * out
+            else:
+                out = wedge(out, MultiVector.frame(A, value))
+        return out
+
+    def atom_bracket(a, b):
+        (ka, va), (kb, vb) = a, b
+        if ka == "f" and kb == "f":
+            return MultiVector.zero(A, 0)
+        if ka == "e" and kb == "f":
+            return MultiVector.scalar_section(A, A.anchor_deriv(va, vb))
+        if ka == "f" and kb == "e":
+            return MultiVector.scalar_section(A, -A.anchor_deriv(vb, va))
+        comps = {(k,): c for k, c in enumerate(A.structure[va][vb]) if not c.is_zero}
+        return MultiVector(A, 1, comps)
+
+    def bracket(left, right):
+        p, q = degree(left), degree(right)
+        if len(left) == 1 and len(right) == 1:
+            return atom_bracket(left[0], right[0])
+        if len(right) > 1:
+            # a genuinely zero summand may carry the wrong formal degree, so
+            # only nonzero pieces are accumulated
+            head, tail = right[0], right[1:]
+            du = 0 if head[0] == "f" else 1
+            total = MultiVector.zero(A, max(p + q - 1, 0))
+            inner = bracket(left, [head])
+            if not inner.is_zero:
+                total = total + wedge(inner, to_section(tail))
+            inner = bracket(left, tail)
+            if not inner.is_zero:
+                piece = wedge(to_section([head]), inner)
+                if ((p + 1) * du) % 2:
+                    piece = -piece
+                total = total + piece
+            return total
+        flipped = bracket(right, left)
+        return -flipped if ((p - 1) * (q - 1)) % 2 == 0 else flipped
+
+    total = MultiVector.zero(A, max(P.degree + Q.degree - 1, 0))
+    for I, f in P.components.items():
+        for J, g in Q.components.items():
+            term = bracket(
+                [("f", f)] + [("e", i) for i in I], [("f", g)] + [("e", j) for j in J]
+            )
+            if not term.is_zero:
+                total = total + term
+    return total
+
+
+def test_closed_form_schouten_matches_the_recursion():
+    solv = solvable_bialgebroid().A
+    algebroids = (solv, _twisted_hat(), extend_with_R(solv).algebroid)
+    nonzero = []
+    for A in algebroids:
+        assert any(not c.is_zero for row in A.structure for col in row for c in col)
+        for seed in range(40):
+            r = random.Random(seed)
+            # degrees 0-3, kept to p + q - 1 <= rank so the result can be nonzero
+            p = r.randint(0, min(3, A.rank))
+            q = r.randint(0, min(3, A.rank + 1 - p))
+            P, Q = (_rand_mv(r, A, d, density=0.8, terms=2) for d in (p, q))
+            got = schouten(P, Q)
+            assert got == _recursive_schouten(P, Q), f"rank={A.rank} seed={seed}"
+            assert got.degree == max(p + q - 1, 0)
+            nonzero.append(not got.is_zero)
+    assert 3 * sum(nonzero) >= len(nonzero), f"{sum(nonzero)} of {len(nonzero)} nonzero"
 
 
 def test_schouten_on_scalars_vanishes():

@@ -1,14 +1,17 @@
 """Lie algebroids over a coordinate patch, given by frame data.
 
 An algebroid here is a rank-r module with a chosen frame e_1..e_r over one
-patch, described by an anchor matrix (one row per base coordinate, one column
-per frame element) and structure functions c[i][j][k] with
+patch, described by its anchor rho(e_i) = sum_x rho_i^x d/dx and structure
+functions c_ij^k with
 
-    [e_i, e_j] = sum_k c[i][j][k] e_k,      c[i][j][k] = -c[j][i][k].
+    [e_i, e_j] = sum_k c_ij^k e_k,      c_ij^k = -c_ji^k.
 
-Brackets of general sections follow by the Leibniz rule.  The formal variable
-t is always present in the scalar ring; it only becomes an honest coordinate
-(with its own anchor row) on patches with ``has_time=True``, which is how the
+Only nonzero frame data is stored: for each frame element the nonzero anchor
+entries, and for each pair i < j the nonzero structure functions; the pairs
+i > j follow by antisymmetry, so it holds by construction.  Brackets of
+general sections follow by the Leibniz rule.  The formal variable t is always
+present in the scalar ring; it only becomes an honest coordinate (with its
+own anchor entries) on patches with ``has_time=True``, which is how the
 product with a line is modelled for the two lifts.
 
 Everything is stored over the same variable tuple coords + ("t",), so scalar
@@ -19,7 +22,7 @@ exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .coeff import ExpPoly
 from . import calculus
@@ -69,14 +72,45 @@ def _default_labels(prefix: str, rank: int) -> Tuple[str, ...]:
     return tuple(f"{prefix}{i + 1}" for i in range(rank))
 
 
+Entries = Tuple[Tuple[object, ExpPoly], ...]
+
+
+def _nonzero_entries(
+    pairs: Iterable[Tuple[object, ExpPoly]],
+    allowed: Sequence,
+    variables: Tuple[str, ...],
+    what: str,
+) -> Entries:
+    """The nonzero (key, entry) pairs, ordered as their keys are in ``allowed``;
+    a key outside ``allowed``, a repeated key or an entry over other
+    variables is a ValueError."""
+    position = {key: n for n, key in enumerate(allowed)}
+    kept = {}
+    for key, entry in pairs:
+        if key not in position or key in kept:
+            raise ValueError(f"unknown or repeated {what} {key!r}")
+        if entry.vars != variables:
+            raise ValueError(f"{what} entry over the wrong variables")
+        if not entry.is_zero:
+            kept[key] = entry
+    return tuple(sorted(kept.items(), key=lambda item: position[item[0]]))
+
+
 @dataclass(eq=False)
 class AlgebroidPatch:
-    """Anchor + structure functions for one frame over one patch."""
+    """Anchor and structure functions for one frame over one patch, sparse.
+
+    ``anchor[i]`` holds rho(e_i) as its nonzero (coordinate, entry) pairs, in
+    ``patch.anchor_coords`` order.  ``brackets[(i, j)]``, for i < j only,
+    holds [e_i, e_j] as its nonzero (k, c_ij^k) pairs in increasing k; a
+    missing pair brackets to zero.  Zero entries given to the constructor
+    are dropped.
+    """
 
     patch: Patch
     rank: int
-    anchor: Tuple[Tuple[ExpPoly, ...], ...]
-    structure: Tuple[Tuple[Tuple[ExpPoly, ...], ...], ...]
+    anchor: Tuple[Entries, ...]
+    brackets: Dict[Tuple[int, int], Entries]
     frame_labels: Tuple[str, ...] = ()
     coframe_labels: Tuple[str, ...] = ()
     # provenance markers, set by the constructions that produce them
@@ -85,7 +119,6 @@ class AlgebroidPatch:
     lift_kind: Optional[str] = None
 
     def __post_init__(self) -> None:
-        n = len(self.patch.anchor_coords)
         r = self.rank
         if not self.frame_labels:
             self.frame_labels = _default_labels("e", r)
@@ -93,35 +126,21 @@ class AlgebroidPatch:
             self.coframe_labels = _default_labels("eps", r)
         if len(self.frame_labels) != r or len(self.coframe_labels) != r:
             raise ValueError("frame label count does not match rank")
-        self.anchor = tuple(tuple(row) for row in self.anchor)
-        if len(self.anchor) != n or any(len(row) != r for row in self.anchor):
-            raise ValueError(f"anchor must be {n} rows of {r} entries")
-        self.structure = tuple(
-            tuple(tuple(comp) for comp in row) for row in self.structure
-        )
-        if len(self.structure) != r or any(
-            len(row) != r or any(len(comp) != r for comp in row)
-            for row in self.structure
-        ):
-            raise ValueError(f"structure must be a {r}x{r}x{r} array")
+        if len(self.anchor) != r:
+            raise ValueError(f"anchor must have {r} columns")
         variables = self.patch.variables
-        for row in self.anchor:
-            for entry in row:
-                if entry.vars != variables:
-                    raise ValueError("anchor entry over the wrong variables")
-        for i in range(r):
-            for j in range(r):
-                for k in range(r):
-                    c = self.structure[i][j][k]
-                    if c.vars != variables:
-                        raise ValueError(
-                            "structure function over the wrong variables"
-                        )
-                    if c != -self.structure[j][i][k]:
-                        raise ValueError(
-                            f"structure functions not antisymmetric at "
-                            f"({i + 1},{j + 1},{k + 1})"
-                        )
+        self.anchor = tuple(
+            _nonzero_entries(column, self.patch.anchor_coords, variables, "anchor")
+            for column in self.anchor
+        )
+        brackets = {}
+        for (i, j), row in self.brackets.items():
+            if not 0 <= i < j < r:
+                raise ValueError(f"bracket key {(i, j)} must satisfy 0 <= i < j < rank")
+            row = _nonzero_entries(row, range(r), variables, "structure")
+            if row:
+                brackets[i, j] = row
+        self.brackets = brackets
 
     # -- scalars -----------------------------------------------------------
 
@@ -135,12 +154,9 @@ class AlgebroidPatch:
 
     def anchor_deriv(self, index: int, f: ExpPoly) -> ExpPoly:
         """rho(e_index) f: the anchored derivative of f along one frame element,
-        sum over base coordinates x of anchor[x][index] * df/dx."""
+        sum over its nonzero anchor entries rho_index^x of rho_index^x df/dx."""
         out = self.zero_scalar()
-        for name, row in zip(self.patch.anchor_coords, self.anchor):
-            entry = row[index]
-            if entry.is_zero:
-                continue
+        for name, entry in self.anchor[index]:
             df = f.diff(name)
             if not df.is_zero:
                 out = out + entry * df
@@ -196,18 +212,15 @@ def validate_algebroid(A: AlgebroidPatch) -> Report:
     propagates them to arbitrary sections.  A failure's witness names the
     first failing identity and its nonzero residue.
     """
-    names = A.patch.anchor_coords
+    e = [calculus.MultiVector.frame(A, i) for i in range(A.rank)]
     for i in range(A.rank):
         for j in range(i + 1, A.rank):
-            ei = calculus.MultiVector.frame(A, i)
-            ej = calculus.MultiVector.frame(A, j)
-            for a, name in enumerate(names):
-                lhs = A.zero_scalar()
-                for k in range(A.rank):
-                    lhs = lhs + A.structure[i][j][k] * A.anchor[a][k]
+            eij = bracket_sections(A, e[i], e[j])
+            for name in A.patch.anchor_coords:
                 coord = ExpPoly.var(A.patch.variables, name)
-                rhs = anchor_apply(A, ei, anchor_apply(A, ej, coord))
-                rhs = rhs - anchor_apply(A, ej, anchor_apply(A, ei, coord))
+                lhs = anchor_apply(A, eij, coord)
+                rhs = anchor_apply(A, e[i], anchor_apply(A, e[j], coord))
+                rhs = rhs - anchor_apply(A, e[j], anchor_apply(A, e[i], coord))
                 if lhs != rhs:
                     label = (
                         f"anchor([{A.frame_labels[i]},{A.frame_labels[j]}])"
@@ -217,15 +230,12 @@ def validate_algebroid(A: AlgebroidPatch) -> Report:
     for i in range(A.rank):
         for j in range(i + 1, A.rank):
             for k in range(j + 1, A.rank):
-                ei = calculus.MultiVector.frame(A, i)
-                ej = calculus.MultiVector.frame(A, j)
-                ek = calculus.MultiVector.frame(A, k)
-                total = bracket_sections(A, bracket_sections(A, ei, ej), ek)
+                total = bracket_sections(A, bracket_sections(A, e[i], e[j]), e[k])
                 total = total + bracket_sections(
-                    A, bracket_sections(A, ej, ek), ei
+                    A, bracket_sections(A, e[j], e[k]), e[i]
                 )
                 total = total + bracket_sections(
-                    A, bracket_sections(A, ek, ei), ej
+                    A, bracket_sections(A, e[k], e[i]), e[j]
                 )
                 if not total.is_zero:
                     label = (
@@ -246,21 +256,12 @@ def _frame_failure(label: str, residue: object) -> Report:
 def make_tangent(patch: Patch) -> AlgebroidPatch:
     """The tangent algebroid: identity anchor, vanishing structure functions."""
     names = patch.anchor_coords
-    r = len(names)
     one = patch.const(1)
-    zero = patch.zero()
-    anchor = tuple(
-        tuple(one if a == i else zero for i in range(r)) for a in range(r)
-    )
-    structure = tuple(
-        tuple(tuple(zero for _ in range(r)) for _ in range(r))
-        for _ in range(r)
-    )
     return AlgebroidPatch(
         patch,
-        r,
-        anchor,
-        structure,
+        len(names),
+        tuple(((name, one),) for name in names),
+        {},
         frame_labels=tuple(f"dd{n}" for n in names),
         coframe_labels=tuple(f"d{n}" for n in names),
     )
@@ -268,14 +269,7 @@ def make_tangent(patch: Patch) -> AlgebroidPatch:
 
 def make_trivial(patch: Patch, rank: int) -> AlgebroidPatch:
     """Rank-r bundle with zero anchor and zero bracket."""
-    n = len(patch.anchor_coords)
-    zero = patch.zero()
-    anchor = tuple(tuple(zero for _ in range(rank)) for _ in range(n))
-    structure = tuple(
-        tuple(tuple(zero for _ in range(rank)) for _ in range(rank))
-        for _ in range(rank)
-    )
-    return AlgebroidPatch(patch, rank, anchor, structure)
+    return AlgebroidPatch(patch, rank, ((),) * rank, {})
 
 
 def make_explicit(
@@ -288,24 +282,25 @@ def make_explicit(
 ) -> AlgebroidPatch:
     """Build from anchor rows and a sparse {(i, j): components} bracket table.
 
-    Keys are 0-based ordered pairs i < j; components is a length-r sequence.
-    The antisymmetric completion is filled in automatically.
+    ``anchor`` has one row of ``rank`` entries per coordinate of
+    ``patch.anchor_coords``.  Keys are 0-based ordered pairs i < j;
+    components is a length-r sequence.  The pairs i > j follow by
+    antisymmetry.
     """
-    zero = patch.zero()
-    structure = [
-        [[zero for _ in range(rank)] for _ in range(rank)] for _ in range(rank)
-    ]
-    for (i, j), comps in brackets.items():
-        if not 0 <= i < j < rank:
-            raise ValueError(f"bracket key {(i, j)} must satisfy 0 <= i < j < rank")
-        for k in range(rank):
-            structure[i][j][k] = comps[k]
-            structure[j][i][k] = -comps[k]
+    names = patch.anchor_coords
+    rows = tuple(tuple(row) for row in anchor)
+    if len(rows) != len(names) or any(len(row) != rank for row in rows):
+        raise ValueError(f"anchor must be {len(names)} rows of {rank} entries")
+    if any(len(comps) != rank for comps in brackets.values()):
+        raise ValueError(f"bracket components must have {rank} entries")
+    columns = tuple(
+        tuple((name, row[i]) for name, row in zip(names, rows)) for i in range(rank)
+    )
     return AlgebroidPatch(
         patch,
         rank,
-        tuple(tuple(row) for row in anchor),
-        tuple(tuple(tuple(c) for c in row) for row in structure),
+        columns,
+        {key: tuple(enumerate(comps)) for key, comps in brackets.items()},
         frame_labels=frame_labels,
         coframe_labels=coframe_labels,
     )
@@ -344,25 +339,11 @@ def extend_with_R(A: AlgebroidPatch) -> JacobiAlgebroidData:
     pair sections against this construction lives in the calculus module.
     """
     r = A.rank
-    zero = A.zero_scalar()
-    anchor = tuple(row + (zero,) for row in A.anchor)
-    structure = []
-    for i in range(r + 1):
-        row = []
-        for j in range(r + 1):
-            comps = []
-            for k in range(r + 1):
-                if i < r and j < r and k < r:
-                    comps.append(A.structure[i][j][k])
-                else:
-                    comps.append(zero)
-            row.append(tuple(comps))
-        structure.append(tuple(row))
     ext = AlgebroidPatch(
         A.patch,
         r + 1,
-        anchor,
-        tuple(structure),
+        A.anchor + ((),),
+        A.brackets,
         frame_labels=A.frame_labels + ("ehat",),
         coframe_labels=A.coframe_labels + ("epshat",),
         ext_base=A,
@@ -384,17 +365,17 @@ def _lift_patch(A: AlgebroidPatch) -> Patch:
 
 
 def lift_bar(J: JacobiAlgebroidData) -> AlgebroidPatch:
-    """Plain product lift: same structure functions, anchor gains the t-row
-    <phi0, e_i> d/dt."""
+    """Plain product lift: same structure functions, each anchor column gains
+    the t-entry <phi0, e_i> d/dt."""
     A = J.algebroid
     phi = _phi_components(J)
     patch = _lift_patch(A)
-    anchor = tuple(tuple(row) for row in A.anchor) + (tuple(phi),)
+    anchor = tuple(column + (("t", p),) for column, p in zip(A.anchor, phi))
     return AlgebroidPatch(
         patch,
         A.rank,
         anchor,
-        A.structure,
+        A.brackets,
         frame_labels=A.frame_labels,
         coframe_labels=A.coframe_labels,
         lift_of=J,
@@ -404,33 +385,31 @@ def lift_bar(J: JacobiAlgebroidData) -> AlgebroidPatch:
 
 def lift_hat(J: JacobiAlgebroidData) -> AlgebroidPatch:
     """Weighted product lift: everything in the bar lift is damped by exp(-t)
-    and the bracket picks up the frame/twist correction terms."""
+    and the bracket picks up the frame/twist correction terms,
+
+        [e_i, e_j] = e^{-t} sum_k (c_ij^k - delta_jk phi_i + delta_ik phi_j) e_k.
+    """
     A = J.algebroid
     r = A.rank
     phi = _phi_components(J)
     patch = _lift_patch(A)
     emt = ExpPoly.exp(patch.variables, -1)
-    anchor_rows = [tuple(emt * entry for entry in row) for row in A.anchor]
-    anchor_rows.append(tuple(emt * p for p in phi))
-    structure = []
+    anchor = tuple(
+        tuple((name, emt * entry) for name, entry in column) + (("t", emt * p),)
+        for column, p in zip(A.anchor, phi)
+    )
+    brackets = {}
     for i in range(r):
-        row = []
-        for j in range(r):
-            comps = []
-            for k in range(r):
-                c = A.structure[i][j][k]
-                if j == k:
-                    c = c - phi[i]
-                if i == k:
-                    c = c + phi[j]
-                comps.append(emt * c)
-            row.append(tuple(comps))
-        structure.append(tuple(row))
+        for j in range(i + 1, r):
+            row = dict(A.brackets.get((i, j), ()))
+            row[j] = row.get(j, A.zero_scalar()) - phi[i]
+            row[i] = row.get(i, A.zero_scalar()) + phi[j]
+            brackets[i, j] = tuple((k, emt * c) for k, c in row.items())
     return AlgebroidPatch(
         patch,
         r,
-        tuple(anchor_rows),
-        tuple(structure),
+        anchor,
+        brackets,
         frame_labels=A.frame_labels,
         coframe_labels=A.coframe_labels,
         lift_of=J,

@@ -109,13 +109,11 @@ class _Section:
             raise MismatchError("wrong number of indices")
         if len(set(indices)) != len(indices):
             return self.algebroid.zero_scalar()
-        order = sorted(range(len(indices)), key=lambda p: indices[p])
-        sign = _perm_sign(order)
-        key = tuple(sorted(indices))
-        c = self.components.get(key)
+        c = self.components.get(tuple(sorted(indices)))
         if c is None:
             return self.algebroid.zero_scalar()
-        return c if sign == 1 else -c
+        inversions = sum(a > b for a, b in combinations(indices, 2))
+        return -c if inversions % 2 else c
 
     def _check_same(self, other: "_Section") -> None:
         if type(self) is not type(other):
@@ -229,23 +227,6 @@ class Form(_Section):
 
 
 Section = Union[MultiVector, Form]
-
-
-def _perm_sign(order: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(order)
-    for start in range(len(order)):
-        if seen[start]:
-            continue
-        length = 0
-        pos = start
-        while not seen[pos]:
-            seen[pos] = True
-            pos = order[pos]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def _wedge_keys(left: Key, right: Key) -> Optional[Tuple[int, Key]]:
@@ -387,12 +368,8 @@ def differential(arg: object, w: Form) -> Form:
                 rest = tuple(
                     idx for pos, idx in enumerate(key) if pos not in (pa, pb)
                 )
-                bracket = A.structure[key[pa]][key[pb]]
                 inner = zero
-                for m in range(r):
-                    cm = bracket[m]
-                    if cm.is_zero:
-                        continue
+                for m, cm in A.brackets.get((key[pa], key[pb]), ()):
                     placed = _wedge_keys((m,), rest)
                     if placed is None:
                         continue
@@ -439,8 +416,8 @@ def schouten(P: MultiVector, Q: MultiVector) -> MultiVector:
     """Schouten bracket of two multivectors, by the closed form on frame
     monomials given in the module docstring.
 
-    Index pairs whose structure row is zero contribute no structure term, so
-    f g is formed only for monomial pairs with a nonzero row.  On degree-1
+    Index pairs with no stored bracket contribute no structure term, so f g
+    is formed only for monomial pairs with a nonzero bracket.  On degree-1
     sections this is the Leibniz bracket fg[e_i, e_j] + f rho(e_i)g e_j -
     g rho(e_j)f e_i; on degree 0 against degree 1 it is the anchored
     derivative, and two scalars bracket to 0.
@@ -459,14 +436,14 @@ def schouten(P: MultiVector, Q: MultiVector) -> MultiVector:
             for a, i in enumerate(I):
                 I_a = I[:a] + I[a + 1 :]
                 for b, j in enumerate(J):
-                    row = [
-                        (m, c) for m, c in enumerate(A.structure[i][j]) if not c.is_zero
-                    ]
+                    row = A.brackets.get((i, j) if i < j else (j, i))
                     rest = _wedge_keys(I_a, J[:b] + J[b + 1 :]) if row else None
                     if rest is None:
                         continue
                     sign, K = rest
                     sign *= (-1) ** (a + b)
+                    if i > j:  # [e_i, e_j] = -[e_j, e_i]
+                        sign = -sign
                     if fg is None:
                         fg = f * g
                     for m, c in row:

@@ -64,7 +64,7 @@ from .dirac import (
     torsion_tensor_check,
 )
 from .lift import (
-    lift_bialgebroid,
+    LiftedInstance,
     lift_instance,
     theorem_main1_crosscheck,
     verify_bracket_scaling,
@@ -89,14 +89,6 @@ from .structures import (
 )
 
 Value = object
-
-
-@dataclass(eq=False)
-class LiftHandle:
-    """A dual pair remembered together with its lift over the line."""
-
-    source: JacobiBialgebroidData
-    upstairs: JacobiBialgebroidData
 
 
 @dataclass(frozen=True)
@@ -428,7 +420,7 @@ SCALAR = Kind("a ring element", _scalar)
 MAP = _isa("a map", TensorMap)
 MUSICAL = Kind("a map or a 2-section", _musical)
 GRAPH = _isa("a graph literal (sharp ..)/(flat ..)", GraphRelation)
-LIFT = _isa("a lift, made by jacobize(..)", LiftHandle)
+LIFT = _isa("a lift, made by jacobize(..)", LiftedInstance)
 INTEGER = Kind("an integer", lambda interp, v: int(v) if _is_integer(v) else None)
 WEIGHT = Kind(
     "an integer weight",
@@ -543,7 +535,7 @@ SIGNATURES: Dict[str, Sig] = {
     "extend": Sig(lambda A: extend_with_R(A), (ALGEBROID,)),
     "standard": Sig(lambda J: make_standard_bialgebroid(J), (TWISTED,)),
     "couple": Sig(JacobiBialgebroidData, (TWISTED, TWISTED)),
-    "jacobize": Sig(lambda B: LiftHandle(B, lift_bialgebroid(B)), (DUAL_PAIR,)),
+    "jacobize": Sig(lambda B: lift_instance(B, ()), (DUAL_PAIR,)),
     "d": Sig(lambda J, w: differential(J, _as_degree0(Form, J.algebroid, w)),
              (TWISTED, FORM_OR_SCALAR)),
     "schouten": Sig(lambda J, a, b: phi0_schouten(J, a, b),

@@ -128,15 +128,23 @@ def torsion_tensor(N: TensorMap, X: MultiVector, Y: MultiVector) -> MultiVector:
 
 def torsion_tensor_check(N: TensorMap) -> Report:
     """Evaluate the torsion on every frame pair; tensoriality makes this full."""
+    return _frame_pair_torsion(N, None)
+
+
+def _frame_pair_torsion(N: TensorMap, flat: Optional[TensorMap]) -> Report:
+    """The torsion on every frame pair, or its image under ``flat`` if given."""
     A = N.algebroid
+    kind = "torsion" if flat is None else "flattened torsion"
     for i in range(A.rank):
         for j in range(i + 1, A.rank):
             value = torsion_tensor(N, MultiVector.frame(A, i), MultiVector.frame(A, j))
+            if flat is not None:
+                value = flat.apply(value)
             if not value.is_zero:
                 where = f"({A.frame_labels[i]}, {A.frame_labels[j]})"
                 return Report(
                     FAIL,
-                    witness=f"torsion at {where} = {value}",
+                    witness=f"{kind} at {where} = {value}",
                     strategy="torsion on frame pairs",
                 )
     return Report(PASS, strategy="torsion on frame pairs")
@@ -303,9 +311,10 @@ def _sharp_sharp(
                 strategy="tensor reduction",
                 witness="neither sharp map has unit determinant",
             )
-    if strategy in (STRATEGY_AUTO, STRATEGY_WITNESS) and triples:
+    # only auto and witness_triples get here; auto tries triples if given
+    if strategy == STRATEGY_WITNESS or triples:
         used = 0
-        for xi1, xi2, triple in triples:
+        for xi1, xi2, triple in triples or ():
             if not valid_triple(pi1, pi2, triple):
                 continue
             used += 1
@@ -325,7 +334,8 @@ def _sharp_sharp(
         return Report(
             NOT_DECIDED,
             strategy="witness triples",
-            witness="no supplied triple satisfies the chain condition",
+            witness="no supplied triple satisfies the chain condition"
+            if triples else "no witness triples supplied",
         )
     return Report(
         NOT_DECIDED,
@@ -337,9 +347,9 @@ def _sharp_sharp(
 def _flat_flat(
     om1: Form, om2: Form, strategy: str
 ) -> Report:
-    if strategy == STRATEGY_WITNESS:
+    if strategy in (STRATEGY_COMPAT, STRATEGY_WITNESS):
         raise ValueError(
-            "witness triples are only supported for two bivector graphs"
+            f"strategy {strategy} is only supported for two bivector graphs"
         )
     m1 = flat_map(om1)
     m2 = flat_map(om2)
@@ -437,7 +447,6 @@ def omegan_check(
     """
     if N.source != "A" or N.target != "A":
         raise MismatchError("the endomorphism must act on the algebroid side")
-    A = J.algebroid
     fl = flat_map(omega)
     commute = fl.compose(N) - N.dual().compose(fl)
     if not commute.is_zero:
@@ -446,21 +455,9 @@ def omegan_check(
             witness="flat does not intertwine the endomorphism with its dual",
             strategy="matrix commutation",
         )
-    for i in range(A.rank):
-        for j in range(i + 1, A.rank):
-            value = torsion_tensor(
-                N, MultiVector.frame(A, i), MultiVector.frame(A, j)
-            )
-            if weak:
-                value = fl.apply(value)
-            if not value.is_zero:
-                where = f"({A.frame_labels[i]}, {A.frame_labels[j]})"
-                kind = "flattened torsion" if weak else "torsion"
-                return Report(
-                    FAIL,
-                    witness=f"{kind} at {where} = {value}",
-                    strategy="torsion on frame pairs",
-                )
+    torsion = _frame_pair_torsion(N, fl if weak else None)
+    if not torsion.ok:
+        return torsion
     d_omega = differential(J, omega)
     if not d_omega.is_zero:
         return Report(

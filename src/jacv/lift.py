@@ -2,7 +2,7 @@
 
 A twisted algebroid over a patch has two untwisted relatives over the
 patch-times-line: the plain lift keeps the bracket and feeds the twist into
-the time row of the anchor, while the weighted lift damps everything by
+the d/dt part of the anchor, while the weighted lift damps everything by
 exp(-t) and corrects the bracket.  Pairing the plain lift of the primal
 side with the weighted lift of the dual side turns a twisted dual pair
 downstairs into an untwisted dual pair upstairs.

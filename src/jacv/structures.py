@@ -464,18 +464,11 @@ class JacobiBialgebroidData:
 def make_standard_bialgebroid(J: JacobiAlgebroidData) -> JacobiBialgebroidData:
     """Pair a twisted algebroid with the trivial dual (zero bracket, anchor, twist)."""
     A = J.algebroid
-    zero = A.patch.zero()
-    r = A.rank
-    n = len(A.patch.anchor_coords)
-    anchor = tuple(tuple(zero for _ in range(r)) for _ in range(n))
-    structure = tuple(
-        tuple(tuple(zero for _ in range(r)) for _ in range(r)) for _ in range(r)
-    )
     dual = AlgebroidPatch(
         A.patch,
-        r,
-        anchor,
-        structure,
+        A.rank,
+        ((),) * A.rank,
+        {},
         frame_labels=A.coframe_labels,
         coframe_labels=A.frame_labels,
     )

@@ -220,8 +220,12 @@ def _recursive_schouten(P, Q):
             return MultiVector.scalar_section(A, A.anchor_deriv(va, vb))
         if ka == "f" and kb == "e":
             return MultiVector.scalar_section(A, -A.anchor_deriv(vb, va))
-        comps = {(k,): c for k, c in enumerate(A.structure[va][vb]) if not c.is_zero}
-        return MultiVector(A, 1, comps)
+        # only i < j is stored; [e_j, e_i] = -[e_i, e_j] and [e_i, e_i] = 0
+        if va == vb:
+            return MultiVector.zero(A, 1)
+        stored = A.brackets.get((min(va, vb), max(va, vb)), ())
+        section = MultiVector(A, 1, {(k,): c for k, c in stored})
+        return section if va < vb else -section
 
     def bracket(left, right):
         p, q = degree(left), degree(right)
@@ -262,7 +266,7 @@ def test_closed_form_schouten_matches_the_recursion():
     algebroids = (solv, _twisted_hat(), extend_with_R(solv).algebroid)
     nonzero = []
     for A in algebroids:
-        assert any(not c.is_zero for row in A.structure for col in row for c in col)
+        assert any(not c.is_zero for row in A.brackets.values() for _, c in row)
         for seed in range(40):
             r = random.Random(seed)
             # degrees 0-3, kept to p + q - 1 <= rank so the result can be nonzero

@@ -6,6 +6,9 @@ from pathlib import Path
 import pytest
 
 from jacv import cli, dsl
+from jacv.algebroid import JacobiAlgebroidData, Patch, make_tangent
+from jacv.calculus import Form
+from jacv.lift import lift_bialgebroid
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -119,6 +122,17 @@ def test_exit_two_on_declaration_error(tmp_path, capsys):
     code, _, err = _run(tmp_path, capsys, "patch p = (t, x)\n")
     assert code == 2
     assert "reserved" in err
+
+
+def test_jacobize_of_lifted_data_fails_at_the_declaration():
+    # no script can name data with a time coordinate, so it is bound directly
+    TA = make_tangent(Patch(("x", "y")))
+    interp = cli.Interpreter()
+    interp.env["U"] = lift_bialgebroid(JacobiAlgebroidData(TA, Form.zero(TA, 1)))
+    with pytest.raises(dsl.ScriptError) as err:  # exit code 2 from cli.main
+        interp.run(dsl.parse("lift L = jacobize(U)"))
+    assert err.value.line == 1
+    assert "already has a time coordinate" in err.value.message
 
 
 def test_exit_two_on_missing_file(tmp_path, capsys):

@@ -141,6 +141,12 @@ def test_witness_strategy_is_only_evidence_when_nothing_fails():
     )
     assert v2.status == "not-decided"
     assert "chain condition" in v2.witness
+    # with no triples at all the strategy says so; the sharps are not at fault
+    for none in (None, []):
+        v3 = jacobi_pair_check(c.C, c.Pi, PiE, strategy="witness_triples", triples=none)
+        assert v3.status == "not-decided"
+        assert v3.strategy == "witness triples"
+        assert v3.witness == "no witness triples supplied"
 
 
 def test_strategy_ladder_on_corpus_pairs():
@@ -210,8 +216,12 @@ def test_flat_flat_reduction_and_degenerate_fallback():
     om2 = Form(A, 2, {(2, 3): p.const(1)})
     und = presymplectic_pair_check(J, om1, om2)
     assert und.status == "not-decided"
-    with pytest.raises(ValueError):
-        presymplectic_pair_check(J, om1, om2, strategy="witness_triples")
+    # the two bivector-only strategies are rejected, not replaced by the reduction
+    for strategy in ("witness_triples", "compatibility_sufficient"):
+        with pytest.raises(ValueError):
+            presymplectic_pair_check(J, om1, om2, strategy=strategy)
+        with pytest.raises(ValueError):
+            presymplectic_pair_check(c.C, c.Om, c.wP, strategy=strategy)
 
 
 def test_hamiltonian_pair_grading():

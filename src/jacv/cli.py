@@ -587,7 +587,7 @@ SIGNATURES: Dict[str, Sig] = {
                         (TWISTED, FORM, MAP), options=WEAK),
     "check torsion": Sig(lambda N: torsion_tensor_check(N), (MAP,)),
     "check lift_scaling": Sig(
-        lambda h, *s: verify_bracket_scaling(lift_instance(h.source, s)),
+        lambda h, *s: verify_bracket_scaling(h.with_sections(s)),
         (LIFT,), tail=SECTION,
     ),
     "check lift_formulas": Sig(lambda J, f, w: verify_hat_bar_differentials(J, f, w),

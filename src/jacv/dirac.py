@@ -44,7 +44,7 @@ from .calculus import (
     pair,
     phi0_schouten,
 )
-from .coeff import ExpPoly
+from .coeff import ExpPoly, NotInvertible
 from .structures import (
     JacobiBialgebroidData,
     TensorMap,
@@ -277,6 +277,28 @@ def _tensor_verdict(N: TensorMap, note: str) -> Report:
     return replace(torsion_tensor_check(N), strategy=note)
 
 
+def _reduction(kind: str, m1: TensorMap, m2: TensorMap) -> Report:
+    """Torsion of the endomorphism a matched pair induces, if it is a graph.
+
+    The second map is inverted if its determinant is a unit, else the first;
+    each map's determinant is expanded once, inside ``inverse``.  Two sharps
+    give ``outer after inverse``, two flats ``inverse after outer``; with
+    neither map invertible the verdict is ``not-decided``.
+    """
+    for inner, outer, which in ((m2, m1, "second"), (m1, m2, "first")):
+        try:
+            inv = inner.inverse()
+        except NotInvertible:
+            continue
+        N = outer.compose(inv) if kind == KIND_SHARP else inv.compose(outer)
+        return _tensor_verdict(N, f"tensor reduction through the {which} {kind}")
+    return Report(
+        NOT_DECIDED,
+        strategy="tensor reduction",
+        witness=f"neither {kind} map has unit determinant",
+    )
+
+
 def _sharp_sharp(
     J: JacobiAlgebroidData,
     pi1: MultiVector,
@@ -295,22 +317,9 @@ def _sharp_sharp(
                 witness=f"mixed bracket = {mixed}; the test is only sufficient",
             )
     if strategy in (STRATEGY_AUTO, STRATEGY_INVERT):
-        m1 = sharp_map(pi1)
-        m2 = sharp_map(pi2)
-        if m2.is_unit_determinant():
-            return _tensor_verdict(
-                m1.compose(m2.inverse()), "tensor reduction through the second sharp"
-            )
-        if m1.is_unit_determinant():
-            return _tensor_verdict(
-                m2.compose(m1.inverse()), "tensor reduction through the first sharp"
-            )
-        if strategy == STRATEGY_INVERT:
-            return Report(
-                NOT_DECIDED,
-                strategy="tensor reduction",
-                witness="neither sharp map has unit determinant",
-            )
+        report = _reduction(KIND_SHARP, sharp_map(pi1), sharp_map(pi2))
+        if report.status != NOT_DECIDED or strategy == STRATEGY_INVERT:
+            return report
     # only auto and witness_triples get here; auto tries triples if given
     if strategy == STRATEGY_WITNESS or triples:
         used = 0
@@ -351,21 +360,7 @@ def _flat_flat(
         raise ValueError(
             f"strategy {strategy} is only supported for two bivector graphs"
         )
-    m1 = flat_map(om1)
-    m2 = flat_map(om2)
-    if m2.is_unit_determinant():
-        return _tensor_verdict(
-            m2.inverse().compose(m1), "tensor reduction through the second flat"
-        )
-    if m1.is_unit_determinant():
-        return _tensor_verdict(
-            m1.inverse().compose(m2), "tensor reduction through the first flat"
-        )
-    return Report(
-        NOT_DECIDED,
-        strategy="tensor reduction",
-        witness="neither flat map has unit determinant",
-    )
+    return _reduction(KIND_FLAT, flat_map(om1), flat_map(om2))
 
 
 def dirac_pair_check(

@@ -16,7 +16,7 @@ is checked by computing both sides independently and subtracting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple, Union
 
 from .algebroid import (
@@ -95,6 +95,15 @@ class LiftedInstance:
     def hat_dual(self) -> AlgebroidPatch:
         return self.upstairs.Astar
 
+    def with_sections(self, sections: Sequence[Section]) -> "LiftedInstance":
+        """This lift carrying ``sections`` of the source algebroid, moved up."""
+        moved = []
+        for s in sections:
+            if s.algebroid is not self.source.A:
+                raise MismatchError("section lives over a different algebroid")
+            moved.append(lift_section(self.upstairs.A, s))
+        return replace(self, sections=tuple(moved))
+
 
 def lift_bialgebroid(data: DataLike) -> JacobiBialgebroidData:
     """Untwisted dual pair over the line: plain lift against weighted lift."""
@@ -114,13 +123,7 @@ def lift_section(upstairs_A: AlgebroidPatch, s: Section) -> LiftedSection:
 
 def lift_instance(data: DataLike, sections: Sequence[Section]) -> LiftedInstance:
     B = _as_bialgebroid(data)
-    upstairs = lift_bialgebroid(B)
-    moved = []
-    for s in sections:
-        if s.algebroid is not B.A:
-            raise MismatchError("section lives over a different algebroid")
-        moved.append(lift_section(upstairs.A, s))
-    return LiftedInstance(B, upstairs, tuple(moved))
+    return LiftedInstance(B, lift_bialgebroid(B), ()).with_sections(sections)
 
 
 # -- the four scaling identities --------------------------------------------

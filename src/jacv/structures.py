@@ -8,8 +8,10 @@ Conventions pinned here:
   ``flat_map(omega)`` satisfies ``<flat(X), Y> = omega(X, Y)``;
 * the two-form attached to an invertible bivector is fixed by
   ``flat = -(sharp)^(-1)`` and conversely;
-* inversion goes through the adjugate and exists exactly when the
-  determinant is a unit of the coefficient ring;
+* the determinant and the adjugate are both read from ``_minors``, one
+  memoized Laplace expansion; inversion is the adjugate over the
+  determinant and exists exactly when the determinant is a unit of the
+  coefficient ring;
 * the dual of a map transposes the matrix and swaps bundle sides;
 * check outcomes are values (``Report``); a failed check never raises.
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .coeff import ExpPoly, NotInvertible
 from .algebroid import (
@@ -46,6 +48,7 @@ from .calculus import (
 )
 
 Matrix = Tuple[Tuple[ExpPoly, ...], ...]
+Indices = Tuple[int, ...]
 
 SIDE_A = "A"
 SIDE_DUAL = "A*"
@@ -210,25 +213,35 @@ class TensorMap:
     # -- determinant and inverse ------------------------------------------
 
     def determinant(self) -> ExpPoly:
-        return _det(self.algebroid, self.matrix)
+        full = tuple(range(self.algebroid.rank))
+        return _minors(self.algebroid, self.matrix)(full, full)
 
     def is_unit_determinant(self) -> bool:
         return self.determinant().is_unit()
 
     def inverse(self) -> "TensorMap":
-        det = self.determinant()
-        inv_det = det.unit_inverse()  # raises NotInvertible on a non-unit
-        r = self.algebroid.rank
-        rows = []
-        for i in range(r):
-            row = []
-            for j in range(r):
-                minor = _minor(self.algebroid, self.matrix, j, i)
-                if (i + j) % 2:
-                    minor = -minor
-                row.append(inv_det * minor)
-            rows.append(tuple(row))
-        return TensorMap(self.algebroid, self.target, self.source, tuple(rows))
+        """Adjugate over determinant, from memoized minor expansions.
+
+        The cofactors that drop row ``j`` share one ``_minors`` memo, and for
+        ``j = 0`` it is the determinant's.  Other rows share only small
+        trailing minors, so each ``j`` starts a fresh memo and the peak
+        memory stays near one expansion's.
+        """
+        full = tuple(range(self.algebroid.rank))
+        minor = _minors(self.algebroid, self.matrix)
+        inv_det = minor(full, full).unit_inverse()  # raises NotInvertible on a non-unit
+        columns = []
+        for j in full:
+            if j:
+                minor = _minors(self.algebroid, self.matrix)
+            kept = full[:j] + full[j + 1 :]
+            column = []
+            for i in full:
+                cofactor = minor(kept, full[:i] + full[i + 1 :])
+                column.append(inv_det * (-cofactor if (i + j) % 2 else cofactor))
+            columns.append(column)
+        rows = tuple(zip(*columns))
+        return TensorMap(self.algebroid, self.target, self.source, rows)
 
     def __str__(self) -> str:
         rows = [
@@ -240,42 +253,35 @@ class TensorMap:
     __repr__ = __str__
 
 
-def _det(algebroid: AlgebroidPatch, matrix: Matrix) -> ExpPoly:
-    rows = list(range(len(matrix)))
-    cols = list(range(len(matrix)))
-    return _det_rec(algebroid, matrix, rows, cols)
+def _minors(
+    algebroid: AlgebroidPatch, matrix: Matrix
+) -> Callable[[Indices, Indices], ExpPoly]:
+    """``minor(rows, cols)``: the determinant of one submatrix of ``matrix``.
 
+    Laplace expansion along the top row of the submatrix.  Every minor is
+    memoized for the life of the returned function, so all minors asked of
+    one instance share their sub-expansions.
+    """
+    one = algebroid.scalar(1)
+    memo: Dict[Tuple[Indices, Indices], ExpPoly] = {}
 
-def _det_rec(
-    algebroid: AlgebroidPatch,
-    matrix: Matrix,
-    rows: List[int],
-    cols: List[int],
-) -> ExpPoly:
-    if not rows:
-        return algebroid.scalar(1)
-    total = algebroid.zero_scalar()
-    top = rows[0]
-    rest = rows[1:]
-    for pos, col in enumerate(cols):
-        entry = matrix[top][col]
-        if entry.is_zero:
-            continue
-        sub = _det_rec(algebroid, matrix, rest, cols[:pos] + cols[pos + 1 :])
-        term = entry * sub
-        if pos % 2:
-            term = -term
-        total = total + term
-    return total
+    def minor(rows: Indices, cols: Indices) -> ExpPoly:
+        if not rows:
+            return one
+        value = memo.get((rows, cols))
+        if value is None:
+            value = algebroid.zero_scalar()
+            top, rest = rows[0], rows[1:]
+            for pos, col in enumerate(cols):
+                entry = matrix[top][col]
+                if entry.is_zero:
+                    continue
+                term = entry * minor(rest, cols[:pos] + cols[pos + 1 :])
+                value = value - term if pos % 2 else value + term
+            memo[(rows, cols)] = value
+        return value
 
-
-def _minor(
-    algebroid: AlgebroidPatch, matrix: Matrix, drop_row: int, drop_col: int
-) -> ExpPoly:
-    r = len(matrix)
-    rows = [i for i in range(r) if i != drop_row]
-    cols = [j for j in range(r) if j != drop_col]
-    return _det_rec(algebroid, matrix, rows, cols)
+    return minor
 
 
 # -- musical maps ----------------------------------------------------------
@@ -528,11 +534,7 @@ def _scaled_frames(A: AlgebroidPatch) -> List[MultiVector]:
     return out
 
 
-def bialgebroid_compat_check(
-    B: JacobiBialgebroidData,
-    pairs: Optional[Sequence[Tuple[MultiVector, MultiVector]]] = None,
-    multis: Optional[Sequence[MultiVector]] = None,
-) -> Report:
+def bialgebroid_compat_check(B: JacobiBialgebroidData) -> Report:
     """Both compatibility identities, evaluated on a finite section family.
 
     Identity one: the dual differential is a derivation from the primal
@@ -542,23 +544,17 @@ def bialgebroid_compat_check(
     """
     A = B.A
     strategy = "verified on test family"
-    if pairs is None:
-        family = _scaled_frames(A)
-        frames = family[: A.rank]
-        pairs = [
-            (frames[i], frames[j])
-            for i in range(A.rank)
-            for j in range(i, A.rank)
-        ]
-        pairs += [(s, frames[j]) for s in family[A.rank :] for j in range(A.rank)]
-    if multis is None:
-        frames = [MultiVector.frame(A, i) for i in range(A.rank)]
-        multis = list(_scaled_frames(A))
-        multis += [
-            wedge(frames[i], frames[j])
-            for i in range(A.rank)
-            for j in range(i + 1, A.rank)
-        ]
+    family = _scaled_frames(A)
+    frames = family[: A.rank]
+    pairs = [
+        (frames[i], frames[j]) for i in range(A.rank) for j in range(i, A.rank)
+    ]
+    pairs += [(s, frames[j]) for s in family[A.rank :] for j in range(A.rank)]
+    multis = family + [
+        wedge(frames[i], frames[j])
+        for i in range(A.rank)
+        for j in range(i + 1, A.rank)
+    ]
     for X, Y in pairs:
         lhs = dual_differential(B, bracket_sections(A, X, Y))
         rhs = phi0_schouten(B.a_side, dual_differential(B, X), Y) + phi0_schouten(

@@ -169,11 +169,42 @@ def test_incomplete_strategies_stay_inconclusive():
     assert compat.status == "not-decided"
     assert "only sufficient" in compat.witness
     invert = jacobi_pair_check(J, pi1, pi2, strategy="invertible_reduction")
-    assert invert.status == "not-decided"
-    assert "unit determinant" in invert.witness
+    assert (invert.status, invert.strategy, invert.witness) == (
+        "not-decided", "tensor reduction", "neither sharp map has unit determinant"
+    )
     auto = jacobi_pair_check(J, pi1, pi2)
     assert auto.status == "not-decided"
     assert auto.strategy == "no complete strategy"
+
+
+def test_reduction_ladder_pins_every_outcome():
+    # two degenerate sharps are pinned in test_incomplete_strategies_stay_inconclusive
+    p, A, J = _plane4()
+    one = p.const(1)
+    pi_unit = MultiVector(A, 2, {(0, 1): one, (2, 3): one})
+    pi_deg = MultiVector(A, 2, {(0, 1): p.coord("x3")})
+    om_unit = Form(A, 2, {(0, 1): one, (2, 3): one})
+    om_deg = Form(A, 2, {(0, 1): p.coord("x2"), (0, 2): p.coord("x1")})
+    om_deg2 = Form(A, 2, {(2, 3): one})
+    # either order inverts the unit map, so both reduce to the same endomorphism
+    sharp_torsion = "torsion at (ddx1, ddx3) = x3*ddx1"
+    flat_torsion = "torsion at (ddx1, ddx2) = -x1*ddx4"
+    cases = [
+        (jacobi_pair_check, pi_deg, pi_unit,
+         ("fail", "tensor reduction through the second sharp", sharp_torsion)),
+        (jacobi_pair_check, pi_unit, pi_deg,
+         ("fail", "tensor reduction through the first sharp", sharp_torsion)),
+        (presymplectic_pair_check, om_deg, om_unit,
+         ("fail", "tensor reduction through the second flat", flat_torsion)),
+        (presymplectic_pair_check, om_unit, om_deg,
+         ("fail", "tensor reduction through the first flat", flat_torsion)),
+        (presymplectic_pair_check, om_deg, om_deg2,
+         ("not-decided", "tensor reduction", "neither flat map has unit determinant")),
+    ]
+    for strategy in ("auto", "invertible_reduction"):
+        for check, first, second, expected in cases:
+            v = check(J, first, second, strategy=strategy)
+            assert (v.status, v.strategy, v.witness) == expected, (strategy, expected)
 
 
 def test_member_gate_rejects_invalid_graphs():

@@ -72,6 +72,12 @@ def test_lift_instance_wiring():
         lift_instance(c.C, [stray])
     with pytest.raises(MismatchError):
         verify_bracket_scaling(lift_instance(c.C, []))
+    # moving other sections onto the same lift reuses its dual pair upstairs
+    again = L.with_sections([c.Om])
+    assert again.source is L.source and again.upstairs is L.upstairs
+    assert [m.source for m in again.sections] == [c.Om]
+    with pytest.raises(MismatchError):
+        L.with_sections([stray])
 
 
 def test_bracket_scaling_on_corpus():

@@ -53,6 +53,8 @@ from tests.gen import (
     rand_unit_two_form,
     small_tangent,
     solvable_bialgebroid,
+    standard_flat,
+    unit_triangular,
 )
 
 
@@ -148,6 +150,107 @@ def test_tensor_map_algebra():
     assert (N + (-N)).is_zero
     det = fl.determinant()
     assert det == c.ext.scalar(1)
+
+
+def _oracle_matrix(r, A, skew, density):
+    """Seeded entries in the coordinates, t and e^{+-t}; skew on request.
+
+    Dense matrices get one-term entries, which keeps the oracle fast."""
+    terms = 1 if density == 1.0 else 2
+    zero = A.zero_scalar()
+    rows = [[zero] * A.rank for _ in range(A.rank)]
+    for i in range(A.rank):
+        for j in range(A.rank):
+            if (skew and i >= j) or r.random() >= density:
+                continue
+            entry = rand_scalar(
+                r, A.patch, max_degree=1, terms=terms, with_t=True, exp_range=1
+            )
+            rows[i][j] = entry
+            if skew:
+                rows[j][i] = -entry
+    return TensorMap(A, SIDE_A, SIDE_A, tuple(map(tuple, rows)))
+
+
+def _unit_determinant_matrix(r, A, skew):
+    """Products of unitriangular factors: L D U with a diagonal of units, or
+    L J L^T with J the standard skew block matrix."""
+
+    def endo(m):
+        return TensorMap(A, SIDE_A, SIDE_A, m.matrix)
+
+    L = endo(unit_triangular(r, A).dual())
+    if skew:
+        return L.compose(endo(standard_flat(A)).compose(endo(L.dual())))
+    zero = A.zero_scalar()
+    diagonal = [
+        A.scalar(r.choice([-2, -1, 1, 3])).times_exp(r.randint(-1, 1))
+        for _ in range(A.rank)
+    ]
+    D = TensorMap(A, SIDE_A, SIDE_A, tuple(
+        tuple(diagonal[i] if i == j else zero for j in range(A.rank))
+        for i in range(A.rank)
+    ))
+    return L.compose(D.compose(unit_triangular(r, A)))
+
+
+def test_determinant_and_inverse_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    QQ = sympy.QQ
+    names = ("x", "y", "z", "u", "v", "w")
+    for rank in range(1, 7):
+        A = make_tangent(Patch(names[:rank]))
+        # polynomials in the variables and E = e^t; values are shifted by a
+        # power of E first, so that no negative power is left
+        R = QQ[A.patch.variables + ("E",)]
+
+        def e_power(k):
+            return R.ring.from_dict({(0,) * rank + (0, k): QQ(1)})
+
+        def poly(value, shift):
+            return R.ring.from_dict({
+                e + (weight + shift,): QQ(c.numerator, c.denominator)
+                for weight, terms in value.terms.items()
+                for e, c in terms.items()
+            })
+
+        def matrix(m, shift):
+            rows = [[poly(c, shift) for c in row] for row in m.matrix]
+            return DomainMatrix(rows, (rank, rank), R)
+
+        for seed in range(4):
+            r = random.Random(100 * rank + seed)
+            skew = seed % 2 == 1
+            m = _oracle_matrix(r, A, skew, density=0.4 if seed < 2 else 1.0)
+            det = m.determinant()
+            # entries have weights >= -1, so E m is polynomial
+            assert poly(det, rank) == matrix(m, 1).det(), (rank, seed)
+            if not det.is_unit():
+                with pytest.raises(NotInvertible):
+                    m.inverse()
+            if seed >= 2 or (skew and rank % 2):
+                continue
+            unit = _unit_determinant_matrix(r, A, skew)
+            low = max(0, -min(k for row in unit.matrix for c in row for k in c.terms))
+            # inverse(E^low unit) = num / den, i.e. adjugate / det; inv_den
+            # stands in for adjugate(), which raises a TypeError in sympy 1.14
+            # on some polynomial matrices (a charpoly with a zero coefficient)
+            num, den = matrix(unit, low).inv_den()
+            inv = unit.inverse()
+            high = max(0, -min(k for row in inv.matrix for c in row for k in c.terms))
+            for i in range(rank):
+                for j in range(rank):
+                    assert poly(inv.matrix[i][j], high) * den == (
+                        e_power(high + low) * num[i, j].element
+                    ), (rank, seed, i, j)
+    # a nonzero determinant that is not a unit: x e^t
+    A = make_tangent(Patch(("x",)))
+    m = TensorMap(A, SIDE_A, SIDE_A, ((A.patch.coord("x").times_exp(1),),))
+    assert not m.is_unit_determinant()
+    with pytest.raises(NotInvertible):
+        m.inverse()
 
 
 def test_jacobi_and_presymplectic_on_corpus():

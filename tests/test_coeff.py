@@ -120,3 +120,91 @@ def test_str_is_deterministic():
         b = rand_poly(r2)
         assert str(a) == str(b)
         assert a == b
+
+
+def _recipe(r, terms=3):
+    """Seeded monomials (coefficient, exponent tuple, weight): int and
+    Fraction coefficients, degree at most 2, weights -2..2."""
+    out = []
+    for _ in range(terms):
+        if r.random() < 0.5:
+            c = r.choice([-3, -2, -1, 1, 2, 5])
+        else:
+            c = Fraction(r.choice([-5, -3, -1, 1, 2, 4, 7]), r.choice([1, 2, 3, 4]))
+        e = [0] * len(VARS)
+        for _ in range(r.randint(0, 2)):
+            e[r.randrange(len(VARS))] += 1
+        out.append((c, tuple(e), r.randint(-2, 2)))
+    return out
+
+
+def _from_recipe(recipe):
+    """The recipe as an ExpPoly, half of it through the public constructor
+    and half through const, var and exp."""
+    out = ExpPoly.zero(VARS)
+    for i, (c, e, weight) in enumerate(recipe):
+        if i % 2:
+            out = out + ExpPoly(VARS, {weight: {e: c}})
+            continue
+        mono = ExpPoly.const(VARS, c) * ExpPoly.exp(VARS, weight)
+        for name, power in zip(VARS, e):
+            mono = mono * ExpPoly.var(VARS, name) ** power
+        out = out + mono
+    return out
+
+
+def test_ring_operations_match_sympy():
+    """An independent oracle: sympy's polynomials in the variables and E,
+    where E stands for e^t.  A value is compared after multiplying it by
+    E^shift, which clears the negative weights; on E^-s P(E) the derivative
+    d/dt is E^-s (dP/dt + E dP/dE - s P)."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.rings import ring
+
+    R, *gens = ring(VARS + ("E",), sympy.QQ)
+    syms, E = dict(zip(VARS, gens)), gens[-1]
+
+    def rational(c):
+        return sympy.QQ(c.numerator, c.denominator)
+
+    def monomial(c, e, power):
+        return R.from_dict({e + (power,): rational(c)})
+
+    def shifted(value, shift):
+        return sum(
+            (monomial(c, e, weight + shift)
+             for weight, poly in value.terms.items() for e, c in poly.items()),
+            R.zero,
+        )
+
+    def d(p, name, shift):
+        if name == "t":
+            return p.diff(syms["t"]) + E * p.diff(E) - shift * p
+        return p.diff(syms[name])
+
+    for seed in range(30):
+        r = random.Random(7000 + seed)
+        ra, rb = _recipe(r), _recipe(r, terms=r.randint(1, 3))
+        a, b = _from_recipe(ra), _from_recipe(rb)
+        # weights are -2..2, so E^2 a and E^2 b are polynomials
+        pa = sum((monomial(c, e, w + 2) for c, e, w in ra), R.zero)
+        pb = sum((monomial(c, e, w + 2) for c, e, w in rb), R.zero)
+        assert shifted(a, 2) == pa and shifted(b, 2) == pb, seed
+        assert shifted(a + b, 2) == pa + pb, (seed, "+")
+        assert shifted(a - b, 2) == pa - pb, (seed, "-")
+        assert shifted(-a, 2) == -pa, (seed, "neg")
+        assert shifted(a * b, 4) == pa * pb, (seed, "*")
+        n = seed % 4
+        assert shifted(b ** n, 2 * n) == pb**n, (seed, "**", n)
+        k = r.randint(-2, 2)
+        assert shifted(a.times_exp(k), 4) == pa * E ** (k + 2), (seed, "times_exp", k)
+        for name in VARS:
+            assert shifted(a.diff(name), 2) == d(pa, name, 2), (seed, "diff", name)
+            assert shifted((a * b).diff(name), 4) == d(pa * pb, name, 4), (
+                seed, "diff*", name)
+        c, _, weight = ra[0]
+        unit = ExpPoly.const(VARS, c).times_exp(weight)
+        # E^2 * unit^-1 = E^(2 - weight) / c
+        assert shifted(unit.unit_inverse(), 2) == (
+            R.from_dict({(0,) * len(VARS) + (2 - weight,): 1 / rational(c)})
+        ), (seed, "unit_inverse")

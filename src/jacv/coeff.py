@@ -4,12 +4,21 @@ A value is  sum_k exp(k*t) * p_k(x1, ..., xn, t)  with integer weights k and
 each p_k a polynomial over the rationals in the patch coordinates and the
 formal variable t.  The representation
 
-    terms: {weight k -> {exponent tuple -> Fraction}}
+    terms: {weight k -> {exponent tuple -> int | Fraction}}
 
 is canonical because nothing in the ring rewrites between powers of t and
 exponentials: two values are equal iff their cleaned dicts are equal.  The
 variable tuple always lists the coordinates first and ``t`` last, and every
-exponent tuple has the same length as the variable tuple.
+exponent tuple has the same length as the variable tuple.  A stored
+coefficient is a nonzero ``int``, or a ``Fraction`` whose denominator is not
+1; never a float.  Integers keep the common case in native arithmetic.
+
+``ExpPoly(variables, terms)`` validates what it is given.  The ring's own
+operations build their results through ``ExpPoly._make``, a trusted
+constructor private to this module.  It is given only terms the ring built
+itself from values over the same variables, so it skips those checks: it
+drops zero coefficients and empty weights, turns a ``Fraction(n, 1)`` into
+``n``, and relies on the invariant above for everything else.
 
 This ring is not a field.  The only invertible elements are q * exp(k*t) with
 q a nonzero rational; ``unit_inverse`` raises :class:`NotInvertible` for
@@ -19,12 +28,13 @@ anything else (including honest polynomials like 1 + x1).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
 Exponent = Tuple[int, ...]
-PolyDict = Dict[Exponent, Fraction]
-TermsDict = Dict[int, PolyDict]
 Scalar = Union[int, Fraction]
+PolyDict = Dict[Exponent, Scalar]
+TermsDict = Dict[int, PolyDict]
 
 
 class NotInvertible(ArithmeticError):
@@ -51,20 +61,30 @@ def _as_fraction(value: Scalar) -> Fraction:
     raise TypeError(f"expected an int or Fraction, got {value!r}")
 
 
-def _poly_mul(p: PolyDict, q: PolyDict) -> PolyDict:
-    out: PolyDict = {}
+def _coefficient(value: Scalar) -> Scalar:
+    """An exact scalar in stored form: an int when integral, else a Fraction."""
+    c = _as_fraction(value)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _weight(value: Scalar) -> int:
+    if isinstance(value, int):
+        return int(value)
+    if not isinstance(value, Fraction):
+        raise TypeError(f"expected an integer exp weight, got {value!r}")
+    if value.denominator != 1:
+        raise ValueError(f"exp weight {value} is not an integer")
+    return value.numerator
+
+
+def _poly_mul(out: PolyDict, p: PolyDict, q: PolyDict) -> None:
+    """Accumulate p * q into ``out``; zeros and integral Fractions are left
+    for ``ExpPoly._make`` to clean."""
+    get = out.get
     for ea, ca in p.items():
         for eb, cb in q.items():
-            key = tuple(a + b for a, b in zip(ea, eb))
-            c = out.get(key, _ZERO_FRAC) + ca * cb
-            if c:
-                out[key] = c
-            else:
-                out.pop(key, None)
-    return out
-
-
-_ZERO_FRAC = Fraction(0)
+            key = tuple(map(add, ea, eb))
+            out[key] = get(key, 0) + ca * cb
 
 
 class ExpPoly:
@@ -73,18 +93,46 @@ class ExpPoly:
     __slots__ = ("vars", "terms")
 
     def __init__(self, variables: Tuple[str, ...], terms: TermsDict):
+        variables = tuple(variables)
         clean: TermsDict = {}
         for weight, poly in terms.items():
-            kept = {e: c for e, c in poly.items() if c}
-            for e in kept:
+            kept: PolyDict = {}
+            for e, c in poly.items():
                 if len(e) != len(variables):
                     raise ValueError(
                         f"exponent {e} does not match variables {variables}"
                     )
+                for power in e:
+                    if not isinstance(power, int):
+                        raise TypeError(f"exponent {e} holds a non-integer")
+                    if power < 0:
+                        raise ValueError(f"exponent {e} holds a negative power")
+                c = _coefficient(c)
+                if c:
+                    kept[e] = c
+            if kept:
+                clean[_weight(weight)] = kept
+        object.__setattr__(self, "vars", variables)
+        object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _make(cls, variables: Tuple[str, ...], terms: TermsDict) -> "ExpPoly":
+        """Trusted constructor for terms the ring built itself from values over
+        ``variables``: integer weights, exponent tuples of the right length,
+        coefficients int or Fraction.  Drops zero coefficients and empty
+        weights and turns an integral Fraction into an int; checks nothing."""
+        clean: TermsDict = {}
+        for weight, poly in terms.items():
+            kept = {
+                e: c if c.__class__ is int or c.denominator != 1 else c.numerator
+                for e, c in poly.items() if c
+            }
             if kept:
                 clean[weight] = kept
-        object.__setattr__(self, "vars", tuple(variables))
+        self = object.__new__(cls)
+        object.__setattr__(self, "vars", variables)
         object.__setattr__(self, "terms", clean)
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ExpPoly is immutable")
@@ -93,40 +141,34 @@ class ExpPoly:
 
     @classmethod
     def zero(cls, variables: Tuple[str, ...]) -> "ExpPoly":
-        return cls(variables, {})
+        return cls._make(tuple(variables), {})
 
     @classmethod
     def const(cls, variables: Tuple[str, ...], value: Scalar) -> "ExpPoly":
-        c = _as_fraction(value)
-        if not c:
-            return cls.zero(variables)
-        unit = tuple(0 for _ in variables)
-        return cls(variables, {0: {unit: c}})
+        unit = (0,) * len(variables)
+        return cls._make(tuple(variables), {0: {unit: _coefficient(value)}})
 
     @classmethod
     def var(cls, variables: Tuple[str, ...], name: str) -> "ExpPoly":
         if name not in variables:
             raise UnknownVariable(f"{name!r} is not one of {variables}")
         exp = tuple(1 if v == name else 0 for v in variables)
-        return cls(variables, {0: {exp: Fraction(1)}})
+        return cls._make(tuple(variables), {0: {exp: 1}})
 
     @classmethod
     def exp(cls, variables: Tuple[str, ...], weight: int) -> "ExpPoly":
         """The unit exp(weight * t)."""
-        unit = tuple(0 for _ in variables)
-        return cls(variables, {int(weight): {unit: Fraction(1)}})
+        unit = (0,) * len(variables)
+        return cls._make(tuple(variables), {_weight(weight): {unit: 1}})
 
     # -- ring structure ----------------------------------------------------
 
-    def _check_vars(self, other: "ExpPoly") -> None:
-        if self.vars != other.vars:
-            raise VariableSetMismatch(
-                f"cannot combine values over {self.vars} and {other.vars}"
-            )
-
     def _coerce(self, other: object) -> "ExpPoly":
         if isinstance(other, ExpPoly):
-            self._check_vars(other)
+            if self.vars != other.vars:
+                raise VariableSetMismatch(
+                    f"cannot combine values over {self.vars} and {other.vars}"
+                )
             return other
         if isinstance(other, (int, Fraction)):
             return ExpPoly.const(self.vars, other)
@@ -136,17 +178,24 @@ class ExpPoly:
         rhs = self._coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
+        if not rhs.terms:
+            return self
+        if not self.terms:
+            return rhs
         terms: TermsDict = {k: dict(p) for k, p in self.terms.items()}
         for weight, poly in rhs.terms.items():
-            acc = terms.setdefault(weight, {})
+            acc = terms.get(weight)
+            if acc is None:
+                terms[weight] = poly
+                continue
             for e, c in poly.items():
-                acc[e] = acc.get(e, _ZERO_FRAC) + c
-        return ExpPoly(self.vars, terms)
+                acc[e] = acc.get(e, 0) + c
+        return ExpPoly._make(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExpPoly":
-        return ExpPoly(
+        return ExpPoly._make(
             self.vars,
             {k: {e: -c for e, c in p.items()} for k, p in self.terms.items()},
         )
@@ -167,14 +216,15 @@ class ExpPoly:
         rhs = self._coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
+        if not self.terms:
+            return self
+        if not rhs.terms:
+            return rhs
         terms: TermsDict = {}
         for ka, pa in self.terms.items():
             for kb, pb in rhs.terms.items():
-                prod = _poly_mul(pa, pb)
-                acc = terms.setdefault(ka + kb, {})
-                for e, c in prod.items():
-                    acc[e] = acc.get(e, _ZERO_FRAC) + c
-        return ExpPoly(self.vars, terms)
+                _poly_mul(terms.setdefault(ka + kb, {}), pa, pb)
+        return ExpPoly._make(self.vars, terms)
 
     __rmul__ = __mul__
 
@@ -188,8 +238,9 @@ class ExpPoly:
 
     def times_exp(self, weight: int) -> "ExpPoly":
         """Multiply by the unit exp(weight * t): shifts every weight."""
-        return ExpPoly(
-            self.vars, {k + int(weight): dict(p) for k, p in self.terms.items()}
+        weight = _weight(weight)
+        return ExpPoly._make(
+            self.vars, {k + weight: p for k, p in self.terms.items()}
         )
 
     # -- calculus ----------------------------------------------------------
@@ -206,13 +257,11 @@ class ExpPoly:
             acc = terms.setdefault(weight, {})
             for e, c in poly.items():
                 if e[idx]:
-                    key = tuple(
-                        v - 1 if i == idx else v for i, v in enumerate(e)
-                    )
-                    acc[key] = acc.get(key, _ZERO_FRAC) + c * e[idx]
+                    key = e[:idx] + (e[idx] - 1,) + e[idx + 1:]
+                    acc[key] = acc.get(key, 0) + c * e[idx]
                 if is_t and weight:
-                    acc[e] = acc.get(e, _ZERO_FRAC) + c * weight
-        return ExpPoly(self.vars, terms)
+                    acc[e] = acc.get(e, 0) + c * weight
+        return ExpPoly._make(self.vars, terms)
 
     def evaluate(
         self, assignment: Mapping[str, Scalar], exp_t: Scalar
@@ -252,7 +301,7 @@ class ExpPoly:
             return Fraction(0)
         unit = tuple(0 for _ in self.vars)
         if set(self.terms) == {0} and set(self.terms[0]) == {unit}:
-            return self.terms[0][unit]
+            return Fraction(self.terms[0][unit])
         raise ValueError(f"{self} is not a rational constant")
 
     def is_unit(self) -> bool:
@@ -268,7 +317,8 @@ class ExpPoly:
             raise NotInvertible(f"{self} is not a unit in the ring")
         ((weight, poly),) = self.terms.items()
         unit = tuple(0 for _ in self.vars)
-        return ExpPoly(self.vars, {-weight: {unit: 1 / poly[unit]}})
+        inverse = Fraction(1) / poly[unit]  # 1 / c is a float for an int c
+        return ExpPoly._make(self.vars, {-weight: {unit: inverse}})
 
     # -- canonical order and text form ------------------------------------
 

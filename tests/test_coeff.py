@@ -153,6 +153,123 @@ def _from_recipe(recipe):
     return out
 
 
+def _assert_stored_form(value, label=None):
+    """Every weight holds at least one coefficient; every coefficient is a
+    nonzero int or a Fraction that is not integral, never a float."""
+    for weight, poly in value.terms.items():
+        assert type(weight) is int and poly, (label, value.terms)
+        for e, c in poly.items():
+            assert len(e) == len(value.vars), (label, e)
+            if type(c) is int:
+                assert c, (label, value.terms)
+            else:
+                assert type(c) is Fraction and c.denominator != 1, (label, e, c)
+
+
+def test_ring_operations_keep_the_stored_form():
+    half, two = ExpPoly.const(VARS, Fraction(1, 2)), ExpPoly.const(VARS, 2)
+    x, t = ExpPoly.var(VARS, "x"), ExpPoly.var(VARS, "t")
+    # results whose Fractions become integral
+    assert (half * two).terms == {0: {(0, 0, 0): 1}}
+    assert type((half * x + half * x).terms[0][(1, 0, 0)]) is int
+    assert type((half * t * t).diff("t").terms[0][(0, 0, 1)]) is int
+    assert type((half * x).times_exp(2).diff("t").terms[2][(1, 0, 0)]) is int
+    assert ExpPoly(VARS, {0: {(0, 0, 0): Fraction(4, 2), (1, 0, 0): 0}}).terms == {
+        0: {(0, 0, 0): 2}
+    }
+    assert (half + (-half)).terms == {}
+    for seed in range(30):
+        r = random.Random(8000 + seed)
+        a, b = _from_recipe(_recipe(r)), _from_recipe(_recipe(r, terms=2))
+        c, _, weight = _recipe(r, terms=1)[0]
+        results = {
+            "a": a, "b": b, "+": a + b, "-": a - b, "neg": -a, "*": a * b,
+            "**": b ** (seed % 4), "times_exp": a.times_exp(weight),
+            "int+": a + 3, "fraction*": Fraction(2, 3) * a,
+            "unit_inverse": ExpPoly.const(VARS, c).times_exp(weight).unit_inverse(),
+        }
+        results.update((f"d/d{n}", (a * b).diff(n)) for n in VARS)
+        for label, value in results.items():
+            _assert_stored_form(value, (seed, label))
+
+
+def test_unit_inverse_and_as_fraction_are_exact():
+    inv = ExpPoly.const(VARS, 2).unit_inverse()
+    assert inv.terms == {0: {(0, 0, 0): Fraction(1, 2)}}
+    inv = (-ExpPoly.const(VARS, 3)).times_exp(2).unit_inverse()
+    assert inv.terms == {-2: {(0, 0, 0): Fraction(-1, 3)}}
+    assert type(inv.terms[-2][(0, 0, 0)]) is Fraction
+    # the inverse of a unit fraction is stored as an int
+    inv = ExpPoly.const(VARS, Fraction(-1, 4)).unit_inverse()
+    assert inv.terms == {0: {(0, 0, 0): -4}}
+    assert type(inv.terms[0][(0, 0, 0)]) is int
+    for value, expected in (
+        (ExpPoly.const(VARS, 3), Fraction(3)),
+        (ExpPoly.zero(VARS), Fraction(0)),
+        (ExpPoly.const(VARS, Fraction(6, 4)), Fraction(3, 2)),
+    ):
+        got = value.as_fraction()
+        assert type(got) is Fraction and got == expected
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        pytest.param(lambda: ExpPoly.exp(VARS, 1.5), TypeError, id="exp-float"),
+        pytest.param(
+            lambda: ExpPoly.exp(VARS, Fraction(3, 2)), ValueError, id="exp-fraction"
+        ),
+        pytest.param(
+            lambda: ExpPoly.var(VARS, "x").times_exp(Fraction(3, 2)), ValueError,
+            id="times_exp-fraction",
+        ),
+        pytest.param(
+            lambda: ExpPoly.var(VARS, "x").times_exp(1.0), TypeError,
+            id="times_exp-float",
+        ),
+        pytest.param(
+            lambda: ExpPoly(VARS, {0: {(1, 0, 0): 0.5}}), TypeError, id="float-coefficient"
+        ),
+        pytest.param(
+            lambda: ExpPoly(VARS, {0: {(1, 0, 0): 1.0}}), TypeError,
+            id="integral-float-coefficient",
+        ),
+        pytest.param(
+            lambda: ExpPoly(VARS, {0: {(1, 0, 0): "1"}}), TypeError, id="str-coefficient"
+        ),
+        pytest.param(
+            lambda: ExpPoly(VARS, {Fraction(1, 2): {(1, 0, 0): 1}}), ValueError,
+            id="fraction-weight",
+        ),
+        pytest.param(
+            lambda: ExpPoly(VARS, {0.5: {(1, 0, 0): 1}}), TypeError, id="float-weight"
+        ),
+        pytest.param(
+            lambda: ExpPoly(VARS, {0: {(-1, 0, 0): 1}}), ValueError, id="negative-power"
+        ),
+        pytest.param(
+            lambda: ExpPoly(VARS, {0: {(0.5, 0, 0): 1}}), TypeError, id="float-power"
+        ),
+        pytest.param(
+            lambda: ExpPoly(VARS, {0: {(1, 0): 1}}), ValueError, id="short-exponent"
+        ),
+        pytest.param(lambda: ExpPoly.const(VARS, 0.25), TypeError, id="const-float"),
+    ],
+)
+def test_public_constructors_reject_inexact_data(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_public_constructors_accept_integral_fractions():
+    assert ExpPoly.exp(VARS, Fraction(2)) == ExpPoly.exp(VARS, 2)
+    x = ExpPoly.var(VARS, "x")
+    assert x.times_exp(Fraction(-1)) == x * ExpPoly.exp(VARS, -1)
+    value = ExpPoly(VARS, {Fraction(1): {(1, 0, 0): Fraction(3, 1)}})
+    assert value == 3 * x.times_exp(1)
+    _assert_stored_form(value)
+
+
 def test_ring_operations_match_sympy():
     """An independent oracle: sympy's polynomials in the variables and E,
     where E stands for e^t.  A value is compared after multiplying it by

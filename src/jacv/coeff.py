@@ -96,6 +96,7 @@ class ExpPoly:
         variables = tuple(variables)
         clean: TermsDict = {}
         for weight, poly in terms.items():
+            weight = _weight(weight)
             kept: PolyDict = {}
             for e, c in poly.items():
                 if len(e) != len(variables):
@@ -111,7 +112,7 @@ class ExpPoly:
                 if c:
                     kept[e] = c
             if kept:
-                clean[_weight(weight)] = kept
+                clean[weight] = kept
         object.__setattr__(self, "vars", variables)
         object.__setattr__(self, "terms", clean)
 

@@ -245,6 +245,10 @@ def test_unit_inverse_and_as_fraction_are_exact():
             lambda: ExpPoly(VARS, {0.5: {(1, 0, 0): 1}}), TypeError, id="float-weight"
         ),
         pytest.param(
+            lambda: ExpPoly(VARS, {0.5: {(1, 0, 0): 0}}), TypeError,
+            id="float-weight-of-zero",
+        ),
+        pytest.param(
             lambda: ExpPoly(VARS, {0: {(-1, 0, 0): 1}}), ValueError, id="negative-power"
         ),
         pytest.param(

@@ -13,12 +13,13 @@ exponent tuple has the same length as the variable tuple.  A stored
 coefficient is a nonzero ``int``, or a ``Fraction`` whose denominator is not
 1; never a float.  Integers keep the common case in native arithmetic.
 
-``ExpPoly(variables, terms)`` validates what it is given.  The ring's own
-operations build their results through ``ExpPoly._make``, a trusted
-constructor private to this module.  It is given only terms the ring built
-itself from values over the same variables, so it skips those checks: it
-drops zero coefficients and empty weights, turns a ``Fraction(n, 1)`` into
-``n``, and relies on the invariant above for everything else.
+``ExpPoly(variables, terms)`` validates what it is given in ``__new__``.  The
+ring's own operations build their results through ``ExpPoly._make``, a
+trusted constructor private to this module.  It is given only terms the ring
+built itself from values over the same variables, so it skips those checks
+and relies on the invariant above.  Both paths store the value through
+``__init__``, which drops zero coefficients and empty weights and turns a
+``Fraction(n, 1)`` into ``n``; every value built is one ``__init__`` call.
 
 This ring is not a field.  The only invertible elements are q * exp(k*t) with
 q a nonzero rational; ``unit_inverse`` raises :class:`NotInvertible` for
@@ -92,36 +93,26 @@ class ExpPoly:
 
     __slots__ = ("vars", "terms")
 
-    def __init__(self, variables: Tuple[str, ...], terms: TermsDict):
-        variables = tuple(variables)
-        clean: TermsDict = {}
+    def __new__(cls, variables: Tuple[str, ...], terms: TermsDict) -> "ExpPoly":
+        # The checks of the public constructor; ``_make`` skips them.
         for weight, poly in terms.items():
-            weight = _weight(weight)
-            kept: PolyDict = {}
+            _weight(weight)
             for e, c in poly.items():
                 if len(e) != len(variables):
                     raise ValueError(
-                        f"exponent {e} does not match variables {variables}"
+                        f"exponent {e} does not match variables {tuple(variables)}"
                     )
                 for power in e:
                     if not isinstance(power, int):
                         raise TypeError(f"exponent {e} holds a non-integer")
                     if power < 0:
                         raise ValueError(f"exponent {e} holds a negative power")
-                c = _coefficient(c)
-                if c:
-                    kept[e] = c
-            if kept:
-                clean[weight] = kept
-        object.__setattr__(self, "vars", variables)
-        object.__setattr__(self, "terms", clean)
+                _as_fraction(c)
+        return object.__new__(cls)
 
-    @classmethod
-    def _make(cls, variables: Tuple[str, ...], terms: TermsDict) -> "ExpPoly":
-        """Trusted constructor for terms the ring built itself from values over
-        ``variables``: integer weights, exponent tuples of the right length,
-        coefficients int or Fraction.  Drops zero coefficients and empty
-        weights and turns an integral Fraction into an int; checks nothing."""
+    def __init__(self, variables: Tuple[str, ...], terms: TermsDict):
+        # Every value, checked or trusted, is stored here: zero coefficients
+        # and empty weights are dropped, integral Fractions become ints.
         clean: TermsDict = {}
         for weight, poly in terms.items():
             kept = {
@@ -129,10 +120,18 @@ class ExpPoly:
                 for e, c in poly.items() if c
             }
             if kept:
-                clean[weight] = kept
-        self = object.__new__(cls)
-        object.__setattr__(self, "vars", variables)
+                clean[int(weight)] = kept
+        object.__setattr__(self, "vars", tuple(variables))
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _make(cls, variables: Tuple[str, ...], terms: TermsDict) -> "ExpPoly":
+        """Trusted constructor for terms the ring built itself from values over
+        ``variables``: integer weights, exponent tuples of the right length,
+        coefficients int or Fraction.  Skips the checks of ``__new__`` and
+        goes straight to ``__init__``."""
+        self = object.__new__(cls)
+        self.__init__(variables, terms)
         return self
 
     def __setattr__(self, name: str, value: object) -> None:

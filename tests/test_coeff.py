@@ -193,6 +193,28 @@ def test_ring_operations_keep_the_stored_form():
             _assert_stored_form(value, (seed, label))
 
 
+def test_every_value_is_stored_through_init(monkeypatch):
+    # The trusted constructor skips the checks but not __init__: the
+    # perfbench tracer counts the values built (coeff.new.calls) by it.
+    stored = []
+    init = ExpPoly.__init__
+
+    def counting_init(self, variables, terms):
+        stored.append(self)
+        init(self, variables, terms)
+
+    monkeypatch.setattr(ExpPoly, "__init__", counting_init)
+    x, t = ExpPoly.var(VARS, "x"), ExpPoly.var(VARS, "t")
+    half = ExpPoly.const(VARS, Fraction(1, 2))
+    values = [
+        x, t, half, ExpPoly(VARS, {1: {(1, 0, 0): 2}}), ExpPoly.zero(VARS),
+        ExpPoly.exp(VARS, 2), x + t, -x, x - t, x * t, (x + t) ** 2,
+        x.times_exp(1), (x * t).diff("x"), half.unit_inverse(),
+    ]
+    assert len(stored) >= len(values)
+    assert all(any(v is s for s in stored) for v in values)
+
+
 def test_unit_inverse_and_as_fraction_are_exact():
     inv = ExpPoly.const(VARS, 2).unit_inverse()
     assert inv.terms == {0: {(0, 0, 0): Fraction(1, 2)}}

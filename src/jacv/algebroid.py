@@ -47,6 +47,8 @@ class Patch:
             if name in seen:
                 raise ValueError(f"duplicate coordinate name {name!r}")
             seen.add(name)
+        # ExpPoly is immutable, so one zero serves every caller on this patch
+        object.__setattr__(self, "_zero", ExpPoly.zero(self.variables))
 
     @property
     def variables(self) -> Tuple[str, ...]:
@@ -59,7 +61,7 @@ class Patch:
         return self.coords + ("t",) if self.has_time else self.coords
 
     def zero(self) -> ExpPoly:
-        return ExpPoly.zero(self.variables)
+        return self._zero
 
     def const(self, value) -> ExpPoly:
         return ExpPoly.const(self.variables, value)
@@ -113,10 +115,8 @@ class AlgebroidPatch:
     brackets: Dict[Tuple[int, int], Entries]
     frame_labels: Tuple[str, ...] = ()
     coframe_labels: Tuple[str, ...] = ()
-    # provenance markers, set by the constructions that produce them
+    # set by extend_with_R on the extension it builds
     ext_base: Optional["AlgebroidPatch"] = None
-    lift_of: Optional[object] = None
-    lift_kind: Optional[str] = None
 
     def __post_init__(self) -> None:
         r = self.rank
@@ -378,8 +378,6 @@ def lift_bar(J: JacobiAlgebroidData) -> AlgebroidPatch:
         A.brackets,
         frame_labels=A.frame_labels,
         coframe_labels=A.coframe_labels,
-        lift_of=J,
-        lift_kind="bar",
     )
 
 
@@ -412,6 +410,4 @@ def lift_hat(J: JacobiAlgebroidData) -> AlgebroidPatch:
         brackets,
         frame_labels=A.frame_labels,
         coframe_labels=A.coframe_labels,
-        lift_of=J,
-        lift_kind="hat",
     )

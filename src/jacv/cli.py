@@ -4,7 +4,8 @@ Runs a declarations-then-checks script (see the companion syntax module),
 collects one record per check, and prints either an aligned text table or
 a stable JSON document.  Evaluation problems inside a check become
 ``error`` records; problems inside a declaration stop the run, since every
-later line may depend on the broken name.
+later line may depend on the broken name, and so does any line nested too
+deeply to evaluate.
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 syntax or
 declaration error, 3 undecided checks present under ``--strict``.
@@ -50,7 +51,6 @@ from .calculus import (
 )
 from .coeff import ExpPoly, NotInvertible
 from .dirac import (
-    STRATEGIES,
     GraphRelation,
     _as_bialgebroid,
     condition_image_check,
@@ -268,16 +268,15 @@ class Interpreter:
 
     def run(self, script: dsl.Script) -> RunReport:
         for stmt in script.statements:
-            if isinstance(stmt, dsl.CheckStmt):
-                self._run_check(stmt)
-            else:
-                try:
+            try:
+                if isinstance(stmt, dsl.CheckStmt):
+                    self._run_check(stmt)
+                else:
                     self._run_decl(stmt)
-                except dsl.ScriptError:
-                    raise
-                except (MismatchError, NotInvertible, TypeError,
-                        ValueError) as exc:
-                    raise dsl.ScriptError(str(exc), stmt.line)
+            except RecursionError:
+                raise dsl.ScriptError(dsl.TOO_DEEP, stmt.line) from None
+            except (MismatchError, NotInvertible, TypeError, ValueError) as exc:
+                raise dsl.ScriptError(str(exc), stmt.line)
         return RunReport(self.records)
 
     def _bind(self, name: str, value: Value, line: int) -> None:
@@ -523,7 +522,6 @@ def _equal_report(a: Value, b: Value) -> Report:
     return Report(FAIL, "exact difference", witness)
 
 
-STRATEGY: Options = {"strategy": {s: s for s in STRATEGIES}}
 WEAK: Options = {"weak": {"true": True, "false": False}}
 
 # Script functions by name, checks under "check <name>".  Rows call library
@@ -567,14 +565,12 @@ SIGNATURES: Dict[str, Sig] = {
     "check mc": Sig(lambda B, s: maurer_cartan_check(B, s), (DUAL_PAIR, SECTION)),
     "check closure": Sig(lambda B, s: graph_closure_check(B, s), (DUAL_PAIR, SECTION)),
     "check bialgebroid": Sig(lambda B: bialgebroid_compat_check(B), (DUAL_PAIR,)),
-    "check dirac_pair": Sig(lambda B, l, r, **o: dirac_pair_check(B, l, r, **o),
-                            (DUAL_PAIR, GRAPH, GRAPH), options=STRATEGY),
-    "check jacobi_pair": Sig(lambda J, a, b, **o: jacobi_pair_check(J, a, b, **o),
-                             (TWISTED, MULTIVECTOR, MULTIVECTOR), options=STRATEGY),
-    "check presymplectic_pair": Sig(
-        lambda J, a, b, **o: presymplectic_pair_check(J, a, b, **o),
-        (TWISTED, FORM, FORM), options=STRATEGY,
-    ),
+    "check dirac_pair": Sig(lambda B, l, r: dirac_pair_check(B, l, r),
+                            (DUAL_PAIR, GRAPH, GRAPH)),
+    "check jacobi_pair": Sig(lambda J, a, b: jacobi_pair_check(J, a, b),
+                             (TWISTED, MULTIVECTOR, MULTIVECTOR)),
+    "check presymplectic_pair": Sig(lambda J, a, b: presymplectic_pair_check(J, a, b),
+                                    (TWISTED, FORM, FORM)),
     "check symplectic_pair": Sig(lambda J, a, b: symplectic_pair_check(J, a, b),
                                  (TWISTED, FORM, FORM)),
     "check hamiltonian_pair": Sig(lambda J, a, b: hamiltonian_pair_check(J, a, b),
@@ -592,8 +588,8 @@ SIGNATURES: Dict[str, Sig] = {
     ),
     "check lift_formulas": Sig(lambda J, f, w: verify_hat_bar_differentials(J, f, w),
                                (TWISTED, SCALAR, FORM)),
-    "check main1": Sig(lambda B, l, r, **o: theorem_main1_crosscheck(B, l, r, **o),
-                       (DUAL_PAIR, GRAPH, GRAPH), options=STRATEGY),
+    "check main1": Sig(lambda B, l, r: theorem_main1_crosscheck(B, l, r),
+                       (DUAL_PAIR, GRAPH, GRAPH)),
     "check zero": Sig(_zero_report, (VALUE,)),
     "check equal": Sig(_equal_report, (ANY, ANY)),
 }

@@ -7,23 +7,24 @@ the algebroid itself; when that relation is the graph of an endomorphism
 its deformation obstruction is the usual torsion tensor, and the pair is
 "compatible as graphs" exactly when the obstruction vanishes.
 
-The checkers here grade a pair of graphs in three escalating ways:
+The checkers here grade a pair of graphs in two escalating ways:
 
 * a sufficient bracket-compatibility test for two bivectors,
 * a complete reduction to a torsion tensor whenever the relation is forced
   to be a graph (mixed pairs always; matched pairs when one of the musical
   maps has unit determinant),
-* evidence from caller-supplied cosection triples otherwise.
+
+and report ``not-decided`` when neither applies.
 
 Verdicts distinguish ``fail`` (a concrete obstruction was computed) from
-``not-decided`` (no complete strategy applied), so a report never claims
+``not-decided`` (no complete procedure applied), so a report never claims
 more than the arithmetic shows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .algebroid import (
     FAIL,
@@ -53,7 +54,6 @@ from .structures import (
     make_standard_bialgebroid,
     maurer_cartan_check,
     nondegenerate_check,
-    presymplectic_check,
     sharp_map,
     two_form_of,
 )
@@ -62,7 +62,6 @@ KIND_SHARP = "sharp"
 KIND_FLAT = "flat"
 
 CosectionTriple = Tuple[Form, Form, Form]
-WitnessItem = Tuple[Form, Form, CosectionTriple]
 
 
 @dataclass(eq=False)
@@ -244,13 +243,6 @@ def torsion_triple(
 
 # -- pair verdicts ----------------------------------------------------------
 
-STRATEGY_AUTO = "auto"
-STRATEGY_COMPAT = "compatibility_sufficient"
-STRATEGY_INVERT = "invertible_reduction"
-STRATEGY_WITNESS = "witness_triples"
-
-STRATEGIES = (STRATEGY_AUTO, STRATEGY_COMPAT, STRATEGY_INVERT, STRATEGY_WITNESS)
-
 DataLike = Union[JacobiAlgebroidData, JacobiBialgebroidData]
 
 
@@ -299,86 +291,17 @@ def _reduction(kind: str, m1: TensorMap, m2: TensorMap) -> Report:
     )
 
 
-def _sharp_sharp(
-    J: JacobiAlgebroidData,
-    pi1: MultiVector,
-    pi2: MultiVector,
-    strategy: str,
-    triples: Optional[Sequence[WitnessItem]],
-) -> Report:
-    if strategy in (STRATEGY_AUTO, STRATEGY_COMPAT):
-        mixed = phi0_schouten(J, pi1, pi2)
-        if mixed.is_zero:
-            return Report(PASS, strategy="bracket compatibility")
-        if strategy == STRATEGY_COMPAT:
-            return Report(
-                NOT_DECIDED,
-                strategy="bracket compatibility",
-                witness=f"mixed bracket = {mixed}; the test is only sufficient",
-            )
-    if strategy in (STRATEGY_AUTO, STRATEGY_INVERT):
-        report = _reduction(KIND_SHARP, sharp_map(pi1), sharp_map(pi2))
-        if report.status != NOT_DECIDED or strategy == STRATEGY_INVERT:
-            return report
-    # only auto and witness_triples get here; auto tries triples if given
-    if strategy == STRATEGY_WITNESS or triples:
-        used = 0
-        for xi1, xi2, triple in triples or ():
-            if not valid_triple(pi1, pi2, triple):
-                continue
-            used += 1
-            value = torsion_triple(J, pi1, pi2, xi1, xi2, triple)
-            if not value.is_zero:
-                return Report(
-                    FAIL,
-                    strategy="witness triples",
-                    witness=f"torsion value {value} on a chained triple",
-                )
-        if used:
-            return Report(
-                NOT_DECIDED,
-                strategy="witness triples",
-                witness=f"{used} chained triples vanish; evidence only",
-            )
-        return Report(
-            NOT_DECIDED,
-            strategy="witness triples",
-            witness="no supplied triple satisfies the chain condition"
-            if triples else "no witness triples supplied",
-        )
-    return Report(
-        NOT_DECIDED,
-        strategy="no complete strategy",
-        witness="bivector pair with degenerate sharps and no witnesses",
-    )
-
-
-def _flat_flat(
-    om1: Form, om2: Form, strategy: str
-) -> Report:
-    if strategy in (STRATEGY_COMPAT, STRATEGY_WITNESS):
-        raise ValueError(
-            f"strategy {strategy} is only supported for two bivector graphs"
-        )
-    return _reduction(KIND_FLAT, flat_map(om1), flat_map(om2))
-
-
 def dirac_pair_check(
-    data: DataLike,
-    left: GraphRelation,
-    right: GraphRelation,
-    strategy: str = STRATEGY_AUTO,
-    triples: Optional[Sequence[WitnessItem]] = None,
+    data: DataLike, left: GraphRelation, right: GraphRelation
 ) -> Report:
     """Grade a pair of graphs: members first, then the composed relation.
 
     Mixed pairs always reduce to an honest endomorphism, so their verdicts
-    are complete.  Matched pairs go through the strategy ladder; a verdict
-    of ``not-decided`` means no complete strategy applied, never that an
-    obstruction was found.
+    are complete.  Two bivectors whose twisted mixed bracket vanishes pass
+    by bracket compatibility; every other matched pair goes to the tensor
+    reduction, which is ``not-decided`` when neither musical map has unit
+    determinant.  ``not-decided`` never means an obstruction was found.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
     B = _as_bialgebroid(data)
     if left.algebroid is not B.A or right.algebroid is not B.A:
         raise MismatchError("graph members live over a different algebroid")
@@ -386,7 +309,6 @@ def dirac_pair_check(
         bad = _member_gate(B, relation, side)
         if bad is not None:
             return bad
-    J = B.a_side
     if left.kind == KIND_SHARP and right.kind == KIND_FLAT:
         N = left.music().compose(right.music())
         return _tensor_verdict(N, "tensor composition sharp after flat")
@@ -394,9 +316,11 @@ def dirac_pair_check(
         # Transposing the pair transposes the relation and keeps the torsion.
         N = right.music().compose(left.music())
         return _tensor_verdict(N, "tensor composition sharp after flat (transposed)")
-    if left.kind == KIND_SHARP:
-        return _sharp_sharp(J, left.section, right.section, strategy, triples)
-    return _flat_flat(left.section, right.section, strategy)
+    if left.kind == KIND_SHARP and phi0_schouten(
+        B.a_side, left.section, right.section
+    ).is_zero:
+        return Report(PASS, strategy="bracket compatibility")
+    return _reduction(left.kind, left.music(), right.music())
 
 
 # -- bivector-with-form and form-with-endomorphism structures ----------------
@@ -475,34 +399,20 @@ def omegan_check(
 # -- named pair wrappers -----------------------------------------------------
 
 def jacobi_pair_check(
-    J: JacobiAlgebroidData,
-    pi1: MultiVector,
-    pi2: MultiVector,
-    strategy: str = STRATEGY_AUTO,
-    triples: Optional[Sequence[WitnessItem]] = None,
+    J: JacobiAlgebroidData, pi1: MultiVector, pi2: MultiVector
 ) -> Report:
     """Two integrable bivectors whose graphs form a compatible pair."""
     return dirac_pair_check(
-        J,
-        GraphRelation.of_bivector(pi1),
-        GraphRelation.of_bivector(pi2),
-        strategy=strategy,
-        triples=triples,
+        J, GraphRelation.of_bivector(pi1), GraphRelation.of_bivector(pi2)
     )
 
 
 def presymplectic_pair_check(
-    J: JacobiAlgebroidData,
-    om1: Form,
-    om2: Form,
-    strategy: str = STRATEGY_AUTO,
+    J: JacobiAlgebroidData, om1: Form, om2: Form
 ) -> Report:
     """Two closed forms whose graphs form a compatible pair."""
     return dirac_pair_check(
-        J,
-        GraphRelation.of_two_form(om1),
-        GraphRelation.of_two_form(om2),
-        strategy=strategy,
+        J, GraphRelation.of_two_form(om1), GraphRelation.of_two_form(om2)
     )
 
 

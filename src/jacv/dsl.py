@@ -11,8 +11,8 @@ calls, and tuple literals ``(a, b)`` for pair sections over an extension.
 Check arguments are compact: a name, a number, a call, an optional leading
 minus, or a parenthesized expression; anything with infix operators needs
 the parentheses.  ``(sharp pi)`` and ``(flat omega)`` are graph-relation
-literals for the pair checks.  Key=value options (``strategy=...``,
-``weak=true``) trail the positional arguments.
+literals for the pair checks.  Key=value options (``weak=true``) trail
+the positional arguments.
 
 This module only builds and prints the syntax tree; evaluation lives in
 the command-line front end.
@@ -33,6 +33,11 @@ class ScriptError(Exception):
         self.message = message
         self.line = line
         self.column = column
+
+
+# The parser, the printer and the evaluator recurse on the expression tree;
+# a line too deep for Python's stack is reported with this message.
+TOO_DEEP = "expression nested too deeply"
 
 
 # -- expression nodes -------------------------------------------------------
@@ -358,7 +363,10 @@ def parse(text: str) -> Script:
         tokens = _tokenize_line(raw, lineno)
         if not tokens:
             continue
-        statements.append(_parse_statement(tokens, lineno))
+        try:
+            statements.append(_parse_statement(tokens, lineno))
+        except RecursionError:
+            raise ScriptError(TOO_DEEP, lineno) from None
     return Script(tuple(statements))
 
 

@@ -87,14 +87,6 @@ class LiftedInstance:
     upstairs: JacobiBialgebroidData
     sections: Tuple[LiftedSection, ...]
 
-    @property
-    def bar_algebroid(self) -> AlgebroidPatch:
-        return self.upstairs.A
-
-    @property
-    def hat_dual(self) -> AlgebroidPatch:
-        return self.upstairs.Astar
-
     def with_sections(self, sections: Sequence[Section]) -> "LiftedInstance":
         """This lift carrying ``sections`` of the source algebroid, moved up."""
         moved = []
@@ -248,25 +240,21 @@ def _lift_relation(upstairs_A: AlgebroidPatch, rel: GraphRelation) -> GraphRelat
 
 
 def theorem_main1_crosscheck(
-    data: DataLike,
-    left: GraphRelation,
-    right: GraphRelation,
-    strategy: str = "auto",
+    data: DataLike, left: GraphRelation, right: GraphRelation
 ) -> Report:
     """Pair verdict downstairs against the same check on the lifted data.
 
-    Both levels run the full pair checker independently; the report passes
+    Both levels run ``dirac_pair_check`` independently; the report passes
     when the two verdicts agree, fails with both witnesses when they
-    disagree, and stays not-decided when either strategy ladder did.
+    disagree, and stays not-decided when either level is not-decided.
     """
     B = _as_bialgebroid(data)
-    down = dirac_pair_check(B, left, right, strategy=strategy)
+    down = dirac_pair_check(B, left, right)
     upstairs = lift_bialgebroid(B)
     up = dirac_pair_check(
         upstairs,
         _lift_relation(upstairs.A, left),
         _lift_relation(upstairs.A, right),
-        strategy=strategy,
     )
     if NOT_DECIDED in (down.status, up.status):
         return Report(

@@ -98,13 +98,6 @@ class TensorMap:
         )
         return cls(algebroid, side, side, rows)
 
-    @classmethod
-    def zero(cls, algebroid: AlgebroidPatch, source: str, target: str) -> "TensorMap":
-        zero = algebroid.zero_scalar()
-        r = algebroid.rank
-        rows = tuple(tuple(zero for _ in range(r)) for _ in range(r))
-        return cls(algebroid, source, target, rows)
-
     # -- algebra -----------------------------------------------------------
 
     def _check_same_shape(self, other: "TensorMap") -> None:

@@ -148,10 +148,13 @@ algebroid A = tangent(p)
 jacobi J = (A, 0)
 form w = dx^dy
 map N = id(A)
+section P = zero_section(A, 2)
 """
 
+SUM = "+".join(["x"] * 3000)
 
-@pytest.mark.parametrize("line", [
+# After the prologue, each line below makes `jacv check` exit with code 2.
+MALFORMED = [
     "check presymplectic A x",
     "check jacobi A 3",
     "check mc J 3",
@@ -163,11 +166,25 @@ map N = id(A)
     "check symplectic_pair J w w strategy=auto",
     "form z = iota(A, 3)",
     "form z = bivector_of(3)",
-])
+    "check jacobi_pair J P P strategy=auto",
+    # too deep for the recursive parser, printer or evaluator
+    "scalar s = " + "(" * 1200 + "x" + ")" * 1200,
+    "scalar s = " + "-" * 3000 + "x",
+    "scalar s = " + SUM,
+    f"check zero ({SUM})",
+]
+
+
+def _line_id(line):
+    return line if len(line) <= 80 else f"{line[:16]}...({len(line)} chars)"
+
+
+@pytest.mark.parametrize("line", MALFORMED, ids=_line_id)
 def test_malformed_line_exits_two_with_its_location(tmp_path, capsys, line):
     code, out, err = _run(tmp_path, capsys, MALFORMED_PROLOGUE + line + "\n")
+    where = MALFORMED_PROLOGUE.count("\n") + 1
     assert code == 2
-    assert "[L6]" in out or "line 6" in err
+    assert f"[L{where}]" in out or f"line {where}" in err
     assert "Traceback" not in out + err
 
 
@@ -280,3 +297,6 @@ def test_readme_lists_exactly_the_signature_table():
         for key, allowed in sig.options.items()
     }
     assert documented == accepted
+    assert [name for name, sig in cli.SIGNATURES.items() if sig.options] == [
+        "check omegan"
+    ]

@@ -4,7 +4,9 @@ import pytest
 
 from jacv.algebroid import JacobiAlgebroidData, Patch, make_tangent
 from jacv.calculus import Form, MismatchError, MultiVector
+from jacv import dirac
 from jacv.dirac import (
+    KIND_SHARP,
     GraphRelation,
     condition_image_check,
     dirac_pair_check,
@@ -108,45 +110,12 @@ def _incompatible_pair():
     return p, A, J, pi1, pi2
 
 
-def test_witness_strategy_finds_the_obstruction():
+def test_incompatible_pair_fails_through_the_second_sharp():
     p, A, J, pi1, pi2 = _incompatible_pair()
     assert jacobi_check(J, pi1).ok and jacobi_check(J, pi2).ok
-    triple = _chained_triple(pi1, pi2, Form.coframe(A, 0))
-    xi1, xi2 = Form.coframe(A, 3), Form.coframe(A, 1)
-    v = jacobi_pair_check(
-        J, pi1, pi2, strategy="witness_triples", triples=[(xi1, xi2, triple)]
-    )
+    v = jacobi_pair_check(J, pi1, pi2)
     assert v.status == "fail"
-    assert "chained triple" in v.witness
-    # the complete reduction agrees with the witness verdict
-    auto = jacobi_pair_check(J, pi1, pi2)
-    assert auto.status == "fail"
-    assert auto.strategy == "tensor reduction through the second sharp"
-
-
-def test_witness_strategy_is_only_evidence_when_nothing_fails():
-    c = contact()
-    PiE = pi_from_omega(c.C, c.wE)
-    triples = [
-        (Form.coframe(c.ext, 3), Form.coframe(c.ext, 1),
-         _chained_triple(c.Pi, PiE, Form.coframe(c.ext, 0))),
-    ]
-    v = jacobi_pair_check(c.C, c.Pi, PiE, strategy="witness_triples", triples=triples)
-    assert v.status == "not-decided"
-    assert "evidence only" in v.witness
-    # unchained triples are discarded instead of evaluated
-    dx = Form.coframe(c.ext, 0)
-    v2 = jacobi_pair_check(
-        c.C, c.Pi, PiE, strategy="witness_triples", triples=[(dx, dx, (dx, dx, dx))]
-    )
-    assert v2.status == "not-decided"
-    assert "chain condition" in v2.witness
-    # with no triples at all the strategy says so; the sharps are not at fault
-    for none in (None, []):
-        v3 = jacobi_pair_check(c.C, c.Pi, PiE, strategy="witness_triples", triples=none)
-        assert v3.status == "not-decided"
-        assert v3.strategy == "witness triples"
-        assert v3.witness == "no witness triples supplied"
+    assert v.strategy == "tensor reduction through the second sharp"
 
 
 def test_strategy_ladder_on_corpus_pairs():
@@ -154,9 +123,10 @@ def test_strategy_ladder_on_corpus_pairs():
     PiE = pi_from_omega(c.C, c.wE)
     auto = jacobi_pair_check(c.C, c.Pi, PiE)
     assert auto.ok and auto.strategy == "bracket compatibility"
-    invert = jacobi_pair_check(c.C, c.Pi, PiE, strategy="invertible_reduction")
-    assert invert.ok
-    assert invert.strategy.startswith("tensor reduction")
+    # the complete reduction, which the bracket test short-cuts, agrees
+    reduced = dirac._reduction(KIND_SHARP, sharp_map(c.Pi), sharp_map(PiE))
+    assert reduced.ok
+    assert reduced.strategy.startswith("tensor reduction")
 
 
 def test_incomplete_strategies_stay_inconclusive():
@@ -165,16 +135,10 @@ def test_incomplete_strategies_stay_inconclusive():
     pi1 = MultiVector(A, 2, {(0, 1): p.coord("x3")})
     pi2 = MultiVector(A, 2, {(2, 3): p.coord("x1")})
     assert jacobi_check(J, pi1).ok and jacobi_check(J, pi2).ok
-    compat = jacobi_pair_check(J, pi1, pi2, strategy="compatibility_sufficient")
-    assert compat.status == "not-decided"
-    assert "only sufficient" in compat.witness
-    invert = jacobi_pair_check(J, pi1, pi2, strategy="invertible_reduction")
-    assert (invert.status, invert.strategy, invert.witness) == (
+    v = jacobi_pair_check(J, pi1, pi2)
+    assert (v.status, v.strategy, v.witness) == (
         "not-decided", "tensor reduction", "neither sharp map has unit determinant"
     )
-    auto = jacobi_pair_check(J, pi1, pi2)
-    assert auto.status == "not-decided"
-    assert auto.strategy == "no complete strategy"
 
 
 def test_reduction_ladder_pins_every_outcome():
@@ -201,10 +165,9 @@ def test_reduction_ladder_pins_every_outcome():
         (presymplectic_pair_check, om_deg, om_deg2,
          ("not-decided", "tensor reduction", "neither flat map has unit determinant")),
     ]
-    for strategy in ("auto", "invertible_reduction"):
-        for check, first, second, expected in cases:
-            v = check(J, first, second, strategy=strategy)
-            assert (v.status, v.strategy, v.witness) == expected, (strategy, expected)
+    for check, first, second, expected in cases:
+        v = check(J, first, second)
+        assert (v.status, v.strategy, v.witness) == expected, expected
 
 
 def test_member_gate_rejects_invalid_graphs():
@@ -247,12 +210,6 @@ def test_flat_flat_reduction_and_degenerate_fallback():
     om2 = Form(A, 2, {(2, 3): p.const(1)})
     und = presymplectic_pair_check(J, om1, om2)
     assert und.status == "not-decided"
-    # the two bivector-only strategies are rejected, not replaced by the reduction
-    for strategy in ("witness_triples", "compatibility_sufficient"):
-        with pytest.raises(ValueError):
-            presymplectic_pair_check(J, om1, om2, strategy=strategy)
-        with pytest.raises(ValueError):
-            presymplectic_pair_check(c.C, c.Om, c.wP, strategy=strategy)
 
 
 def test_hamiltonian_pair_grading():
@@ -350,8 +307,6 @@ def test_dirac_pair_input_validation():
     other_patch, other = (Patch(("u", "v")), None)
     other = make_tangent(other_patch)
     pi = MultiVector(other, 2, {(0, 1): other_patch.const(1)})
-    with pytest.raises(ValueError):
-        jacobi_pair_check(c.C, c.Pi, c.Pi, strategy="guess")
     with pytest.raises(MismatchError):
         dirac_pair_check(
             c.C, GraphRelation.of_bivector(c.Pi), GraphRelation.of_bivector(pi)

@@ -63,9 +63,8 @@ def test_lift_bialgebroid_shape():
 def test_lift_instance_wiring():
     c = contact()
     L = lift_instance(c.C, [c.Pi, c.Om])
-    assert L.bar_algebroid is L.upstairs.A
-    assert L.hat_dual is L.upstairs.Astar
     assert len(L.sections) == 2
+    assert all(m.lifted.algebroid is L.upstairs.A for m in L.sections)
     other = make_tangent(Patch(("u",)))
     stray = MultiVector(other, 2, {})
     with pytest.raises(MismatchError):
@@ -105,7 +104,7 @@ def test_bracket_scaling_random_instances():
 def test_bracket_scaling_detects_wrong_weight():
     c = contact()
     L = lift_instance(c.C, [c.Pi])
-    bar = L.bar_algebroid
+    bar = L.upstairs.A
     # drop the exponential weight: the carried section no longer matches
     tampered = LiftedSection(c.Pi, rebase(c.Pi, bar), -1)
     broken = type(L)(L.source, L.upstairs, (tampered,))

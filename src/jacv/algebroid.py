@@ -120,6 +120,8 @@ class AlgebroidPatch:
 
     def __post_init__(self) -> None:
         r = self.rank
+        if r < 0:
+            raise ValueError(f"rank must not be negative, got {r}")
         if not self.frame_labels:
             self.frame_labels = _default_labels("e", r)
         if not self.coframe_labels:
@@ -141,6 +143,12 @@ class AlgebroidPatch:
             if row:
                 brackets[i, j] = row
         self.brackets = brackets
+
+    @property
+    def is_trivial(self) -> bool:
+        """No anchor entry and no bracket: the untwisted differential,
+        Schouten bracket and Lie derivatives vanish (see ``calculus``)."""
+        return not self.brackets and not any(self.anchor)
 
     # -- scalars -----------------------------------------------------------
 

@@ -39,7 +39,12 @@ Sign conventions fixed here and relied on everywhere else:
   e_{I\a}, and the second rule turns it into the second term;
 * the twisted variants add the standard correction terms built from a fixed
   closed degree-1 cosection (the twist), with contraction of the twist into a
-  degree-0 section read as 0 inside those formulas.
+  degree-0 section read as 0 inside those formulas;
+* on a trivial algebroid (no anchor entry and no bracket,
+  ``AlgebroidPatch.is_trivial``) every term of the differential and of the
+  closed form above has a factor c_ij^k or rho(e_i) g, so ``differential``
+  returns 0 (twist ^ w when twisted) and ``schouten`` returns 0 without
+  running the frame loops; the twisted bracket keeps only its twist terms.
 
 Sections over the direct sum with a trivial line are identified with pairs
 (P, Q) via  (P, Q) = P + ehat ^ Q  (split / merge below); all the pair
@@ -342,13 +347,17 @@ def _twist_of(arg: object) -> Tuple[object, Optional[Form]]:
 def differential(arg: object, w: Form) -> Form:
     """Frame form of the algebroid differential; twisted when given twist data.
 
-    With twist data the result gains the extra term twist ^ w.
+    With twist data the result gains the extra term twist ^ w.  On a trivial
+    algebroid every frame term has a factor rho(e_i) or c_ij^k, so only the
+    twist term is left.
     """
     A, phi0 = _twist_of(arg)
     if not isinstance(w, Form):
         raise MismatchError("the differential acts on forms")
     if w.algebroid is not A:
         raise MismatchError("form lives over a different algebroid")
+    if A.is_trivial:
+        return Form.zero(A, w.degree + 1) if phi0 is None else wedge(phi0, w)
     r = A.rank
     zero = A.zero_scalar()
     comps: Dict[Key, ExpPoly] = {}
@@ -420,7 +429,8 @@ def schouten(P: MultiVector, Q: MultiVector) -> MultiVector:
     is formed only for monomial pairs with a nonzero bracket.  On degree-1
     sections this is the Leibniz bracket fg[e_i, e_j] + f rho(e_i)g e_j -
     g rho(e_j)f e_i; on degree 0 against degree 1 it is the anchored
-    derivative, and two scalars bracket to 0.
+    derivative, and two scalars bracket to 0.  Every term has a factor
+    c_ij^k or rho(e_i) g, so the bracket vanishes on a trivial algebroid.
     """
     if not isinstance(P, MultiVector) or not isinstance(Q, MultiVector):
         raise MismatchError("the Schouten bracket acts on multivectors")
@@ -428,6 +438,8 @@ def schouten(P: MultiVector, Q: MultiVector) -> MultiVector:
         raise MismatchError("sections live over different algebroids")
     A = P.algebroid
     p, q = P.degree, Q.degree
+    if A.is_trivial:
+        return MultiVector.zero(A, max(p + q - 1, 0))
     swap = 1 if (p - 1) * (q - 1) % 2 else -1  # -(-1)^((p-1)(q-1))
     comps: Dict[Key, ExpPoly] = {}
     for I, f in P.components.items():

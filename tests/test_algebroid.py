@@ -237,6 +237,8 @@ def test_frame_data_rejects_bad_keys_coordinates_and_variables():
             AlgebroidPatch(p, 3, anchor, brackets)
     with pytest.raises(ValueError):
         make_explicit(p, 2, ((one, one), (one, one)), {(0, 1): (one,)})
+    with pytest.raises(ValueError, match="rank must not be negative, got -1"):
+        make_trivial(p, -1)
 
 
 def test_explicit_requires_consistent_shapes():

@@ -10,7 +10,9 @@ from jacv.algebroid import (
     bracket_sections,
     extend_with_R,
     lift_hat,
+    make_explicit,
     make_tangent,
+    make_trivial,
 )
 from jacv.calculus import (
     Form,
@@ -321,6 +323,62 @@ def test_twisted_bracket_on_vector_fields_matches_plain():
         X = rand_multivector(r, A, 1, max_degree=1)
         Y = rand_multivector(r, A, 1, max_degree=1)
         assert phi0_schouten(J, X, Y) == schouten(X, Y)
+
+
+def test_trivial_algebroid_keeps_only_the_twist_terms():
+    p = Patch(("x", "y"))
+    A = make_trivial(p, 3)
+    assert A.is_trivial
+    for seed in range(15):
+        r = random.Random(seed)
+        # d = 0 here, so every 1-form is a closed twist
+        twist = p.coord("x") * Form.coframe(A, seed % 3) + rand_form(
+            r, A, 1, max_degree=1, terms=1
+        )
+        assert not twist.is_zero, f"seed={seed}"
+        J = JacobiAlgebroidData(A, twist)
+        w = rand_form(r, A, r.randint(0, 2), max_degree=1, terms=2)
+        assert differential(A, w) == Form.zero(A, w.degree + 1)
+        assert differential(J, w) == wedge(twist, w), f"seed={seed}"
+        a1, a2 = r.randint(0, 3), r.randint(0, 3)
+        P = rand_multivector(r, A, a1, max_degree=1, terms=2)
+        Q = rand_multivector(r, A, a2, max_degree=1, terms=2)
+        zero = MultiVector.zero(A, max(a1 + a2 - 1, 0))
+        assert schouten(P, Q) == zero, f"seed={seed}"
+        # the twisted bracket is its two twist terms alone
+        expected = zero
+        if a2:
+            expected = expected + (a1 - 1) * wedge(P, contract(twist, Q))
+        if a1:
+            expected = expected - (-1) ** (a1 + 1) * (a2 - 1) * wedge(
+                contract(twist, P), Q
+            )
+        assert phi0_schouten(J, P, Q) == expected, f"seed={seed}"
+
+
+def test_almost_trivial_algebroids_run_the_frame_formulas():
+    # one anchor entry, or one bracket, is enough to leave the shortcut
+    p = Patch(("x", "y"))
+    x, y, zero = p.coord("x"), p.coord("y"), p.zero()
+    # rho(e1) = x d/dx, no bracket
+    anchored = make_explicit(p, 2, ((x, zero), (zero, zero)), {})
+    # [e1, e2] = y e2, no anchor
+    bracketed = make_explicit(p, 2, ((zero, zero), (zero, zero)), {(0, 1): (zero, y)})
+    assert not anchored.is_trivial and not bracketed.is_trivial
+
+    A = anchored
+    e1, e2 = MultiVector.frame(A, 0), MultiVector.frame(A, 1)
+    assert differential(A, Form(A, 0, {(): x * y})) == x * y * Form.coframe(A, 0)
+    assert differential(A, x * Form.coframe(A, 1)) == Form(A, 2, {(0, 1): x})
+    assert schouten(e1, e2).is_zero
+    assert schouten(e1, x * e2) == x * e2
+
+    A = bracketed
+    e1, e2 = MultiVector.frame(A, 0), MultiVector.frame(A, 1)
+    assert differential(A, Form.coframe(A, 0)).is_zero
+    assert differential(A, Form.coframe(A, 1)) == Form(A, 2, {(0, 1): -y})
+    assert schouten(e1, e2) == y * e2
+    assert schouten(y * e1, e2) == y * y * e2
 
 
 def test_lie_derivative_against_derivation_oracle():

@@ -167,6 +167,7 @@ MALFORMED = [
     "form z = iota(A, 3)",
     "form z = bivector_of(3)",
     "check jacobi_pair J P P strategy=auto",
+    "algebroid T = trivial(p, -1)",
     # too deep for the recursive parser, printer or evaluator
     "scalar s = " + "(" * 1200 + "x" + ")" * 1200,
     "scalar s = " + "-" * 3000 + "x",

@@ -4,7 +4,15 @@ from itertools import combinations
 
 import pytest
 
-from jacv.algebroid import JacobiAlgebroidData, Patch, make_tangent
+from jacv import structures
+from jacv.algebroid import (
+    PASS,
+    JacobiAlgebroidData,
+    Patch,
+    Report,
+    make_tangent,
+    make_trivial,
+)
 from jacv.calculus import (
     Form,
     MismatchError,
@@ -25,7 +33,6 @@ from jacv.structures import (
     TensorMap,
     bialgebroid_compat_check,
     bivector_of,
-    compat_check,
     courant_bracket,
     dual_differential,
     flat_map,
@@ -265,15 +272,6 @@ def test_jacobi_and_presymplectic_on_corpus():
     assert report.witness
 
 
-def test_compat_check_reports_the_bracket():
-    p, A, J = _plane()
-    pi1 = MultiVector(A, 2, {(0, 1): p.const(1)})
-    pi2 = MultiVector(A, 2, {(0, 1): p.coord("x")})
-    residue = phi0_schouten(J, pi1, pi2)
-    report = compat_check(J, pi1, pi2)
-    assert report.ok == residue.is_zero
-
-
 def test_pairing_oracle_for_self_bracket():
     # 1/2 [pi,pi](xi,eta,.) = [sharp xi, sharp eta] - sharp([xi,eta] induced)
     _, A = small_tangent()
@@ -374,6 +372,45 @@ def test_standard_bialgebroid_shape():
     assert B.X0.is_zero
     assert B.Astar.rank == c.ext.rank
     assert bialgebroid_compat_check(B).ok
+
+
+def test_trivial_duals_are_recognised():
+    assert make_trivial(Patch(("x",)), 3).is_trivial
+    B = make_standard_bialgebroid(contact().C)
+    assert B.Astar.is_trivial and not B.A.is_trivial
+    # lift_hat of the standard dual: its e^{-t} * 0 entries are dropped
+    up = lift_bialgebroid(B)
+    assert up.Astar.is_trivial and not up.A.is_trivial
+
+
+def test_trivial_untwisted_dual_passes_with_no_dual_differential(monkeypatch):
+    calls = []
+    real = structures.dual_differential
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(structures, "dual_differential", counting)
+    report = bialgebroid_compat_check(make_standard_bialgebroid(contact().C))
+    assert report == Report(PASS, "verified on test family")
+    assert calls == []
+    # a dual with a bracket runs the family, through the counted function
+    assert bialgebroid_compat_check(solvable_bialgebroid()).ok
+    assert calls
+
+
+def test_trivial_dual_with_a_twist_still_runs_the_family():
+    p, _, J = _plane()
+    D = make_standard_bialgebroid(J).Astar
+    eps1 = Form.coframe(D, 0)  # printed as ddx on the primal side
+    for twist, witness in [
+        (eps1, "derivation identity on (x*ddx, 1*ddy): 1*ddx^ddy"),
+        (p.coord("x") * eps1, "derivation identity on (1*ddx, 1*ddy): -1*ddx^ddy"),
+    ]:
+        B = JacobiBialgebroidData(J, JacobiAlgebroidData(D, twist))
+        report = bialgebroid_compat_check(B)
+        assert (report.status, report.witness) == ("fail", witness)
 
 
 def test_solvable_bialgebroid_compat():

@@ -1,13 +1,14 @@
 """Before/after benchmark of a git revision against the working tree.
 
     python3 scripts/bench_pair.py REV --out BENCH.json [--pairs 10]
-        [--seconds 35] [--seed 9001] [--trace-seconds 3]
 
 ``REV`` is extracted with ``git archive`` into a temporary directory.  For
 each workload of ``BENCHMARK.json`` the script runs ``perfbench/run.py`` of
 that copy and of the working tree ``--pairs`` times each, alternating which
-side runs first, so a slow spell of the host falls on both sides alike.  With ``--trace-seconds``
-above 0 it then makes one traced run (``--trace 1``) per side and workload.
+side runs first, so a slow spell of the host falls on both sides alike.
+Every run uses the held-out seed 9001 and the run length ``run_seconds`` of
+``BENCHMARK.json``.  It then makes one traced run (``--trace 1``, 3 s) per
+side and workload.
 
 The output file holds every run's metrics, the median of each end-to-end
 metric per side, the quartiles of the base side, and for each metric the
@@ -29,6 +30,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 9001
+TRACE_SECONDS = 3
 
 
 def extract(rev, into):
@@ -48,11 +51,11 @@ def extract(rev, into):
     return full, checkout
 
 
-def run(checkout, workload, seed, seconds, trace):
+def run(checkout, workload, seconds, trace):
     """One perfbench run in ``checkout``; its final JSON line."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
+        "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace),
     ]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode not in (0, 1):
@@ -94,17 +97,15 @@ def main(argv=None):
     parser.add_argument("rev")
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=35.0)
-    parser.add_argument("--seed", type=int, default=9001)
-    parser.add_argument("--trace-seconds", type=float, default=3.0)
     args = parser.parse_args(argv)
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = declared["run_seconds"]
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
     workloads = [w["name"] for w in declared["workloads"]]
     report = {
-        "seed": args.seed,
-        "seconds": args.seconds,
+        "seed": SEED,
+        "seconds": seconds,
         "machine": {
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
@@ -122,18 +123,16 @@ def main(argv=None):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 pair = {"first": order[0]}
                 for side in order:
-                    pair[side] = run(sides[side], workload, args.seed, args.seconds, 0)
+                    pair[side] = run(sides[side], workload, seconds, 0)
                     ok = ok and pair[side]["correct"]
                 runs.append(pair)
                 print(workload, i, {s: pair[s]["metrics"]["wall_s"] for s in order},
                       file=sys.stderr)
-            entry = {"runs": runs, "summary": summarize(runs, better)}
-            if args.trace_seconds > 0:
-                entry["traced"] = {}
-                for side, path in sides.items():
-                    traced = run(path, workload, args.seed, args.trace_seconds, 1)
-                    ok = ok and traced["correct"]
-                    entry["traced"][side] = traced["metrics"]
+            entry = {"runs": runs, "summary": summarize(runs, better), "traced": {}}
+            for side, path in sides.items():
+                traced = run(path, workload, TRACE_SECONDS, 1)
+                ok = ok and traced["correct"]
+                entry["traced"][side] = traced["metrics"]
             report["workloads"][workload] = entry
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0 if ok else 1

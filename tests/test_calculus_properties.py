@@ -19,7 +19,12 @@ from jacv.algebroid import (  # noqa: E402
     extend_with_R,
     make_trivial,
 )
-from jacv.calculus import Form, differential, phi0_schouten  # noqa: E402
+from jacv.calculus import (  # noqa: E402
+    Form,
+    MismatchError,
+    differential,
+    phi0_schouten,
+)
 from tests.gen import (  # noqa: E402
     rand_form,
     rand_multivector,
@@ -66,12 +71,28 @@ def test_twisted_differential_squares_to_zero(name, seed, degree):
 @given(
     st.sampled_from(sorted(ALGEBROIDS)),
     st.integers(0, 2**16),
-    # at most one scalar, so that no inner bracket has the formal degree -1
+    # at most one scalar, so that no inner bracket has the formal degree -1;
+    # test_schouten_of_two_scalars_has_degree_minus_one pins that case
     st.tuples(*(st.integers(0, 2) for _ in range(3))).filter(
         lambda degrees: degrees.count(0) <= 1
     ),
 )
 def test_twisted_schouten_graded_jacobi(name, seed, degrees):
+    _check_graded_jacobi(name, seed, degrees)
+
+
+@pytest.mark.xfail(
+    raises=MismatchError,
+    strict=True,
+    reason="schouten gives [scalar, scalar] the degree 0, not -1, so [[P,Q],R] "
+    "has degree 1 where the other two terms have degree 0",
+)
+def test_schouten_of_two_scalars_has_degree_minus_one():
+    # once this passes, drop the filter on two scalars in the property above
+    _check_graded_jacobi("extension", 0, (0, 0, 2))
+
+
+def _check_graded_jacobi(name, seed, degrees):
     # [P,[Q,R]] = [[P,Q],R] + (-1)^((p-1)(q-1)) [Q,[P,R]] for the twisted bracket
     r, J = _twisted(name, seed)
     P, Q, R = (rand_multivector(r, J.algebroid, d, max_degree=1) for d in degrees)

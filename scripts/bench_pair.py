@@ -12,8 +12,10 @@ side and workload.
 
 The output file holds every run's metrics, the median of each end-to-end
 metric per side, the quartiles of the base side, and for each metric the
-number of pairs in which the working tree was better (by the direction
-declared in ``BENCHMARK.json``).  Nothing under ``perfbench/`` is changed and
+number of pairs in which each side was better (by the direction declared
+in ``BENCHMARK.json``; a tie counts for neither side).  It also
+sums each side's attempted and failed verdicts per workload, since a rise
+in the share of failed operations matters as much as a slower metric.  Nothing under ``perfbench/`` is changed and
 no network is used.  The exit code is 1 when a run fails or reports a wrong
 verdict.
 """
@@ -73,20 +75,25 @@ def quartiles(values):
 
 
 def summarize(runs, better):
-    """Medians per side, base quartiles and win counts of one workload."""
-    out = {}
+    """Medians per side, base quartiles and win counts of one workload, and
+    under ``operations`` each side's attempted and failed verdicts summed
+    over its runs."""
+    out = {
+        "operations": {
+            side: {key: sum(r[side][key] for r in runs) for key in ("attempted", "failed")}
+            for side in ("base", "change")
+        }
+    }
     for name, direction in better.items():
         base = [r["base"]["metrics"][name] for r in runs]
         change = [r["change"]["metrics"][name] for r in runs]
-        if direction == "lower":
-            wins = sum(c < b for b, c in zip(base, change))
-        else:
-            wins = sum(c > b for b, c in zip(base, change))
+        sign = 1 if direction == "lower" else -1
         out[name] = {
             "base_median": statistics.median(base),
             "change_median": statistics.median(change),
             "base_quartiles": quartiles(base),
-            "change_wins": wins,
+            "change_wins": sum(sign * (b - c) > 0 for b, c in zip(base, change)),
+            "base_wins": sum(sign * (c - b) > 0 for b, c in zip(base, change)),
             "pairs": len(runs),
         }
     return out

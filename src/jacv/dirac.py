@@ -111,18 +111,26 @@ class GraphRelation:
 
 def torsion_tensor(N: TensorMap, X: MultiVector, Y: MultiVector) -> MultiVector:
     """[NX,NY] - N[NX,Y] - N[X,NY] + N(N[X,Y]) with the plain bracket."""
-    if N.source != "A" or N.target != "A":
-        raise MismatchError("torsion needs an endomorphism of the algebroid side")
-    A = N.algebroid
+    _check_endomorphism(N)
     if X.degree != 1 or Y.degree != 1:
         raise MismatchError("torsion arguments must be degree-1 multivectors")
-    NX = N.apply(X)
-    NY = N.apply(Y)
-    out = bracket_sections(A, NX, NY)
-    out = out - N.apply(bracket_sections(A, NX, Y))
-    out = out - N.apply(bracket_sections(A, X, NY))
-    out = out + N.apply(N.apply(bracket_sections(A, X, Y)))
-    return out
+    return _torsion(N, X, Y, N.apply(X), N.apply(Y))
+
+
+def _check_endomorphism(N: TensorMap) -> None:
+    if N.source != "A" or N.target != "A":
+        raise MismatchError("torsion needs an endomorphism of the algebroid side")
+
+
+def _torsion(
+    N: TensorMap, X: MultiVector, Y: MultiVector, NX: MultiVector, NY: MultiVector
+) -> MultiVector:
+    """The torsion from the images ``NX``, ``NY``, grouped so that ``N`` is
+    applied twice: [NX,NY] - N([NX,Y] + [X,NY] - N[X,Y])."""
+    A = N.algebroid
+    inner = bracket_sections(A, NX, Y) + bracket_sections(A, X, NY)
+    inner = inner - N.apply(bracket_sections(A, X, Y))
+    return bracket_sections(A, NX, NY) - N.apply(inner)
 
 
 def torsion_tensor_check(N: TensorMap) -> Report:
@@ -131,12 +139,22 @@ def torsion_tensor_check(N: TensorMap) -> Report:
 
 
 def _frame_pair_torsion(N: TensorMap, flat: Optional[TensorMap]) -> Report:
-    """The torsion on every frame pair, or its image under ``flat`` if given."""
+    """The torsion on every frame pair, or its image under ``flat`` if given.
+
+    The frame and its images depend only on ``N``, so they are built once:
+    ``N e_i`` is column ``i`` of the matrix.
+    """
+    _check_endomorphism(N)
     A = N.algebroid
+    r = A.rank
+    frame = [MultiVector.frame(A, i) for i in range(r)]
+    images = [
+        MultiVector(A, 1, {(k,): N.matrix[k][i] for k in range(r)}) for i in range(r)
+    ]
     kind = "torsion" if flat is None else "flattened torsion"
-    for i in range(A.rank):
-        for j in range(i + 1, A.rank):
-            value = torsion_tensor(N, MultiVector.frame(A, i), MultiVector.frame(A, j))
+    for i in range(r):
+        for j in range(i + 1, r):
+            value = _torsion(N, frame[i], frame[j], images[i], images[j])
             if flat is not None:
                 value = flat.apply(value)
             if not value.is_zero:

@@ -154,17 +154,16 @@ class TensorMap:
             raise MismatchError("maps act on degree-1 sections")
         if section.algebroid is not self.algebroid:
             raise MismatchError("section lives over a different algebroid")
-        zero = self.algebroid.zero_scalar()
+        # Only the stored components contribute: column j of the matrix,
+        # scaled by the component on e_j, summed over them.
         comps: Dict[Key, ExpPoly] = {}
-        for i, row in enumerate(self.matrix):
-            total = zero
-            for j, entry in enumerate(row):
-                c = section.components.get((j,))
-                if c is None or entry.is_zero:
+        for (j,), c in section.components.items():
+            for i, row in enumerate(self.matrix):
+                entry = row[j]
+                if entry.is_zero:
                     continue
-                total = total + entry * c
-            if not total.is_zero:
-                comps[(i,)] = total
+                term = entry * c
+                comps[(i,)] = comps[(i,)] + term if (i,) in comps else term
         return _kind_for(self.target)(self.algebroid, 1, comps)
 
     def compose(self, inner: "TensorMap") -> "TensorMap":

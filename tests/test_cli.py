@@ -189,6 +189,18 @@ def test_malformed_line_exits_two_with_its_location(tmp_path, capsys, line):
     assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("algebroid", ["trivial(p, 0)", "tangent(p)"])
+def test_torsion_of_a_flat_map_exits_two_at_low_rank(tmp_path, capsys, algebroid):
+    # rank 0 and 1 have no frame pair, and the side check still runs
+    text = (
+        f"patch p = (x)\nalgebroid A = {algebroid}\n"
+        "form w = zero_form(A, 2)\nmap M = flat(w)\ncheck torsion M\n"
+    )
+    code, out, _ = _run(tmp_path, capsys, text)
+    assert code == 2
+    assert "torsion needs an endomorphism of the algebroid side" in out
+
+
 def test_check_errors_are_recorded_and_run_continues(tmp_path, capsys):
     text = PASSING + "check zero nosuchname\ncheck algebroid A\n"
     code, out, _ = _run(tmp_path, capsys, text, "--json")

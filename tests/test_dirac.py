@@ -1,8 +1,16 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from jacv.algebroid import JacobiAlgebroidData, Patch, make_tangent
+from jacv.algebroid import (
+    JacobiAlgebroidData,
+    Patch,
+    Report,
+    extend_with_R,
+    make_tangent,
+    make_trivial,
+)
 from jacv.calculus import Form, MismatchError, MultiVector
 from jacv import dirac
 from jacv.dirac import (
@@ -22,6 +30,7 @@ from jacv.dirac import (
     torsion_triple,
     valid_triple,
 )
+from jacv.lift import lift_bialgebroid
 from jacv.structures import (
     SIDE_A,
     TensorMap,
@@ -30,13 +39,30 @@ from jacv.structures import (
     pi_from_omega,
     sharp_map,
 )
-from tests.gen import contact, rand_form
+from tests.gen import contact, rand_form, rand_scalar, rand_unit_two_form
 
 
 def _plane4():
     p = Patch(("x1", "x2", "x3", "x4"))
     A = make_tangent(p)
     return p, A, JacobiAlgebroidData(A, Form.zero(A, 1))
+
+
+def _kernel_torsion_map(p, A):
+    """Torsionful endomorphism over four coordinates whose torsion at
+    (e1, e2) lies in the kernel of the flat map of dx1^dx2."""
+    z = A.zero_scalar()
+    return TensorMap(
+        A,
+        SIDE_A,
+        SIDE_A,
+        (
+            (z, z, z, z),
+            (z, z, z, z),
+            (z, p.coord("x4"), z, z),
+            (p.coord("x3"), z, z, z),
+        ),
+    )
 
 
 def _chained_triple(pi1, pi2, alpha):
@@ -51,19 +77,7 @@ def test_torsion_tensor_corpus_recursion_maps():
         assert torsion_tensor_check(N).ok
     # a torsionful endomorphism fails, and the report names the frame pair
     p, A, _ = _plane4()
-    z = A.zero_scalar()
-    bad = TensorMap(
-        A,
-        SIDE_A,
-        SIDE_A,
-        (
-            (z, z, z, z),
-            (z, z, z, z),
-            (z, p.coord("x4"), z, z),
-            (p.coord("x3"), z, z, z),
-        ),
-    )
-    report = torsion_tensor_check(bad)
+    report = torsion_tensor_check(_kernel_torsion_map(p, A))
     assert report.status == "fail"
     assert "torsion at (" in report.witness
 
@@ -75,6 +89,15 @@ def test_torsion_tensor_argument_validation():
         torsion_tensor(flat_map(c.Om), e, e)
     with pytest.raises(MismatchError):
         torsion_tensor(c.NH, c.Pi, e)
+
+
+@pytest.mark.parametrize("rank", [0, 1])
+def test_wrong_sided_maps_are_rejected_at_low_rank(rank):
+    # the frame loop is empty below rank 2, so the side check runs before it
+    p = Patch(("x",))
+    A = make_tangent(p) if rank == 1 else make_trivial(p, 0)
+    with pytest.raises(MismatchError, match="endomorphism of the algebroid side"):
+        torsion_tensor_check(flat_map(Form.zero(A, 2)))
 
 
 def test_display_torsion_is_twice_raw_on_chains():
@@ -261,18 +284,7 @@ def test_omegan_full_on_corpus():
 def test_omegan_weak_is_strictly_weaker():
     p, A, J = _plane4()
     om = Form(A, 2, {(0, 1): p.const(1)})
-    z = A.zero_scalar()
-    N = TensorMap(
-        A,
-        SIDE_A,
-        SIDE_A,
-        (
-            (z, z, z, z),
-            (z, z, z, z),
-            (z, p.coord("x4"), z, z),
-            (p.coord("x3"), z, z, z),
-        ),
-    )
+    N = _kernel_torsion_map(p, A)
     # torsion lands in the kernel of the flat map, so only the full check sees it
     t = torsion_tensor(N, MultiVector.frame(A, 0), MultiVector.frame(A, 1))
     assert not t.is_zero
@@ -311,3 +323,63 @@ def test_dirac_pair_input_validation():
         dirac_pair_check(
             c.C, GraphRelation.of_bivector(c.Pi), GraphRelation.of_bivector(pi)
         )
+
+
+def _torsion_by_the_public_formula(N, flat=None):
+    """The frame-pair verdict built from ``torsion_tensor`` pair by pair."""
+    A = N.algebroid
+    kind = "torsion" if flat is None else "flattened torsion"
+    for i, j in combinations(range(A.rank), 2):
+        value = torsion_tensor(N, MultiVector.frame(A, i), MultiVector.frame(A, j))
+        if flat is not None:
+            value = flat.apply(value)
+        if not value.is_zero:
+            where = f"({A.frame_labels[i]}, {A.frame_labels[j]})"
+            return Report("fail", "torsion on frame pairs", f"{kind} at {where} = {value}")
+    return Report("pass", "torsion on frame pairs")
+
+
+def _frame_loop_cases():
+    """(J, omega, N) with N commuting with the flat map of omega."""
+    c = contact()
+    cases = [(c.C, c.Om, N) for N in (c.NH, c.NE, c.NP)]
+    p, A, J = _plane4()
+    cases.append((J, Form(A, 2, {(0, 1): p.const(1)}), _kernel_torsion_map(p, A)))
+    # fl^-1 . flat(w) commutes with fl; its torsion is not in the kernel of fl
+    r = random.Random(10)
+    om = rand_unit_two_form(r, A)
+    N = flat_map(om).inverse().compose(flat_map(rand_form(r, A, 2)))
+    cases.append((J, om, N))
+    # rank 7, upstairs over the line: the zero form commutes with every map,
+    # and this one lives on the last four frame elements, so early pairs pass
+    patch = Patch(tuple(f"x{i}" for i in range(1, 7)))
+    up = lift_bialgebroid(extend_with_R(make_tangent(patch))).a_side
+    A7 = up.algebroid
+    rows = tuple(
+        tuple(
+            rand_scalar(r, A7.patch, max_degree=1, terms=1, with_t=True, exp_range=1)
+            if min(i, j) >= 3 and r.random() < 0.5 else A7.zero_scalar()
+            for j in range(A7.rank)
+        )
+        for i in range(A7.rank)
+    )
+    cases.append((up, Form.zero(A7, 2), TensorMap(A7, SIDE_A, SIDE_A, rows)))
+    return cases
+
+
+def test_frame_loop_matches_the_public_formula():
+    statuses = {True: 0, False: 0}
+    for J, om, N in _frame_loop_cases():
+        fl = flat_map(om)
+        full = _torsion_by_the_public_formula(N)
+        weak = _torsion_by_the_public_formula(N, fl)
+        assert torsion_tensor_check(N) == full
+        for report, expected in ((omegan_check(J, om, N), full),
+                                 (omegan_check(J, om, N, weak=True), weak)):
+            if expected.ok:
+                assert report.strategy != expected.strategy
+            else:
+                assert report == expected
+        statuses[full.ok] += 1
+        statuses[weak.ok] += 1
+    assert statuses[True] and statuses[False]

@@ -617,12 +617,60 @@ def test_jacobi_iff_presymplectic_for_unit_bivectors():
     assert hits[True] and hits[False]
 
 
+def _apply_by_the_matrix(N, section):
+    """N applied to a degree-1 section, entry by entry from its matrix."""
+    A = N.algebroid
+    comps = {}
+    for i in range(A.rank):
+        total = A.zero_scalar()
+        for j in range(A.rank):
+            total = total + N.matrix[i][j] * section.component(j)
+        comps[(i,)] = total
+    image_kind = MultiVector if N.target == SIDE_A else Form
+    return image_kind(A, 1, comps)
+
+
+@pytest.mark.parametrize("source", [SIDE_A, SIDE_DUAL])
+def test_tensor_map_apply_matches_the_matrix_product(source):
+    r = random.Random(11)
+    _, A = small_tangent(("x", "y", "z", "w"))
+    kind = MultiVector if source == SIDE_A else Form
+    for target in (SIDE_A, SIDE_DUAL):
+        for density in (0.3, 1.0):
+            rows = tuple(
+                tuple(
+                    rand_scalar(r, A.patch) if r.random() < density else A.zero_scalar()
+                    for _ in range(A.rank)
+                )
+                for _ in range(A.rank)
+            )
+            N = TensorMap(A, source, target, rows)
+            for section_density in (0.3, 1.0):
+                for _ in range(5):
+                    comps = {
+                        (j,): rand_scalar(r, A.patch)
+                        for j in range(A.rank) if r.random() < section_density
+                    }
+                    s = kind(A, 1, comps)
+                    assert N.apply(s) == _apply_by_the_matrix(N, s)
+            image_kind = MultiVector if target == SIDE_A else Form
+            for i in range(A.rank):
+                frame = kind(A, 1, {(i,): A.scalar(1)})
+                column = {(k,): N.matrix[k][i] for k in range(A.rank)}
+                assert N.apply(frame) == image_kind(A, 1, column)
+            assert N.apply(kind.zero(A, 1)).is_zero
+
+
 def test_tensor_map_shape_errors():
     c = contact()
     _, A = small_tangent()
     with pytest.raises(ValueError):
         TensorMap(A, SIDE_A, SIDE_A, ((A.scalar(1),),))
-    with pytest.raises(MismatchError):
+    with pytest.raises(MismatchError, match="different algebroid"):
         c.NH.apply(MultiVector.frame(A, 0))
+    with pytest.raises(MismatchError, match="degree-1 MultiVector"):
+        c.NH.apply(Form.coframe(c.ext, 0))
+    with pytest.raises(MismatchError, match="degree-1 sections"):
+        c.NH.apply(c.Pi)
     with pytest.raises(MismatchError):
         c.NH.compose(flat_map(c.Om))  # target A* does not feed source A

@@ -47,8 +47,10 @@ class Patch:
             if name in seen:
                 raise ValueError(f"duplicate coordinate name {name!r}")
             seen.add(name)
-        # ExpPoly is immutable, so one zero serves every caller on this patch
+        # ExpPoly is immutable, so one zero and one 1 serve every caller on
+        # this patch
         object.__setattr__(self, "_zero", ExpPoly.zero(self.variables))
+        object.__setattr__(self, "_one", ExpPoly.const(self.variables, 1))
 
     @property
     def variables(self) -> Tuple[str, ...]:
@@ -62,6 +64,9 @@ class Patch:
 
     def zero(self) -> ExpPoly:
         return self._zero
+
+    def one(self) -> ExpPoly:
+        return self._one
 
     def const(self, value) -> ExpPoly:
         return ExpPoly.const(self.variables, value)
@@ -162,22 +167,34 @@ class AlgebroidPatch:
 
     def anchor_deriv(self, index: int, f: ExpPoly) -> ExpPoly:
         """rho(e_index) f: the anchored derivative of f along one frame element,
-        sum over its nonzero anchor entries rho_index^x of rho_index^x df/dx."""
+        sum over its nonzero anchor entries rho_index^x of rho_index^x df/dx.
+
+        No derivative is taken along a variable f does not involve (for t,
+        that includes its exp weights), since it is zero, and an entry equal
+        to 1 (every entry of a tangent or extension frame) is not multiplied.
+        """
         out = self.zero_scalar()
         for name, entry in self.anchor[index]:
-            df = f.diff(name)
-            if not df.is_zero:
-                out = out + entry * df
+            if f.involves(name):
+                out = out + _times(entry, f.diff(name), self.patch.one())
         return out
 
 
+def _times(c: ExpPoly, value: ExpPoly, one: ExpPoly) -> ExpPoly:
+    """c * value, with no product formed when c is 1."""
+    return value if c == one else c * value
+
+
 def anchor_apply(A: AlgebroidPatch, X: "calculus.MultiVector", f: ExpPoly) -> ExpPoly:
-    """The derivation of a degree-1 section applied to a scalar."""
+    """The derivation of a degree-1 section applied to a scalar; a component
+    whose derivative is zero forms no product, nor does a component 1."""
     if X.degree != 1:
         raise ValueError("anchor_apply expects a degree-1 section")
     out = A.zero_scalar()
     for (i,), c in X.components.items():
-        out = out + c * A.anchor_deriv(i, f)
+        df = A.anchor_deriv(i, f)
+        if not df.is_zero:
+            out = out + _times(c, df, A.patch.one())
     return out
 
 

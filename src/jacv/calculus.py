@@ -139,7 +139,12 @@ class _Section:
         return type(self)(self.algebroid, self.degree, comps)
 
     def __sub__(self, other: "_Section") -> "_Section":
-        return self + (-other)
+        self._check_same(other)
+        comps = dict(self.components)
+        for key, c in other.components.items():
+            old = comps.get(key)
+            comps[key] = -c if old is None else old - c
+        return type(self)(self.algebroid, self.degree, comps)
 
     def __neg__(self) -> "_Section":
         return type(self)(
@@ -212,7 +217,7 @@ class MultiVector(_Section):
 
     @classmethod
     def frame(cls, algebroid: object, index: int) -> "MultiVector":
-        one = algebroid.scalar(1)
+        one = algebroid.patch.one()
         return cls(algebroid, 1, {(index,): one})
 
     def _labels(self) -> Tuple[str, ...]:
@@ -224,7 +229,7 @@ class Form(_Section):
 
     @classmethod
     def coframe(cls, algebroid: object, index: int) -> "Form":
-        one = algebroid.scalar(1)
+        one = algebroid.patch.one()
         return cls(algebroid, 1, {(index,): one})
 
     def _labels(self) -> Tuple[str, ...]:
@@ -246,10 +251,12 @@ def _wedge_keys(left: Key, right: Key) -> Optional[Tuple[int, Key]]:
 
 
 def _accumulate(comps: Dict[Key, ExpPoly], sign: int, key: Key, term: ExpPoly) -> None:
-    if sign < 0:
-        term = -term
+    """Add ``sign * term`` into ``comps[key]``; a negative sign subtracts."""
     old = comps.get(key)
-    comps[key] = term if old is None else old + term
+    if old is None:
+        comps[key] = -term if sign < 0 else term
+    else:
+        comps[key] = old - term if sign < 0 else old + term
 
 
 # -- wedge, contraction, pairing ------------------------------------------
@@ -273,7 +280,7 @@ def wedge(u: Section, v: Section) -> Section:
 def wedge_power(u: Section, power: int) -> Section:
     if power < 0:
         raise MismatchError("negative wedge power")
-    out: Section = type(u).scalar_section(u.algebroid, u.algebroid.scalar(1))
+    out: Section = type(u).scalar_section(u.algebroid, u.algebroid.patch.one())
     for _ in range(power):
         if out.is_zero:
             return type(u).zero(u.algebroid, power * u.degree)
@@ -291,7 +298,6 @@ def contract(x: Section, u: Section) -> Section:
         raise MismatchError("the contracted section must have degree 1")
     if u.degree == 0:
         raise MismatchError("cannot contract into a degree-0 section")
-    zero = u.algebroid.zero_scalar()
     comps: Dict[Key, ExpPoly] = {}
     for key, c in u.components.items():
         for pos, idx in enumerate(key):
@@ -299,10 +305,7 @@ def contract(x: Section, u: Section) -> Section:
             if xc is None:
                 continue
             rest = key[:pos] + key[pos + 1 :]
-            term = xc * c
-            if pos % 2:
-                term = -term
-            comps[rest] = comps.get(rest, zero) + term
+            _accumulate(comps, -1 if pos % 2 else 1, rest, xc * c)
     return type(u)(u.algebroid, u.degree - 1, comps)
 
 
@@ -369,15 +372,13 @@ def differential(arg: object, w: Form) -> Form:
             if c is None:
                 continue
             term = A.anchor_deriv(idx, c)
-            if pos % 2:
-                term = -term
-            acc = acc + term
+            acc = acc - term if pos % 2 else acc + term
         for pa in range(len(key)):
             for pb in range(pa + 1, len(key)):
                 rest = tuple(
                     idx for pos, idx in enumerate(key) if pos not in (pa, pb)
                 )
-                inner = zero
+                outer = -1 if (pa + pb) % 2 else 1
                 for m, cm in A.brackets.get((key[pa], key[pb]), ()):
                     placed = _wedge_keys((m,), rest)
                     if placed is None:
@@ -386,10 +387,8 @@ def differential(arg: object, w: Form) -> Form:
                     wc = w.components.get(full)
                     if wc is None:
                         continue
-                    inner = inner + (cm * wc if sign > 0 else -(cm * wc))
-                if (pa + pb) % 2:
-                    inner = -inner
-                acc = acc + inner
+                    term = cm * wc
+                    acc = acc + term if sign * outer > 0 else acc - term
         if not acc.is_zero:
             comps[key] = acc
     out = Form(A, w.degree + 1, comps)

@@ -21,6 +21,13 @@ and relies on the invariant above.  Both paths store the value through
 ``__init__``, which drops zero coefficients and empty weights and turns a
 ``Fraction(n, 1)`` into ``n``; every value built is one ``__init__`` call.
 
+No operation builds a value it throws away.  ``a - b`` subtracts in one pass
+and builds one value, not ``-b`` and then the sum; ``+`` and ``*`` return an
+operand as it is when the other is zero, and so does ``a - 0``.  A
+derivative along a variable the value does not involve is zero, and
+``involves`` tells so without building it, which lets callers that
+differentiate along a whole anchor skip those variables.
+
 This ring is not a field.  The only invertible elements are q * exp(k*t) with
 q a nonzero rational; ``unit_inverse`` raises :class:`NotInvertible` for
 anything else (including honest polynomials like 1 + x1).
@@ -178,19 +185,7 @@ class ExpPoly:
         rhs = self._coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
-        if not rhs.terms:
-            return self
-        if not self.terms:
-            return rhs
-        terms: TermsDict = {k: dict(p) for k, p in self.terms.items()}
-        for weight, poly in rhs.terms.items():
-            acc = terms.get(weight)
-            if acc is None:
-                terms[weight] = poly
-                continue
-            for e, c in poly.items():
-                acc[e] = acc.get(e, 0) + c
-        return ExpPoly._make(self.vars, terms)
+        return self._combine(rhs, False)
 
     __radd__ = __add__
 
@@ -204,13 +199,34 @@ class ExpPoly:
         rhs = self._coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
-        return self + (-rhs)
+        return self._combine(rhs, True)
 
     def __rsub__(self, other: object) -> "ExpPoly":
         rhs = self._coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
-        return rhs + (-self)
+        return rhs._combine(self, True)
+
+    def _combine(self, rhs: "ExpPoly", subtract: bool) -> "ExpPoly":
+        """``self + rhs``, or ``self - rhs`` when ``subtract``, in one pass
+        that builds one value; a zero operand builds none, except the
+        negated ``rhs`` of ``0 - rhs``."""
+        if not rhs.terms:
+            return self
+        if not self.terms:
+            return -rhs if subtract else rhs
+        terms: TermsDict = {k: dict(p) for k, p in self.terms.items()}
+        for weight, poly in rhs.terms.items():
+            acc = terms.get(weight)
+            if acc is None:
+                terms[weight] = {e: -c for e, c in poly.items()} if subtract else poly
+            elif subtract:
+                for e, c in poly.items():
+                    acc[e] = acc.get(e, 0) - c
+            else:
+                for e, c in poly.items():
+                    acc[e] = acc.get(e, 0) + c
+        return ExpPoly._make(self.vars, terms)
 
     def __mul__(self, other: object) -> "ExpPoly":
         rhs = self._coerce(other)
@@ -244,6 +260,18 @@ class ExpPoly:
         )
 
     # -- calculus ----------------------------------------------------------
+
+    def involves(self, name: str) -> bool:
+        """True iff ``diff(name)`` is nonzero: some monomial holds a positive
+        power of ``name`` or, for ``t``, some exp weight is nonzero.  (On
+        exp(k*t) * p with k != 0 the t-degree of k*p exceeds that of dp/dt,
+        so the two never cancel.)"""
+        if name not in self.vars:
+            raise UnknownVariable(f"{name!r} is not one of {self.vars}")
+        if name == "t" and any(self.terms):
+            return True
+        idx = self.vars.index(name)
+        return any(e[idx] for poly in self.terms.values() for e in poly)
 
     def diff(self, name: str) -> "ExpPoly":
         """Partial derivative.  d/dt also differentiates the exp weights:

@@ -18,6 +18,7 @@ Conventions pinned here:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -91,7 +92,7 @@ class TensorMap:
     @classmethod
     def identity(cls, algebroid: AlgebroidPatch, side: str = SIDE_A) -> "TensorMap":
         zero = algebroid.zero_scalar()
-        one = algebroid.scalar(1)
+        one = algebroid.patch.one()
         r = algebroid.rank
         rows = tuple(
             tuple(one if i == j else zero for j in range(r)) for i in range(r)
@@ -106,20 +107,22 @@ class TensorMap:
         if self.source != other.source or self.target != other.target:
             raise MismatchError("maps have different sides")
 
-    def __add__(self, other: "TensorMap") -> "TensorMap":
+    def _entrywise(self, op: Callable, other: "TensorMap") -> "TensorMap":
         self._check_same_shape(other)
         rows = tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.matrix, other.matrix)
+            tuple(map(op, ra, rb)) for ra, rb in zip(self.matrix, other.matrix)
         )
         return TensorMap(self.algebroid, self.source, self.target, rows)
+
+    def __add__(self, other: "TensorMap") -> "TensorMap":
+        return self._entrywise(operator.add, other)
 
     def __neg__(self) -> "TensorMap":
         rows = tuple(tuple(-a for a in row) for row in self.matrix)
         return TensorMap(self.algebroid, self.source, self.target, rows)
 
     def __sub__(self, other: "TensorMap") -> "TensorMap":
-        return self + (-other)
+        return self._entrywise(operator.sub, other)
 
     def scale(self, factor) -> "TensorMap":
         f = factor if isinstance(factor, ExpPoly) else self.algebroid.scalar(factor)
@@ -222,6 +225,7 @@ class TensorMap:
         full = tuple(range(self.algebroid.rank))
         minor = _minors(self.algebroid, self.matrix)
         inv_det = minor(full, full).unit_inverse()  # raises NotInvertible on a non-unit
+        signed = (inv_det, -inv_det)  # the sign of cofactor (i, j) is (-1)^(i+j)
         columns = []
         for j in full:
             if j:
@@ -230,7 +234,7 @@ class TensorMap:
             column = []
             for i in full:
                 cofactor = minor(kept, full[:i] + full[i + 1 :])
-                column.append(inv_det * (-cofactor if (i + j) % 2 else cofactor))
+                column.append(signed[(i + j) % 2] * cofactor)
             columns.append(column)
         rows = tuple(zip(*columns))
         return TensorMap(self.algebroid, self.target, self.source, rows)
@@ -252,9 +256,12 @@ def _minors(
 
     Laplace expansion along the top row of the submatrix.  Every minor is
     memoized for the life of the returned function, so all minors asked of
-    one instance share their sub-expansions.
+    one instance share their sub-expansions.  A zero entry is skipped before
+    its sub-minor is asked for, and a zero sub-minor before it is
+    multiplied (in a skew map every odd principal minor vanishes); the empty
+    minor 1 under a 1x1 minor is not multiplied either.
     """
-    one = algebroid.scalar(1)
+    one = algebroid.patch.one()
     memo: Dict[Tuple[Indices, Indices], ExpPoly] = {}
 
     def minor(rows: Indices, cols: Indices) -> ExpPoly:
@@ -268,7 +275,10 @@ def _minors(
                 entry = matrix[top][col]
                 if entry.is_zero:
                     continue
-                term = entry * minor(rest, cols[:pos] + cols[pos + 1 :])
+                sub = minor(rest, cols[:pos] + cols[pos + 1 :])
+                if sub.is_zero:
+                    continue
+                term = entry if sub is one else entry * sub
                 value = value - term if pos % 2 else value + term
             memo[(rows, cols)] = value
         return value

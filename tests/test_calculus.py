@@ -57,6 +57,19 @@ def test_pairing_and_contraction_pins():
         contract(e1, Form(A, 0, {(): A.scalar(1)}))
 
 
+def test_section_subtraction_adds_the_negative():
+    # componentwise in one pass: keys of either side, and cancelling keys dropped
+    _, A = small_tangent()
+    for seed in range(10):
+        r = random.Random(900 + seed)
+        for make in (rand_multivector, rand_form):
+            u, v = (make(r, A, 2, density=0.5, max_degree=1) for _ in range(2))
+            assert u - v == u + (-v), seed
+            assert (u - u).is_zero and (u - (u - v)) == v, seed
+    with pytest.raises(MismatchError):
+        MultiVector.frame(A, 0) - Form.coframe(A, 0)
+
+
 def test_wedge_graded_commutativity():
     _, A = small_tangent(("x", "y", "z", "w"))
     for seed in range(25):

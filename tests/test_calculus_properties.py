@@ -1,10 +1,12 @@
 """Property tests of the twisted calculus over generated algebroids.
 
 Each example draws one algebroid built from ``tests.gen``, a closed twist on
-it and seeded random sections.  The trivial algebroid is among them, so the
-shortcut that skips the frame loops there is under the same properties as
-the loops.  Derandomized with a fixed number of examples, so every run
-checks the same values and the suite stays deterministic."""
+it and seeded random sections, and checks d∘d = 0, Cartan's identities or
+the graded Jacobi identity of the twisted bracket on them.  The trivial
+algebroid is among them, so the shortcut that skips the frame loops there is
+under the same properties as the loops.  Derandomized with a fixed number
+of examples, so every run checks the same values and the suite stays
+deterministic."""
 
 import random
 
@@ -22,7 +24,9 @@ from jacv.algebroid import (  # noqa: E402
 from jacv.calculus import (  # noqa: E402
     Form,
     MismatchError,
+    contract,
     differential,
+    lie_derivative,
     phi0_schouten,
 )
 from tests.gen import (  # noqa: E402
@@ -65,6 +69,25 @@ def test_twisted_differential_squares_to_zero(name, seed, degree):
     r, J = _twisted(name, seed)
     w = rand_form(r, J.algebroid, degree, max_degree=1, terms=2)
     assert differential(J, differential(J, w)).is_zero
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(ALGEBROIDS)), st.integers(0, 2**16), st.integers(1, 2))
+def test_twisted_cartan_identities(name, seed, degree):
+    # d L_X = L_X d, and L_X i_Y - i_Y L_X = i_[X,Y]: the twist adds phi0(X)
+    # to L_X, which commutes with i_Y, and the bracket of two degree-1
+    # sections carries no twist term
+    r, J = _twisted(name, seed)
+    A = J.algebroid
+    X, Y = (rand_multivector(r, A, 1, max_degree=1) for _ in range(2))
+    w = rand_form(r, A, degree, max_degree=1, terms=2)
+    assert differential(J, lie_derivative(J, X, w)) == lie_derivative(
+        J, X, differential(J, w)
+    )
+    commutator = lie_derivative(J, X, contract(Y, w)) - contract(
+        Y, lie_derivative(J, X, w)
+    )
+    assert commutator == contract(lie_derivative(J, X, Y), w)
 
 
 @PROPERTY

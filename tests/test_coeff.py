@@ -186,6 +186,7 @@ def test_ring_operations_keep_the_stored_form():
             "a": a, "b": b, "+": a + b, "-": a - b, "neg": -a, "*": a * b,
             "**": b ** (seed % 4), "times_exp": a.times_exp(weight),
             "int+": a + 3, "fraction*": Fraction(2, 3) * a,
+            "int-": a - 3, "fraction-": Fraction(2, 3) - a,
             "unit_inverse": ExpPoly.const(VARS, c).times_exp(weight).unit_inverse(),
         }
         results.update((f"d/d{n}", (a * b).diff(n)) for n in VARS)
@@ -213,6 +214,29 @@ def test_every_value_is_stored_through_init(monkeypatch):
     ]
     assert len(stored) >= len(values)
     assert all(any(v is s for s in stored) for v in values)
+
+
+def test_subtraction_builds_one_value(monkeypatch):
+    # a - b is one pass, not -b and then a sum; a zero operand builds at
+    # most the negated value, and involves() builds nothing
+    x, t = ExpPoly.var(VARS, "x"), ExpPoly.var(VARS, "t")
+    a, b, zero = x * t + 1, x.times_exp(1) - 3 * t, ExpPoly.zero(VARS)
+    c = x + 1
+    built = []
+    init = ExpPoly.__init__
+
+    def counting_init(self, variables, terms):
+        built.append(self)
+        init(self, variables, terms)
+
+    monkeypatch.setattr(ExpPoly, "__init__", counting_init)
+    for value, count in ((a, b), 1), ((zero, a), 1), ((a, zero), 0):
+        del built[:]
+        lhs, rhs = value
+        assert lhs - rhs is not None and len(built) == count, (lhs, rhs)
+    del built[:]
+    assert a.involves("x") and b.involves("t") and not c.involves("y")
+    assert built == []
 
 
 def test_unit_inverse_and_as_fraction_are_exact():

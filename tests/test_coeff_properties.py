@@ -44,3 +44,49 @@ def test_ring_axioms_and_product_rule(a, b, c):
         derivative = (a * b).diff(name)
         assert derivative == a.diff(name) * b + a * b.diff(name)
         _assert_stored_form(derivative)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(values, values, coefficients)
+def test_subtraction_adds_the_negative(a, b, n):
+    zero = ExpPoly.zero(VARS)
+    assert a - b == a + (-b)
+    assert b - a == -(a - b)
+    assert a - zero is a and a - a == zero and zero - a == -a
+    # an int or Fraction on either side
+    assert n - a == ExpPoly.const(VARS, n) + (-a)
+    assert a - n == a + ExpPoly.const(VARS, -n)
+    for value in (a - b, b - a, zero - a, n - a, a - n):
+        assert type(value) is ExpPoly
+        _assert_stored_form(value)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(values)
+def test_involves_decides_a_zero_derivative(a):
+    for name in VARS:
+        assert a.involves(name) == (not a.diff(name).is_zero), name
+
+
+# polynomials in x alone times exp weights: no power of y or t
+x_values = st.lists(
+    st.tuples(coefficients, st.integers(0, 2), st.integers(-2, 2)), max_size=4
+).map(
+    lambda ms: sum(
+        (ExpPoly(VARS, {w: {(p, 0, 0): c}}) for c, p, w in ms), ExpPoly.zero(VARS)
+    )
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(x_values)
+def test_derivatives_along_variables_a_value_does_not_involve(a):
+    assert not a.involves("y") and a.diff("y").is_zero
+    # d/dt still counts the exp weights: exp(k t) p -> k exp(k t) p
+    expected = sum(
+        (k * ExpPoly(VARS, {k: poly}) for k, poly in a.terms.items()),
+        ExpPoly.zero(VARS),
+    )
+    assert a.diff("t") == expected
+    assert a.involves("t") == any(a.terms)
+    _assert_stored_form(a.diff("t"))

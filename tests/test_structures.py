@@ -154,7 +154,8 @@ def test_tensor_map_algebra():
     assert fl.inverse().compose(fl) == ident
     # contravariance of the transpose
     assert fl.compose(N).dual() == N.dual().compose(fl.dual())
-    assert (N + (-N)).is_zero
+    assert (N + (-N)).is_zero and (N - N).is_zero
+    assert N - ident == N + (-ident) and (N - ident) + ident == N
     det = fl.determinant()
     assert det == c.ext.scalar(1)
 
@@ -201,6 +202,16 @@ def _unit_determinant_matrix(r, A, skew):
     return L.compose(D.compose(unit_triangular(r, A)))
 
 
+# (skew, density, zero row 0 or column 1) per seed: sparse and dense maps,
+# then skew ones with two-term entries, whose odd principal minors vanish,
+# and maps with a zero row or column, where every term of the expansion
+# meets a zero entry or a zero sub-minor
+ORACLE_CASES = (
+    (False, 0.4, None), (True, 0.4, None), (False, 1.0, None), (True, 1.0, None),
+    (True, 0.7, None), (False, 0.7, 0), (False, 0.7, 1),
+)
+
+
 def test_determinant_and_inverse_match_sympy():
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
@@ -227,11 +238,19 @@ def test_determinant_and_inverse_match_sympy():
             rows = [[poly(c, shift) for c in row] for row in m.matrix]
             return DomainMatrix(rows, (rank, rank), R)
 
-        for seed in range(4):
+        for seed, (skew, density, zero_line) in enumerate(ORACLE_CASES):
             r = random.Random(100 * rank + seed)
-            skew = seed % 2 == 1
-            m = _oracle_matrix(r, A, skew, density=0.4 if seed < 2 else 1.0)
+            m = _oracle_matrix(r, A, skew, density)
+            if zero_line is not None:
+                line = r.randrange(rank)
+                m = TensorMap(A, SIDE_A, SIDE_A, tuple(
+                    tuple(A.zero_scalar() if (i, j)[zero_line] == line else c
+                          for j, c in enumerate(row))
+                    for i, row in enumerate(m.matrix)
+                ))
             det = m.determinant()
+            if (skew and rank % 2) or zero_line is not None:
+                assert det.is_zero, (rank, seed)
             # entries have weights >= -1, so E m is polynomial
             assert poly(det, rank) == matrix(m, 1).det(), (rank, seed)
             if not det.is_unit():

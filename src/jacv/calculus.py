@@ -491,7 +491,8 @@ def phi0_schouten(J: object, D1: MultiVector, D2: MultiVector) -> MultiVector:
         + (a1 - 1) D1 ^ iota(D2)  -  (-1)^(a1+1) (a2 - 1) iota(D1) ^ D2,
 
     with iota contraction by the twist and iota of a degree-0 section read
-    as 0."""
+    as 0.  A zero twist contracts to zero sections, so the plain bracket is
+    returned with no correction built."""
     A, phi0 = _twist_of(J)
     if phi0 is None:
         raise MismatchError("phi0_schouten needs twist data")
@@ -499,6 +500,8 @@ def phi0_schouten(J: object, D1: MultiVector, D2: MultiVector) -> MultiVector:
         raise MismatchError("sections live over different algebroids")
     a1, a2 = D1.degree, D2.degree
     total = schouten(D1, D2)
+    if phi0.is_zero:
+        return total
     if a1 != 1:
         inner = _iota_twist(phi0, D2)
         if inner is not None:

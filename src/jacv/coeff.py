@@ -365,6 +365,19 @@ class ExpPoly:
             return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
 
+    def negates(self, other: "ExpPoly") -> bool:
+        """``self == -other``, read from the stored terms without building
+        ``-other``."""
+        if self.vars != other.vars or self.terms.keys() != other.terms.keys():
+            return False
+        for weight, poly in self.terms.items():
+            theirs = other.terms[weight]
+            if poly.keys() != theirs.keys():
+                return False
+            if any(c != -theirs[e] for e, c in poly.items()):
+                return False
+        return True
+
     def __hash__(self) -> int:
         frozen = frozenset(
             (k, frozenset(p.items())) for k, p in self.terms.items()

@@ -8,10 +8,11 @@ Conventions pinned here:
   ``flat_map(omega)`` satisfies ``<flat(X), Y> = omega(X, Y)``;
 * the two-form attached to an invertible bivector is fixed by
   ``flat = -(sharp)^(-1)`` and conversely;
-* the determinant and the adjugate are both read from ``_minors``, one
-  memoized Laplace expansion; inversion is the adjugate over the
-  determinant and exists exactly when the determinant is a unit of the
-  coefficient ring;
+* a skew matrix (every musical map) takes its determinant Pf^2 and its
+  inverse from ``_pfaffians``, one memoized Pfaffian expansion; any other
+  matrix takes its determinant and adjugate from ``_minors``, one memoized
+  Laplace expansion; inversion exists exactly when the determinant is a
+  unit of the coefficient ring;
 * the dual of a map transposes the matrix and swaps bundle sides;
 * check outcomes are values (``Report``); a failed check never raises.
 """
@@ -22,7 +23,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .coeff import ExpPoly, NotInvertible
 from .algebroid import (
@@ -208,13 +209,63 @@ class TensorMap:
     # -- determinant and inverse ------------------------------------------
 
     def determinant(self) -> ExpPoly:
+        """Pf * Pf for a skew matrix (see ``_pfaffians``), else the full
+        minor."""
+        skew = self._pfaffian()
+        if skew is not None:
+            pf, _ = skew
+            return pf * pf
         full = tuple(range(self.algebroid.rank))
         return _minors(self.algebroid, self.matrix)(full, full)
 
     def is_unit_determinant(self) -> bool:
         return self.determinant().is_unit()
 
+    def _pfaffian(self) -> Optional[Tuple[ExpPoly, Callable[[int], ExpPoly]]]:
+        """``(Pf, pf)`` for a skew matrix, with ``pf`` of ``_pfaffians``; on
+        odd rank Pf is 0 and nothing is expanded.  None for any other
+        matrix, which ``_minors`` serves."""
+        if not _is_skew(self.matrix):
+            return None
+        r = self.algebroid.rank
+        pf = _pfaffians(self.algebroid, self.matrix)
+        return (self.algebroid.zero_scalar() if r % 2 else pf((1 << r) - 1)), pf
+
     def inverse(self) -> "TensorMap":
+        """The inverse, when the determinant is a unit; else NotInvertible.
+
+        A skew matrix is inverted from one Pfaffian memo: for i < j,
+        (A^-1)_ij = (-1)^(i+j) Pf(A without i, j) / Pf(A), A^-1 is skew,
+        and det = Pf^2 is a unit iff Pf is (proofs at ``_pfaffians``).
+        A failure raises through ``(Pf * Pf).unit_inverse()``, so its
+        message names the determinant as on the general path.
+        """
+        skew = self._pfaffian()
+        if skew is not None:
+            return self._skew_inverse(*skew)
+        return self._adjugate_inverse()
+
+    def _skew_inverse(
+        self, pf_full: ExpPoly, pf: Callable[[int], ExpPoly]
+    ) -> "TensorMap":
+        if not pf_full.is_unit():
+            (pf_full * pf_full).unit_inverse()  # always raises: det = Pf^2
+        inv_pf = pf_full.unit_inverse()
+        one = self.algebroid.patch.one()  # the empty Pfaffian pf(0)
+        r = self.algebroid.rank
+        full = (1 << r) - 1
+        rows = [[self.algebroid.zero_scalar()] * r for _ in range(r)]
+        for i in range(r):
+            for j in range(i + 1, r):
+                sub = pf(full ^ (1 << i) ^ (1 << j))
+                if sub.is_zero:
+                    continue
+                entry = inv_pf if sub is one else inv_pf * sub
+                upper, lower = (-entry, entry) if (i + j) % 2 else (entry, -entry)
+                rows[i][j], rows[j][i] = upper, lower
+        return TensorMap(self.algebroid, self.target, self.source, rows)
+
+    def _adjugate_inverse(self) -> "TensorMap":
         """Adjugate over determinant, from memoized minor expansions.
 
         The cofactors that drop row ``j`` share one ``_minors`` memo, and for
@@ -286,6 +337,91 @@ def _minors(
     return minor
 
 
+def _is_skew(matrix: Matrix) -> bool:
+    """A zero diagonal and ``m[j][i] == -m[i][j]``, read from the stored
+    terms without building a value."""
+    for i, row in enumerate(matrix):
+        if not row[i].is_zero:
+            return False
+        for j in range(i):
+            if not row[j].negates(matrix[j][i]):
+                return False
+    return True
+
+
+def _pfaffians(
+    algebroid: AlgebroidPatch, matrix: Matrix
+) -> Callable[[int], ExpPoly]:
+    """``pf(mask)``: the Pfaffian of the principal submatrix of a skew
+    ``matrix`` on the indices set in the bitmask ``mask`` (of even size).
+
+    Expansion along the first index s0 of S = (s0 < s1 < ...):
+    Pf(S) = sum_{p >= 1} (-1)^(p+1) a_{s0 sp} Pf(S without s0, sp), with
+    Pf() = 1.  Every Pfaffian is memoized by its mask for the life of the
+    returned function.  As in ``_minors``, a zero entry is skipped before
+    its sub-Pfaffian is asked for, a zero sub-Pfaffian before it is
+    multiplied, and the empty Pfaffian 1 is never multiplied.
+
+    Why the skew path of ``TensorMap`` is right, over the ring R of
+    ``ExpPoly`` values (a commutative domain holding Q):
+
+    * det = Pf^2 (Cayley).  Read the entries a_ij (i < j) as independent
+      variables over Q.  Pf(A) is the coefficient of e_0 ^ ... ^ e_(n-1)
+      in w^(n/2) / (n/2)!, w = sum_{i<j} a_ij e_i ^ e_j, whose first-index
+      expansion is the recursion above; a linear change e -> B e scales
+      that top wedge by det B, so Pf(B A B^T) = det(B) Pf(A).  Over the
+      field Q(a_ij) the generic A is invertible, so A = B J B^T with J the
+      standard skew block matrix, Pf(J) = 1, det(J) = 1.  Then
+      det A = det(B)^2 = Pf(A)^2: an identity of integer polynomials in the
+      a_ij, hence true in every commutative ring, R included.
+    * det is a unit iff Pf is: if Pf u = 1 then Pf^2 u^2 = 1; if
+      Pf^2 v = 1 then Pf (Pf v) = 1.
+    * The inverse.  Moving index i to the front permutes A by i
+      transpositions, so Pf(A) = (-1)^i Pf(moved), and the first-index
+      expansion of the moved matrix is the expansion along i:
+      Pf(A) = sum_{j != i} s_ij a_ij Pf(A without i, j), with
+      s_ij = (-1)^(i+j+1) for j > i and (-1)^(i+j) for j < i.  Replacing
+      row and column i of A by row and column k != i gives a skew matrix
+      with two equal rows: its det is 0, so its Pfaffian is 0 (the
+      generic polynomial ring is a domain), and its expansion along i reads
+      sum_j s_ij a_kj Pf(A without i, j) = 0.  So A C^T = Pf(A) I for
+      C_ij = s_ij Pf(A without i, j), and when Pf(A) is a unit
+      A^-1 = C^T / Pf(A): for i < j, (A^-1)_ij = s_ji Pf(A without i, j)
+      / Pf(A) = (-1)^(i+j) Pf(A without i, j) / Pf(A), and
+      (A^-1)_ji = s_ij Pf(...) / Pf(A) = -(A^-1)_ij; the diagonal is 0.
+    * On odd rank n, det A = det(A^T) = det(-A) = (-1)^n det A, so
+      2 det A = 0, and det A = 0 because 2 is invertible over Q.  Nothing
+      is expanded, and the inverse raises NotInvertible on the zero
+      determinant, as the general path does.
+    """
+    one = algebroid.patch.one()
+    zero = algebroid.zero_scalar()
+    memo: Dict[int, ExpPoly] = {0: one}
+
+    def pf(mask: int) -> ExpPoly:
+        value = memo.get(mask)
+        if value is None:
+            value = zero
+            first = mask & -mask
+            row = matrix[first.bit_length() - 1]
+            rest = mask ^ first
+            bits, odd = rest, False
+            while bits:
+                bit = bits & -bits
+                bits ^= bit
+                entry = row[bit.bit_length() - 1]
+                if not entry.is_zero:
+                    sub = pf(rest ^ bit)
+                    if not sub.is_zero:
+                        term = entry if sub is one else entry * sub
+                        value = value - term if odd else value + term
+                odd = not odd
+            memo[mask] = value
+        return value
+
+    return pf
+
+
 # -- musical maps ----------------------------------------------------------
 
 
@@ -312,15 +448,9 @@ def flat_map(omega: Form) -> TensorMap:
 
 
 def _antisymmetric_tensor(m: TensorMap, cls: type) -> Section:
+    if not _is_skew(m.matrix):
+        raise MismatchError("matrix does not come from an antisymmetric tensor")
     r = m.algebroid.rank
-    for i in range(r):
-        if not m.matrix[i][i].is_zero:
-            raise MismatchError("matrix does not come from an antisymmetric tensor")
-        for j in range(i):
-            if m.matrix[i][j] != -m.matrix[j][i]:
-                raise MismatchError(
-                    "matrix does not come from an antisymmetric tensor"
-                )
     comps: Dict[Key, ExpPoly] = {}
     for i in range(r):
         for j in range(i + 1, r):

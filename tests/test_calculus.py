@@ -312,6 +312,35 @@ def test_twisted_schouten_zero_twist_reduction():
         assert phi0_schouten(J, P, Q) == schouten(P, Q), f"seed={seed}"
 
 
+def test_zero_twist_builds_no_correction(monkeypatch):
+    # the full formula with a zero twist, scalars included, is the plain
+    # bracket, and phi0_schouten returns it without contracting
+    from jacv import calculus
+
+    _, A = small_tangent()
+    zero = Form.zero(A, 1)
+    J = JacobiAlgebroidData(A, zero)
+    cases = []
+    for seed in range(12):
+        r = random.Random(seed)
+        a1, a2 = r.randint(0, 3), r.randint(0, 3)
+        P = rand_multivector(r, A, a1, max_degree=1, terms=2)
+        Q = rand_multivector(r, A, a2, max_degree=1, terms=2)
+        full = schouten(P, Q)
+        if a1 != 1 and a2:
+            full = full + (a1 - 1) * wedge(P, contract(zero, Q))
+        if a2 != 1 and a1:
+            full = full - (-1) ** (a1 + 1) * (a2 - 1) * wedge(contract(zero, P), Q)
+        cases.append((P, Q, full))
+
+    def no_contract(*args):
+        raise AssertionError("contract called under a zero twist")
+
+    monkeypatch.setattr(calculus, "contract", no_contract)
+    for P, Q, full in cases:
+        assert phi0_schouten(J, P, Q) == full, (P.degree, Q.degree)
+
+
 def test_twisted_schouten_antisymmetry():
     _, A = small_tangent()
     for seed in range(15):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -24,7 +25,7 @@ from jacv.calculus import (
     wedge,
 )
 from jacv.coeff import ExpPoly, NotInvertible
-from jacv.lift import lift_bialgebroid
+from jacv.lift import lift_bialgebroid, lift_section
 from jacv.structures import (
     SIDE_A,
     SIDE_DUAL,
@@ -150,14 +151,37 @@ def test_tensor_map_algebra():
     assert ident.compose(N) == N
     assert N.dual().dual() == N
     fl = flat_map(c.Om)
-    assert fl.compose(fl.inverse()) == TensorMap.identity(c.ext, SIDE_DUAL)
-    assert fl.inverse().compose(fl) == ident
+    # inverse after m and m after inverse are the identities of both sides,
+    # on flats, a sharp and a lifted e^t Om, whose Pfaffian is e^(3t)
+    bar = lift_bialgebroid(c.C).A
+    lifted = lift_section(bar, c.Om).lifted
+    for m in (fl, flat_map(c.wH), flat_map(c.wE), sharp_map(c.Pi), flat_map(lifted)):
+        inv = m.inverse()
+        assert inv.compose(m) == TensorMap.identity(m.algebroid, m.source)
+        assert m.compose(inv) == TensorMap.identity(m.algebroid, m.target)
     # contravariance of the transpose
     assert fl.compose(N).dual() == N.dual().compose(fl.dual())
     assert (N + (-N)).is_zero and (N - N).is_zero
     assert N - ident == N + (-ident) and (N - ident) + ident == N
     det = fl.determinant()
     assert det == c.ext.scalar(1)
+
+
+def test_skew_inverse_forms_few_products(monkeypatch):
+    # flat(Om) is inverted from one Pfaffian memo in 11 products; the
+    # Laplace minors and adjugate of the general path take 72
+    m = flat_map(contact().Om)
+    products = []
+    mul = ExpPoly.__mul__
+
+    def counting_mul(self, other):
+        products.append(self)
+        return mul(self, other)
+
+    monkeypatch.setattr(ExpPoly, "__mul__", counting_mul)
+    inv = m.inverse()
+    assert len(products) < 20, len(products)
+    assert inv.compose(m) == TensorMap.identity(m.algebroid, SIDE_A)
 
 
 def _oracle_matrix(r, A, skew, density):
@@ -187,14 +211,16 @@ def _unit_determinant_matrix(r, A, skew):
     def endo(m):
         return TensorMap(A, SIDE_A, SIDE_A, m.matrix)
 
+    def unit():
+        return A.scalar(r.choice([-2, -1, 1, 3])).times_exp(r.randint(-1, 1))
+
     L = endo(unit_triangular(r, A).dual())
     if skew:
-        return L.compose(endo(standard_flat(A)).compose(endo(L.dual())))
+        # Pf = u^(rank/2) for the unit u scaling J
+        J = endo(standard_flat(A)).scale(unit())
+        return L.compose(J.compose(endo(L.dual())))
     zero = A.zero_scalar()
-    diagonal = [
-        A.scalar(r.choice([-2, -1, 1, 3])).times_exp(r.randint(-1, 1))
-        for _ in range(A.rank)
-    ]
+    diagonal = [unit() for _ in range(A.rank)]
     D = TensorMap(A, SIDE_A, SIDE_A, tuple(
         tuple(diagonal[i] if i == j else zero for j in range(A.rank))
         for i in range(A.rank)
@@ -212,9 +238,26 @@ ORACLE_CASES = (
 )
 
 
-def test_determinant_and_inverse_match_sympy():
+def _not_a_unit(det):
+    """The NotInvertible of a non-unit determinant, message and all."""
+    return pytest.raises(NotInvertible, match=re.escape(f"{det} is not a unit in the ring"))
+
+
+def test_determinant_and_inverse_match_sympy(monkeypatch):
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
+
+    # the matrix alone picks the path: skew maps expand Pfaffians, all others
+    # Laplace minors
+    paths = []
+    for name in ("_minors", "_pfaffians"):
+        def spy(algebroid, matrix, _name=name, _real=getattr(structures, name)):
+            paths.append(_name)
+            return _real(algebroid, matrix)
+        monkeypatch.setattr(structures, name, spy)
+
+    def path(m):
+        return "_pfaffians" if structures._is_skew(m.matrix) else "_minors"
 
     QQ = sympy.QQ
     names = ("x", "y", "z", "u", "v", "w")
@@ -238,6 +281,33 @@ def test_determinant_and_inverse_match_sympy():
             rows = [[poly(c, shift) for c in row] for row in m.matrix]
             return DomainMatrix(rows, (rank, rank), R)
 
+        def check_det(m, where):
+            del paths[:]
+            det = m.determinant()
+            assert set(paths) == {path(m)}, where
+            # entries have weights >= -1, so E m is polynomial
+            assert poly(det, rank) == matrix(m, 1).det(), where
+            if not det.is_unit():
+                with _not_a_unit(det):
+                    m.inverse()
+            return det
+
+        def check_inverse(unit, where):
+            low = max(0, -min(k for row in unit.matrix for c in row for k in c.terms))
+            # inverse(E^low unit) = num / den, i.e. adjugate / det; inv_den
+            # stands in for adjugate(), which raises a TypeError in sympy 1.14
+            # on some polynomial matrices (a charpoly with a zero coefficient)
+            num, den = matrix(unit, low).inv_den()
+            del paths[:]
+            inv = unit.inverse()
+            assert set(paths) == {path(unit)}, where
+            high = max(0, -min(k for row in inv.matrix for c in row for k in c.terms))
+            for i in range(rank):
+                for j in range(rank):
+                    assert poly(inv.matrix[i][j], high) * den == (
+                        e_power(high + low) * num[i, j].element
+                    ), (where, i, j)
+
         for seed, (skew, density, zero_line) in enumerate(ORACLE_CASES):
             r = random.Random(100 * rank + seed)
             m = _oracle_matrix(r, A, skew, density)
@@ -248,34 +318,39 @@ def test_determinant_and_inverse_match_sympy():
                           for j, c in enumerate(row))
                     for i, row in enumerate(m.matrix)
                 ))
-            det = m.determinant()
+            det = check_det(m, (rank, seed))
             if (skew and rank % 2) or zero_line is not None:
                 assert det.is_zero, (rank, seed)
-            # entries have weights >= -1, so E m is polynomial
-            assert poly(det, rank) == matrix(m, 1).det(), (rank, seed)
-            if not det.is_unit():
-                with pytest.raises(NotInvertible):
-                    m.inverse()
-            if seed >= 2 or (skew and rank % 2):
-                continue
-            unit = _unit_determinant_matrix(r, A, skew)
-            low = max(0, -min(k for row in unit.matrix for c in row for k in c.terms))
-            # inverse(E^low unit) = num / den, i.e. adjugate / det; inv_den
-            # stands in for adjugate(), which raises a TypeError in sympy 1.14
-            # on some polynomial matrices (a charpoly with a zero coefficient)
-            num, den = matrix(unit, low).inv_den()
-            inv = unit.inverse()
-            high = max(0, -min(k for row in inv.matrix for c in row for k in c.terms))
-            for i in range(rank):
-                for j in range(rank):
-                    assert poly(inv.matrix[i][j], high) * den == (
-                        e_power(high + low) * num[i, j].element
-                    ), (rank, seed, i, j)
+            # every skew case at even rank, and the first general one
+            if (skew and rank % 2 == 0) or seed == 0:
+                check_inverse(_unit_determinant_matrix(r, A, skew), (rank, seed))
+        # near-skew: one nonzero diagonal entry, or (rank >= 2) one entry
+        # equal to its mirror instead of its negative, takes the minors
+        r = random.Random(100 * rank + 99)
+        m = _oracle_matrix(r, A, True, 1.0)
+        k = r.randrange(rank)
+        rows = [list(row) for row in m.matrix]
+        rows[k][k] = A.patch.coord(names[k]) + 1
+        near = [TensorMap(A, SIDE_A, SIDE_A, rows)]
+        if rank >= 2:
+            rows = [list(row) for row in m.matrix]
+            rows[1][0] = rows[0][1]
+            near.append(TensorMap(A, SIDE_A, SIDE_A, rows))
+        for variant, m in enumerate(near):
+            assert path(m) == "_minors"
+            check_det(m, (rank, "near-skew", variant))
     # a nonzero determinant that is not a unit: x e^t
     A = make_tangent(Patch(("x",)))
     m = TensorMap(A, SIDE_A, SIDE_A, ((A.patch.coord("x").times_exp(1),),))
     assert not m.is_unit_determinant()
-    with pytest.raises(NotInvertible):
+    with _not_a_unit(m.determinant()):
+        m.inverse()
+    # an odd-rank skew map: det 0, and its inverse names that determinant
+    A = make_tangent(Patch(names[:3]))
+    m = _oracle_matrix(random.Random(7), A, True, 1.0)
+    assert path(m) == "_pfaffians" and m.determinant().is_zero
+    assert not m.is_unit_determinant()
+    with pytest.raises(NotInvertible, match="^0 is not a unit in the ring$"):
         m.inverse()
 
 

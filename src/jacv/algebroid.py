@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .coeff import ExpPoly
+from .coeff import ExpPoly, product_term, sum_products
 from . import calculus
 
 
@@ -173,16 +173,15 @@ class AlgebroidPatch:
         that includes its exp weights), since it is zero, and an entry equal
         to 1 (every entry of a tangent or extension frame) is not multiplied.
         """
-        out = self.zero_scalar()
-        for name, entry in self.anchor[index]:
-            if f.involves(name):
-                out = out + _times(entry, f.diff(name), self.patch.one())
-        return out
-
-
-def _times(c: ExpPoly, value: ExpPoly, one: ExpPoly) -> ExpPoly:
-    """c * value, with no product formed when c is 1."""
-    return value if c == one else c * value
+        one = self.patch.one()
+        terms = [
+            product_term(1, entry, f.diff(name), one)
+            for name, entry in self.anchor[index]
+            if f.involves(name)
+        ]
+        if not terms:
+            return self.zero_scalar()
+        return sum_products(self.patch.variables, terms)
 
 
 def anchor_apply(A: AlgebroidPatch, X: "calculus.MultiVector", f: ExpPoly) -> ExpPoly:
@@ -190,12 +189,14 @@ def anchor_apply(A: AlgebroidPatch, X: "calculus.MultiVector", f: ExpPoly) -> Ex
     whose derivative is zero forms no product, nor does a component 1."""
     if X.degree != 1:
         raise ValueError("anchor_apply expects a degree-1 section")
-    out = A.zero_scalar()
+    terms = []
     for (i,), c in X.components.items():
         df = A.anchor_deriv(i, f)
         if not df.is_zero:
-            out = out + _times(c, df, A.patch.one())
-    return out
+            terms.append(product_term(1, c, df, A.patch.one()))
+    if not terms:
+        return A.zero_scalar()
+    return sum_products(A.patch.variables, terms)
 
 
 def bracket_sections(

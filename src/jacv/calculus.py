@@ -44,7 +44,34 @@ Sign conventions fixed here and relied on everywhere else:
   ``AlgebroidPatch.is_trivial``) every term of the differential and of the
   closed form above has a factor c_ij^k or rho(e_i) g, so ``differential``
   returns 0 (twist ^ w when twisted) and ``schouten`` returns 0 without
-  running the frame loops; the twisted bracket keeps only its twist terms.
+  running the frame loops; the twisted bracket keeps only its twist terms;
+* every component of ``wedge``, ``contract``, ``differential``, ``schouten``
+  and ``phi0_schouten`` is gathered as a list of signed products
+  (k, a, b) per output key and built once by ``coeff.sum_products``; the
+  twist terms of the differential and of the twisted bracket go into the
+  same lists, so each result is one section built once;
+* a section bracketed with itself (``schouten(D, D)`` or
+  ``phi0_schouten(J, D, D)`` with one object twice) of degree a.  The
+  second graded rule with a1 = a2 = a reads [D, D] = -(-1)^((a-1)^2) [D, D].
+  For odd a the exponent is even, so 2 [D, D] = 0 and [D, D] = 0, because 2
+  is invertible over Q.  For even a the exponent is odd and the bracket is
+  symmetric in degree a, so over the frame monomials m_I = f_I e_I of D
+      [D, D] = sum_{I,J} [m_I, m_J] = sum_I [m_I, m_I] + 2 sum_{I<J} [m_I, m_J]
+  for any order of the keys; ``schouten`` runs the closed form once per
+  unordered pair, with k = 2 off the diagonal.  The twist terms of
+  ``phi0_schouten`` read
+  (a - 1) D ^ iota(D) - (-1)^(a+1) (a - 1) iota(D) ^ D.  Since iota(D) has
+  degree a - 1 and a(a - 1) is even, iota(D) ^ D = D ^ iota(D), so they sum
+  to (a - 1)(1 + (-1)^a) D ^ iota(D): 0 for odd a, where the whole twisted
+  self-bracket is 0, and 2 (a - 1) D ^ iota(D) for even a, one contraction
+  and one wedge (none for a = 0, where iota(D) is read as 0);
+* in the closed form rho(e_i) g_J is asked for every f_I with i in I, and
+  rho(e_j) f_I for every g_J with j in J.  When deg P = 1 each I is one
+  index, so each rho(e_i) g_J is asked once; when deg P >= 2 they are
+  memoized by (i, J) for the call, and likewise for P's components when
+  deg Q >= 2 (one memo when P is Q).  So rho(e_i) of a stored component is
+  taken at most once per bracket, and a bracket of degree-1 sections keeps
+  no memo.  A frame element with no anchor entry takes no derivative.
 
 Sections over the direct sum with a trivial line are identified with pairs
 (P, Q) via  (P, Q) = P + ehat ^ Q  (split / merge below); all the pair
@@ -53,14 +80,16 @@ formulas quoted in the structure checks come out of this identification.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .coeff import ExpPoly
+from .coeff import ExpPoly, Product, product_term, sum_products
 
 Key = Tuple[int, ...]
+Sums = Dict[Key, List[Product]]
 
 
 class MismatchError(ValueError):
@@ -250,13 +279,15 @@ def _wedge_keys(left: Key, right: Key) -> Optional[Tuple[int, Key]]:
     return (-1 if inversions % 2 else 1), tuple(sorted(left + right))
 
 
-def _accumulate(comps: Dict[Key, ExpPoly], sign: int, key: Key, term: ExpPoly) -> None:
-    """Add ``sign * term`` into ``comps[key]``; a negative sign subtracts."""
-    old = comps.get(key)
-    if old is None:
-        comps[key] = -term if sign < 0 else term
-    else:
-        comps[key] = old - term if sign < 0 else old + term
+def _built(cls: type, A: object, degree: int, sums: Sums) -> Section:
+    """The section whose component on each key is the sum of that key's
+    signed products, each built as one value; the constructor validates."""
+    variables = A.patch.variables
+    return cls(
+        A,
+        degree,
+        {key: sum_products(variables, products) for key, products in sums.items()},
+    )
 
 
 # -- wedge, contraction, pairing ------------------------------------------
@@ -268,13 +299,19 @@ def wedge(u: Section, v: Section) -> Section:
         raise MismatchError("wedge needs two sections of the same kind")
     if u.algebroid is not v.algebroid:
         raise MismatchError("sections live over different algebroids")
-    comps: Dict[Key, ExpPoly] = {}
+    sums: Sums = defaultdict(list)
+    _wedge_into(sums, 1, u, v)
+    return _built(type(u), u.algebroid, u.degree + v.degree, sums)
+
+
+def _wedge_into(sums: Sums, k: int, u: Section, v: Section) -> None:
+    """Add the products of ``k * (u ^ v)`` into ``sums``."""
     for ka, ca in u.components.items():
         for kb, cb in v.components.items():
             placed = _wedge_keys(ka, kb)
             if placed is not None:
-                _accumulate(comps, *placed, ca * cb)
-    return type(u)(u.algebroid, u.degree + v.degree, comps)
+                sign, key = placed
+                sums[key].append((sign * k, ca, cb))
 
 
 def wedge_power(u: Section, power: int) -> Section:
@@ -298,15 +335,14 @@ def contract(x: Section, u: Section) -> Section:
         raise MismatchError("the contracted section must have degree 1")
     if u.degree == 0:
         raise MismatchError("cannot contract into a degree-0 section")
-    comps: Dict[Key, ExpPoly] = {}
+    sums: Sums = defaultdict(list)
     for key, c in u.components.items():
         for pos, idx in enumerate(key):
             xc = x.components.get((idx,))
-            if xc is None:
-                continue
-            rest = key[:pos] + key[pos + 1 :]
-            _accumulate(comps, -1 if pos % 2 else 1, rest, xc * c)
-    return type(u)(u.algebroid, u.degree - 1, comps)
+            if xc is not None:
+                rest = key[:pos] + key[pos + 1 :]
+                sums[rest].append((-1 if pos % 2 else 1, xc, c))
+    return _built(type(u), u.algebroid, u.degree - 1, sums)
 
 
 def pair(w: Section, p: Section) -> ExpPoly:
@@ -317,12 +353,11 @@ def pair(w: Section, p: Section) -> ExpPoly:
         raise MismatchError("sections live over different algebroids")
     if w.degree != p.degree:
         raise MismatchError("pairing needs equal degrees")
-    out = w.algebroid.zero_scalar()
-    for key, c in w.components.items():
-        other = p.components.get(key)
-        if other is not None:
-            out = out + c * other
-    return out
+    theirs = p.components
+    products = [(1, c, theirs[key]) for key, c in w.components.items() if key in theirs]
+    if not products:
+        return w.algebroid.zero_scalar()
+    return sum_products(w.algebroid.patch.variables, products)
 
 
 def eval_on(u: Section, args: Sequence[Section]) -> ExpPoly:
@@ -361,40 +396,38 @@ def differential(arg: object, w: Form) -> Form:
         raise MismatchError("form lives over a different algebroid")
     if A.is_trivial:
         return Form.zero(A, w.degree + 1) if phi0 is None else wedge(phi0, w)
-    r = A.rank
-    zero = A.zero_scalar()
-    comps: Dict[Key, ExpPoly] = {}
-    for key in combinations(range(r), w.degree + 1):
-        acc = zero
+    sums: Sums = defaultdict(list)
+    for key in combinations(range(A.rank), w.degree + 1):
+        products = []
         for pos, idx in enumerate(key):
-            rest = key[:pos] + key[pos + 1 :]
-            c = w.components.get(rest)
+            if not A.anchor[idx]:
+                continue
+            c = w.components.get(key[:pos] + key[pos + 1 :])
             if c is None:
                 continue
             term = A.anchor_deriv(idx, c)
-            acc = acc - term if pos % 2 else acc + term
+            if not term.is_zero:
+                products.append((-1 if pos % 2 else 1, term, None))
         for pa in range(len(key)):
             for pb in range(pa + 1, len(key)):
-                rest = tuple(
-                    idx for pos, idx in enumerate(key) if pos not in (pa, pb)
-                )
+                row = A.brackets.get((key[pa], key[pb]))
+                if row is None:
+                    continue
+                rest = key[:pa] + key[pa + 1 : pb] + key[pb + 1 :]
                 outer = -1 if (pa + pb) % 2 else 1
-                for m, cm in A.brackets.get((key[pa], key[pb]), ()):
+                for m, cm in row:
                     placed = _wedge_keys((m,), rest)
                     if placed is None:
                         continue
                     sign, full = placed
                     wc = w.components.get(full)
-                    if wc is None:
-                        continue
-                    term = cm * wc
-                    acc = acc + term if sign * outer > 0 else acc - term
-        if not acc.is_zero:
-            comps[key] = acc
-    out = Form(A, w.degree + 1, comps)
+                    if wc is not None:
+                        products.append((sign * outer, cm, wc))
+        if products:
+            sums[key] = products
     if phi0 is not None:
-        out = out + wedge(phi0, w)
-    return out
+        _wedge_into(sums, 1, phi0, w)
+    return _built(Form, A, w.degree + 1, sums)
 
 
 def lie_derivative(arg: object, X: MultiVector, u: Section) -> Section:
@@ -430,59 +463,94 @@ def schouten(P: MultiVector, Q: MultiVector) -> MultiVector:
     g rho(e_j)f e_i; on degree 0 against degree 1 it is the anchored
     derivative, and two scalars bracket to 0.  Every term has a factor
     c_ij^k or rho(e_i) g, so the bracket vanishes on a trivial algebroid.
+    A section bracketed with itself (the same object) is 0 in odd degree
+    and runs over unordered monomial pairs in even degree (module
+    docstring).
     """
     if not isinstance(P, MultiVector) or not isinstance(Q, MultiVector):
         raise MismatchError("the Schouten bracket acts on multivectors")
     if P.algebroid is not Q.algebroid:
         raise MismatchError("sections live over different algebroids")
     A = P.algebroid
+    degree = max(P.degree + Q.degree - 1, 0)
+    if A.is_trivial or (P is Q and P.degree % 2):
+        return MultiVector.zero(A, degree)
+    sums: Sums = defaultdict(list)
+    _schouten_into(sums, P, Q)
+    return _built(MultiVector, A, degree, sums)
+
+
+def _schouten_into(sums: Sums, P: MultiVector, Q: MultiVector) -> None:
+    """Add the products of [P, Q] into ``sums``.  When P is Q (even degree)
+    each unordered pair of monomials is bracketed once, with k = 2 off the
+    diagonal.  rho(e_i) of a stored component is taken once per call: it is
+    memoized by (i, key) on a side whose derivatives can be asked for twice,
+    which needs the other side to have degree 2 or more."""
+    A = P.algebroid
     p, q = P.degree, Q.degree
-    if A.is_trivial:
-        return MultiVector.zero(A, max(p + q - 1, 0))
+    same = P is Q
     swap = 1 if (p - 1) * (q - 1) % 2 else -1  # -(-1)^((p-1)(q-1))
-    comps: Dict[Key, ExpPoly] = {}
-    for I, f in P.components.items():
-        for J, g in Q.components.items():
+    one = A.patch.one()
+    anchor, brackets = A.anchor, A.brackets
+    d_of_Q: Optional[Dict] = {} if p > 1 else None
+    d_of_P = d_of_Q if same else ({} if q > 1 else None)
+    left = list(P.components.items())
+    right = left if same else list(Q.components.items())
+    for n, (I, f) in enumerate(left):
+        for m in range(n if same else 0, len(right)):
+            J, g = right[m]
+            k = 2 if same and m > n else 1
             fg = None
             for a, i in enumerate(I):
                 I_a = I[:a] + I[a + 1 :]
                 for b, j in enumerate(J):
-                    row = A.brackets.get((i, j) if i < j else (j, i))
+                    row = brackets.get((i, j) if i < j else (j, i))
                     rest = _wedge_keys(I_a, J[:b] + J[b + 1 :]) if row else None
                     if rest is None:
                         continue
                     sign, K = rest
-                    sign *= (-1) ** (a + b)
+                    sign *= k * (-1) ** (a + b)
                     if i > j:  # [e_i, e_j] = -[e_j, e_i]
                         sign = -sign
                     if fg is None:
-                        fg = f * g
-                    for m, c in row:
-                        placed = _wedge_keys((m,), K)
+                        fg = g if f is one else f if g is one else f * g
+                    for mm, c in row:
+                        placed = _wedge_keys((mm,), K)
                         if placed is not None:
                             s, key = placed
-                            _accumulate(comps, s * sign, key, fg * c)
+                            sums[key].append(product_term(s * sign, fg, c, one))
+                if not anchor[i]:
+                    continue
                 placed = _wedge_keys(I_a, J)
                 if placed is not None:
                     sign, key = placed
-                    dg = A.anchor_deriv(i, g)
+                    dg = _anchored(A, d_of_Q, i, J, g)
                     if not dg.is_zero:
-                        _accumulate(comps, sign * (-1) ** (p - 1 - a), key, f * dg)
+                        sign *= k * (-1) ** (p - 1 - a)
+                        sums[key].append(product_term(sign, f, dg, one))
             for b, j in enumerate(J):
+                if not anchor[j]:
+                    continue
                 placed = _wedge_keys(J[:b] + J[b + 1 :], I)
                 if placed is not None:
                     sign, key = placed
-                    df = A.anchor_deriv(j, f)
+                    df = _anchored(A, d_of_P, j, I, f)
                     if not df.is_zero:
-                        sign *= swap * (-1) ** (q - 1 - b)
-                        _accumulate(comps, sign, key, g * df)
-    return MultiVector(A, max(p + q - 1, 0), comps)
+                        sign *= k * swap * (-1) ** (q - 1 - b)
+                        sums[key].append(product_term(sign, g, df, one))
 
 
-def _iota_twist(phi0: Form, D: MultiVector) -> Optional[MultiVector]:
-    if D.degree == 0:
-        return None
-    return contract(phi0, D)
+def _anchored(
+    A: object, memo: Optional[Dict], i: int, key: Key, value: ExpPoly
+) -> ExpPoly:
+    """rho(e_i) of the component ``value`` stored on ``key``, through
+    ``memo`` when one is given."""
+    if memo is None:
+        return A.anchor_deriv(i, value)
+    d = memo.get((i, key))
+    if d is None:
+        d = memo[i, key] = A.anchor_deriv(i, value)
+    return d
 
 
 def phi0_schouten(J: object, D1: MultiVector, D2: MultiVector) -> MultiVector:
@@ -492,26 +560,35 @@ def phi0_schouten(J: object, D1: MultiVector, D2: MultiVector) -> MultiVector:
 
     with iota contraction by the twist and iota of a degree-0 section read
     as 0.  A zero twist contracts to zero sections, so the plain bracket is
-    returned with no correction built."""
+    returned with no correction built.  The corrections are summed into the
+    bracket's own products, so the result is built once.  When D1 is D2 the
+    whole bracket is 0 in odd degree a, and in even degree the corrections
+    are 2 (a - 1) D ^ iota(D) (module docstring)."""
     A, phi0 = _twist_of(J)
     if phi0 is None:
         raise MismatchError("phi0_schouten needs twist data")
     if D1.algebroid is not A or D2.algebroid is not A:
         raise MismatchError("sections live over different algebroids")
-    a1, a2 = D1.degree, D2.degree
-    total = schouten(D1, D2)
     if phi0.is_zero:
-        return total
-    if a1 != 1:
-        inner = _iota_twist(phi0, D2)
-        if inner is not None:
-            total = total + (a1 - 1) * wedge(D1, inner)
-    if a2 != 1:
-        inner = _iota_twist(phi0, D1)
-        if inner is not None:
-            sign = -1 if (a1 + 1) % 2 else 1
-            total = total + (-sign) * (a2 - 1) * wedge(inner, D2)
-    return total
+        return schouten(D1, D2)
+    a1, a2 = D1.degree, D2.degree
+    degree = max(a1 + a2 - 1, 0)
+    same = D1 is D2
+    if same and a1 % 2:
+        return MultiVector.zero(A, degree)
+    sums: Sums = defaultdict(list)
+    if not A.is_trivial:
+        _schouten_into(sums, D1, D2)
+    if same:
+        if a1 > 1:
+            _wedge_into(sums, 2 * (a1 - 1), D1, contract(phi0, D1))
+    else:
+        if a1 != 1 and a2:
+            _wedge_into(sums, a1 - 1, D1, contract(phi0, D2))
+        if a2 != 1 and a1:
+            sign = 1 if (a1 + 1) % 2 else -1  # -(-1)^(a1+1)
+            _wedge_into(sums, sign * (a2 - 1), contract(phi0, D1), D2)
+    return _built(MultiVector, A, degree, sums)
 
 
 # -- direct sum with a trivial line: pair sections ------------------------

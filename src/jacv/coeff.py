@@ -21,12 +21,22 @@ and relies on the invariant above.  Both paths store the value through
 ``__init__``, which drops zero coefficients and empty weights and turns a
 ``Fraction(n, 1)`` into ``n``; every value built is one ``__init__`` call.
 
-No operation builds a value it throws away.  ``a - b`` subtracts in one pass
-and builds one value, not ``-b`` and then the sum; ``+`` and ``*`` return an
-operand as it is when the other is zero, and so does ``a - 0``.  A
-derivative along a variable the value does not involve is zero, and
-``involves`` tells so without building it, which lets callers that
-differentiate along a whole anchor skip those variables.
+Every sum and product is formed by one kernel, ``add_product(terms, k, a,
+b)``, which adds k * a * b (or k * a) into a raw ``TermsDict`` in place; the
+finished buffer becomes one value through ``_make``.  ``+``, ``-`` and
+``*`` are one buffer each, and ``sum_products`` takes a whole signed sum of
+products (a list of ``(k, a, b)``) to one value.  The callers in
+``calculus``, ``algebroid`` and ``structures`` collect their products per
+output component and build each component once.
+
+No operation builds a value it throws away, partial sums included: a sum
+of n products is one value, not n products and n - 1 partial sums.
+``a - b`` subtracts in one pass and builds one value, not ``-b`` and then
+the sum; ``+`` and ``*`` return an operand as it is when the other is zero,
+and so does ``a - 0``; a lone unscaled term of ``sum_products`` is returned
+as it is.  A derivative along a variable the value does not involve is
+zero, and ``involves`` tells so without building it, which lets callers
+that differentiate along a whole anchor skip those variables.
 
 This ring is not a field.  The only invertible elements are q * exp(k*t) with
 q a nonzero rational; ``unit_inverse`` raises :class:`NotInvertible` for
@@ -37,7 +47,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 Exponent = Tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -85,14 +95,84 @@ def _weight(value: Scalar) -> int:
     return value.numerator
 
 
-def _poly_mul(out: PolyDict, p: PolyDict, q: PolyDict) -> None:
-    """Accumulate p * q into ``out``; zeros and integral Fractions are left
-    for ``ExpPoly._make`` to clean."""
-    get = out.get
-    for ea, ca in p.items():
-        for eb, cb in q.items():
-            key = tuple(map(add, ea, eb))
-            out[key] = get(key, 0) + ca * cb
+def add_product(
+    terms: TermsDict, k: int, a: "ExpPoly", b: Optional["ExpPoly"] = None
+) -> None:
+    """Add ``k * a * b``, or ``k * a`` when ``b`` is None, into the raw
+    buffer ``terms`` in place; ``k`` is a small int.
+
+    A key the buffer does not hold yet stores the product itself, with no
+    ``0 +`` in front.  A weight the buffer does not hold yet gets a fresh
+    dict, never an operand's own, so the operands are not changed when the
+    buffer is.  A monomial with no variable in it (a constant, or a unit
+    q * exp(k*t)) shifts no exponent, so it forms no exponent tuple.  Zero
+    coefficients and empty weights are left for ``ExpPoly._make`` to drop.
+    The operands must be over the variables the buffer is built for; the
+    caller checks that, as for ``_make``.
+    """
+    if b is None:
+        for weight, poly in a.terms.items():
+            acc = terms.get(weight)
+            if acc is None:
+                terms[weight] = (
+                    dict(poly) if k == 1 else {e: k * c for e, c in poly.items()}
+                )
+                continue
+            get = acc.get
+            if k == 1:
+                for e, c in poly.items():
+                    old = get(e)
+                    acc[e] = c if old is None else old + c
+            elif k == -1:
+                for e, c in poly.items():
+                    old = get(e)
+                    acc[e] = -c if old is None else old - c
+            else:
+                for e, c in poly.items():
+                    old = get(e)
+                    acc[e] = k * c if old is None else old + k * c
+        return
+    for ka, pa in a.terms.items():
+        for kb, pb in b.terms.items():
+            acc = terms.get(ka + kb)
+            if acc is None:
+                acc = terms[ka + kb] = {}
+            get = acc.get
+            for ea, ca in pa.items():
+                if k != 1:
+                    ca = k * ca
+                shifts = any(ea)
+                for eb, cb in pb.items():
+                    key = tuple(map(add, ea, eb)) if shifts else eb
+                    value = ca * cb
+                    old = get(key)
+                    acc[key] = value if old is None else old + value
+
+
+Product = Tuple[int, "ExpPoly", Optional["ExpPoly"]]
+
+
+def product_term(k: int, a: "ExpPoly", b: "ExpPoly", one: "ExpPoly") -> Product:
+    """The term k * a * b of ``sum_products``, with no factor equal to
+    ``one`` (the constant 1), so that 1 times a value forms no product."""
+    if a == one:
+        return k, b, None
+    return (k, a, None) if b == one else (k, a, b)
+
+
+def sum_products(variables: Tuple[str, ...], products: Sequence[Product]) -> "ExpPoly":
+    """The sum of ``k * a * b`` (``k * a`` when ``b`` is None) over
+    ``products``, built as one value through ``add_product``.  A lone
+    ``(1, a, None)`` is ``a`` itself and builds nothing.  Every operand must
+    be over ``variables``; the caller checks that."""
+    if len(products) == 1:
+        k, a, b = products[0]
+        if k == 1 and b is None:
+            return a
+    terms: TermsDict = {}
+    for k, a, b in products:
+        add_product(terms, k, a, b)
+    return ExpPoly._make(variables, terms)
 
 
 class ExpPoly:
@@ -215,17 +295,9 @@ class ExpPoly:
             return self
         if not self.terms:
             return -rhs if subtract else rhs
-        terms: TermsDict = {k: dict(p) for k, p in self.terms.items()}
-        for weight, poly in rhs.terms.items():
-            acc = terms.get(weight)
-            if acc is None:
-                terms[weight] = {e: -c for e, c in poly.items()} if subtract else poly
-            elif subtract:
-                for e, c in poly.items():
-                    acc[e] = acc.get(e, 0) - c
-            else:
-                for e, c in poly.items():
-                    acc[e] = acc.get(e, 0) + c
+        terms: TermsDict = {}
+        add_product(terms, 1, self)
+        add_product(terms, -1 if subtract else 1, rhs)
         return ExpPoly._make(self.vars, terms)
 
     def __mul__(self, other: object) -> "ExpPoly":
@@ -237,9 +309,7 @@ class ExpPoly:
         if not rhs.terms:
             return rhs
         terms: TermsDict = {}
-        for ka, pa in self.terms.items():
-            for kb, pb in rhs.terms.items():
-                _poly_mul(terms.setdefault(ka + kb, {}), pa, pb)
+        add_product(terms, 1, self, rhs)
         return ExpPoly._make(self.vars, terms)
 
     __rmul__ = __mul__
@@ -279,16 +349,18 @@ class ExpPoly:
         if name not in self.vars:
             raise UnknownVariable(f"{name!r} is not one of {self.vars}")
         idx = self.vars.index(name)
-        is_t = name == "t"
         terms: TermsDict = {}
         for weight, poly in self.terms.items():
-            acc = terms.setdefault(weight, {})
-            for e, c in poly.items():
-                if e[idx]:
-                    key = e[:idx] + (e[idx] - 1,) + e[idx + 1:]
-                    acc[key] = acc.get(key, 0) + c * e[idx]
-                if is_t and weight:
-                    acc[e] = acc.get(e, 0) + c * weight
+            # lowering the power of one variable sends distinct monomials to
+            # distinct keys; only the exp weight of d/dt can meet one of them
+            acc = terms[weight] = {
+                e[:idx] + (e[idx] - 1,) + e[idx + 1 :]: c * e[idx]
+                for e, c in poly.items() if e[idx]
+            }
+            if weight and name == "t":
+                for e, c in poly.items():
+                    old = acc.get(e)
+                    acc[e] = c * weight if old is None else old + c * weight
         return ExpPoly._make(self.vars, terms)
 
     def evaluate(

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .coeff import ExpPoly, NotInvertible
+from .coeff import ExpPoly, NotInvertible, product_term, sum_products
 from .algebroid import (
     FAIL,
     PASS,
@@ -160,14 +160,14 @@ class TensorMap:
             raise MismatchError("section lives over a different algebroid")
         # Only the stored components contribute: column j of the matrix,
         # scaled by the component on e_j, summed over them.
-        comps: Dict[Key, ExpPoly] = {}
+        sums: Dict[Key, List] = {}
         for (j,), c in section.components.items():
             for i, row in enumerate(self.matrix):
                 entry = row[j]
-                if entry.is_zero:
-                    continue
-                term = entry * c
-                comps[(i,)] = comps[(i,)] + term if (i,) in comps else term
+                if not entry.is_zero:
+                    sums.setdefault((i,), []).append((1, entry, c))
+        variables = self.algebroid.patch.variables
+        comps = {key: sum_products(variables, terms) for key, terms in sums.items()}
         return _kind_for(self.target)(self.algebroid, 1, comps)
 
     def compose(self, inner: "TensorMap") -> "TensorMap":
@@ -177,20 +177,19 @@ class TensorMap:
         if inner.target != self.source:
             raise MismatchError("inner target does not feed this map's source")
         zero = self.algebroid.zero_scalar()
-        r = self.algebroid.rank
+        variables = self.algebroid.patch.variables
+        columns = tuple(zip(*inner.matrix))
         rows = []
-        for i in range(r):
-            row = []
-            for j in range(r):
-                total = zero
-                for k in range(r):
-                    a = self.matrix[i][k]
-                    b = inner.matrix[k][j]
-                    if a.is_zero or b.is_zero:
-                        continue
-                    total = total + a * b
-                row.append(total)
-            rows.append(tuple(row))
+        for row in self.matrix:
+            out = []
+            for column in columns:
+                terms = [
+                    (1, a, b)
+                    for a, b in zip(row, column)
+                    if not a.is_zero and not b.is_zero
+                ]
+                out.append(sum_products(variables, terms) if terms else zero)
+            rows.append(tuple(out))
         return TensorMap(self.algebroid, inner.source, self.target, tuple(rows))
 
     def dual(self) -> "TensorMap":
@@ -312,7 +311,8 @@ def _minors(
     multiplied (in a skew map every odd principal minor vanishes); the empty
     minor 1 under a 1x1 minor is not multiplied either.
     """
-    one = algebroid.patch.one()
+    one, zero = algebroid.patch.one(), algebroid.zero_scalar()
+    variables = algebroid.patch.variables
     memo: Dict[Tuple[Indices, Indices], ExpPoly] = {}
 
     def minor(rows: Indices, cols: Indices) -> ExpPoly:
@@ -320,17 +320,16 @@ def _minors(
             return one
         value = memo.get((rows, cols))
         if value is None:
-            value = algebroid.zero_scalar()
             top, rest = rows[0], rows[1:]
+            terms = []
             for pos, col in enumerate(cols):
                 entry = matrix[top][col]
                 if entry.is_zero:
                     continue
                 sub = minor(rest, cols[:pos] + cols[pos + 1 :])
-                if sub.is_zero:
-                    continue
-                term = entry if sub is one else entry * sub
-                value = value - term if pos % 2 else value + term
+                if not sub.is_zero:
+                    terms.append(product_term(-1 if pos % 2 else 1, entry, sub, one))
+            value = sum_products(variables, terms) if terms else zero
             memo[(rows, cols)] = value
         return value
 
@@ -396,16 +395,17 @@ def _pfaffians(
     """
     one = algebroid.patch.one()
     zero = algebroid.zero_scalar()
+    variables = algebroid.patch.variables
     memo: Dict[int, ExpPoly] = {0: one}
 
     def pf(mask: int) -> ExpPoly:
         value = memo.get(mask)
         if value is None:
-            value = zero
             first = mask & -mask
             row = matrix[first.bit_length() - 1]
             rest = mask ^ first
-            bits, odd = rest, False
+            bits, sign = rest, 1
+            terms = []
             while bits:
                 bit = bits & -bits
                 bits ^= bit
@@ -413,9 +413,9 @@ def _pfaffians(
                 if not entry.is_zero:
                     sub = pf(rest ^ bit)
                     if not sub.is_zero:
-                        term = entry if sub is one else entry * sub
-                        value = value - term if odd else value + term
-                odd = not odd
+                        terms.append(product_term(sign, entry, sub, one))
+                sign = -sign
+            value = sum_products(variables, terms) if terms else zero
             memo[mask] = value
         return value
 
@@ -425,26 +425,28 @@ def _pfaffians(
 # -- musical maps ----------------------------------------------------------
 
 
+def _skew_rows(s: Section) -> List[List[ExpPoly]]:
+    """``rows[i][j] = s.component(j, i)``, reading each stored component
+    once and negating it once for its mirrored entry."""
+    A = s.algebroid
+    rows = [[A.zero_scalar()] * A.rank for _ in range(A.rank)]
+    for (i, j), c in s.components.items():
+        rows[j][i], rows[i][j] = c, -c
+    return rows
+
+
 def sharp_map(pi: MultiVector) -> TensorMap:
     """The map with <sharp(xi), eta> = pi(xi, eta)."""
     if not isinstance(pi, MultiVector) or pi.degree != 2:
         raise MismatchError("sharp_map needs a degree-2 multivector")
-    r = pi.algebroid.rank
-    rows = tuple(
-        tuple(pi.component(j, i) for j in range(r)) for i in range(r)
-    )
-    return TensorMap(pi.algebroid, SIDE_DUAL, SIDE_A, rows)
+    return TensorMap(pi.algebroid, SIDE_DUAL, SIDE_A, _skew_rows(pi))
 
 
 def flat_map(omega: Form) -> TensorMap:
     """The map with <flat(X), Y> = omega(X, Y)."""
     if not isinstance(omega, Form) or omega.degree != 2:
         raise MismatchError("flat_map needs a degree-2 form")
-    r = omega.algebroid.rank
-    rows = tuple(
-        tuple(omega.component(j, i) for j in range(r)) for i in range(r)
-    )
-    return TensorMap(omega.algebroid, SIDE_A, SIDE_DUAL, rows)
+    return TensorMap(omega.algebroid, SIDE_A, SIDE_DUAL, _skew_rows(omega))
 
 
 def _antisymmetric_tensor(m: TensorMap, cls: type) -> Section:
@@ -616,7 +618,9 @@ def dual_differential(B: JacobiBialgebroidData, P: MultiVector) -> MultiVector:
 def dual_schouten(B: JacobiBialgebroidData, w1: Form, w2: Form) -> Form:
     """Twisted bracket of the dual side acting on primal forms."""
     f1 = flip_dual(w1, B.Astar)
-    f2 = flip_dual(w2, B.Astar)
+    # one flip for a form bracketed with itself keeps the two arguments one
+    # object, so the self-bracket path of phi0_schouten applies
+    f2 = f1 if w2 is w1 else flip_dual(w2, B.Astar)
     return flip_dual(phi0_schouten(B.astar_side, f1, f2), B.A)
 
 

@@ -357,6 +357,24 @@ def test_twisted_schouten_antisymmetry():
         assert lhs == rhs, f"seed={seed}"
 
 
+def test_twisted_self_bracket_keeps_its_twist_terms():
+    # in rank 4 and above a bivector need not be decomposable, so the twist
+    # terms 2(a-1) P ^ iota(P) of a self-bracket are nonzero; the self-bracket
+    # path must give what an equal copy gives through the general formula
+    J = extend_with_R(small_tangent()[1])
+    A = J.algebroid
+    twist_terms = 0
+    for seed in range(10):
+        r = random.Random(seed)
+        for degree in (2, 3, 4):
+            P = rand_multivector(r, A, degree, density=0.9, max_degree=1, terms=2)
+            copy = MultiVector(A, degree, dict(P.components))
+            assert phi0_schouten(J, P, P) == phi0_schouten(J, P, copy), (seed, degree)
+            if degree == 2:
+                twist_terms += not wedge(P, contract(J.phi0, P)).is_zero
+    assert twist_terms >= 5, twist_terms
+
+
 def test_twisted_bracket_on_vector_fields_matches_plain():
     _, A = small_tangent()
     for seed in range(15):

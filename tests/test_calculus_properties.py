@@ -24,10 +24,12 @@ from jacv.algebroid import (  # noqa: E402
 from jacv.calculus import (  # noqa: E402
     Form,
     MismatchError,
+    MultiVector,
     contract,
     differential,
     lie_derivative,
     phi0_schouten,
+    schouten,
 )
 from tests.gen import (  # noqa: E402
     rand_form,
@@ -88,6 +90,32 @@ def test_twisted_cartan_identities(name, seed, degree):
         Y, lie_derivative(J, X, w)
     )
     assert commutator == contract(lie_derivative(J, X, Y), w)
+
+
+@PROPERTY
+@given(
+    st.sampled_from(sorted(ALGEBROIDS)), st.integers(0, 2**16), st.integers(0, 3)
+)
+def test_self_bracket_matches_an_equal_copy(name, seed, degree):
+    # schouten(P, P) and phi0_schouten(J, P, P) take the self-bracket path
+    # (odd degree: 0; even degree: unordered monomial pairs, twist terms
+    # 2(a-1) P ^ iota(P)); a copy that is not the same object takes the
+    # general one
+    r, J = _twisted(name, seed)
+    A = J.algebroid
+    P = rand_multivector(r, A, degree, density=0.8, max_degree=1, terms=2)
+    copy = MultiVector(A, degree, dict(P.components))
+    untwisted = JacobiAlgebroidData(A, Form.zero(A, 1))
+    for bracket in (
+        lambda X, Y: schouten(X, Y),
+        lambda X, Y: phi0_schouten(J, X, Y),
+        lambda X, Y: phi0_schouten(untwisted, X, Y),
+    ):
+        own = bracket(P, P)
+        assert own == bracket(P, copy)
+        assert own.degree == max(2 * degree - 1, 0)
+        if degree % 2:
+            assert own.is_zero
 
 
 @PROPERTY

@@ -1,9 +1,17 @@
+import copy
 import random
 from fractions import Fraction
 
 import pytest
 
-from jacv.coeff import ExpPoly, NotInvertible, UnknownVariable, VariableSetMismatch
+from jacv.coeff import (
+    ExpPoly,
+    NotInvertible,
+    UnknownVariable,
+    VariableSetMismatch,
+    add_product,
+    sum_products,
+)
 
 VARS = ("x", "y", "t")
 
@@ -369,6 +377,24 @@ def test_ring_operations_match_sympy():
             assert shifted(a.diff(name), 2) == d(pa, name, 2), (seed, "diff", name)
             assert shifted((a * b).diff(name), 4) == d(pa * pb, name, 4), (
                 seed, "diff*", name)
+        # signed sums of products through the kernel, which must not change
+        # an operand's terms while it fills a buffer that started from them
+        before = copy.deepcopy((a.terms, b.terms))
+        total = sum_products(
+            VARS, [(1, a, b), (-2, b, None), (2, a, a), (-1, b, a), (1, a, None)]
+        )
+        expected = pa * pb - 2 * pb * E**2 + 2 * pa * pa - pb * pa + pa * E**2
+        assert shifted(total, 4) == expected, (seed, "sum_products")
+        _assert_stored_form(total, (seed, "sum_products"))
+        buffer = {}
+        add_product(buffer, 1, a)
+        add_product(buffer, -1, b)
+        add_product(buffer, -2, a, b)
+        add_product(buffer, 1, a)
+        expected = (2 * pa - pb) * E**2 - 2 * pa * pb
+        assert shifted(ExpPoly(VARS, buffer), 4) == expected, (seed, "add_product")
+        assert (a.terms, b.terms) == before, (seed, "operands changed")
+        assert sum_products(VARS, [(1, a, None)]) is a
         c, _, weight = ra[0]
         unit = ExpPoly.const(VARS, c).times_exp(weight)
         # E^2 * unit^-1 = E^(2 - weight) / c

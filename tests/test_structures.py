@@ -5,12 +5,14 @@ from itertools import combinations
 
 import pytest
 
-from jacv import structures
+from jacv import coeff, structures
 from jacv.algebroid import (
     PASS,
+    AlgebroidPatch,
     JacobiAlgebroidData,
     Patch,
     Report,
+    extend_with_R,
     make_tangent,
     make_trivial,
 )
@@ -36,6 +38,7 @@ from jacv.structures import (
     bivector_of,
     courant_bracket,
     dual_differential,
+    dual_schouten,
     flat_map,
     graph_closure_check,
     jacobi_bracket,
@@ -169,19 +172,46 @@ def test_tensor_map_algebra():
 
 def test_skew_inverse_forms_few_products(monkeypatch):
     # flat(Om) is inverted from one Pfaffian memo in 11 products; the
-    # Laplace minors and adjugate of the general path take 72
+    # Laplace minors and adjugate of the general path take 72.  Every
+    # product, inside ``*`` or a sum of products, is formed by the kernel.
     m = flat_map(contact().Om)
     products = []
-    mul = ExpPoly.__mul__
+    add_product = coeff.add_product
 
-    def counting_mul(self, other):
-        products.append(self)
-        return mul(self, other)
+    def counting(terms, k, a, b=None):
+        if b is not None:
+            products.append(a)
+        add_product(terms, k, a, b)
 
-    monkeypatch.setattr(ExpPoly, "__mul__", counting_mul)
+    monkeypatch.setattr(coeff, "add_product", counting)
     inv = m.inverse()
     assert len(products) < 20, len(products)
     assert inv.compose(m) == TensorMap.identity(m.algebroid, SIDE_A)
+
+
+def test_composition_builds_one_value_per_entry(monkeypatch):
+    # each entry of inverse(flat Om) . flat wH sums its products into one
+    # value: 10 entries have a product, and a sum of partial values took 18
+    c = contact()
+    left, right = flat_map(c.Om).inverse(), flat_map(c.wH)
+    with_products = sum(
+        any(not a.is_zero and not b.is_zero for a, b in zip(row, column))
+        for row in left.matrix
+        for column in zip(*right.matrix)
+    )
+    built = []
+    init = ExpPoly.__init__
+
+    def counting_init(self, variables, terms):
+        built.append(self)
+        init(self, variables, terms)
+
+    monkeypatch.setattr(ExpPoly, "__init__", counting_init)
+    N = left.compose(right)
+    assert with_products == 10
+    assert len(built) <= with_products, len(built)
+    monkeypatch.undo()
+    assert N == c.NH
 
 
 def _oracle_matrix(r, A, skew, density):
@@ -366,6 +396,22 @@ def test_jacobi_and_presymplectic_on_corpus():
     assert report.witness
 
 
+def test_jacobi_check_takes_each_anchored_derivative_once(monkeypatch):
+    # [Pi, Pi] takes rho(e_i) of each stored component at most once: at most
+    # rank * |components| = 30 derivatives; ordered pairs of monomials took 60
+    c = contact()
+    calls = []
+    anchor_deriv = AlgebroidPatch.anchor_deriv
+
+    def counting(self, index, f):
+        calls.append((index, f))
+        return anchor_deriv(self, index, f)
+
+    monkeypatch.setattr(AlgebroidPatch, "anchor_deriv", counting)
+    assert jacobi_check(c.C, c.Pi).ok
+    assert len(calls) <= c.ext.rank * len(c.Pi.components) == 30, len(calls)
+
+
 def test_pairing_oracle_for_self_bracket():
     # 1/2 [pi,pi](xi,eta,.) = [sharp xi, sharp eta] - sharp([xi,eta] induced)
     _, A = small_tangent()
@@ -519,6 +565,51 @@ def test_solvable_bialgebroid_compat():
     report = bialgebroid_compat_check(broken)
     assert report.status == "fail"
     assert report.witness
+
+
+def _extended_solvable():
+    """The solvable pair with each side extended by a trivial line and its
+    canonical twist: rank 3, so a self-bracket of degree 2 can be nonzero."""
+    B = solvable_bialgebroid()
+    return JacobiBialgebroidData(extend_with_R(B.A), extend_with_R(B.Astar))
+
+
+@pytest.mark.parametrize(
+    "build", [solvable_bialgebroid, _extended_solvable], ids=["solvable", "extended"]
+)
+def test_dual_self_bracket_flips_the_form_once(monkeypatch, build):
+    # dual_schouten(B, w, w) hands phi0_schouten one object twice, so
+    # maurer_cartan_check takes the self-bracket path on a nontrivial dual;
+    # the bracket and the verdict are those of an equal copy of w
+    B = build()
+    assert not B.Astar.is_trivial
+    same = []
+    real = structures.phi0_schouten
+
+    def spy(J, D1, D2):
+        same.append(D1 is D2)
+        return real(J, D1, D2)
+
+    nonzero = 0
+    for seed in range(12):
+        r = random.Random(seed)
+        w = rand_form(r, B.A, 2, density=0.9, max_degree=1, terms=2)
+        copy = Form(B.A, 2, dict(w.components))
+        monkeypatch.setattr(structures, "phi0_schouten", spy)
+        bracket = dual_schouten(B, w, w)
+        report = maurer_cartan_check(B, w)
+        monkeypatch.undo()
+        assert same == [True, True]
+        del same[:]
+        assert bracket == dual_schouten(B, w, copy), seed
+        residue = differential(B.a_side, w) + Fraction(1, 2) * dual_schouten(B, w, copy)
+        if residue.is_zero:
+            assert report == Report(PASS), seed
+        else:
+            assert report == Report("fail", witness=str(residue)), seed
+        nonzero += not bracket.is_zero
+    if B.A.rank >= 3:
+        assert nonzero >= 6, nonzero
 
 
 def test_dual_differential_on_solvable():

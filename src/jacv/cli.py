@@ -669,7 +669,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         with open(ns.file, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

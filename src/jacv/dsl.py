@@ -239,10 +239,20 @@ class _LineParser:
             return Neg(self.parse_factor())
         return self.parse_primary()
 
+    def integer(self, tok: _Token) -> int:
+        # int() rejects a literal over the interpreter's digit limit and a
+        # digit that is not decimal, such as a superscript
+        try:
+            return int(tok.text)
+        except ValueError:
+            raise ScriptError(
+                "number too long or not decimal", self.line, tok.column
+            ) from None
+
     def parse_primary(self, adjacent_call_only: bool = False) -> Expr:
         tok = self.next()
         if tok.kind == "number":
-            numer = int(tok.text)
+            numer = self.integer(tok)
             nxt = self.peek()
             if nxt is not None and nxt.kind == "/":
                 after = (
@@ -252,7 +262,7 @@ class _LineParser:
                 )
                 if after is not None and after.kind == "number":
                     self.next()
-                    denom = int(self.next().text)
+                    denom = self.integer(self.next())
                     if denom == 0:
                         raise ScriptError("zero denominator", self.line, tok.column)
                     return Num(Fraction(numer, denom))

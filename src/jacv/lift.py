@@ -186,10 +186,10 @@ def verify_hat_bar_differentials(
         raise MismatchError("need a degree-1 form over the lifted data")
     if scalar.vars != A.patch.variables:
         raise MismatchError("scalar lives over different variables")
-    plain = JacobiAlgebroidData(A, Form.zero(A, 1))
+    plain = _untwisted(A)
     hat = _untwisted(lift_hat(J))
     bar = _untwisted(lift_bar(J))
-    f = Form(A, 0, {(): scalar} if not scalar.is_zero else {})
+    f = Form.scalar_section(A, scalar)
     df_plain = differential(plain, f)
     dt_f = _time_derivative(f)
     scalar_formula = df_plain + (

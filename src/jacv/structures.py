@@ -8,11 +8,10 @@ Conventions pinned here:
   ``flat_map(omega)`` satisfies ``<flat(X), Y> = omega(X, Y)``;
 * the two-form attached to an invertible bivector is fixed by
   ``flat = -(sharp)^(-1)`` and conversely;
-* a skew matrix (every musical map) takes its determinant Pf^2 and its
-  inverse from ``_pfaffians``, one memoized Pfaffian expansion; any other
-  matrix takes its determinant and adjugate from ``_minors``, one memoized
-  Laplace expansion; inversion exists exactly when the determinant is a
-  unit of the coefficient ring;
+* every determinant and inverse comes from ``_pfaffians``, one memoized
+  Pfaffian expansion: of the matrix itself when it is skew (every musical
+  map), else of its skew block matrix [[0, A], [-A^T, 0]]; inversion exists
+  exactly when the determinant is a unit of the coefficient ring;
 * the dual of a map transposes the matrix and swaps bundle sides;
 * check outcomes are values (``Report``); a failed check never raises.
 """
@@ -23,7 +22,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .coeff import ExpPoly, NotInvertible, product_term, sum_products
 from .algebroid import (
@@ -50,7 +49,6 @@ from .calculus import (
 )
 
 Matrix = Tuple[Tuple[ExpPoly, ...], ...]
-Indices = Tuple[int, ...]
 
 SIDE_A = "A"
 SIDE_DUAL = "A*"
@@ -208,85 +206,71 @@ class TensorMap:
     # -- determinant and inverse ------------------------------------------
 
     def determinant(self) -> ExpPoly:
-        """Pf * Pf for a skew matrix (see ``_pfaffians``), else the full
-        minor."""
-        skew = self._pfaffian()
-        if skew is not None:
-            pf, _ = skew
-            return pf * pf
-        full = tuple(range(self.algebroid.rank))
-        return _minors(self.algebroid, self.matrix)(full, full)
+        """Pf * Pf for a skew matrix, else (-1)^(r(r-1)/2) Pf of its block
+        matrix (proofs at ``_pfaffians``)."""
+        pf_full, _, block = self._pfaffian()
+        return self._determinant(pf_full, block)
+
+    def _determinant(self, pf_full: ExpPoly, block: bool) -> ExpPoly:
+        if not block:
+            return pf_full * pf_full
+        return -pf_full if self.algebroid.rank // 2 % 2 else pf_full
 
     def is_unit_determinant(self) -> bool:
         return self.determinant().is_unit()
 
-    def _pfaffian(self) -> Optional[Tuple[ExpPoly, Callable[[int], ExpPoly]]]:
-        """``(Pf, pf)`` for a skew matrix, with ``pf`` of ``_pfaffians``; on
-        odd rank Pf is 0 and nothing is expanded.  None for any other
-        matrix, which ``_minors`` serves."""
-        if not _is_skew(self.matrix):
-            return None
+    def _pfaffian(self) -> Tuple[ExpPoly, Callable[[int], ExpPoly], bool]:
+        """``(Pf, pf, block)`` with ``pf`` of ``_pfaffians``.  A skew matrix
+        is expanded itself; on odd rank Pf is 0 and nothing is expanded.  Any
+        other matrix A expands its skew block matrix [[0, A], [-A^T, 0]],
+        whose rows -A^T are never read (see ``_pfaffians``)."""
         r = self.algebroid.rank
-        pf = _pfaffians(self.algebroid, self.matrix)
-        return (self.algebroid.zero_scalar() if r % 2 else pf((1 << r) - 1)), pf
+        if _is_skew(self.matrix):
+            pf = _pfaffians(self.algebroid, self.matrix)
+            pf_full = self.algebroid.zero_scalar() if r % 2 else pf((1 << r) - 1)
+            return pf_full, pf, False
+        zeros = (self.algebroid.zero_scalar(),) * r
+        pf = _pfaffians(self.algebroid, tuple(zeros + row for row in self.matrix))
+        return pf((1 << 2 * r) - 1), pf, True
 
     def inverse(self) -> "TensorMap":
-        """The inverse, when the determinant is a unit; else NotInvertible.
-
-        A skew matrix is inverted from one Pfaffian memo: for i < j,
-        (A^-1)_ij = (-1)^(i+j) Pf(A without i, j) / Pf(A), A^-1 is skew,
-        and det = Pf^2 is a unit iff Pf is (proofs at ``_pfaffians``).
-        A failure raises through ``(Pf * Pf).unit_inverse()``, so its
-        message names the determinant as on the general path.
+        """The inverse, when the determinant is a unit; else NotInvertible,
+        raised by the determinant's ``unit_inverse()`` so that its message
+        names the determinant.  Each entry is a signed sub-Pfaffian of the
+        memo of ``_pfaffian`` over Pf (formulas and proofs at ``_pfaffians``).
         """
-        skew = self._pfaffian()
-        if skew is not None:
-            return self._skew_inverse(*skew)
-        return self._adjugate_inverse()
-
-    def _skew_inverse(
-        self, pf_full: ExpPoly, pf: Callable[[int], ExpPoly]
-    ) -> "TensorMap":
+        pf_full, pf, block = self._pfaffian()
         if not pf_full.is_unit():
-            (pf_full * pf_full).unit_inverse()  # always raises: det = Pf^2
+            self._determinant(pf_full, block).unit_inverse()  # always raises
         inv_pf = pf_full.unit_inverse()
-        one = self.algebroid.patch.one()  # the empty Pfaffian pf(0)
         r = self.algebroid.rank
-        full = (1 << r) - 1
+        # (mask, cells): entry (i, j) of a cell is (-1)^odd pf(mask) / Pf
+        if block:
+            full = (1 << 2 * r) - 1
+            cofactors = [
+                (full ^ (1 << j) ^ (1 << r + i), [(i, j, (i + j + r + 1) % 2)])
+                for i in range(r)
+                for j in range(r)
+            ]
+        else:  # A^-1 is skew: (i, j) and its mirror (j, i) for i < j
+            full = (1 << r) - 1
+            cofactors = [
+                (
+                    full ^ (1 << i) ^ (1 << j),
+                    [(i, j, (i + j) % 2), (j, i, (i + j + 1) % 2)],
+                )
+                for i in range(r)
+                for j in range(i + 1, r)
+            ]
+        one = self.algebroid.patch.one()  # the empty Pfaffian pf(0)
         rows = [[self.algebroid.zero_scalar()] * r for _ in range(r)]
-        for i in range(r):
-            for j in range(i + 1, r):
-                sub = pf(full ^ (1 << i) ^ (1 << j))
-                if sub.is_zero:
-                    continue
-                entry = inv_pf if sub is one else inv_pf * sub
-                upper, lower = (-entry, entry) if (i + j) % 2 else (entry, -entry)
-                rows[i][j], rows[j][i] = upper, lower
-        return TensorMap(self.algebroid, self.target, self.source, rows)
-
-    def _adjugate_inverse(self) -> "TensorMap":
-        """Adjugate over determinant, from memoized minor expansions.
-
-        The cofactors that drop row ``j`` share one ``_minors`` memo, and for
-        ``j = 0`` it is the determinant's.  Other rows share only small
-        trailing minors, so each ``j`` starts a fresh memo and the peak
-        memory stays near one expansion's.
-        """
-        full = tuple(range(self.algebroid.rank))
-        minor = _minors(self.algebroid, self.matrix)
-        inv_det = minor(full, full).unit_inverse()  # raises NotInvertible on a non-unit
-        signed = (inv_det, -inv_det)  # the sign of cofactor (i, j) is (-1)^(i+j)
-        columns = []
-        for j in full:
-            if j:
-                minor = _minors(self.algebroid, self.matrix)
-            kept = full[:j] + full[j + 1 :]
-            column = []
-            for i in full:
-                cofactor = minor(kept, full[:i] + full[i + 1 :])
-                column.append(signed[(i + j) % 2] * cofactor)
-            columns.append(column)
-        rows = tuple(zip(*columns))
+        for mask, cells in cofactors:
+            sub = pf(mask)
+            if sub.is_zero:
+                continue
+            entry = inv_pf if sub is one else inv_pf * sub
+            for i, j, odd in cells:
+                rows[i][j] = -entry if odd else entry
         return TensorMap(self.algebroid, self.target, self.source, rows)
 
     def __str__(self) -> str:
@@ -297,43 +281,6 @@ class TensorMap:
         return f"{self.source}->{self.target} " + "[" + "; ".join(rows) + "]"
 
     __repr__ = __str__
-
-
-def _minors(
-    algebroid: AlgebroidPatch, matrix: Matrix
-) -> Callable[[Indices, Indices], ExpPoly]:
-    """``minor(rows, cols)``: the determinant of one submatrix of ``matrix``.
-
-    Laplace expansion along the top row of the submatrix.  Every minor is
-    memoized for the life of the returned function, so all minors asked of
-    one instance share their sub-expansions.  A zero entry is skipped before
-    its sub-minor is asked for, and a zero sub-minor before it is
-    multiplied (in a skew map every odd principal minor vanishes); the empty
-    minor 1 under a 1x1 minor is not multiplied either.
-    """
-    one, zero = algebroid.patch.one(), algebroid.zero_scalar()
-    variables = algebroid.patch.variables
-    memo: Dict[Tuple[Indices, Indices], ExpPoly] = {}
-
-    def minor(rows: Indices, cols: Indices) -> ExpPoly:
-        if not rows:
-            return one
-        value = memo.get((rows, cols))
-        if value is None:
-            top, rest = rows[0], rows[1:]
-            terms = []
-            for pos, col in enumerate(cols):
-                entry = matrix[top][col]
-                if entry.is_zero:
-                    continue
-                sub = minor(rest, cols[:pos] + cols[pos + 1 :])
-                if not sub.is_zero:
-                    terms.append(product_term(-1 if pos % 2 else 1, entry, sub, one))
-            value = sum_products(variables, terms) if terms else zero
-            memo[(rows, cols)] = value
-        return value
-
-    return minor
 
 
 def _is_skew(matrix: Matrix) -> bool:
@@ -352,17 +299,18 @@ def _pfaffians(
     algebroid: AlgebroidPatch, matrix: Matrix
 ) -> Callable[[int], ExpPoly]:
     """``pf(mask)``: the Pfaffian of the principal submatrix of a skew
-    ``matrix`` on the indices set in the bitmask ``mask`` (of even size).
+    ``matrix`` on the indices set in the bitmask ``mask`` (of even size);
+    only the rows of the first indices of the masks asked for are read.
 
     Expansion along the first index s0 of S = (s0 < s1 < ...):
     Pf(S) = sum_{p >= 1} (-1)^(p+1) a_{s0 sp} Pf(S without s0, sp), with
     Pf() = 1.  Every Pfaffian is memoized by its mask for the life of the
-    returned function.  As in ``_minors``, a zero entry is skipped before
-    its sub-Pfaffian is asked for, a zero sub-Pfaffian before it is
-    multiplied, and the empty Pfaffian 1 is never multiplied.
+    returned function.  A zero entry is skipped before its sub-Pfaffian is
+    asked for, a zero sub-Pfaffian before it is multiplied, and the empty
+    Pfaffian 1 is never multiplied.
 
-    Why the skew path of ``TensorMap`` is right, over the ring R of
-    ``ExpPoly`` values (a commutative domain holding Q):
+    Why ``TensorMap`` determinants and inverses are right, over the ring R
+    of ``ExpPoly`` values (a commutative domain holding Q):
 
     * det = Pf^2 (Cayley).  Read the entries a_ij (i < j) as independent
       variables over Q.  Pf(A) is the coefficient of e_0 ^ ... ^ e_(n-1)
@@ -391,7 +339,20 @@ def _pfaffians(
     * On odd rank n, det A = det(A^T) = det(-A) = (-1)^n det A, so
       2 det A = 0, and det A = 0 because 2 is invertible over Q.  Nothing
       is expanded, and the inverse raises NotInvertible on the zero
-      determinant, as the general path does.
+      determinant.
+    * Any other A of rank n goes through the skew M = [[0, A], [-A^T, 0]].
+      Unrolled, the recursion sums sgn(i_1 j_1 ... i_m j_m) times
+      a_(i_1 j_1) ... a_(i_m j_m) over the perfect matchings (i_k < j_k).
+      M is zero between two indices below n and between two from n on, so
+      a nonzero term pairs each i < n with n + s(i), s a permutation;
+      unshuffling (0, n+s(0), 1, n+s(1), ...) to (0, ..., n-1, n+s(0), ...)
+      takes n(n-1)/2 transpositions, so the term is (-1)^(n(n-1)/2) sgn(s)
+      A_(0 s(0)) ... A_(n-1 s(n-1)), and Pf(M) = (-1)^(n(n-1)/2) det A.
+      Block multiplication gives M^-1 = [[0, -A^-T], [A^-1, 0]], so the
+      skew inverse above gives (A^-1)_ij = -(M^-1)_(j, n+i) =
+      (-1)^(i+j+n+1) Pf(M without j, n+i) / Pf(M).  Each mask these ask for
+      holds as many indices below n as from n on (expanding one removes one
+      of each), so it starts below n: the rows -A^T are never read.
     """
     one = algebroid.patch.one()
     zero = algebroid.zero_scalar()
@@ -637,13 +598,12 @@ def maurer_cartan_check(B: JacobiBialgebroidData, s: Section) -> Report:
     """Residue of d(s) + (1/2)[s, s] with the differential from the other side."""
     if s.degree != 2:
         raise MismatchError("the Maurer-Cartan check needs a degree-2 section")
+    _check_over(B.a_side, s)
     if isinstance(s, MultiVector):
-        _check_over(B.a_side, s)
         residue = dual_differential(B, s) + Fraction(1, 2) * phi0_schouten(
             B.a_side, s, s
         )
     else:
-        _check_over(B.a_side, s)
         residue = differential(B.a_side, s) + Fraction(1, 2) * dual_schouten(B, s, s)
     return _report_zero(residue)
 

@@ -142,6 +142,16 @@ def test_exit_two_on_missing_file(tmp_path, capsys):
     assert "error:" in captured.err
 
 
+def test_exit_two_on_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.jac"
+    path.write_bytes(b"# caf\xe9\npatch p = (x, y)\n")
+    code = cli.main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error:" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 MALFORMED_PROLOGUE = """\
 patch p = (x, y)
 algebroid A = tangent(p)
@@ -173,6 +183,11 @@ MALFORMED = [
     "scalar s = " + "-" * 3000 + "x",
     "scalar s = " + SUM,
     f"check zero ({SUM})",
+    # over the interpreter's digit limit, or a digit int() rejects
+    "scalar s = " + "9" * 5000,
+    "scalar s = 1/" + "9" * 5000,
+    "check zero " + "9" * 5000,
+    "scalar s = \u00b2",
 ]
 
 

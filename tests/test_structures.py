@@ -155,10 +155,12 @@ def test_tensor_map_algebra():
     assert N.dual().dual() == N
     fl = flat_map(c.Om)
     # inverse after m and m after inverse are the identities of both sides,
-    # on flats, a sharp and a lifted e^t Om, whose Pfaffian is e^(3t)
+    # on flats, a sharp, a lifted e^t Om, whose Pfaffian is e^(3t), and a
+    # unitriangular map, which is not skew
     bar = lift_bialgebroid(c.C).A
     lifted = lift_section(bar, c.Om).lifted
-    for m in (fl, flat_map(c.wH), flat_map(c.wE), sharp_map(c.Pi), flat_map(lifted)):
+    skew = (fl, flat_map(c.wH), flat_map(c.wE), sharp_map(c.Pi), flat_map(lifted))
+    for m in skew + (unit_triangular(random.Random(1), c.ext),):
         inv = m.inverse()
         assert inv.compose(m) == TensorMap.identity(m.algebroid, m.source)
         assert m.compose(inv) == TensorMap.identity(m.algebroid, m.target)
@@ -170,11 +172,9 @@ def test_tensor_map_algebra():
     assert det == c.ext.scalar(1)
 
 
-def test_skew_inverse_forms_few_products(monkeypatch):
-    # flat(Om) is inverted from one Pfaffian memo in 11 products; the
-    # Laplace minors and adjugate of the general path take 72.  Every
-    # product, inside ``*`` or a sum of products, is formed by the kernel.
-    m = flat_map(contact().Om)
+def _count_products(monkeypatch):
+    """The list of the products formed from now on.  Every product, inside
+    ``*`` or a sum of products, is formed by the kernel."""
     products = []
     add_product = coeff.add_product
 
@@ -184,9 +184,30 @@ def test_skew_inverse_forms_few_products(monkeypatch):
         add_product(terms, k, a, b)
 
     monkeypatch.setattr(coeff, "add_product", counting)
+    return products
+
+
+def test_skew_inverse_forms_few_products(monkeypatch):
+    # flat(Om) is inverted from one Pfaffian memo in 9 products; its skew
+    # block matrix, which a map that is not skew expands, takes 20
+    m = flat_map(contact().Om)
+    products = _count_products(monkeypatch)
     inv = m.inverse()
     assert len(products) < 20, len(products)
     assert inv.compose(m) == TensorMap.identity(m.algebroid, SIDE_A)
+
+
+def test_general_inverse_forms_few_products(monkeypatch):
+    # a rank-6 map that is not skew is inverted from the one Pfaffian memo of
+    # its block matrix in 812 products; a fresh memo per dropped row of the
+    # cofactors takes 1,072
+    A = make_tangent(Patch(("x", "y", "z", "u", "v", "w")))
+    m = _unit_determinant_matrix(random.Random(6), A, skew=False)
+    products = _count_products(monkeypatch)
+    inv = m.inverse()
+    assert len(products) < 900, len(products)
+    monkeypatch.undo()
+    assert inv.compose(m) == TensorMap.identity(A, SIDE_A)
 
 
 def test_composition_builds_one_value_per_entry(monkeypatch):
@@ -277,17 +298,19 @@ def test_determinant_and_inverse_match_sympy(monkeypatch):
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
 
-    # the matrix alone picks the path: skew maps expand Pfaffians, all others
-    # Laplace minors
+    # one Pfaffian expansion per determinant or inverse, and the matrix alone
+    # picks what it expands: a skew map itself, any other its block matrix
+    # [[0, m], [-m^T, 0]], twice as wide
     paths = []
-    for name in ("_minors", "_pfaffians"):
-        def spy(algebroid, matrix, _name=name, _real=getattr(structures, name)):
-            paths.append(_name)
-            return _real(algebroid, matrix)
-        monkeypatch.setattr(structures, name, spy)
+
+    def spy(algebroid, matrix, _real=structures._pfaffians):
+        paths.append(len(matrix[0]))
+        return _real(algebroid, matrix)
+
+    monkeypatch.setattr(structures, "_pfaffians", spy)
 
     def path(m):
-        return "_pfaffians" if structures._is_skew(m.matrix) else "_minors"
+        return [m.algebroid.rank * (1 if structures._is_skew(m.matrix) else 2)]
 
     QQ = sympy.QQ
     names = ("x", "y", "z", "u", "v", "w")
@@ -314,7 +337,7 @@ def test_determinant_and_inverse_match_sympy(monkeypatch):
         def check_det(m, where):
             del paths[:]
             det = m.determinant()
-            assert set(paths) == {path(m)}, where
+            assert paths == path(m), where
             # entries have weights >= -1, so E m is polynomial
             assert poly(det, rank) == matrix(m, 1).det(), where
             if not det.is_unit():
@@ -330,7 +353,7 @@ def test_determinant_and_inverse_match_sympy(monkeypatch):
             num, den = matrix(unit, low).inv_den()
             del paths[:]
             inv = unit.inverse()
-            assert set(paths) == {path(unit)}, where
+            assert paths == path(unit), where
             high = max(0, -min(k for row in inv.matrix for c in row for k in c.terms))
             for i in range(rank):
                 for j in range(rank):
@@ -355,7 +378,7 @@ def test_determinant_and_inverse_match_sympy(monkeypatch):
             if (skew and rank % 2 == 0) or seed == 0:
                 check_inverse(_unit_determinant_matrix(r, A, skew), (rank, seed))
         # near-skew: one nonzero diagonal entry, or (rank >= 2) one entry
-        # equal to its mirror instead of its negative, takes the minors
+        # equal to its mirror instead of its negative, is not skew
         r = random.Random(100 * rank + 99)
         m = _oracle_matrix(r, A, True, 1.0)
         k = r.randrange(rank)
@@ -367,7 +390,7 @@ def test_determinant_and_inverse_match_sympy(monkeypatch):
             rows[1][0] = rows[0][1]
             near.append(TensorMap(A, SIDE_A, SIDE_A, rows))
         for variant, m in enumerate(near):
-            assert path(m) == "_minors"
+            assert not structures._is_skew(m.matrix)
             check_det(m, (rank, "near-skew", variant))
     # a nonzero determinant that is not a unit: x e^t
     A = make_tangent(Patch(("x",)))
@@ -378,7 +401,7 @@ def test_determinant_and_inverse_match_sympy(monkeypatch):
     # an odd-rank skew map: det 0, and its inverse names that determinant
     A = make_tangent(Patch(names[:3]))
     m = _oracle_matrix(random.Random(7), A, True, 1.0)
-    assert path(m) == "_pfaffians" and m.determinant().is_zero
+    assert structures._is_skew(m.matrix) and m.determinant().is_zero
     assert not m.is_unit_determinant()
     with pytest.raises(NotInvertible, match="^0 is not a unit in the ring$"):
         m.inverse()

@@ -109,8 +109,12 @@ def test_bracket_scaling_detects_wrong_weight():
     tampered = LiftedSection(c.Pi, rebase(c.Pi, bar), -1)
     broken = type(L)(L.source, L.upstairs, (tampered,))
     report = verify_bracket_scaling(broken)
-    assert report.status == "fail"
-    assert "scaling fails for section 0" in report.witness
+    assert (report.status, report.strategy, report.witness) == (
+        "fail",
+        "independent double computation",
+        "bivector bracket scaling fails for section 0: "
+        "-2*ddx1^ddy1^ddz + -2*ddx2^ddy2^ddz",
+    )
 
 
 def test_hat_bar_differentials_on_time_dependent_inputs():

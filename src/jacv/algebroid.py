@@ -22,7 +22,7 @@ exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .coeff import ExpPoly, product_term, sum_products
 from . import calculus
@@ -231,6 +231,18 @@ class Report:
         return self.status == PASS
 
 
+def _first_failure(
+    strategy: str, residues: Iterable[Tuple[str, object]]
+) -> Report:
+    """``fail`` at the first nonzero residue, its witness the label followed
+    by the residue, else ``pass``.  The (label, residue) pairs are read
+    lazily, so a residue after the first failure is never computed."""
+    for label, residue in residues:
+        if not residue.is_zero:
+            return Report(FAIL, strategy, f"{label}{residue}")
+    return Report(PASS, strategy)
+
+
 def validate_algebroid(A: AlgebroidPatch) -> Report:
     """Check the anchor is bracket-compatible and the Jacobi identity holds.
 
@@ -238,7 +250,15 @@ def validate_algebroid(A: AlgebroidPatch) -> Report:
     propagates them to arbitrary sections.  A failure's witness names the
     first failing identity and its nonzero residue.
     """
+    return _first_failure("frame identities", _frame_residues(A))
+
+
+def _frame_residues(
+    A: AlgebroidPatch, twist: Optional["calculus.Form"] = None
+) -> Iterator[Tuple[str, object]]:
+    """The anchor and Jacobi residues on frame elements, then d(twist)."""
     e = [calculus.MultiVector.frame(A, i) for i in range(A.rank)]
+    labels = A.frame_labels
     for i in range(A.rank):
         for j in range(i + 1, A.rank):
             eij = bracket_sections(A, e[i], e[j])
@@ -247,12 +267,7 @@ def validate_algebroid(A: AlgebroidPatch) -> Report:
                 lhs = anchor_apply(A, eij, coord)
                 rhs = anchor_apply(A, e[i], anchor_apply(A, e[j], coord))
                 rhs = rhs - anchor_apply(A, e[j], anchor_apply(A, e[i], coord))
-                if lhs != rhs:
-                    label = (
-                        f"anchor([{A.frame_labels[i]},{A.frame_labels[j]}])"
-                        f" on {name}"
-                    )
-                    return _frame_failure(label, lhs - rhs)
+                yield f"anchor([{labels[i]},{labels[j]}]) on {name}: ", lhs - rhs
     for i in range(A.rank):
         for j in range(i + 1, A.rank):
             for k in range(j + 1, A.rank):
@@ -263,17 +278,9 @@ def validate_algebroid(A: AlgebroidPatch) -> Report:
                 total = total + bracket_sections(
                     A, bracket_sections(A, e[k], e[i]), e[j]
                 )
-                if not total.is_zero:
-                    label = (
-                        f"jacobi({A.frame_labels[i]},{A.frame_labels[j]},"
-                        f"{A.frame_labels[k]})"
-                    )
-                    return _frame_failure(label, total)
-    return Report(PASS, "frame identities")
-
-
-def _frame_failure(label: str, residue: object) -> Report:
-    return Report(FAIL, "frame identities", f"{label}: {residue}")
+                yield f"jacobi({labels[i]},{labels[j]},{labels[k]}): ", total
+    if twist is not None:
+        yield "d(phi0): ", calculus.differential(A, twist)
 
 
 # -- constructions ---------------------------------------------------------
@@ -348,13 +355,7 @@ class JacobiAlgebroidData:
 
 def validate_jacobi(J: JacobiAlgebroidData) -> Report:
     """The algebroid identities, then closedness of the twist."""
-    report = validate_algebroid(J.algebroid)
-    if not report.ok:
-        return report
-    residue = calculus.differential(J.algebroid, J.phi0)
-    if not residue.is_zero:
-        return _frame_failure("d(phi0)", residue)
-    return report
+    return _first_failure("frame identities", _frame_residues(J.algebroid, J.phi0))
 
 
 def extend_with_R(A: AlgebroidPatch) -> JacobiAlgebroidData:

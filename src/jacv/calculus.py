@@ -108,8 +108,6 @@ class _Section:
 
     def __post_init__(self) -> None:
         r = self.algebroid.rank
-        if self.degree < 0:
-            raise MismatchError("negative degree")
         variables = self.algebroid.patch.variables
         clean: Dict[Key, ExpPoly] = {}
         for key, c in self.components.items():
@@ -461,18 +459,18 @@ def schouten(P: MultiVector, Q: MultiVector) -> MultiVector:
     is formed only for monomial pairs with a nonzero bracket.  On degree-1
     sections this is the Leibniz bracket fg[e_i, e_j] + f rho(e_i)g e_j -
     g rho(e_j)f e_i; on degree 0 against degree 1 it is the anchored
-    derivative, and two scalars bracket to 0.  Every term has a factor
-    c_ij^k or rho(e_i) g, so the bracket vanishes on a trivial algebroid.
-    A section bracketed with itself (the same object) is 0 in odd degree
-    and runs over unordered monomial pairs in even degree (module
-    docstring).
+    derivative, and two scalars bracket to the zero of degree -1.  Every
+    term has a factor c_ij^k or rho(e_i) g, so the bracket vanishes on a
+    trivial algebroid.  A section bracketed with itself (the same object)
+    is 0 in odd degree and runs over unordered monomial pairs in even
+    degree (module docstring).
     """
     if not isinstance(P, MultiVector) or not isinstance(Q, MultiVector):
         raise MismatchError("the Schouten bracket acts on multivectors")
     if P.algebroid is not Q.algebroid:
         raise MismatchError("sections live over different algebroids")
     A = P.algebroid
-    degree = max(P.degree + Q.degree - 1, 0)
+    degree = P.degree + Q.degree - 1
     if A.is_trivial or (P is Q and P.degree % 2):
         return MultiVector.zero(A, degree)
     sums: Sums = defaultdict(list)
@@ -572,7 +570,7 @@ def phi0_schouten(J: object, D1: MultiVector, D2: MultiVector) -> MultiVector:
     if phi0.is_zero:
         return schouten(D1, D2)
     a1, a2 = D1.degree, D2.degree
-    degree = max(a1 + a2 - 1, 0)
+    degree = a1 + a2 - 1
     same = D1 is D2
     if same and a1 % 2:
         return MultiVector.zero(A, degree)

@@ -420,7 +420,10 @@ MAP = _isa("a map", TensorMap)
 MUSICAL = Kind("a map or a 2-section", _musical)
 GRAPH = _isa("a graph literal (sharp ..)/(flat ..)", GraphRelation)
 LIFT = _isa("a lift, made by jacobize(..)", LiftedInstance)
-INTEGER = Kind("an integer", lambda interp, v: int(v) if _is_integer(v) else None)
+INTEGER = Kind(
+    "a non-negative integer",
+    lambda interp, v: int(v) if _is_integer(v) and v >= 0 else None,
+)
 WEIGHT = Kind(
     "an integer weight",
     lambda interp, v: ExpPoly.exp(interp.variables(), int(v)) if _is_integer(v) else None,
@@ -533,7 +536,7 @@ SIGNATURES: Dict[str, Sig] = {
     "extend": Sig(lambda A: extend_with_R(A), (ALGEBROID,)),
     "standard": Sig(lambda J: make_standard_bialgebroid(J), (TWISTED,)),
     "couple": Sig(JacobiBialgebroidData, (TWISTED, TWISTED)),
-    "jacobize": Sig(lambda B: lift_instance(B, ()), (DUAL_PAIR,)),
+    "jacobize": Sig(lambda B: lift_instance(B), (DUAL_PAIR,)),
     "d": Sig(lambda J, w: differential(J, _as_degree0(Form, J.algebroid, w)),
              (TWISTED, FORM_OR_SCALAR)),
     "schouten": Sig(lambda J, a, b: phi0_schouten(J, a, b),
@@ -582,10 +585,8 @@ SIGNATURES: Dict[str, Sig] = {
     "check omegan": Sig(lambda J, om, N, **o: omegan_check(J, om, N, **o),
                         (TWISTED, FORM, MAP), options=WEAK),
     "check torsion": Sig(lambda N: torsion_tensor_check(N), (MAP,)),
-    "check lift_scaling": Sig(
-        lambda h, *s: verify_bracket_scaling(h.with_sections(s)),
-        (LIFT,), tail=SECTION,
-    ),
+    "check lift_scaling": Sig(lambda h, *s: verify_bracket_scaling(h, s),
+                              (LIFT,), tail=SECTION),
     "check lift_formulas": Sig(lambda J, f, w: verify_hat_bar_differentials(J, f, w),
                                (TWISTED, SCALAR, FORM)),
     "check main1": Sig(lambda B, l, r: theorem_main1_crosscheck(B, l, r),

@@ -23,8 +23,8 @@ more than the arithmetic shows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Iterator, Optional, Tuple, Union
 
 from .algebroid import (
     FAIL,
@@ -33,6 +33,7 @@ from .algebroid import (
     AlgebroidPatch,
     JacobiAlgebroidData,
     Report,
+    _first_failure,
     bracket_sections,
 )
 from .calculus import (
@@ -135,11 +136,14 @@ def _torsion(
 
 def torsion_tensor_check(N: TensorMap) -> Report:
     """Evaluate the torsion on every frame pair; tensoriality makes this full."""
-    return _frame_pair_torsion(N, None)
+    return _first_failure("torsion on frame pairs", _frame_pair_torsion(N))
 
 
-def _frame_pair_torsion(N: TensorMap, flat: Optional[TensorMap]) -> Report:
-    """The torsion on every frame pair, or its image under ``flat`` if given.
+def _frame_pair_torsion(
+    N: TensorMap, flat: Optional[TensorMap] = None
+) -> Iterator[Tuple[str, Section]]:
+    """The torsion on every frame pair, or its image under ``flat`` if given,
+    labelled by the pair.
 
     The frame and its images depend only on ``N``, so they are built once:
     ``N e_i`` is column ``i`` of the matrix.
@@ -157,14 +161,8 @@ def _frame_pair_torsion(N: TensorMap, flat: Optional[TensorMap]) -> Report:
             value = _torsion(N, frame[i], frame[j], images[i], images[j])
             if flat is not None:
                 value = flat.apply(value)
-            if not value.is_zero:
-                where = f"({A.frame_labels[i]}, {A.frame_labels[j]})"
-                return Report(
-                    FAIL,
-                    witness=f"{kind} at {where} = {value}",
-                    strategy="torsion on frame pairs",
-                )
-    return Report(PASS, strategy="torsion on frame pairs")
+            where = f"({A.frame_labels[i]}, {A.frame_labels[j]})"
+            yield f"{kind} at {where} = ", value
 
 
 # -- torsion of a composed graph relation -----------------------------------
@@ -270,21 +268,27 @@ def _as_bialgebroid(data: DataLike) -> JacobiBialgebroidData:
     return make_standard_bialgebroid(data)
 
 
-def _member_gate(
-    B: JacobiBialgebroidData, relation: GraphRelation, side: str
+def _gate(
+    strategy: str, failure: str, check: Callable[[Section], Report],
+    left: Section, right: Section,
 ) -> Optional[Report]:
-    report = maurer_cartan_check(B, relation.section)
-    if report.ok:
-        return None
-    return Report(
-        FAIL,
-        strategy="member validity",
-        witness=f"{side} member fails its structure equation: {report.witness}",
+    """``fail`` naming the first of the two inputs that ``check`` fails,
+    with that report's witness; None when both pass."""
+    for section, side in ((left, "left"), (right, "right")):
+        report = check(section)
+        if not report.ok:
+            witness = f"{side} {failure}: {report.witness}"
+            return Report(FAIL, strategy=strategy, witness=witness)
+    return None
+
+
+def _member_gate(
+    check: Callable[[Section], Report], left: Section, right: Section
+) -> Optional[Report]:
+    """The member gate of the pair checks: both members satisfy ``check``."""
+    return _gate(
+        "member validity", "member fails its structure equation", check, left, right
     )
-
-
-def _tensor_verdict(N: TensorMap, note: str) -> Report:
-    return replace(torsion_tensor_check(N), strategy=note)
 
 
 def _reduction(kind: str, m1: TensorMap, m2: TensorMap) -> Report:
@@ -301,7 +305,8 @@ def _reduction(kind: str, m1: TensorMap, m2: TensorMap) -> Report:
         except NotInvertible:
             continue
         N = outer.compose(inv) if kind == KIND_SHARP else inv.compose(outer)
-        return _tensor_verdict(N, f"tensor reduction through the {which} {kind}")
+        note = f"tensor reduction through the {which} {kind}"
+        return _first_failure(note, _frame_pair_torsion(N))
     return Report(
         NOT_DECIDED,
         strategy="tensor reduction",
@@ -323,17 +328,20 @@ def dirac_pair_check(
     B = _as_bialgebroid(data)
     if left.algebroid is not B.A or right.algebroid is not B.A:
         raise MismatchError("graph members live over a different algebroid")
-    for relation, side in ((left, "left"), (right, "right")):
-        bad = _member_gate(B, relation, side)
-        if bad is not None:
-            return bad
+    gate = _member_gate(
+        lambda s: maurer_cartan_check(B, s), left.section, right.section
+    )
+    if gate is not None:
+        return gate
     if left.kind == KIND_SHARP and right.kind == KIND_FLAT:
         N = left.music().compose(right.music())
-        return _tensor_verdict(N, "tensor composition sharp after flat")
+        note = "tensor composition sharp after flat"
+        return _first_failure(note, _frame_pair_torsion(N))
     if left.kind == KIND_FLAT and right.kind == KIND_SHARP:
         # Transposing the pair transposes the relation and keeps the torsion.
         N = right.music().compose(left.music())
-        return _tensor_verdict(N, "tensor composition sharp after flat (transposed)")
+        note = "tensor composition sharp after flat (transposed)"
+        return _first_failure(note, _frame_pair_torsion(N))
     if left.kind == KIND_SHARP and phi0_schouten(
         B.a_side, left.section, right.section
     ).is_zero:
@@ -357,21 +365,14 @@ def jomega_check(
         return Report(
             FAIL, witness=f"bivector: {base.witness}", strategy="component checks"
         )
-    d_omega = differential(J, omega)
-    if not d_omega.is_zero:
-        return Report(
-            FAIL, witness=f"form not closed: {d_omega}", strategy="component checks"
-        )
-    N = sharp_map(pi).compose(flat_map(omega))
-    omega_n = two_form_of(flat_map(omega).compose(N))
-    d_omega_n = differential(J, omega_n)
-    if not d_omega_n.is_zero:
-        return Report(
-            FAIL,
-            witness=f"recursion image of the form not closed: {d_omega_n}",
-            strategy="component checks",
-        )
-    return Report(PASS, strategy="component checks")
+
+    def residues() -> Iterator[Tuple[str, Form]]:
+        yield "form not closed: ", differential(J, omega)
+        N = sharp_map(pi).compose(flat_map(omega))
+        omega_n = two_form_of(flat_map(omega).compose(N))
+        yield "recursion image of the form not closed: ", differential(J, omega_n)
+
+    return _first_failure("component checks", residues())
 
 
 def omegan_check(
@@ -392,22 +393,19 @@ def omegan_check(
             witness="flat does not intertwine the endomorphism with its dual",
             strategy="matrix commutation",
         )
-    torsion = _frame_pair_torsion(N, fl if weak else None)
+    torsion = _first_failure(
+        "torsion on frame pairs", _frame_pair_torsion(N, fl if weak else None)
+    )
     if not torsion.ok:
         return torsion
-    d_omega = differential(J, omega)
-    if not d_omega.is_zero:
-        return Report(
-            FAIL, witness=f"form not closed: {d_omega}", strategy="closedness"
-        )
-    omega_n = two_form_of(fl.compose(N))
-    d_omega_n = differential(J, omega_n)
-    if not d_omega_n.is_zero:
-        return Report(
-            FAIL,
-            witness=f"composed form not closed: {d_omega_n}",
-            strategy="closedness",
-        )
+
+    def residues() -> Iterator[Tuple[str, Form]]:
+        yield "form not closed: ", differential(J, omega)
+        yield "composed form not closed: ", differential(J, two_form_of(fl.compose(N)))
+
+    closed = _first_failure("closedness", residues())
+    if not closed.ok:
+        return closed
     label = "weak commutation/torsion/closedness" if weak else (
         "commutation/torsion/closedness"
     )
@@ -438,14 +436,15 @@ def symplectic_pair_check(
     J: JacobiAlgebroidData, om1: Form, om2: Form
 ) -> Report:
     """Presymplectic pair with both flats invertible over the patch ring."""
-    for omega, side in ((om1, "left"), (om2, "right")):
-        report = nondegenerate_check(flat_map(omega))
-        if not report.ok:
-            return Report(
-                FAIL,
-                strategy="non-degeneracy",
-                witness=f"{side} form is degenerate: {report.witness}",
-            )
+    gate = _gate(
+        "non-degeneracy",
+        "form is degenerate",
+        lambda omega: nondegenerate_check(flat_map(omega)),
+        om1,
+        om2,
+    )
+    if gate is not None:
+        return gate
     return presymplectic_pair_check(J, om1, om2)
 
 
@@ -458,14 +457,9 @@ def hamiltonian_pair_check(
     an image condition this checker does not decide, so a nonzero bracket
     only downgrades the verdict to not-decided (unless a member fails).
     """
-    for pi, side in ((pi1, "left"), (pi2, "right")):
-        report = jacobi_check(J, pi)
-        if not report.ok:
-            return Report(
-                FAIL,
-                strategy="member validity",
-                witness=f"{side} member fails its structure equation: {report.witness}",
-            )
+    gate = _member_gate(lambda pi: jacobi_check(J, pi), pi1, pi2)
+    if gate is not None:
+        return gate
     mixed = phi0_schouten(J, pi1, pi2)
     if mixed.is_zero:
         return Report(PASS, strategy="bracket compatibility")

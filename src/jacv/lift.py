@@ -16,8 +16,8 @@ is checked by computing both sides independently and subtracting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Iterator, Sequence, Tuple
 
 from .algebroid import (
     FAIL,
@@ -26,6 +26,7 @@ from .algebroid import (
     AlgebroidPatch,
     JacobiAlgebroidData,
     Report,
+    _first_failure,
     lift_bar,
     lift_hat,
 )
@@ -71,30 +72,11 @@ def _time_derivative(section: Section) -> Section:
 
 
 @dataclass(eq=False)
-class LiftedSection:
-    """A degree-2 section downstairs together with its weighted lift."""
-
-    source: Section
-    lifted: Section
-    weight: int
-
-
-@dataclass(eq=False)
 class LiftedInstance:
-    """A dual pair downstairs, its untwisted lift, and the moved sections."""
+    """A dual pair downstairs and its untwisted lift."""
 
     source: JacobiBialgebroidData
     upstairs: JacobiBialgebroidData
-    sections: Tuple[LiftedSection, ...]
-
-    def with_sections(self, sections: Sequence[Section]) -> "LiftedInstance":
-        """This lift carrying ``sections`` of the source algebroid, moved up."""
-        moved = []
-        for s in sections:
-            if s.algebroid is not self.source.A:
-                raise MismatchError("section lives over a different algebroid")
-            moved.append(lift_section(self.upstairs.A, s))
-        return replace(self, sections=tuple(moved))
 
 
 def lift_bialgebroid(data: DataLike) -> JacobiBialgebroidData:
@@ -105,66 +87,63 @@ def lift_bialgebroid(data: DataLike) -> JacobiBialgebroidData:
     return JacobiBialgebroidData(_untwisted(bar), _untwisted(hat))
 
 
-def lift_section(upstairs_A: AlgebroidPatch, s: Section) -> LiftedSection:
+def lift_section(upstairs_A: AlgebroidPatch, s: Section) -> Section:
+    """A degree-2 section moved up with its weight: exp(-t) for a bivector,
+    exp(t) for a form."""
     if s.degree != 2:
         raise MismatchError("only degree-2 sections carry a canonical weight")
     weight = -1 if isinstance(s, MultiVector) else 1
-    lifted = _weight_unit(upstairs_A, weight) * rebase(s, upstairs_A)
-    return LiftedSection(s, lifted, weight)
+    return _weight_unit(upstairs_A, weight) * rebase(s, upstairs_A)
 
 
-def lift_instance(data: DataLike, sections: Sequence[Section]) -> LiftedInstance:
+def lift_instance(data: DataLike) -> LiftedInstance:
     B = _as_bialgebroid(data)
-    return LiftedInstance(B, lift_bialgebroid(B), ()).with_sections(sections)
+    return LiftedInstance(B, lift_bialgebroid(B))
 
 
 # -- the four scaling identities --------------------------------------------
 
 def _scaling_residues(
-    L: LiftedInstance, item: LiftedSection
-) -> Tuple[Tuple[str, Section], ...]:
+    L: LiftedInstance, s: Section, lifted: Section
+) -> Iterator[Tuple[str, Section]]:
     B, up = L.source, L.upstairs
     bar = up.A
-    s, lifted = item.source, item.lifted
     if isinstance(s, MultiVector):
         w = _weight_unit(bar, -2)
         bracket_up = phi0_schouten(up.a_side, lifted, lifted)
         bracket_down = w * rebase(phi0_schouten(B.a_side, s, s), bar)
+        yield "bivector bracket scaling", bracket_up - bracket_down
         diff_up = dual_differential(up, lifted)
         diff_down = w * rebase(dual_differential(B, s), bar)
-        return (
-            ("bivector bracket scaling", bracket_up - bracket_down),
-            ("bivector differential scaling", diff_up - diff_down),
-        )
+        yield "bivector differential scaling", diff_up - diff_down
+        return
     w = _weight_unit(bar, 1)
     bracket_up = dual_schouten(up, lifted, lifted)
     bracket_down = w * rebase(dual_schouten(B, s, s), bar)
+    yield "form bracket scaling", bracket_up - bracket_down
     diff_up = differential(up.a_side, lifted)
     diff_down = w * rebase(differential(B.a_side, s), bar)
-    return (
-        ("form bracket scaling", bracket_up - bracket_down),
-        ("form differential scaling", diff_up - diff_down),
-    )
+    yield "form differential scaling", diff_up - diff_down
 
 
-def verify_bracket_scaling(L: LiftedInstance) -> Report:
+def verify_bracket_scaling(L: LiftedInstance, sections: Sequence[Section]) -> Report:
     """Brackets and differentials upstairs against weighted ones downstairs.
 
-    For every carried section both sides of both identities are computed
-    from scratch (the upstairs side never looks at the downstairs one), so
-    a pass is a genuine double derivation.
+    Each section of the source algebroid is lifted, and both sides of both
+    identities are computed from scratch (the upstairs side never looks at
+    the downstairs one), so a pass is a genuine double derivation.
     """
-    if not L.sections:
-        raise MismatchError("the instance carries no sections to verify")
-    for index, item in enumerate(L.sections):
-        for label, residue in _scaling_residues(L, item):
-            if not residue.is_zero:
-                return Report(
-                    FAIL,
-                    witness=f"{label} fails for section {index}: {residue}",
-                    strategy="independent double computation",
-                )
-    return Report(PASS, strategy="independent double computation")
+    if not sections:
+        raise MismatchError("no sections to verify")
+    if any(s.algebroid is not L.source.A for s in sections):
+        raise MismatchError("section lives over a different algebroid")
+    lifted = [lift_section(L.upstairs.A, s) for s in sections]
+    residues = (
+        (f"{label} fails for section {index}: ", residue)
+        for index, (s, up) in enumerate(zip(sections, lifted))
+        for label, residue in _scaling_residues(L, s, up)
+    )
+    return _first_failure("independent double computation", residues)
 
 
 # -- closed formulas for the lifted differentials ---------------------------
@@ -190,53 +169,34 @@ def verify_hat_bar_differentials(
     hat = _untwisted(lift_hat(J))
     bar = _untwisted(lift_bar(J))
     f = Form.scalar_section(A, scalar)
-    df_plain = differential(plain, f)
-    dt_f = _time_derivative(f)
-    scalar_formula = df_plain + (
-        dt_f.components.get((), A.zero_scalar()) * J.phi0
-    )
-    dphi_twisted = differential(J, cosection)
-    dphi_plain = differential(plain, cosection)
+    dt_f = _time_derivative(f).components.get((), A.zero_scalar())
+    scalar_formula = differential(plain, f) + dt_f * J.phi0
     tail = wedge(J.phi0, _time_derivative(cosection))
-    cases = (
-        (
-            "weighted lift on a scalar",
-            differential(hat, rebase(f, hat.algebroid)),
-            _weight_unit(hat.algebroid, -1) * rebase(scalar_formula, hat.algebroid),
-        ),
-        (
-            "weighted lift on a cosection",
-            differential(hat, rebase(cosection, hat.algebroid)),
-            _weight_unit(hat.algebroid, -1)
-            * rebase(dphi_twisted + tail, hat.algebroid),
-        ),
-        (
-            "plain lift on a scalar",
-            differential(bar, rebase(f, bar.algebroid)),
-            rebase(scalar_formula, bar.algebroid),
-        ),
-        (
-            "plain lift on a cosection",
-            differential(bar, rebase(cosection, bar.algebroid)),
-            rebase(dphi_plain + tail, bar.algebroid),
-        ),
-    )
-    for label, direct, formula in cases:
-        residue = direct - formula
-        if not residue.is_zero:
-            return Report(
-                FAIL,
-                witness=f"{label}: residue {residue}",
-                strategy="formula against direct evaluation",
-            )
-    return Report(PASS, strategy="formula against direct evaluation")
+    emt = _weight_unit(A, -1)
+
+    def against(lifted: JacobiAlgebroidData, w: Form, formula: Form) -> Form:
+        up = lifted.algebroid
+        return differential(lifted, rebase(w, up)) - rebase(formula, up)
+
+    def residues() -> Iterator[Tuple[str, Form]]:
+        yield "weighted lift on a scalar: residue ", against(
+            hat, f, emt * scalar_formula
+        )
+        yield "weighted lift on a cosection: residue ", against(
+            hat, cosection, emt * (differential(J, cosection) + tail)
+        )
+        yield "plain lift on a scalar: residue ", against(bar, f, scalar_formula)
+        yield "plain lift on a cosection: residue ", against(
+            bar, cosection, differential(plain, cosection) + tail
+        )
+
+    return _first_failure("formula against direct evaluation", residues())
 
 
 # -- verdict transport -------------------------------------------------------
 
 def _lift_relation(upstairs_A: AlgebroidPatch, rel: GraphRelation) -> GraphRelation:
-    item = lift_section(upstairs_A, rel.section)
-    return GraphRelation(rel.kind, item.lifted)
+    return GraphRelation(rel.kind, lift_section(upstairs_A, rel.section))
 
 
 def theorem_main1_crosscheck(

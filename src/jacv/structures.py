@@ -22,7 +22,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from .coeff import ExpPoly, NotInvertible, product_term, sum_products
 from .algebroid import (
@@ -31,6 +31,7 @@ from .algebroid import (
     AlgebroidPatch,
     JacobiAlgebroidData,
     Report,
+    _first_failure,
     bracket_sections,
 )
 from . import calculus
@@ -453,9 +454,7 @@ def pi_from_omega(J: JacobiAlgebroidData, omega: Form) -> MultiVector:
 
 
 def _report_zero(residue: Section) -> Report:
-    if residue.is_zero:
-        return Report(PASS)
-    return Report(FAIL, witness=str(residue))
+    return _first_failure("", (("", residue),))
 
 
 def _check_over(J: JacobiAlgebroidData, *sections: Section) -> None:
@@ -639,36 +638,36 @@ def bialgebroid_compat_check(B: JacobiBialgebroidData) -> Report:
     Both paths report the same strategy string, which the benchmark's
     recorded corpus hash covers.
     """
-    A = B.A
     strategy = "verified on test family"
     if B.Astar.is_trivial and B.astar_side.phi0.is_zero:
         return Report(PASS, strategy=strategy)
+    return _first_failure(strategy, _compat_residues(B))
+
+
+def _compat_residues(B: JacobiBialgebroidData) -> Iterator[Tuple[str, Section]]:
+    """Both identities of ``bialgebroid_compat_check`` on its family."""
+    A = B.A
     family = _scaled_frames(A)
     frames = family[: A.rank]
     pairs = [
         (frames[i], frames[j]) for i in range(A.rank) for j in range(i, A.rank)
     ]
     pairs += [(s, frames[j]) for s in family[A.rank :] for j in range(A.rank)]
-    multis = family + [
-        wedge(frames[i], frames[j])
-        for i in range(A.rank)
-        for j in range(i + 1, A.rank)
-    ]
     for X, Y in pairs:
         lhs = dual_differential(B, bracket_sections(A, X, Y))
         rhs = phi0_schouten(B.a_side, dual_differential(B, X), Y) + phi0_schouten(
             B.a_side, X, dual_differential(B, Y)
         )
-        if lhs != rhs:
-            witness = f"derivation identity on ({X}, {Y}): {lhs - rhs}"
-            return Report(FAIL, witness=witness, strategy=strategy)
+        yield f"derivation identity on ({X}, {Y}): ", lhs - rhs
+    multis = family + [
+        wedge(frames[i], frames[j])
+        for i in range(A.rank)
+        for j in range(i + 1, A.rank)
+    ]
     x0 = B.X0
     for P in multis:
         residue = lie_derivative(B.a_side, x0, P) + dual_lie(B, B.phi0, P)
-        if not residue.is_zero:
-            witness = f"twist derivative identity on {P}: {residue}"
-            return Report(FAIL, witness=witness, strategy=strategy)
-    return Report(PASS, strategy=strategy)
+        yield f"twist derivative identity on {P}: ", residue
 
 
 # -- pairings and the structure bracket on A + A* ---------------------------
@@ -747,7 +746,6 @@ def graph_closure_check(B: JacobiBialgebroidData, s: Section) -> Report:
     """
     if s.degree != 2:
         raise MismatchError("graph closure needs a degree-2 section")
-    strategy = "graph closure on scaled frame pairs"
     if isinstance(s, MultiVector):
         sharp = sharp_map(s)
         basis = [Form.coframe(B.A, i) for i in range(B.A.rank)]
@@ -760,9 +758,8 @@ def graph_closure_check(B: JacobiBialgebroidData, s: Section) -> Report:
         couples = [CouplePair(X, flat.apply(X)) for X in basis]
         def defect(w: CouplePair) -> Section:
             return w.covector - flat.apply(w.vector)
-    for (b, u), (c, v) in combinations(zip(basis, couples), 2):
-        residue = defect(courant_bracket(B, u, v))
-        if not residue.is_zero:
-            witness = f"bracket of graph couples at ({b}, {c}): {residue}"
-            return Report(FAIL, witness=witness, strategy=strategy)
-    return Report(PASS, strategy=strategy)
+    residues = (
+        (f"bracket of graph couples at ({b}, {c}): ", defect(courant_bracket(B, u, v)))
+        for (b, u), (c, v) in combinations(zip(basis, couples), 2)
+    )
+    return _first_failure("graph closure on scaled frame pairs", residues)

@@ -180,7 +180,7 @@ def test_lift_identities_on_random_instances():
             rand_multivector(r, A, 2, max_degree=2, terms=2),
             rand_form(r, A, 2, max_degree=2, terms=2),
         ]
-        report = verify_bracket_scaling(lift_instance(J, sections))
+        report = verify_bracket_scaling(lift_instance(J), sections)
         assert report.ok, f"seed={seed}: {report.witness}"
         scalar = rand_scalar(r, p, max_degree=2, terms=2, with_t=True, exp_range=1)
         cosection = rand_form(r, A, 1, max_degree=2, terms=2, with_t=True, exp_range=1)
@@ -365,7 +365,7 @@ def test_perturbed_form_fails_at_both_levels_simultaneously():
     down = presymplectic_check(c.C, bad)
     assert down.status == "fail"
     up = lift_bialgebroid(c.C)
-    lifted = lift_section(up.A, bad).lifted
+    lifted = lift_section(up.A, bad)
     assert not differential(up.a_side, lifted).is_zero
     assert maurer_cartan_check(up, lifted).status == "fail"
 

@@ -251,7 +251,7 @@ def _recursive_schouten(P, Q):
             # only nonzero pieces are accumulated
             head, tail = right[0], right[1:]
             du = 0 if head[0] == "f" else 1
-            total = MultiVector.zero(A, max(p + q - 1, 0))
+            total = MultiVector.zero(A, p + q - 1)
             inner = bracket(left, [head])
             if not inner.is_zero:
                 total = total + wedge(inner, to_section(tail))
@@ -265,7 +265,7 @@ def _recursive_schouten(P, Q):
         flipped = bracket(right, left)
         return -flipped if ((p - 1) * (q - 1)) % 2 == 0 else flipped
 
-    total = MultiVector.zero(A, max(P.degree + Q.degree - 1, 0))
+    total = MultiVector.zero(A, P.degree + Q.degree - 1)
     for I, f in P.components.items():
         for J, g in Q.components.items():
             term = bracket(
@@ -290,7 +290,7 @@ def test_closed_form_schouten_matches_the_recursion():
             P, Q = (_rand_mv(r, A, d, density=0.8, terms=2) for d in (p, q))
             got = schouten(P, Q)
             assert got == _recursive_schouten(P, Q), f"rank={A.rank} seed={seed}"
-            assert got.degree == max(p + q - 1, 0)
+            assert got.degree == p + q - 1
             nonzero.append(not got.is_zero)
     assert 3 * sum(nonzero) >= len(nonzero), f"{sum(nonzero)} of {len(nonzero)} nonzero"
 
@@ -403,7 +403,7 @@ def test_trivial_algebroid_keeps_only_the_twist_terms():
         a1, a2 = r.randint(0, 3), r.randint(0, 3)
         P = rand_multivector(r, A, a1, max_degree=1, terms=2)
         Q = rand_multivector(r, A, a2, max_degree=1, terms=2)
-        zero = MultiVector.zero(A, max(a1 + a2 - 1, 0))
+        zero = MultiVector.zero(A, a1 + a2 - 1)
         assert schouten(P, Q) == zero, f"seed={seed}"
         # the twisted bracket is its two twist terms alone
         expected = zero

@@ -2,13 +2,15 @@
 
 Each example draws one algebroid built from ``tests.gen``, a closed twist on
 it and seeded random sections, and checks d∘d = 0, Cartan's identities or
-the graded Jacobi identity of the twisted bracket on them.  The trivial
+the graded Jacobi identity of the twisted bracket on them, or round trips
+through split/merge and through the frame-data constructor.  The trivial
 algebroid is among them, so the shortcut that skips the frame loops there is
 under the same properties as the loops.  Derandomized with a fixed number
 of examples, so every run checks the same values and the suite stays
 deterministic."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -19,17 +21,19 @@ from jacv.algebroid import (  # noqa: E402
     JacobiAlgebroidData,
     Patch,
     extend_with_R,
+    make_explicit,
     make_trivial,
 )
 from jacv.calculus import (  # noqa: E402
     Form,
-    MismatchError,
     MultiVector,
     contract,
     differential,
     lie_derivative,
+    merge,
     phi0_schouten,
     schouten,
+    split,
 )
 from tests.gen import (  # noqa: E402
     rand_form,
@@ -113,7 +117,7 @@ def test_self_bracket_matches_an_equal_copy(name, seed, degree):
     ):
         own = bracket(P, P)
         assert own == bracket(P, copy)
-        assert own.degree == max(2 * degree - 1, 0)
+        assert own.degree == 2 * degree - 1
         if degree % 2:
             assert own.is_zero
 
@@ -122,24 +126,19 @@ def test_self_bracket_matches_an_equal_copy(name, seed, degree):
 @given(
     st.sampled_from(sorted(ALGEBROIDS)),
     st.integers(0, 2**16),
-    # at most one scalar, so that no inner bracket has the formal degree -1;
-    # test_schouten_of_two_scalars_has_degree_minus_one pins that case
-    st.tuples(*(st.integers(0, 2) for _ in range(3))).filter(
-        lambda degrees: degrees.count(0) <= 1
-    ),
+    st.tuples(*(st.integers(0, 2) for _ in range(3))),
 )
 def test_twisted_schouten_graded_jacobi(name, seed, degrees):
     _check_graded_jacobi(name, seed, degrees)
 
 
-@pytest.mark.xfail(
-    raises=MismatchError,
-    strict=True,
-    reason="schouten gives [scalar, scalar] the degree 0, not -1, so [[P,Q],R] "
-    "has degree 1 where the other two terms have degree 0",
-)
 def test_schouten_of_two_scalars_has_degree_minus_one():
-    # once this passes, drop the filter on two scalars in the property above
+    # [f, g] is the zero of degree -1, so [[f, g], R] has the degree of the
+    # other two terms of the Jacobi identity
+    r, J = _twisted("extension", 0)
+    f, g = (rand_multivector(r, J.algebroid, 0, max_degree=1) for _ in range(2))
+    for bracket in (schouten(f, g), phi0_schouten(J, f, g)):
+        assert bracket.is_zero and bracket.degree == -1
     _check_graded_jacobi("extension", 0, (0, 0, 2))
 
 
@@ -153,3 +152,59 @@ def _check_graded_jacobi(name, seed, degrees):
         cross = -cross
     lhs = phi0_schouten(J, P, phi0_schouten(J, Q, R))
     assert lhs == phi0_schouten(J, phi0_schouten(J, P, Q), R) + cross
+
+
+@PROPERTY
+@given(
+    st.sampled_from(sorted(ALGEBROIDS)),
+    st.integers(0, 2**16),
+    st.integers(0, 3),
+    st.sampled_from([Form, MultiVector]),
+)
+def test_split_and_merge_are_inverse(name, seed, degree, kind):
+    r = random.Random(seed)
+    ext = extend_with_R(ALGEBROIDS[name]()).algebroid
+    base = ext.ext_base
+    draw = rand_form if kind is Form else rand_multivector
+    u = draw(r, ext, degree, max_degree=1, terms=2)
+    assert merge(ext, *split(u)) == u
+    P = draw(r, base, degree, max_degree=1, terms=2)
+    # a degree-0 pair has no second slot; split gives it the zero of degree 0
+    Q = kind.zero(base, 0)
+    if degree:
+        Q = draw(r, base, degree - 1, max_degree=1, terms=2)
+    assert split(merge(ext, P, Q)) == (P, Q)
+
+
+def _dense(A):
+    """The anchor rows (one per anchor coordinate) and the bracket table of
+    every pair i < j, zeros written out."""
+    zero = A.zero_scalar()
+    columns = [dict(column) for column in A.anchor]
+    rows = [[column.get(x, zero) for column in columns] for x in A.patch.anchor_coords]
+    table = {
+        key: [dict(A.brackets.get(key, ())).get(k, zero) for k in range(A.rank)]
+        for key in combinations(range(A.rank), 2)
+    }
+    return rows, table
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(ALGEBROIDS)), st.integers(0, 2**16))
+def test_make_explicit_round_trips_frame_data(name, seed):
+    # an algebroid's own dense data stores its anchor and brackets again
+    A = ALGEBROIDS[name]()
+    B = make_explicit(A.patch, A.rank, *_dense(A))
+    assert (B.anchor, B.brackets) == (A.anchor, A.brackets)
+    # random dense data with zeros is stored sparsely and read back unchanged
+    r = random.Random(seed)
+
+    def entry():
+        if r.random() < 0.5:
+            return A.zero_scalar()
+        return rand_scalar(r, A.patch, max_degree=1, terms=1)
+
+    rows = [[entry() for _ in range(A.rank)] for _ in A.patch.anchor_coords]
+    pairs = combinations(range(A.rank), 2)
+    table = {key: [entry() for _ in range(A.rank)] for key in pairs}
+    assert _dense(make_explicit(A.patch, A.rank, rows, table)) == (rows, table)

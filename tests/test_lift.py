@@ -6,8 +6,8 @@ from jacv.algebroid import JacobiAlgebroidData, Patch, bracket_sections, make_ta
 from jacv.calculus import Form, MismatchError, MultiVector, rebase
 from jacv.coeff import ExpPoly
 from jacv.dirac import GraphRelation
+from jacv import lift
 from jacv.lift import (
-    LiftedSection,
     lift_bialgebroid,
     lift_instance,
     lift_section,
@@ -32,12 +32,8 @@ def test_lift_section_weights():
     bar = up.A
     emt = ExpPoly.exp(bar.patch.variables, -1)
     ept = ExpPoly.exp(bar.patch.variables, 1)
-    moved_pi = lift_section(bar, c.Pi)
-    assert moved_pi.weight == -1
-    assert moved_pi.lifted == emt * rebase(c.Pi, bar)
-    moved_om = lift_section(bar, c.Om)
-    assert moved_om.weight == 1
-    assert moved_om.lifted == ept * rebase(c.Om, bar)
+    assert lift_section(bar, c.Pi) == emt * rebase(c.Pi, bar)
+    assert lift_section(bar, c.Om) == ept * rebase(c.Om, bar)
     with pytest.raises(MismatchError):
         lift_section(bar, Form.coframe(c.ext, 0))
 
@@ -62,27 +58,20 @@ def test_lift_bialgebroid_shape():
 
 def test_lift_instance_wiring():
     c = contact()
-    L = lift_instance(c.C, [c.Pi, c.Om])
-    assert len(L.sections) == 2
-    assert all(m.lifted.algebroid is L.upstairs.A for m in L.sections)
+    L = lift_instance(c.C)
+    assert L.source.A is c.ext
+    assert L.upstairs.A.patch.has_time and L.upstairs.A.rank == c.ext.rank
     other = make_tangent(Patch(("u",)))
     stray = MultiVector(other, 2, {})
-    with pytest.raises(MismatchError):
-        lift_instance(c.C, [stray])
-    with pytest.raises(MismatchError):
-        verify_bracket_scaling(lift_instance(c.C, []))
-    # moving other sections onto the same lift reuses its dual pair upstairs
-    again = L.with_sections([c.Om])
-    assert again.source is L.source and again.upstairs is L.upstairs
-    assert [m.source for m in again.sections] == [c.Om]
-    with pytest.raises(MismatchError):
-        L.with_sections([stray])
+    with pytest.raises(MismatchError, match="different algebroid"):
+        verify_bracket_scaling(L, [c.Pi, stray])
+    with pytest.raises(MismatchError, match="no sections"):
+        verify_bracket_scaling(L, [])
 
 
 def test_bracket_scaling_on_corpus():
     c = contact()
-    L = lift_instance(c.C, [c.Pi, c.Om, c.wH, c.wP])
-    report = verify_bracket_scaling(L)
+    report = verify_bracket_scaling(lift_instance(c.C), [c.Pi, c.Om, c.wH, c.wP])
     assert report.ok, report.witness
 
 
@@ -97,18 +86,15 @@ def test_bracket_scaling_random_instances():
             rand_multivector(r, A, 2, max_degree=2, terms=2),
             rand_form(r, A, 2, max_degree=2, terms=2),
         ]
-        report = verify_bracket_scaling(lift_instance(J, sections))
+        report = verify_bracket_scaling(lift_instance(J), sections)
         assert report.ok, f"seed={seed}: {report.witness}"
 
 
-def test_bracket_scaling_detects_wrong_weight():
+def test_bracket_scaling_detects_wrong_weight(monkeypatch):
     c = contact()
-    L = lift_instance(c.C, [c.Pi])
-    bar = L.upstairs.A
-    # drop the exponential weight: the carried section no longer matches
-    tampered = LiftedSection(c.Pi, rebase(c.Pi, bar), -1)
-    broken = type(L)(L.source, L.upstairs, (tampered,))
-    report = verify_bracket_scaling(broken)
+    # drop the exponential weight: the lifted section no longer matches
+    monkeypatch.setattr(lift, "lift_section", lambda up, s: rebase(s, up))
+    report = verify_bracket_scaling(lift_instance(c.C), [c.Pi])
     assert (report.status, report.strategy, report.witness) == (
         "fail",
         "independent double computation",
@@ -141,8 +127,8 @@ def test_recursion_map_commutes_with_the_lift():
     up = lift_bialgebroid(c.C)
     bar = up.A
     for om in (c.wH, c.wE, c.wP):
-        lifted_pi = lift_section(bar, c.Pi).lifted
-        lifted_om = lift_section(bar, om).lifted
+        lifted_pi = lift_section(bar, c.Pi)
+        lifted_om = lift_section(bar, om)
         # the opposite weights cancel in the composition
         n_up = sharp_map(lifted_pi).compose(flat_map(lifted_om))
         expected = sharp_map(rebase(c.Pi, bar)).compose(flat_map(rebase(om, bar)))

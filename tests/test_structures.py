@@ -158,7 +158,7 @@ def test_tensor_map_algebra():
     # on flats, a sharp, a lifted e^t Om, whose Pfaffian is e^(3t), and a
     # unitriangular map, which is not skew
     bar = lift_bialgebroid(c.C).A
-    lifted = lift_section(bar, c.Om).lifted
+    lifted = lift_section(bar, c.Om)
     skew = (fl, flat_map(c.wH), flat_map(c.wE), sharp_map(c.Pi), flat_map(lifted))
     for m in skew + (unit_triangular(random.Random(1), c.ext),):
         inv = m.inverse()

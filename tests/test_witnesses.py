@@ -69,9 +69,8 @@ def test_algebroid_anchor_failure_report():
 def test_algebroid_jacobi_failure_report():
     p = Patch(("q",))
     zero, one = p.zero(), p.const(1)
-    A = make_explicit(
-        p, 3, ((zero, zero, zero),), {(0, 1): (zero, one, zero), (1, 2): (one, zero, zero)}
-    )
+    brackets = {(0, 1): (zero, one, zero), (1, 2): (one, zero, zero)}
+    A = make_explicit(p, 3, ((zero, zero, zero),), brackets)
     assert _triple(validate_algebroid(A)) == (
         "fail", "frame identities", "jacobi(e1,e2,e3): 1*e1",
     )
@@ -80,7 +79,9 @@ def test_algebroid_jacobi_failure_report():
 def test_twist_not_closed_report():
     p, A = small_tangent(("x", "y"))
     J = JacobiAlgebroidData(A, p.coord("x") * Form.coframe(A, 1))
-    assert _triple(validate_jacobi(J)) == ("fail", "frame identities", "d(phi0): 1*dx^dy")
+    assert _triple(validate_jacobi(J)) == (
+        "fail", "frame identities", "d(phi0): 1*dx^dy",
+    )
 
 
 # -- dual pairs and graphs ----------------------------------------------------
@@ -126,7 +127,9 @@ def test_graph_closure_failure_report():
 def test_torsion_failure_report():
     p, A, _ = _plane4()
     assert _triple(torsion_tensor_check(_kernel_torsion_map(p, A))) == (
-        "fail", "torsion on frame pairs", "torsion at (ddx1, ddx2) = x3*ddx3 + -x4*ddx4",
+        "fail",
+        "torsion on frame pairs",
+        "torsion at (ddx1, ddx2) = x3*ddx3 + -x4*ddx4",
     )
 
 

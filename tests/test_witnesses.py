@@ -205,6 +205,36 @@ def test_member_gate_reports(side):
     )
 
 
+# -- pair ladder ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("order", ["sharp first", "flat first"])
+def test_mixed_pair_failure_reports(order):
+    # both members valid; sharp(x3 ddx1^ddx2) after flat(dx1^dx2 + dx3^dx4)
+    # has torsion, and transposing the pair keeps it
+    p, A, J, pi, _ = _incompatible_pair()
+    om = Form(A, 2, {(0, 1): p.const(1), (2, 3): p.const(1)})
+    sharp, flat = GraphRelation.of_bivector(pi), GraphRelation.of_two_form(om)
+    strategy = "tensor composition sharp after flat"
+    if order == "sharp first":
+        report = dirac_pair_check(J, sharp, flat)
+    else:
+        report = dirac_pair_check(J, flat, sharp)
+        strategy += " (transposed)"
+    assert _triple(report) == ("fail", strategy, "torsion at (ddx1, ddx3) = x3*ddx1")
+
+
+def test_matched_pair_reduction_failure_report():
+    # the mixed bracket is nonzero, so the pair reaches the tensor reduction
+    _, _, J, pi1, pi2 = _incompatible_pair()
+    graphs = [GraphRelation.of_bivector(pi) for pi in (pi1, pi2)]
+    assert _triple(dirac_pair_check(J, *graphs)) == (
+        "fail",
+        "tensor reduction through the second sharp",
+        "torsion at (ddx1, ddx3) = x3*ddx1",
+    )
+
+
 # -- lifts ----------------------------------------------------------------------
 
 

@@ -614,8 +614,7 @@ def split(u: Section) -> Tuple[Section, Section]:
         else:
             p_comps[key] = c
     cls = type(u)
-    q_degree = u.degree - 1 if u.degree else 0
-    return cls(base, u.degree, p_comps), cls(base, q_degree, q_comps)
+    return cls(base, u.degree, p_comps), cls(base, u.degree - 1, q_comps)
 
 
 def merge(A_ext: object, P: Section, Q: Section) -> Section:

@@ -42,11 +42,9 @@ from .calculus import (
     MultiVector,
     Section,
     differential,
-    eval_on,
-    pair,
     phi0_schouten,
 )
-from .coeff import ExpPoly, NotInvertible
+from .coeff import NotInvertible
 from .structures import (
     JacobiBialgebroidData,
     TensorMap,
@@ -61,9 +59,6 @@ from .structures import (
 
 KIND_SHARP = "sharp"
 KIND_FLAT = "flat"
-
-CosectionTriple = Tuple[Form, Form, Form]
-
 
 @dataclass(eq=False)
 class GraphRelation:
@@ -165,98 +160,6 @@ def _frame_pair_torsion(
             yield f"{kind} at {where} = ", value
 
 
-# -- torsion of a composed graph relation -----------------------------------
-
-def torsion_raw_relation(
-    A: AlgebroidPatch,
-    pairs: Tuple[Tuple[MultiVector, MultiVector], Tuple[MultiVector, MultiVector]],
-    triple: CosectionTriple,
-) -> ExpPoly:
-    """Torsion of a relation evaluated on explicit members.
-
-    The caller supplies two pairs belonging to the relation and a cosection
-    triple from its dual chain; membership is the caller's responsibility.
-    The value is the alternating pairing of the triple against the brackets
-    of the paired legs.
-    """
-    (x1, y1), (x2, y2) = pairs
-    alpha, beta, gamma = triple
-    top = pair(alpha, bracket_sections(A, y1, y2))
-    mid = pair(beta, bracket_sections(A, y1, x2) + bracket_sections(A, x1, y2))
-    bot = pair(gamma, bracket_sections(A, x1, x2))
-    return top - mid + bot
-
-
-def _triple_residues(
-    pi1: MultiVector, pi2: MultiVector, triple: CosectionTriple
-) -> Tuple[Section, Section]:
-    s1 = sharp_map(pi1)
-    s2 = sharp_map(pi2)
-    first = s2.apply(triple[1]) - s1.apply(triple[0])
-    second = s2.apply(triple[2]) - s1.apply(triple[1])
-    return first, second
-
-
-def valid_triple(
-    pi1: MultiVector, pi2: MultiVector, triple: CosectionTriple
-) -> bool:
-    """Chain condition: the second sharp advances the triple along the first."""
-    first, second = _triple_residues(pi1, pi2, triple)
-    return first.is_zero and second.is_zero
-
-
-def torsion_raw(
-    A: AlgebroidPatch,
-    pi1: MultiVector,
-    pi2: MultiVector,
-    xi1: Form,
-    xi2: Form,
-    triple: CosectionTriple,
-) -> ExpPoly:
-    """Relation torsion for two bivector graphs on a chained cosection triple.
-
-    The relation pairs the second sharp against the first, so the evaluation
-    legs are (pi2^sharp xi, pi1^sharp xi) and the triple must satisfy the
-    chain condition checked by valid_triple.
-    """
-    if not valid_triple(pi1, pi2, triple):
-        raise MismatchError("cosection triple does not satisfy the chain condition")
-    s1 = sharp_map(pi1)
-    s2 = sharp_map(pi2)
-    legs = ((s2.apply(xi1), s1.apply(xi1)), (s2.apply(xi2), s1.apply(xi2)))
-    return torsion_raw_relation(A, legs, triple)
-
-
-def torsion_triple(
-    J: JacobiAlgebroidData,
-    pi1: MultiVector,
-    pi2: MultiVector,
-    xi1: Form,
-    xi2: Form,
-    triple: CosectionTriple,
-) -> ExpPoly:
-    """Three-bracket combination controlling the relation torsion.
-
-    [pi1,pi1](xi1,xi2,a) + [pi2,pi2](xi1,xi2,c) - 2[pi1,pi2](xi1,xi2,b)
-    with the twisted bracket throughout.  On chained triples this equals
-    twice the raw relation torsion; either vanishes exactly when the other
-    does.
-    """
-    alpha, beta, gamma = triple
-    total = J.algebroid.zero_scalar()
-    for left, right, arg in (
-        (pi1, pi1, alpha),
-        (pi2, pi2, gamma),
-    ):
-        br = phi0_schouten(J, left, right)
-        if not br.is_zero:
-            total = total + eval_on(br, (xi1, xi2, arg))
-    cross = phi0_schouten(J, pi1, pi2)
-    if not cross.is_zero:
-        total = total - 2 * eval_on(cross, (xi1, xi2, beta))
-    return total
-
-
 # -- pair verdicts ----------------------------------------------------------
 
 DataLike = Union[JacobiAlgebroidData, JacobiBialgebroidData]
@@ -333,14 +236,14 @@ def dirac_pair_check(
     )
     if gate is not None:
         return gate
-    if left.kind == KIND_SHARP and right.kind == KIND_FLAT:
-        N = left.music().compose(right.music())
-        note = "tensor composition sharp after flat"
-        return _first_failure(note, _frame_pair_torsion(N))
-    if left.kind == KIND_FLAT and right.kind == KIND_SHARP:
+    if left.kind != right.kind:
         # Transposing the pair transposes the relation and keeps the torsion.
-        N = right.music().compose(left.music())
-        note = "tensor composition sharp after flat (transposed)"
+        transposed = left.kind == KIND_FLAT
+        sharp, flat = (right, left) if transposed else (left, right)
+        note = "tensor composition sharp after flat"
+        if transposed:
+            note += " (transposed)"
+        N = sharp.music().compose(flat.music())
         return _first_failure(note, _frame_pair_torsion(N))
     if left.kind == KIND_SHARP and phi0_schouten(
         B.a_side, left.section, right.section
@@ -480,6 +383,8 @@ def condition_image_check(
     (then both preimages are everything).  Anything else is reported as
     not decided rather than guessed.
     """
+    if pi1.algebroid is not pi2.algebroid:
+        raise MismatchError("sections live over different algebroids")
     u1 = sharp_map(pi1).is_unit_determinant()
     u2 = sharp_map(pi2).is_unit_determinant()
     if u1 and u2:

@@ -169,8 +169,8 @@ def test_split_and_merge_are_inverse(name, seed, degree, kind):
     u = draw(r, ext, degree, max_degree=1, terms=2)
     assert merge(ext, *split(u)) == u
     P = draw(r, base, degree, max_degree=1, terms=2)
-    # a degree-0 pair has no second slot; split gives it the zero of degree 0
-    Q = kind.zero(base, 0)
+    # a degree-0 pair has no second slot; split gives it the zero of degree -1
+    Q = kind.zero(base, -1)
     if degree:
         Q = draw(r, base, degree - 1, max_degree=1, terms=2)
     assert split(merge(ext, P, Q)) == (P, Q)

@@ -229,6 +229,20 @@ def test_check_errors_are_recorded_and_run_continues(tmp_path, capsys):
     assert data["summary"]["error"] == 1
 
 
+def test_condition31_over_two_algebroids_is_an_error(tmp_path, capsys):
+    # both sharps have unit determinant, each over its own algebroid
+    text = (
+        "patch p = (x, y)\nalgebroid A = tangent(p)\nsection a = ddx^ddy\n"
+        "patch q = (u, v)\nalgebroid B = tangent(q)\nsection b = ddu^ddv\n"
+        "check condition31 a b\n"
+    )
+    code, out, _ = _run(tmp_path, capsys, text, "--json")
+    assert code == 2
+    (record,) = json.loads(out)["checks"]
+    assert record["status"] == "error"
+    assert "different algebroids" in record["witness"]
+
+
 NOT_DECIDED = """\
 patch p = (x, y)
 algebroid A = tangent(p)

@@ -24,11 +24,8 @@ from jacv.dirac import (
     omegan_check,
     presymplectic_pair_check,
     symplectic_pair_check,
-    torsion_raw,
     torsion_tensor,
     torsion_tensor_check,
-    torsion_triple,
-    valid_triple,
 )
 from jacv.lift import lift_bialgebroid
 from jacv.structures import (
@@ -65,12 +62,6 @@ def _kernel_torsion_map(p, A):
     )
 
 
-def _chained_triple(pi1, pi2, alpha):
-    step = sharp_map(pi2).inverse().compose(sharp_map(pi1))
-    beta = step.apply(alpha)
-    return (alpha, beta, step.apply(beta))
-
-
 def test_torsion_tensor_corpus_recursion_maps():
     c = contact()
     for N in (c.NH, c.NE, c.NP):
@@ -98,31 +89,6 @@ def test_wrong_sided_maps_are_rejected_at_low_rank(rank):
     A = make_tangent(p) if rank == 1 else make_trivial(p, 0)
     with pytest.raises(MismatchError, match="endomorphism of the algebroid side"):
         torsion_tensor_check(flat_map(Form.zero(A, 2)))
-
-
-def test_display_torsion_is_twice_raw_on_chains():
-    c = contact()
-    PiE = pi_from_omega(c.C, c.wE)
-    PiH = pi_from_omega(c.C, c.wH)
-    for seed in range(6):
-        r = random.Random(seed)
-        for pi1, pi2 in ((c.Pi, c.Pi), (c.Pi, PiE), (PiH, PiE)):
-            xi1 = rand_form(r, c.ext, 1, max_degree=1, terms=1)
-            xi2 = rand_form(r, c.ext, 1, max_degree=1, terms=1)
-            triple = _chained_triple(pi1, pi2, rand_form(r, c.ext, 1, max_degree=1, terms=1))
-            assert valid_triple(pi1, pi2, triple)
-            disp = torsion_triple(c.C, pi1, pi2, xi1, xi2, triple)
-            raw = torsion_raw(c.ext, pi1, pi2, xi1, xi2, triple)
-            assert disp == 2 * raw, f"seed={seed}"
-
-
-def test_torsion_raw_rejects_unchained_triples():
-    p, A, _ = _plane4()
-    pi1 = MultiVector(A, 2, {(0, 1): p.coord("x3")})
-    pi2 = MultiVector(A, 2, {(0, 1): p.const(1), (2, 3): p.const(1)})
-    dx1 = Form.coframe(A, 0)
-    with pytest.raises(MismatchError):
-        torsion_raw(A, pi1, pi2, dx1, dx1, (dx1, dx1, dx1))
 
 
 def _incompatible_pair():
@@ -252,13 +218,17 @@ def test_image_condition_only_decided_for_units():
     c = contact()
     PiE = pi_from_omega(c.C, c.wE)
     assert condition_image_check(c.Pi, PiE).ok
-    p, A, _ = _plane4()
-    degenerate = MultiVector(A, 2, {(0, 1): p.const(1)})
+    degenerate = MultiVector(c.ext, 2, {(0, 1): c.p.const(1)})
     report = condition_image_check(c.Pi, degenerate)
     assert report.status == "not-decided"
     assert "second" in report.witness
     both = condition_image_check(degenerate, degenerate)
     assert "first and second" in both.witness
+    # bivectors over two algebroids are rejected, not graded
+    p, A, _ = _plane4()
+    unit = MultiVector(A, 2, {(0, 1): p.const(1), (2, 3): p.const(1)})
+    with pytest.raises(MismatchError, match="different algebroids"):
+        condition_image_check(c.Pi, unit)
 
 
 def test_jomega_agrees_with_graph_verdicts_on_corpus():

@@ -13,8 +13,10 @@ from jacv.algebroid import (
     Patch,
     Report,
     extend_with_R,
+    make_explicit,
     make_tangent,
     make_trivial,
+    validate_algebroid,
 )
 from jacv.calculus import (
     Form,
@@ -588,6 +590,26 @@ def test_solvable_bialgebroid_compat():
     report = bialgebroid_compat_check(broken)
     assert report.status == "fail"
     assert report.witness
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the test family pairs a scaled frame only with plain frames",
+)
+def test_tangent_pair_with_identity_dual_anchor_fails():
+    # (TM, T*M) over (x, y, z) with dual anchor dx_i -> d/dx_i, zero dual
+    # bracket and zero twists: rho rho_*^T + rho_* rho^T = 2 I, so the
+    # derivation identity leaves 2 ddx^ddy on (x ddx, x ddy)
+    p, A = small_tangent(("x", "y", "z"))
+    zero, one = p.zero(), p.const(1)
+    rows = tuple(tuple(one if i == j else zero for j in range(3)) for i in range(3))
+    D = make_explicit(p, 3, rows, {})
+    B = JacobiBialgebroidData(
+        JacobiAlgebroidData(A, Form.zero(A, 1)), JacobiAlgebroidData(D, Form.zero(D, 1))
+    )
+    assert validate_algebroid(A).ok and validate_algebroid(D).ok
+    assert bialgebroid_compat_check(B).status == "fail"
 
 
 def _extended_solvable():

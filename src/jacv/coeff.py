@@ -40,12 +40,16 @@ that differentiate along a whole anchor skip those variables.
 
 This ring is not a field.  The only invertible elements are q * exp(k*t) with
 q a nonzero rational; ``unit_inverse`` raises :class:`NotInvertible` for
-anything else (including honest polynomials like 1 + x1).
+anything else (including honest polynomials like 1 + x1).  ``unit_parts``
+reads q and k off a unit, and ``denominator`` the common denominator of a
+value's coefficients, so that callers outside this module can keep their
+arithmetic over the integers without reading ``terms``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import add
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
@@ -412,13 +416,29 @@ class ExpPoly:
         unit = tuple(0 for _ in self.vars)
         return set(poly) == {unit}
 
-    def unit_inverse(self) -> "ExpPoly":
+    def unit_parts(self) -> Tuple[Scalar, int]:
+        """``(q, k)`` of a unit q * exp(k*t); NotInvertible for a non-unit."""
         if not self.is_unit():
             raise NotInvertible(f"{self} is not a unit in the ring")
         ((weight, poly),) = self.terms.items()
+        (q,) = poly.values()
+        return q, weight
+
+    def unit_inverse(self) -> "ExpPoly":
+        q, weight = self.unit_parts()
         unit = tuple(0 for _ in self.vars)
-        inverse = Fraction(1) / poly[unit]  # 1 / c is a float for an int c
+        inverse = Fraction(1) / q  # 1 / c is a float for an int c
         return ExpPoly._make(self.vars, {-weight: {unit: inverse}})
+
+    def denominator(self) -> int:
+        """The least common multiple of the coefficient denominators: 1 when
+        every coefficient is an integer."""
+        d = 1
+        for poly in self.terms.values():
+            for c in poly.values():
+                if c.__class__ is not int:
+                    d = lcm(d, c.denominator)
+        return d
 
     # -- canonical order and text form ------------------------------------
 

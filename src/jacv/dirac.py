@@ -19,11 +19,38 @@ and report ``not-decided`` when neither applies.
 Verdicts distinguish ``fail`` (a concrete obstruction was computed) from
 ``not-decided`` (no complete procedure applied), so a report never claims
 more than the arithmetic shows.
+
+A tensor reduction writes its endomorphism as N = c M with c a rational
+constant and M free of the denominators the inverse would bring in, and
+evaluates the torsion of M.  A matched pair inverts a map whose Pfaffian is
+the unit Pf = q exp(kt): its inverse is B / q, where B is the matrix of
+signed sub-Pfaffians times exp(-kt) (``TensorMap._adjugate``), so M is
+``outer after B`` or ``B after outer`` and c = 1 / q.  A mixed pair has
+N = sharp after flat; with d the least common multiple of the denominators
+of the sharp's coefficients, M = (d sharp) after flat and c = 1 / d.  On
+inputs with integer coefficients every product of the reduction then
+multiplies integers.  Each nonzero residue is scaled by c^2 once, and not
+at all when c^2 = 1.  This is exact by one lemma.
+
+Lemma: the torsion T_N(X, Y) = [NX, NY] - N[NX, Y] - N[X, NY] + N N[X, Y]
+is homogeneous of degree 2 over rational constants, T_(cN) = c^2 T_N.
+Proof: the bracket is bilinear over Q.  It is additive, and
+[fU, V] = f[U, V] - (rho(V) f) U and [U, fV] = f[U, V] + (rho(U) f) V,
+where the anchor rho(V) is a derivation and so kills a constant c; N and
+its application are linear over Q too.  Every term of T holds N exactly
+twice, so c comes out of each as c^2.  Hence c^2 T_M = T_N, the same
+canonical value and so the same witness, and T_M is zero exactly when T_N
+is (c != 0): verdict, strategy and witness are those of N.  The weight
+exp(kt) is no constant: upstairs, ``lift_bar`` anchors ``ehat`` along d/dt,
+so rho(ehat) exp(kt) = k exp(kt) and the lemma fails for c = exp(kt).  That
+is why the weight goes into M and only the rational q into c.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterator, Optional, Tuple, Union
 
 from .algebroid import (
@@ -44,7 +71,7 @@ from .calculus import (
     differential,
     phi0_schouten,
 )
-from .coeff import NotInvertible
+from .coeff import NotInvertible, Scalar
 from .structures import (
     JacobiBialgebroidData,
     TensorMap,
@@ -135,27 +162,32 @@ def torsion_tensor_check(N: TensorMap) -> Report:
 
 
 def _frame_pair_torsion(
-    N: TensorMap, flat: Optional[TensorMap] = None
+    M: TensorMap, flat: Optional[TensorMap] = None, c: Scalar = 1
 ) -> Iterator[Tuple[str, Section]]:
-    """The torsion on every frame pair, or its image under ``flat`` if given,
-    labelled by the pair.
+    """The torsion of N = c M on every frame pair, or its image under
+    ``flat`` if given, labelled by the pair; ``c`` is a rational constant.
 
-    The frame and its images depend only on ``N``, so they are built once:
-    ``N e_i`` is column ``i`` of the matrix.
+    The torsion is evaluated on ``M`` and scaled by c^2 (the lemma in the
+    module docstring), which is skipped when c^2 = 1.  The frame and its
+    images depend only on ``M``, so they are built once: ``M e_i`` is column
+    ``i`` of the matrix.
     """
-    _check_endomorphism(N)
-    A = N.algebroid
+    _check_endomorphism(M)
+    A = M.algebroid
     r = A.rank
     frame = [MultiVector.frame(A, i) for i in range(r)]
     images = [
-        MultiVector(A, 1, {(k,): N.matrix[k][i] for k in range(r)}) for i in range(r)
+        MultiVector(A, 1, {(k,): M.matrix[k][i] for k in range(r)}) for i in range(r)
     ]
+    c2 = c * c
     kind = "torsion" if flat is None else "flattened torsion"
     for i in range(r):
         for j in range(i + 1, r):
-            value = _torsion(N, frame[i], frame[j], images[i], images[j])
+            value = _torsion(M, frame[i], frame[j], images[i], images[j])
             if flat is not None:
                 value = flat.apply(value)
+            if c2 != 1 and not value.is_zero:
+                value = value * c2
             where = f"({A.frame_labels[i]}, {A.frame_labels[j]})"
             yield f"{kind} at {where} = ", value
 
@@ -197,19 +229,26 @@ def _member_gate(
 def _reduction(kind: str, m1: TensorMap, m2: TensorMap) -> Report:
     """Torsion of the endomorphism a matched pair induces, if it is a graph.
 
-    The second map is inverted if its determinant is a unit, else the first;
-    each map's determinant is expanded once, inside ``inverse``.  Two sharps
-    give ``outer after inverse``, two flats ``inverse after outer``; with
-    neither map invertible the verdict is ``not-decided``.
+    The second map is inverted if its Pfaffian Pf = q exp(kt) is a unit,
+    else the first; each map's Pfaffian is expanded once, inside
+    ``_adjugate``, which gives the inverse as B / q with B the signed
+    sub-Pfaffians times exp(-kt).  The endomorphism is N = M / q, with M
+    ``outer after B`` for two sharps and ``B after outer`` for two flats:
+    the weight goes into M, and each residue of M is scaled by 1 / q^2
+    (module docstring).  With neither map invertible the verdict is
+    ``not-decided``.
     """
     for inner, outer, which in ((m2, m1, "second"), (m1, m2, "first")):
         try:
-            inv = inner.inverse()
+            q, adjugate = inner._adjugate()
         except NotInvertible:
             continue
-        N = outer.compose(inv) if kind == KIND_SHARP else inv.compose(outer)
+        if kind == KIND_SHARP:
+            M = outer.compose(adjugate)
+        else:
+            M = adjugate.compose(outer)
         note = f"tensor reduction through the {which} {kind}"
-        return _first_failure(note, _frame_pair_torsion(N))
+        return _first_failure(note, _frame_pair_torsion(M, c=Fraction(1) / q))
     return Report(
         NOT_DECIDED,
         strategy="tensor reduction",
@@ -223,8 +262,10 @@ def dirac_pair_check(
     """Grade a pair of graphs: members first, then the composed relation.
 
     Mixed pairs always reduce to an honest endomorphism, so their verdicts
-    are complete.  Two bivectors whose twisted mixed bracket vanishes pass
-    by bracket compatibility; every other matched pair goes to the tensor
+    are complete; the sharp is scaled by the common denominator d of its
+    coefficients before it is composed, and each residue by 1 / d^2 (module
+    docstring).  Two bivectors whose twisted mixed bracket vanishes pass by
+    bracket compatibility; every other matched pair goes to the tensor
     reduction, which is ``not-decided`` when neither musical map has unit
     determinant.  ``not-decided`` never means an obstruction was found.
     """
@@ -243,8 +284,9 @@ def dirac_pair_check(
         note = "tensor composition sharp after flat"
         if transposed:
             note += " (transposed)"
-        N = sharp.music().compose(flat.music())
-        return _first_failure(note, _frame_pair_torsion(N))
+        d = lcm(*(c.denominator() for c in sharp.section.components.values()))
+        M = sharp.music().scale(d).compose(flat.music())
+        return _first_failure(note, _frame_pair_torsion(M, c=Fraction(1, d)))
     if left.kind == KIND_SHARP and phi0_schouten(
         B.a_side, left.section, right.section
     ).is_zero:

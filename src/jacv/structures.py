@@ -11,7 +11,12 @@ Conventions pinned here:
 * every determinant and inverse comes from ``_pfaffians``, one memoized
   Pfaffian expansion: of the matrix itself when it is skew (every musical
   map), else of its skew block matrix [[0, A], [-A^T, 0]]; inversion exists
-  exactly when the determinant is a unit of the coefficient ring;
+  exactly when the determinant is a unit of the coefficient ring, that is
+  when the Pfaffian is a unit Pf = q exp(kt);
+* ``_adjugate`` reads the signed sub-Pfaffians of that one memo, for
+  ``inverse`` (each divided by Pf) and for the tensor reductions of
+  ``dirac`` (each times exp(-kt) only, with q left for the caller to divide
+  out once), so a map with integer coefficients has an integer adjugate;
 * the dual of a map transposes the matrix and swaps bundle sides;
 * check outcomes are values (``Report``); a failed check never raises.
 """
@@ -24,7 +29,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Dict, Iterator, List, Tuple
 
-from .coeff import ExpPoly, NotInvertible, product_term, sum_products
+from .coeff import ExpPoly, NotInvertible, Scalar, product_term, sum_products
 from .algebroid import (
     FAIL,
     PASS,
@@ -125,8 +130,20 @@ class TensorMap:
         return self._entrywise(operator.sub, other)
 
     def scale(self, factor) -> "TensorMap":
-        f = factor if isinstance(factor, ExpPoly) else self.algebroid.scalar(factor)
-        rows = tuple(tuple(f * a for a in row) for row in self.matrix)
+        """``factor`` times the map.  An int factor scales the stored
+        coefficients and forms no product."""
+        if isinstance(factor, int):
+            variables = self.algebroid.patch.variables
+            rows = tuple(
+                tuple(
+                    a if a.is_zero else sum_products(variables, [(factor, a, None)])
+                    for a in row
+                )
+                for row in self.matrix
+            )
+        else:
+            f = factor if isinstance(factor, ExpPoly) else self.algebroid.scalar(factor)
+            rows = tuple(tuple(f * a for a in row) for row in self.matrix)
         return TensorMap(self.algebroid, self.source, self.target, rows)
 
     def __eq__(self, other: object) -> bool:
@@ -235,15 +252,25 @@ class TensorMap:
         return pf((1 << 2 * r) - 1), pf, True
 
     def inverse(self) -> "TensorMap":
-        """The inverse, when the determinant is a unit; else NotInvertible,
-        raised by the determinant's ``unit_inverse()`` so that its message
-        names the determinant.  Each entry is a signed sub-Pfaffian of the
-        memo of ``_pfaffian`` over Pf (formulas and proofs at ``_pfaffians``).
+        """The inverse, when the determinant is a unit; else NotInvertible
+        (see ``_adjugate``, which builds it)."""
+        return self._adjugate(divide=True)[1]
+
+    def _adjugate(self, divide: bool = False) -> Tuple[Scalar, "TensorMap"]:
+        """``(q, B)`` with ``self^-1 = B / q``, when Pf = q exp(kt) of
+        ``_pfaffian`` is a unit: entry (i, j) of B is a signed sub-Pfaffian
+        of its memo times exp(-kt) (formulas and proofs at ``_pfaffians``),
+        so B has the coefficients of the sub-Pfaffians, integers when the
+        map has integer coefficients.  With ``divide``, B / q itself, each
+        sub-Pfaffian multiplied by 1 / Pf once.  NotInvertible, raised by the
+        determinant's ``unit_inverse()`` so that its message names the
+        determinant, when Pf is not a unit.
         """
         pf_full, pf, block = self._pfaffian()
         if not pf_full.is_unit():
             self._determinant(pf_full, block).unit_inverse()  # always raises
-        inv_pf = pf_full.unit_inverse()
+        q, k = pf_full.unit_parts()
+        inv_pf = pf_full.unit_inverse() if divide else None
         r = self.algebroid.rank
         # (mask, cells): entry (i, j) of a cell is (-1)^odd pf(mask) / Pf
         if block:
@@ -269,10 +296,13 @@ class TensorMap:
             sub = pf(mask)
             if sub.is_zero:
                 continue
-            entry = inv_pf if sub is one else inv_pf * sub
+            if divide:
+                entry = inv_pf if sub is one else inv_pf * sub
+            else:
+                entry = sub.times_exp(-k) if k else sub
             for i, j, odd in cells:
                 rows[i][j] = -entry if odd else entry
-        return TensorMap(self.algebroid, self.target, self.source, rows)
+        return q, TensorMap(self.algebroid, self.target, self.source, rows)
 
     def __str__(self) -> str:
         rows = [
@@ -441,13 +471,13 @@ def two_form_of(m: TensorMap) -> Form:
 def omega_from_pi(J: JacobiAlgebroidData, pi: MultiVector) -> Form:
     """The two-form with flat = -(sharp of pi)^(-1); needs a unit determinant."""
     _check_over(J, pi)
-    return two_form_of(-sharp_map(pi).inverse())
+    return -two_form_of(sharp_map(pi).inverse())
 
 
 def pi_from_omega(J: JacobiAlgebroidData, omega: Form) -> MultiVector:
     """The bivector with sharp = -(flat of omega)^(-1); needs a unit determinant."""
     _check_over(J, omega)
-    return bivector_of(-flat_map(omega).inverse())
+    return -bivector_of(flat_map(omega).inverse())
 
 
 # -- reports ---------------------------------------------------------------

@@ -160,6 +160,21 @@ def contact():
     )
 
 
+def contact_form(slopes, shifts=(0, 0, 0)):
+    """Closed two-form on the extension of ``contact()``, merged from
+    b = dz - a1 dx1 - a2 dx2 with a1 = s0 y1 + s1 y2 + h0 x2 and
+    a2 = s2 y1 + s3 y2 + h1 x1 + h2 z.  Its Pfaffian is the constant
+    s1 s2 - s0 s3, so the coefficients of ``slopes`` (ints or Fractions)
+    decide its rational part."""
+    c = contact()
+    x = {name: c.p.coord(name) for name in c.p.coords}
+    s, h = slopes, shifts
+    a1 = s[0] * x["y1"] + s[1] * x["y2"] + h[0] * x["x2"]
+    a2 = s[2] * x["y1"] + s[3] * x["y2"] + h[1] * x["x1"] + h[2] * x["z"]
+    b = Form(c.TA, 1, {(0,): -a1, (1,): -a2, (4,): c.p.const(1)})
+    return merge(c.ext, differential(c.J, b), b)
+
+
 @lru_cache(maxsize=None)
 def solvable_bialgebroid():
     """Dual pair of two-dimensional solvable Lie algebras over a one-point base."""

@@ -290,7 +290,7 @@ def test_dirac_pair_input_validation():
         )
 
 
-def _torsion_by_the_public_formula(N, flat=None):
+def _torsion_by_the_public_formula(N, flat=None, strategy="torsion on frame pairs"):
     """The frame-pair verdict built from ``torsion_tensor`` pair by pair."""
     A = N.algebroid
     kind = "torsion" if flat is None else "flattened torsion"
@@ -300,8 +300,8 @@ def _torsion_by_the_public_formula(N, flat=None):
             value = flat.apply(value)
         if not value.is_zero:
             where = f"({A.frame_labels[i]}, {A.frame_labels[j]})"
-            return Report("fail", "torsion on frame pairs", f"{kind} at {where} = {value}")
-    return Report("pass", "torsion on frame pairs")
+            return Report("fail", strategy, f"{kind} at {where} = {value}")
+    return Report("pass", strategy)
 
 
 def _frame_loop_cases():

@@ -294,6 +294,15 @@ def test_shipped_script_is_all_green(tmp_path, capsys):
     assert summary["pass"] >= 40
 
 
+def test_shipped_script_text_matches_the_golden_copy(capsys):
+    # the hash above pins only the JSON document; this pins the text table
+    code = cli.main(["check", str(ROOT / "scripts" / "paper.jac")])
+    captured = capsys.readouterr()
+    assert code == 0
+    golden = (ROOT / "tests" / "golden" / "paper.txt").read_text(encoding="utf-8")
+    assert captured.out == golden
+
+
 def test_env_names_shadow_frame_tokens():
     report = cli.run_text(
         "patch p = (x)\n"

@@ -22,7 +22,7 @@ exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .coeff import ExpPoly, product_term, sum_products
 from . import calculus
@@ -216,7 +216,8 @@ NOT_DECIDED = "not-decided"
 
 @dataclass(frozen=True)
 class Report:
-    """Outcome of a check: ``pass``, ``fail`` or ``not-decided``.
+    """Outcome of a check: ``pass``, ``fail`` or ``not-decided``, or
+    ``error`` from the script interpreter for a check it could not run.
 
     ``strategy`` names how the verdict was reached; ``fail`` and
     ``not-decided`` carry a printable witness.  A failed check never raises.
@@ -243,14 +244,18 @@ def _first_failure(
     return Report(PASS, strategy)
 
 
-def validate_algebroid(A: AlgebroidPatch) -> Report:
-    """Check the anchor is bracket-compatible and the Jacobi identity holds.
+def validate_algebroid(A: Union[AlgebroidPatch, JacobiAlgebroidData]) -> Report:
+    """Check the anchor is bracket-compatible and the Jacobi identity holds;
+    for twisted data, then that the twist is closed.
 
-    Both checks run on frame elements, which suffices: the Leibniz rule
+    The identities run on frame elements, which suffices: the Leibniz rule
     propagates them to arbitrary sections.  A failure's witness names the
     first failing identity and its nonzero residue.
     """
-    return _first_failure("frame identities", _frame_residues(A))
+    twist = None
+    if isinstance(A, JacobiAlgebroidData):
+        A, twist = A.algebroid, A.phi0
+    return _first_failure("frame identities", _frame_residues(A, twist))
 
 
 def _frame_residues(
@@ -351,11 +356,6 @@ class JacobiAlgebroidData:
             raise ValueError("the twist cosection must have degree 1")
         if self.phi0.algebroid is not self.algebroid:
             raise ValueError("the twist cosection must live on the same algebroid")
-
-
-def validate_jacobi(J: JacobiAlgebroidData) -> Report:
-    """The algebroid identities, then closedness of the twist."""
-    return _first_failure("frame identities", _frame_residues(J.algebroid, J.phi0))
 
 
 def extend_with_R(A: AlgebroidPatch) -> JacobiAlgebroidData:

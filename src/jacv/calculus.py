@@ -593,7 +593,7 @@ def phi0_schouten(J: object, D1: MultiVector, D2: MultiVector) -> MultiVector:
 
 
 def _hat_index(A_ext: object) -> int:
-    if getattr(A_ext, "ext_base", None) is None:
+    if A_ext.ext_base is None:
         raise MismatchError("not an extended algebroid")
     return A_ext.rank - 1
 

@@ -1,9 +1,9 @@
 """Script interpreter and report front end.
 
 Runs a declarations-then-checks script (see the companion syntax module),
-collects one record per check, and prints either an aligned text table or
+collects one report per check, and prints either an aligned text table or
 a stable JSON document.  Evaluation problems inside a check become
-``error`` records; problems inside a declaration stop the run, since every
+``error`` reports; problems inside a declaration stop the run, since every
 later line may depend on the broken name, and so does any line nested too
 deeply to evaluate.
 
@@ -90,18 +90,16 @@ from .structures import (
 
 Value = object
 
-
-@dataclass(frozen=True)
-class CheckRecord:
-    name: str
-    status: str  # pass | fail | not-decided | error
-    strategy: str
-    witness: Optional[str] = None
+# what the library raises on values it cannot combine or invert
+LIBRARY_ERRORS = (MismatchError, NotInvertible, TypeError, ValueError)
 
 
 @dataclass
 class RunReport:
-    records: List[CheckRecord]
+    """Each check's name and report, in script order."""
+
+    names: List[str] = field(default_factory=list)
+    records: List[Report] = field(default_factory=list)
 
     def counts(self) -> Dict[str, int]:
         out = {"pass": 0, "fail": 0, "not_decided": 0, "error": 0}
@@ -133,7 +131,7 @@ class Interpreter:
     def __init__(self) -> None:
         self.env: Dict[str, Value] = {}
         self.ambient: Optional[AlgebroidPatch] = None
-        self.records: List[CheckRecord] = []
+        self.report = RunReport()
 
     # ---- name and frame-token resolution
 
@@ -153,9 +151,9 @@ class Interpreter:
             return ExpPoly.var(A.patch.variables, "t")
         if ident in A.patch.coords:
             return A.patch.coord(ident)
-        if ident == "ehat" and getattr(A, "ext_base", None) is not None:
+        if ident == "ehat" and A.ext_base is not None:
             return MultiVector.frame(A, A.rank - 1)
-        if ident == "epshat" and getattr(A, "ext_base", None) is not None:
+        if ident == "epshat" and A.ext_base is not None:
             return Form.coframe(A, A.rank - 1)
         if ident.startswith("eps") and ident[3:].isdigit():
             i = int(ident[3:])
@@ -215,7 +213,7 @@ class Interpreter:
         right = self.eval(e.right, line)
         try:
             return self._apply_binary(e.op, left, right, line)
-        except (MismatchError, NotInvertible, TypeError, ValueError) as exc:
+        except LIBRARY_ERRORS as exc:
             raise dsl.ScriptError(str(exc), line)
 
     def _apply_binary(self, op: str, left: Value, right: Value, line: int) -> Value:
@@ -261,7 +259,7 @@ class Interpreter:
             raise dsl.ScriptError(f"unknown function {e.func!r}", line)
         try:
             return sig.apply(self, e.func, args, (), line)
-        except (MismatchError, NotInvertible, TypeError, ValueError) as exc:
+        except LIBRARY_ERRORS as exc:
             raise dsl.ScriptError(f"{e.func}: {exc}", line)
 
     # ---- statements
@@ -275,9 +273,9 @@ class Interpreter:
                     self._run_decl(stmt)
             except RecursionError:
                 raise dsl.ScriptError(dsl.TOO_DEEP, stmt.line) from None
-            except (MismatchError, NotInvertible, TypeError, ValueError) as exc:
+            except LIBRARY_ERRORS as exc:
                 raise dsl.ScriptError(str(exc), stmt.line)
-        return RunReport(self.records)
+        return self.report
 
     def _bind(self, name: str, value: Value, line: int) -> None:
         if name in self.env:
@@ -302,21 +300,15 @@ class Interpreter:
         key = f"check {stmt.subcommand}"
         sig = SIGNATURES.get(key)
         if sig is None:
-            self.records.append(
-                CheckRecord(name, "error", "dispatch",
-                            f"unknown check {stmt.subcommand!r}")
-            )
-            return
-        try:
-            args = [self.eval(a, stmt.line) for a in stmt.args]
-            report = sig.apply(self, key, args, stmt.options, stmt.line)
-        except (dsl.ScriptError, MismatchError, NotInvertible,
-                TypeError, ValueError) as exc:
-            self.records.append(CheckRecord(name, "error", "evaluation", str(exc)))
-            return
-        self.records.append(
-            CheckRecord(name, report.status, report.strategy, report.witness)
-        )
+            report = Report("error", "dispatch", f"unknown check {stmt.subcommand!r}")
+        else:
+            try:
+                args = [self.eval(a, stmt.line) for a in stmt.args]
+                report = sig.apply(self, key, args, stmt.options, stmt.line)
+            except (dsl.ScriptError, *LIBRARY_ERRORS) as exc:
+                report = Report("error", "evaluation", str(exc))
+        self.report.names.append(name)
+        self.report.records.append(report)
 
 
 def _is_zero(value: Value) -> bool:
@@ -408,6 +400,7 @@ def _scalar(interp: Interpreter, v: Value) -> Optional[ExpPoly]:
 
 PATCH = _isa("a patch", Patch)
 ALGEBROID = Kind("an algebroid", _algebroid)
+ALGEBROID_DATA = _isa("an algebroid", AlgebroidPatch, JacobiAlgebroidData)
 TWISTED = Kind("twisted data, an algebroid or (A, phi)", _twisted)
 DUAL_PAIR = Kind("a dual pair or twisted data", _dual_pair)
 FORM = _isa("a form", Form)
@@ -560,7 +553,7 @@ SIGNATURES: Dict[str, Sig] = {
     "zero_form": Sig(lambda A, k: Form.zero(A, k), (ALGEBROID, INTEGER)),
     "zero_section": Sig(lambda A, k: MultiVector.zero(A, k), (ALGEBROID, INTEGER)),
     "exp_t": Sig(lambda weight: weight, (WEIGHT,)),
-    "check algebroid": Sig(lambda A: validate_algebroid(A), (ALGEBROID,)),
+    "check algebroid": Sig(lambda A: validate_algebroid(A), (ALGEBROID_DATA,)),
     "check jacobi": Sig(lambda J, pi: jacobi_check(J, pi), (TWISTED, MULTIVECTOR)),
     "check presymplectic": Sig(lambda J, om: presymplectic_check(J, om),
                                (TWISTED, FORM)),
@@ -610,11 +603,11 @@ _RESET = "\033[0m"
 def emit_text(report: RunReport, color: bool = False) -> str:
     lines = []
     width = max((len(r.status) for r in report.records), default=4)
-    for rec in report.records:
+    for name, rec in zip(report.names, report.records):
         status = rec.status.ljust(width)
         if color:
             status = _STATUS_COLORS.get(rec.status, "") + status + _RESET
-        line = f"{status}  {rec.name}"
+        line = f"{status}  {name}"
         if rec.strategy:
             line += f"  [{rec.strategy}]"
         lines.append(line)
@@ -630,9 +623,9 @@ def emit_text(report: RunReport, color: bool = False) -> str:
 
 def emit_json(report: RunReport) -> str:
     checks = []
-    for rec in report.records:
+    for name, rec in zip(report.names, report.records):
         entry: Dict[str, object] = {
-            "name": rec.name,
+            "name": name,
             "status": rec.status,
             "strategy": rec.strategy,
         }

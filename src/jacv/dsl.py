@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, Union
 
 
 class ScriptError(Exception):
@@ -180,14 +180,19 @@ def _tokenize_line(text: str, line: int) -> List[_Token]:
 
 # -- parser -----------------------------------------------------------------
 
+T = TypeVar("T")
+
+
 class _LineParser:
     def __init__(self, tokens: List[_Token], line: int) -> None:
         self.tokens = tokens
         self.line = line
         self.pos = 0
 
-    def peek(self) -> Optional[_Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self, ahead: int = 0) -> Optional[_Token]:
+        """The token ``ahead`` places after the next one, or None past the end."""
+        pos = self.pos + ahead
+        return self.tokens[pos] if pos < len(self.tokens) else None
 
     def next(self) -> _Token:
         tok = self.peek()
@@ -209,6 +214,14 @@ class _LineParser:
 
     def done(self) -> bool:
         return self.pos >= len(self.tokens)
+
+    def comma_list(self, item: Callable[[], T]) -> List[T]:
+        """One or more items separated by commas."""
+        items = [item()]
+        while self.peek() is not None and self.peek().kind == ",":
+            self.next()
+            items.append(item())
+        return items
 
     # expression grammar: sums of products, right-to-left unary minus
 
@@ -253,13 +266,8 @@ class _LineParser:
         tok = self.next()
         if tok.kind == "number":
             numer = self.integer(tok)
-            nxt = self.peek()
+            nxt, after = self.peek(), self.peek(1)
             if nxt is not None and nxt.kind == "/":
-                after = (
-                    self.tokens[self.pos + 1]
-                    if self.pos + 1 < len(self.tokens)
-                    else None
-                )
                 if after is not None and after.kind == "number":
                     self.next()
                     denom = self.integer(self.next())
@@ -282,34 +290,23 @@ class _LineParser:
                 self.next()
                 args: List[Expr] = []
                 if self.peek() is not None and self.peek().kind != ")":
-                    args.append(self.parse_expr())
-                    while self.peek() is not None and self.peek().kind == ",":
-                        self.next()
-                        args.append(self.parse_expr())
+                    args = self.comma_list(self.parse_expr)
                 self.expect(")")
                 return Call(tok.text, tuple(args))
             return Name(tok.text)
         if tok.kind == "(":
-            first = self.peek()
+            first, after = self.peek(), self.peek(1)
             if first is not None and first.kind == "name" and first.text in (
                 "sharp",
                 "flat",
             ):
-                after = (
-                    self.tokens[self.pos + 1]
-                    if self.pos + 1 < len(self.tokens)
-                    else None
-                )
                 # distinguish the literal "(sharp pi)" from a call "(sharp(pi))"
                 if after is not None and after.kind != "(":
                     kind = self.next().text
                     inner = self.parse_expr()
                     self.expect(")")
                     return GraphLit(kind, inner)
-            items = [self.parse_expr()]
-            while self.peek() is not None and self.peek().kind == ",":
-                self.next()
-                items.append(self.parse_expr())
+            items = self.comma_list(self.parse_expr)
             self.expect(")")
             if len(items) == 1:
                 return items[0]
@@ -333,10 +330,7 @@ def _parse_statement(tokens: List[_Token], line: int) -> Statement:
         name = p.expect("name").text
         p.expect("=")
         p.expect("(")
-        coords = [p.expect("name").text]
-        while p.peek() is not None and p.peek().kind == ",":
-            p.next()
-            coords.append(p.expect("name").text)
+        coords = p.comma_list(lambda: p.expect("name").text)
         p.expect(")")
         if not p.done():
             raise ScriptError("trailing tokens after patch declaration", line)
@@ -353,8 +347,7 @@ def _parse_statement(tokens: List[_Token], line: int) -> Statement:
         args: List[Expr] = []
         options: List[Tuple[str, str]] = []
         while not p.done():
-            tok = p.peek()
-            nxt = p.tokens[p.pos + 1] if p.pos + 1 < len(p.tokens) else None
+            tok, nxt = p.peek(), p.peek(1)
             if tok.kind == "name" and nxt is not None and nxt.kind == "=":
                 key = p.next().text
                 p.next()
@@ -415,13 +408,7 @@ def render_statement(s: Statement) -> str:
         return f"{s.keyword} {s.name} = {render_expr(s.value)}"
     if isinstance(s, CheckStmt):
         parts = ["check", s.subcommand]
-        for a in s.args:
-            if isinstance(a, Neg):
-                parts.append(f"-{_wrap(a.inner)}")
-            elif isinstance(a, (Bin,)):
-                parts.append(f"({render_expr(a)})")
-            else:
-                parts.append(render_expr(a))
+        parts += [render_expr(a) if isinstance(a, Neg) else _wrap(a) for a in s.args]
         for key, value in s.options:
             parts.append(f"{key}={value}")
         return " ".join(parts)

@@ -165,18 +165,16 @@ def verify_hat_bar_differentials(
         raise MismatchError("need a degree-1 form over the lifted data")
     if scalar.vars != A.patch.variables:
         raise MismatchError("scalar lives over different variables")
-    plain = _untwisted(A)
-    hat = _untwisted(lift_hat(J))
-    bar = _untwisted(lift_bar(J))
+    hat = lift_hat(J)
+    bar = lift_bar(J)
     f = Form.scalar_section(A, scalar)
     dt_f = _time_derivative(f).components.get((), A.zero_scalar())
-    scalar_formula = differential(plain, f) + dt_f * J.phi0
+    scalar_formula = differential(A, f) + dt_f * J.phi0
     tail = wedge(J.phi0, _time_derivative(cosection))
     emt = _weight_unit(A, -1)
 
-    def against(lifted: JacobiAlgebroidData, w: Form, formula: Form) -> Form:
-        up = lifted.algebroid
-        return differential(lifted, rebase(w, up)) - rebase(formula, up)
+    def against(up: AlgebroidPatch, w: Form, formula: Form) -> Form:
+        return differential(up, rebase(w, up)) - rebase(formula, up)
 
     def residues() -> Iterator[Tuple[str, Form]]:
         yield "weighted lift on a scalar: residue ", against(
@@ -187,7 +185,7 @@ def verify_hat_bar_differentials(
         )
         yield "plain lift on a scalar: residue ", against(bar, f, scalar_formula)
         yield "plain lift on a cosection: residue ", against(
-            bar, cosection, differential(plain, cosection) + tail
+            bar, cosection, differential(A, cosection) + tail
         )
 
     return _first_failure("formula against direct evaluation", residues())

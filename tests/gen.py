@@ -192,6 +192,39 @@ def solvable_bialgebroid():
     )
 
 
+def poisson_bialgebroid(pi):
+    """The Jacobi bialgebroid (TM, T*M_pi) of a Poisson bivector, zero twists.
+
+    ``pi`` lives over a tangent algebroid, whose frame is the coordinate
+    frame d/dx_1..d/dx_r.  The dual's frame is the coordinate coframe
+    dx_1..dx_r, labelled as in ``make_standard_bialgebroid``, with anchor
+    dx_i -> sum_j pi^ij d/dx_j and bracket [dx_i, dx_j] = sum_k
+    (d pi^ij / dx_k) dx_k.  With these signs the dual differential of a
+    scalar is d_* f = [pi, f] in jacv's Schouten bracket.
+    """
+    A = pi.algebroid
+    patch, r = A.patch, A.rank
+    zero = patch.zero()
+    entries = [[zero] * r for _ in range(r)]
+    for (i, j), c in pi.components.items():
+        entries[i][j], entries[j][i] = c, -c
+    # one anchor row per coordinate x_j, holding pi^ij for each coframe dx_i
+    anchor = [[entries[i][j] for i in range(r)] for j in range(r)]
+    brackets = {
+        (i, j): [entries[i][j].diff(name) for name in patch.anchor_coords]
+        for i in range(r)
+        for j in range(i + 1, r)
+    }
+    dual = make_explicit(
+        patch, r, anchor, brackets,
+        frame_labels=A.coframe_labels, coframe_labels=A.frame_labels,
+    )
+    return JacobiBialgebroidData(
+        JacobiAlgebroidData(A, Form.zero(A, 1)),
+        JacobiAlgebroidData(dual, Form.zero(dual, 1)),
+    )
+
+
 def rand_graph_section(r, A, kind):
     """Random degree-2 section of either kind for graph/MC tests."""
     if kind == "sharp":

@@ -243,6 +243,51 @@ def test_condition31_over_two_algebroids_is_an_error(tmp_path, capsys):
     assert "different algebroids" in record["witness"]
 
 
+TANGENT_XY = "patch p = (x, y)\nalgebroid A = tangent(p)\n"
+
+
+@pytest.mark.parametrize(
+    "twist, status, witness, exit_code",
+    [("x*dy", "fail", "d(phi0): 1*dx^dy", 1), ("dx", "pass", None, 0)],
+)
+def test_check_algebroid_checks_that_the_twist_is_closed(
+    tmp_path, capsys, twist, status, witness, exit_code
+):
+    text = TANGENT_XY + f"jacobi J = (A, {twist})\ncheck algebroid J\n"
+    code, out, _ = _run(tmp_path, capsys, text, "--json")
+    (record,) = json.loads(out)["checks"]
+    assert (record["status"], record["strategy"], record.get("witness")) == (
+        status, "frame identities", witness,
+    )
+    assert code == exit_code
+
+
+def test_check_algebroid_of_a_number_is_an_argument_error(tmp_path, capsys):
+    code, out, _ = _run(tmp_path, capsys, TANGENT_XY + "check algebroid 3\n", "--json")
+    assert code == 2
+    (record,) = json.loads(out)["checks"]
+    assert record["status"] == "error"
+    assert record["witness"] == "line 3: check algebroid: argument 1 must be an algebroid"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the test family pairs a scaled frame only with plain frames",
+)
+def test_coupled_tangent_pair_fails_from_a_script(tmp_path, capsys):
+    # couple(J, J) is the (TM, T*M) pair with identity dual anchor of
+    # tests/test_structures.py::test_tangent_pair_with_identity_dual_anchor_fails
+    text = (
+        "patch p = (x, y, z)\nalgebroid A = tangent(p)\njacobi J = (A, 0)\n"
+        "bialgebroid B = couple(J, J)\ncheck bialgebroid B\n"
+    )
+    code, out, _ = _run(tmp_path, capsys, text, "--json")
+    (record,) = json.loads(out)["checks"]
+    assert record["status"] == "fail"
+    assert code == 1
+
+
 NOT_DECIDED = """\
 patch p = (x, y)
 algebroid A = tangent(p)

@@ -29,7 +29,8 @@ from jacv.calculus import (
     wedge,
 )
 from jacv.coeff import ExpPoly, NotInvertible
-from jacv.lift import lift_bialgebroid, lift_section
+from jacv.dirac import GraphRelation, dirac_pair_check
+from jacv.lift import lift_bialgebroid, lift_section, theorem_main1_crosscheck
 from jacv.structures import (
     SIDE_A,
     SIDE_DUAL,
@@ -58,6 +59,7 @@ from jacv.structures import (
 from tests.gen import (
     closed_twist,
     contact,
+    poisson_bialgebroid,
     rand_form,
     rand_graph_section,
     rand_multivector,
@@ -610,6 +612,44 @@ def test_tangent_pair_with_identity_dual_anchor_fails():
     )
     assert validate_algebroid(A).ok and validate_algebroid(D).ok
     assert bialgebroid_compat_check(B).status == "fail"
+
+
+def _poisson_pair():
+    """T*M_pi for pi = z ddx^ddy on (x, y, z): an anchored dual, d_* != 0."""
+    p, A = small_tangent(("x", "y", "z"))
+    pi = MultiVector(A, 2, {(0, 1): p.coord("z")})
+    return p, A, pi, poisson_bialgebroid(pi)
+
+
+def test_poisson_dual_differential_is_the_bracket_with_pi():
+    p, A, pi, B = _poisson_pair()
+    x, z = p.coord("x"), p.coord("z")
+    assert validate_algebroid(B.astar_side).ok
+    f = MultiVector.scalar_section(A, x * z)
+    expected = MultiVector(A, 1, {(1,): -z * z})  # pins the sign of the anchor
+    assert dual_differential(B, f) == expected
+    assert phi0_schouten(B.a_side, pi, f) == expected
+    assert bialgebroid_compat_check(B).ok
+
+
+def test_poisson_pair_member_gates():
+    p, A, pi, B = _poisson_pair()
+    for s in (pi, 2 * pi, -pi, MultiVector(A, 2, {(1, 2): p.coord("x")})):
+        assert maurer_cartan_check(B, s).ok, s
+        assert graph_closure_check(B, s).ok, s
+    w = Form(A, 2, {(0, 1): p.one()})
+    report = maurer_cartan_check(B, w)
+    assert (report.status, report.witness) == ("fail", "1*dx^dy^dz")
+    assert graph_closure_check(B, w).status == "fail"
+
+
+def test_poisson_sharp_pair_passes_at_both_levels():
+    _, _, pi, B = _poisson_pair()
+    left, right = GraphRelation.of_bivector(pi), GraphRelation.of_bivector(2 * pi)
+    report = dirac_pair_check(B, left, right)
+    assert (report.status, report.strategy) == ("pass", "bracket compatibility")
+    transport = theorem_main1_crosscheck(B, left, right)
+    assert (transport.status, transport.witness) == ("pass", "both levels: pass")
 
 
 def _extended_solvable():

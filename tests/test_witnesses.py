@@ -14,7 +14,6 @@ from jacv.algebroid import (
     Patch,
     make_explicit,
     validate_algebroid,
-    validate_jacobi,
 )
 from jacv.calculus import Form, MultiVector
 from jacv.dirac import (
@@ -79,7 +78,7 @@ def test_algebroid_jacobi_failure_report():
 def test_twist_not_closed_report():
     p, A = small_tangent(("x", "y"))
     J = JacobiAlgebroidData(A, p.coord("x") * Form.coframe(A, 1))
-    assert _triple(validate_jacobi(J)) == (
+    assert _triple(validate_algebroid(J)) == (
         "fail", "frame identities", "d(phi0): 1*dx^dy",
     )
 

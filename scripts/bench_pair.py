@@ -47,10 +47,21 @@ def extract(rev, into):
         subprocess.run(["git", "archive", full], cwd=ROOT, check=True, stdout=out)
     checkout = into / "base"
     checkout.mkdir()
-    with tarfile.open(archive) as tar:
-        tar.extractall(checkout, filter="data")
+    unpack(archive, checkout)
     archive.unlink()
     return full, checkout
+
+
+def unpack(archive, into):
+    """Extract the tar file ``archive`` under ``into``.  The ``data`` filter
+    of PEP 706 (it refuses absolute paths, links that leave ``into`` and
+    device files) exists from Python 3.10.12 and 3.11.4 on; an older patch
+    release, whose ``extractall`` takes no ``filter``, extracts without it."""
+    with tarfile.open(archive) as tar:
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(into, filter="data")
+        else:
+            tar.extractall(into)
 
 
 def run(checkout, workload, seconds, trace):

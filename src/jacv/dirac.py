@@ -44,20 +44,48 @@ is (c != 0): verdict, strategy and witness are those of N.  The weight
 exp(kt) is no constant: upstairs, ``lift_bar`` anchors ``ehat`` along d/dt,
 so rho(ehat) exp(kt) = k exp(kt) and the lemma fails for c = exp(kt).  That
 is why the weight goes into M and only the rational q into c.
+
+The torsion on frame pairs is read off a closed form.  Write M e_i =
+sum_k m_ki e_k (column i of the matrix), [e_a, e_b] = sum_l c_ab^l e_l and
+rho_a for the derivation rho(e_a).  The Leibniz rule for degree-1 sections,
+[f e_a, g e_b] = f g [e_a, e_b] + f rho_a(g) e_b - g rho_b(f) e_a, expands
+each bracket of T_M(e_i, e_j) = [M e_i, M e_j] - M I, where
+I = [M e_i, e_j] + [e_i, M e_j] - M [e_i, e_j]:
+
+    [M e_i, M e_j]_l = sum_k (m_ki rho_k(m_lj) - m_kj rho_k(m_li))
+                       + sum_{k,k'} m_ki m_k'j c_kk'^l,
+    [M e_i, e_j]_m   = sum_k m_ki c_kj^m - rho_j(m_mi),
+    [e_i, M e_j]_m   = sum_k m_kj c_ik^m + rho_i(m_mj),
+    (M [e_i, e_j])_m = sum_p m_mp c_ij^p,
+
+so that component l of the torsion is
+
+    T_M(e_i, e_j)_l = sum_k (m_ki rho_k(m_lj) - m_kj rho_k(m_li))
+                      + sum_{k,k'} m_ki m_k'j c_kk'^l - sum_m m_lm I_m,
+    I_m = sum_k (m_ki c_kj^m + m_kj c_ik^m) - rho_j(m_mi) + rho_i(m_mj)
+          - sum_p m_mp c_ij^p.
+
+Every anchored derivative in it is rho_a(m_bc) of an entry of M, the same
+for every pair that asks for it, so one call of ``_frame_pair_torsion``
+takes each at most once (``_FrameTorsion``).  Both sides are the same
+element of the canonical coefficient ring, so the residue, and with it the
+verdict and the witness, is that of ``torsion_tensor``, which brackets
+sections and stays the independent reference.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Callable, Iterator, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from .algebroid import (
     FAIL,
     NOT_DECIDED,
     PASS,
     AlgebroidPatch,
+    Entries,
     JacobiAlgebroidData,
     Report,
     _first_failure,
@@ -71,10 +99,11 @@ from .calculus import (
     differential,
     phi0_schouten,
 )
-from .coeff import NotInvertible, Scalar
+from .coeff import ExpPoly, NotInvertible, Product, Scalar, product_term, sum_products
 from .structures import (
     JacobiBialgebroidData,
     TensorMap,
+    _cleared,
     flat_map,
     jacobi_check,
     make_standard_bialgebroid,
@@ -161,29 +190,124 @@ def torsion_tensor_check(N: TensorMap) -> Report:
     return _first_failure("torsion on frame pairs", _frame_pair_torsion(N))
 
 
+class _FrameTorsion:
+    """T_M(e_i, e_j) by the closed form of the module docstring, read off
+    the entries m_kl of ``M``, the structure functions c_ab^l and the
+    anchored derivatives rho_a(m_bc).
+
+    A derivative is taken when a pair first asks for it and kept in
+    ``derivs`` for the life of the object, which is one call of
+    ``_frame_pair_torsion``; a frame element with no anchor entry takes
+    none.  Zero entries and zero derivatives form no product, nor does a
+    factor 1 (``product_term``).  Each I_m and each component of the result
+    is one ``sum_products``, and each pair builds one section.
+    """
+
+    def __init__(self, M: TensorMap) -> None:
+        self.algebroid = M.algebroid
+        self.m = M.matrix
+        r = M.algebroid.rank
+        # column i: the nonzero (k, m_ki), the components of M e_i
+        self.columns = [
+            [(k, self.m[k][i]) for k in range(r) if not self.m[k][i].is_zero]
+            for i in range(r)
+        ]
+        self.anchored = [bool(entries) for entries in M.algebroid.anchor]
+        self.derivs: Dict[Tuple[int, int, int], ExpPoly] = {}
+
+    def _rho(self, a: int, b: int, col: int) -> ExpPoly:
+        """rho(e_a) m_(b, col), taken once per object."""
+        d = self.derivs.get((a, b, col))
+        if d is None:
+            d = self.algebroid.anchor_deriv(a, self.m[b][col])
+            self.derivs[a, b, col] = d
+        return d
+
+    def _bracket(self, a: int, b: int) -> Tuple[int, Entries]:
+        """(sign, row) with [e_a, e_b] = sign * sum of c e_l over (l, c) in row."""
+        brackets = self.algebroid.brackets
+        if a < b:
+            return 1, brackets.get((a, b), ())
+        return -1, brackets.get((b, a), ())
+
+    def at(self, i: int, j: int) -> MultiVector:
+        """The torsion of M on the frame pair (e_i, e_j), i < j."""
+        A, columns = self.algebroid, self.columns
+        one, variables = A.patch.one(), A.patch.variables
+        anchored = self.anchored
+        col_i, col_j = columns[i], columns[j]
+        out: Dict[int, List[Product]] = defaultdict(list)
+        inner: Dict[int, List[Product]] = defaultdict(list)
+        # [M e_i, M e_j] = sum m_ki rho_k(m_lj) e_l - m_kj rho_k(m_li) e_l
+        #                  + m_ki m_k'j c_kk'^l e_l
+        for col, sign, other in ((col_i, 1, j), (col_j, -1, i)):
+            for k, m_k in col:
+                if anchored[k]:
+                    for l, _ in columns[other]:
+                        d = self._rho(k, l, other)
+                        if not d.is_zero:
+                            out[l].append(product_term(sign, m_k, d, one))
+        if A.brackets:
+            for k, m_ki in col_i:
+                for k2, m_kj in col_j:
+                    sign, row = self._bracket(k, k2)
+                    if row:
+                        both = sum_products(
+                            variables, [product_term(1, m_ki, m_kj, one)]
+                        )
+                        for l, c in row:
+                            out[l].append(product_term(sign, both, c, one))
+            # I_m, structure terms: m_ki c_kj^m + m_kj c_ik^m - m_mp c_ij^p
+            for k, m_ki in col_i:
+                sign, row = self._bracket(k, j)
+                for l, c in row:
+                    inner[l].append(product_term(sign, m_ki, c, one))
+            for k, m_kj in col_j:
+                sign, row = self._bracket(i, k)
+                for l, c in row:
+                    inner[l].append(product_term(sign, m_kj, c, one))
+            for p, c in A.brackets.get((i, j), ()):
+                for l, m_lp in columns[p]:
+                    inner[l].append(product_term(-1, m_lp, c, one))
+        # I_m, anchored terms: - rho_j(m_mi) + rho_i(m_mj)
+        for col, a, index, sign in ((col_i, j, i, -1), (col_j, i, j, 1)):
+            if anchored[a]:
+                for l, _ in col:
+                    d = self._rho(a, l, index)
+                    if not d.is_zero:
+                        inner[l].append((sign, d, None))
+        # - M I = - sum m_lm I_m e_l
+        for m, products in inner.items():
+            value = sum_products(variables, products)
+            if not value.is_zero:
+                for l, m_lm in columns[m]:
+                    out[l].append(product_term(-1, m_lm, value, one))
+        return MultiVector(
+            A, 1, {(l,): sum_products(variables, p) for l, p in out.items()}
+        )
+
+
 def _frame_pair_torsion(
     M: TensorMap, flat: Optional[TensorMap] = None, c: Scalar = 1
 ) -> Iterator[Tuple[str, Section]]:
     """The torsion of N = c M on every frame pair, or its image under
     ``flat`` if given, labelled by the pair; ``c`` is a rational constant.
 
-    The torsion is evaluated on ``M`` and scaled by c^2 (the lemma in the
-    module docstring), which is skipped when c^2 = 1.  The frame and its
-    images depend only on ``M``, so they are built once: ``M e_i`` is column
-    ``i`` of the matrix.
+    The torsion is evaluated on ``M`` by the closed form of the module
+    docstring (``_FrameTorsion``), one pair at a time, and scaled by c^2
+    (the lemma there), which is skipped when c^2 = 1.  The anchored
+    derivatives of M's entries are taken once for the whole call, not once
+    per pair.
     """
     _check_endomorphism(M)
     A = M.algebroid
     r = A.rank
-    frame = [MultiVector.frame(A, i) for i in range(r)]
-    images = [
-        MultiVector(A, 1, {(k,): M.matrix[k][i] for k in range(r)}) for i in range(r)
-    ]
+    torsion = _FrameTorsion(M)
     c2 = c * c
     kind = "torsion" if flat is None else "flattened torsion"
     for i in range(r):
         for j in range(i + 1, r):
-            value = _torsion(M, frame[i], frame[j], images[i], images[j])
+            value = torsion.at(i, j)
             if flat is not None:
                 value = flat.apply(value)
             if c2 != 1 and not value.is_zero:
@@ -284,8 +408,8 @@ def dirac_pair_check(
         note = "tensor composition sharp after flat"
         if transposed:
             note += " (transposed)"
-        d = lcm(*(c.denominator() for c in sharp.section.components.values()))
-        M = sharp.music().scale(d).compose(flat.music())
+        d, cleared = _cleared(sharp.section)
+        M = sharp_map(cleared).compose(flat.music())
         return _first_failure(note, _frame_pair_torsion(M, c=Fraction(1, d)))
     if left.kind == KIND_SHARP and phi0_schouten(
         B.a_side, left.section, right.section

@@ -27,6 +27,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Callable, Dict, Iterator, List, Tuple
 
 from .coeff import ExpPoly, NotInvertible, Scalar, product_term, sum_products
@@ -518,12 +519,42 @@ def jacobi_bracket(
     )
 
 
+def _cleared(s: Section) -> Tuple[int, Section]:
+    """``(d, d s)`` with d the least common multiple of the denominators of
+    the coefficients of ``s``: d s has integer coefficients.  It scales the
+    stored coefficients by the integer d, which forms no product, and is
+    ``s`` itself when d = 1."""
+    d = lcm(*(c.denominator() for c in s.components.values()))
+    if d == 1:
+        return 1, s
+    variables = s.algebroid.patch.variables
+    comps = {
+        key: sum_products(variables, [(d, c, None)]) for key, c in s.components.items()
+    }
+    return d, type(s)(s.algebroid, s.degree, comps)
+
+
 def jacobi_check(J: JacobiAlgebroidData, pi: MultiVector) -> Report:
-    """Pass iff the twisted self-bracket of the bivector vanishes."""
+    """Pass iff the twisted self-bracket of the bivector vanishes.
+
+    The bracket is taken of d pi (``_cleared``), and a nonzero residue is
+    scaled by 1 / d^2 once.  Proof: the twisted bracket is bilinear over Q.
+    Its Schouten part is, by the graded Leibniz rules of ``calculus``, whose
+    anchor terms are derivations and so kill a constant; its twist terms
+    are a wedge with a contraction, each linear in both arguments.  So
+    [d pi, d pi] = d^2 [pi, pi], and d^-2 [d pi, d pi] is the same canonical
+    value, zero exactly when [pi, pi] is and with the same text as a
+    witness.  When the algebroid's data have integer coefficients, the
+    bracket of d pi multiplies integers only.
+    """
     _check_over(J, pi)
     if pi.degree != 2:
         raise MismatchError("jacobi_check needs a degree-2 multivector")
-    return _report_zero(phi0_schouten(J, pi, pi))
+    d, cleared = _cleared(pi)
+    square = phi0_schouten(J, cleared, cleared)
+    if d != 1 and not square.is_zero:
+        square = square * Fraction(1, d * d)
+    return _report_zero(square)
 
 
 def presymplectic_check(J: JacobiAlgebroidData, omega: Form) -> Report:
@@ -624,14 +655,21 @@ def dual_lie(B: JacobiBialgebroidData, xi: Form, target: Section) -> Section:
 
 
 def maurer_cartan_check(B: JacobiBialgebroidData, s: Section) -> Report:
-    """Residue of d(s) + (1/2)[s, s] with the differential from the other side."""
+    """Residue of d(s) + (1/2)[s, s] with the differential from the other side.
+
+    For a bivector, [s, s] is taken of d s and a nonzero one is scaled by
+    1 / (2 d^2) once, as in ``jacobi_check``; d_* s is linear and is
+    computed on s itself.
+    """
     if s.degree != 2:
         raise MismatchError("the Maurer-Cartan check needs a degree-2 section")
     _check_over(B.a_side, s)
     if isinstance(s, MultiVector):
-        residue = dual_differential(B, s) + Fraction(1, 2) * phi0_schouten(
-            B.a_side, s, s
-        )
+        residue = dual_differential(B, s)
+        d, cleared = _cleared(s)
+        square = phi0_schouten(B.a_side, cleared, cleared)
+        if not square.is_zero:
+            residue = residue + square * Fraction(1, 2 * d * d)
     else:
         residue = differential(B.a_side, s) + Fraction(1, 2) * dual_schouten(B, s, s)
     return _report_zero(residue)

@@ -11,6 +11,7 @@ from jacv.algebroid import (
     JacobiAlgebroidData,
     Patch,
     extend_with_R,
+    lift_hat,
     make_explicit,
     make_tangent,
     make_trivial,
@@ -223,6 +224,37 @@ def poisson_bialgebroid(pi):
         JacobiAlgebroidData(A, Form.zero(A, 1)),
         JacobiAlgebroidData(dual, Form.zero(dual, 1)),
     )
+
+
+@lru_cache(maxsize=None)
+def action_algebroids():
+    """Twisted action algebroids with nonzero structure functions, and their
+    weighted lifts, which also anchor along d/dt.
+
+    sl(2) acts on the line by e1, e2, e3 -> d/dx, x d/dx, x^2 d/dx, so
+    [e1, e2] = e1, [e1, e3] = 2 e2, [e2, e3] = e3 (rank 3, patch (x, y));
+    aff(1) x aff(1) acts on the plane by e1, e2, e3, e4 -> d/dx, x d/dx,
+    d/dy, y d/dy, so [e1, e2] = e1 and [e3, e4] = e3 (rank 4).  Each is
+    twisted by the exact cosection d(x + y), and ``lift_hat`` of that data
+    (zero twist upstairs) brackets every pair through the twist.  Returns
+    the four twisted data, ranks 3, 3, 4, 4, each a valid algebroid.
+    """
+    p = Patch(("x", "y"))
+    x, y, z, one = p.coord("x"), p.coord("y"), p.zero(), p.const(1)
+    sl2 = make_explicit(
+        p, 3, ((one, x, x * x), (z, z, z)),
+        {(0, 1): (one, z, z), (0, 2): (z, p.const(2), z), (1, 2): (z, z, one)},
+    )
+    aff2 = make_explicit(
+        p, 4, ((one, x, z, z), (z, z, one, y)),
+        {(0, 1): (one, z, z, z), (2, 3): (z, z, one, z)},
+    )
+    out = []
+    for A in (sl2, aff2):
+        J = JacobiAlgebroidData(A, differential(A, Form(A, 0, {(): x + y})))
+        H = lift_hat(J)
+        out += [J, JacobiAlgebroidData(H, Form.zero(H, 1))]
+    return tuple(out)
 
 
 def rand_graph_section(r, A, kind):

@@ -1,7 +1,11 @@
 """``scripts/bench_pair.py``: the summary of synthetic runs."""
 
 import importlib.util
+import io
+import tarfile
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pair.py"
 _spec = importlib.util.spec_from_file_location("bench_pair", SCRIPT)
@@ -53,3 +57,40 @@ def test_a_single_pair_summarizes_to_its_own_values():
     assert entry["base_median"] == 0.25
     assert entry["change_median"] == 0.2
     assert (entry["change_wins"], entry["base_wins"]) == (1, 0)
+
+
+def _archive(tmp_path):
+    path = tmp_path / "rev.tar"
+    with tarfile.open(path, "w") as tar:
+        data = b"print('base')\n"
+        info = tarfile.TarInfo("scripts/run.py")
+        info.size = len(data)
+        tar.addfile(info, io.BytesIO(data))
+    return path
+
+
+@pytest.mark.parametrize("has_filter", [True, False])
+def test_unpack_passes_the_data_filter_only_where_tarfile_has_it(
+    tmp_path, monkeypatch, has_filter
+):
+    # before 3.10.12 and 3.11.4 there is no data_filter, and extractall
+    # raises TypeError on a filter argument
+    calls = []
+    extractall = tarfile.TarFile.extractall
+
+    def old_or_new(self, path, *args, **kwargs):
+        calls.append(kwargs)
+        if "filter" in kwargs and not has_filter:
+            raise TypeError("extractall() got an unexpected keyword argument 'filter'")
+        return extractall(self, path, *args, **kwargs)
+
+    if has_filter and not hasattr(tarfile, "data_filter"):
+        pytest.skip("this Python's tarfile has no data filter")
+    monkeypatch.setattr(tarfile.TarFile, "extractall", old_or_new)
+    if not has_filter:
+        monkeypatch.delattr(tarfile, "data_filter", raising=False)
+    into = tmp_path / "base"
+    into.mkdir()
+    bench_pair.unpack(_archive(tmp_path), into)
+    assert (into / "scripts" / "run.py").read_text() == "print('base')\n"
+    assert calls == [{"filter": "data"} if has_filter else {}]

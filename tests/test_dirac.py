@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -36,7 +37,13 @@ from jacv.structures import (
     pi_from_omega,
     sharp_map,
 )
-from tests.gen import contact, rand_form, rand_scalar, rand_unit_two_form
+from tests.gen import (
+    action_algebroids,
+    contact,
+    rand_form,
+    rand_scalar,
+    rand_unit_two_form,
+)
 
 
 def _plane4():
@@ -329,6 +336,43 @@ def _frame_loop_cases():
         for i in range(A7.rank)
     )
     cases.append((up, Form.zero(A7, 2), TensorMap(A7, SIDE_A, SIDE_A, rows)))
+    return cases + _bracketed_cases()
+
+
+def _weighted_map(r, A, density=0.5, first=0):
+    """Endomorphism with entries of exp weights -1..1 and rational
+    coefficients, zero outside rows and columns ``first``.. ."""
+    zero = A.zero_scalar()
+
+    def entry(i, j):
+        if min(i, j) < first or r.random() >= density:
+            return zero
+        f = rand_scalar(r, A.patch, max_degree=1, terms=2, with_t=True, exp_range=1)
+        return f * Fraction(1, r.choice((1, 2, 3)))
+
+    rows = tuple(tuple(entry(i, j) for j in range(A.rank)) for i in range(A.rank))
+    return TensorMap(A, SIDE_A, SIDE_A, rows)
+
+
+def _bracketed_cases():
+    """(J, omega, N) over algebroids with nonzero structure functions, the
+    lifted ones anchored along d/dt too: f Id, whose torsion is zero for
+    every function f; a dense map; a map on the last two frame elements,
+    so that early pairs pass; on rank 4, fl^-1 . flat(w)."""
+    r = random.Random(20)
+    cases = []
+    for J in action_algebroids():
+        A = J.algebroid
+        zero = Form.zero(A, 2)
+        f = A.patch.coord("x").times_exp(1) * Fraction(2, 3)
+        cases.append((J, zero, TensorMap.identity(A).scale(f)))
+        cases.append((J, zero, _weighted_map(r, A)))
+        cases.append((J, zero, _weighted_map(r, A, density=1, first=A.rank - 2)))
+        if A.rank % 2 == 0:
+            om = rand_unit_two_form(r, A)
+            cases.append((J, om, TensorMap.identity(A).scale(f)))
+            N = flat_map(om).inverse().compose(flat_map(rand_form(r, A, 2)))
+            cases.append((J, om, N))
     return cases
 
 

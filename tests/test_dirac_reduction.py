@@ -33,7 +33,14 @@ from jacv.dirac import (  # noqa: E402
 )
 from jacv.lift import lift_bialgebroid, lift_section  # noqa: E402
 from jacv.structures import SIDE_A, TensorMap, flat_map, pi_from_omega  # noqa: E402
-from tests.gen import contact, contact_form, rand_scalar  # noqa: E402
+from tests.gen import (  # noqa: E402
+    action_algebroids,
+    contact,
+    contact_form,
+    rand_multivector,
+    rand_scalar,
+    rand_unit_two_form,
+)
 from tests.test_dirac import _torsion_by_the_public_formula  # noqa: E402
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None, database=None)
@@ -130,6 +137,37 @@ def test_lifted_pairs_agree_with_the_inverse_route(case, data):
     left, right = _flats(*lifted)
     _agree(up, left, right)
     _agree(up, right, left)
+
+
+@PROPERTY
+@given(st.integers(0, 2**16), st.sampled_from((2, 3)))
+def test_reductions_over_bracketed_algebroids_agree_with_the_inverse_route(seed, n):
+    # rank 4 with nonzero structure functions, upstairs also anchored along
+    # d/dt; the Pfaffian of w1 is q^2 exp(2kt) with q^2 != 1, and the sharp
+    # has denominators, so each reduction scales by some c^2 != 1.  The
+    # member gate is no part of the reduction, and these members need not
+    # pass it.
+    J = action_algebroids()[n]
+    A = J.algebroid
+    r = random.Random(seed)
+    unit = ExpPoly.exp(A.patch.variables, r.randint(-1, 1))
+    q = r.choice((Fraction(3, 2), 2, Fraction(-1, 3)))
+    w1 = rand_unit_two_form(r, A) * (unit * q)
+    if r.random() < 0.3:  # compatible: the reductions pass
+        w2 = w1 * Fraction(r.choice((-2, 1, 5)), r.choice((1, 3)))
+        pi = pi_from_omega(J, w1)
+    else:
+        w2 = rand_unit_two_form(r, A) * unit
+        pi = rand_multivector(r, A, 2, max_degree=1, with_t=True) * Fraction(1, 6)
+    assert flat_map(w1).determinant().unit_parts()[0] not in (1, -1)
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(dirac, "_member_gate", lambda *args: None)
+        left, right = _flats(w1, w2)
+        _agree(J, left, right)
+        _agree(J, right, left)
+        sharp = GraphRelation.of_bivector(pi)
+        _agree(J, sharp, right)
+        _agree(J, right, sharp)
 
 
 # -- the lemma: torsion is homogeneous of degree 2 over rational constants --

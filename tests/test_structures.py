@@ -57,8 +57,10 @@ from jacv.structures import (
     two_form_of,
 )
 from tests.gen import (
+    action_algebroids,
     closed_twist,
     contact,
+    contact_form,
     poisson_bialgebroid,
     rand_form,
     rand_graph_section,
@@ -177,14 +179,15 @@ def test_tensor_map_algebra():
 
 
 def _count_products(monkeypatch):
-    """The list of the products formed from now on.  Every product, inside
-    ``*`` or a sum of products, is formed by the kernel."""
+    """The list of the operand pairs of the products formed from now on.
+    Every product, inside ``*`` or a sum of products, is formed by the
+    kernel."""
     products = []
     add_product = coeff.add_product
 
     def counting(terms, k, a, b=None):
         if b is not None:
-            products.append(a)
+            products.append((a, b))
         add_product(terms, k, a, b)
 
     monkeypatch.setattr(coeff, "add_product", counting)
@@ -944,3 +947,77 @@ def test_tensor_map_shape_errors():
         c.NH.apply(c.Pi)
     with pytest.raises(MismatchError):
         c.NH.compose(flat_map(c.Om))  # target A* does not feed source A
+
+
+# -- self-brackets of rational bivectors, cleared of denominators ----------
+
+def _unscaled_jacobi(J, pi):
+    return structures._report_zero(phi0_schouten(J, pi, pi))
+
+
+def _unscaled_mc(B, pi):
+    square = phi0_schouten(B.a_side, pi, pi)
+    residue = dual_differential(B, pi) + Fraction(1, 2) * square
+    return structures._report_zero(residue)
+
+
+def _rational_bivectors(r, A, count):
+    for _ in range(count):
+        pi = rand_multivector(r, A, 2, max_degree=1, terms=2, with_t=True)
+        yield pi * Fraction(r.choice((1, -2, 5)), r.choice((2, 3, 6)))
+
+
+def test_self_brackets_of_rational_bivectors_match_the_unscaled_route():
+    # twisted data with and without structure functions, and the Poisson
+    # pair, whose d_* is not zero; multiples of a Poisson bivector pass
+    r = random.Random(21)
+    c = contact()
+    p, A, pi0, poisson = _poisson_pair()
+    statuses = set()
+    for J in (c.C, *action_algebroids()):
+        pis = list(_rational_bivectors(r, J.algebroid, 4))
+        if J is c.C:
+            pis.append(pi_from_omega(J, contact_form((1, 2, 2, 0), (1, -1, 2))))
+        B = make_standard_bialgebroid(J)
+        for pi in pis:
+            report = jacobi_check(J, pi)
+            assert report == _unscaled_jacobi(J, pi)
+            assert maurer_cartan_check(B, pi) == _unscaled_mc(B, pi)
+            statuses.add(report.status)
+    x = p.coord("x")
+    for pi in (pi0 * Fraction(1, 3), pi0 * Fraction(-2, 5), pi0 * (x * Fraction(1, 2))):
+        report = maurer_cartan_check(poisson, pi)
+        assert report == _unscaled_mc(poisson, pi)
+        statuses.add(report.status)
+    assert statuses == {"pass", "fail"}
+
+
+def _fractional(value):
+    return value.denominator() != 1
+
+
+def test_self_brackets_multiply_integers_before_the_one_scaling(monkeypatch):
+    # pi_from_omega of an integer contact form with Pf = 4 has denominator
+    # d = 4; the bracket of 4 pi multiplies integers, and only a nonzero
+    # residue is scaled, by 1 / d^2 for jacobi and 1 / (2 d^2) for mc
+    c = contact()
+    pi = pi_from_omega(c.C, contact_form((1, 2, 2, 0), (1, -1, 2)))
+    assert max(v.denominator() for v in pi.components.values()) == 4
+    failing = pi * c.p.coord("x1")
+    B = make_standard_bialgebroid(c.C)
+    for check, c2 in ((lambda s: jacobi_check(c.C, s), Fraction(1, 16)),
+                      (lambda s: maurer_cartan_check(B, s), Fraction(1, 32))):
+        with monkeypatch.context() as patched:
+            products = _count_products(patched)
+            assert check(pi).ok
+        assert products
+        assert not any(_fractional(a) or _fractional(b) for a, b in products)
+        with monkeypatch.context() as patched:
+            products = _count_products(patched)
+            assert check(failing).status == "fail"
+        scaled = next(
+            n for n, (a, b) in enumerate(products) if _fractional(a) or _fractional(b)
+        )
+        assert scaled > 0
+        for a, b in products[scaled:]:
+            assert a.as_fraction() == c2 and not _fractional(b)

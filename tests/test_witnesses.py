@@ -259,19 +259,19 @@ def test_no_residue_is_computed_after_the_first_failure(monkeypatch):
     # frame pair of six: each computes one residue
     calls = []
 
-    def spy(module, name):
-        real = getattr(module, name)
+    def spy(owner, name):
+        real = getattr(owner, name)
 
         def counting(*args):
             calls.append(name)
             return real(*args)
 
-        monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(owner, name, counting)
 
     spy(structures, "courant_bracket")
-    spy(dirac, "_torsion")
+    spy(dirac._FrameTorsion, "at")  # one frame pair's torsion
     p, A, J = _space3()
     assert not graph_closure_check(make_standard_bialgebroid(J), _not_closed(p, A)).ok
     p4, A4, _ = _plane4()
     assert not torsion_tensor_check(_kernel_torsion_map(p4, A4)).ok
-    assert calls == ["courant_bracket", "_torsion"]
+    assert calls == ["courant_bracket", "at"]

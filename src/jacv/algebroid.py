@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .coeff import ExpPoly, product_term, sum_products
+from .coeff import ExpPoly, Product, VariableSetMismatch, product_term, sum_products
 from . import calculus
 
 
@@ -111,7 +111,9 @@ class AlgebroidPatch:
     ``patch.anchor_coords`` order.  ``brackets[(i, j)]``, for i < j only,
     holds [e_i, e_j] as its nonzero (k, c_ij^k) pairs in increasing k; a
     missing pair brackets to zero.  Zero entries given to the constructor
-    are dropped.
+    are dropped.  ``anchor_derivs`` reads the anchor by variable instead:
+    for each variable index, the frame elements whose anchor has an entry
+    along it, with that entry.
     """
 
     patch: Patch
@@ -148,6 +150,11 @@ class AlgebroidPatch:
             if row:
                 brackets[i, j] = row
         self.brackets = brackets
+        by_variable: Dict[int, List[Tuple[int, ExpPoly]]] = {}
+        for i, column in enumerate(self.anchor):
+            for name, entry in column:
+                by_variable.setdefault(variables.index(name), []).append((i, entry))
+        self._by_variable = dict(sorted(by_variable.items()))
 
     @property
     def is_trivial(self) -> bool:
@@ -165,23 +172,36 @@ class AlgebroidPatch:
 
     # -- anchor and frame brackets ----------------------------------------
 
-    def anchor_deriv(self, index: int, f: ExpPoly) -> ExpPoly:
-        """rho(e_index) f: the anchored derivative of f along one frame element,
-        sum over its nonzero anchor entries rho_index^x of rho_index^x df/dx.
+    def anchor_derivs(self, f: ExpPoly) -> Dict[int, ExpPoly]:
+        """``{i: rho(e_i) f}`` over the frame, nonzero derivatives only.
 
-        No derivative is taken along a variable f does not involve (for t,
-        that includes its exp weights), since it is zero, and an entry equal
-        to 1 (every entry of a tangent or extension frame) is not multiplied.
+        rho(e_i) f is the sum over the nonzero anchor entries rho_i^x of
+        rho_i^x df/dx.  The partial derivatives of f along the anchored
+        variables are taken in one sweep (``ExpPoly.partials``), so a
+        variable f does not involve costs no derivative and no product, and
+        an entry equal to 1 (every entry of a tangent or extension frame) is
+        not multiplied.  ``f`` must be over the patch's variables.
         """
+        variables = self.patch.variables
+        if f.vars != variables:
+            raise VariableSetMismatch(
+                f"a scalar over {f.vars} on a patch over {variables}"
+            )
+        by_variable = self._by_variable
+        partials = f.partials(by_variable)
+        if not partials:
+            return {}
         one = self.patch.one()
-        terms = [
-            product_term(1, entry, f.diff(name), one)
-            for name, entry in self.anchor[index]
-            if f.involves(name)
-        ]
-        if not terms:
-            return self.zero_scalar()
-        return sum_products(self.patch.variables, terms)
+        sums: Dict[int, List[Product]] = {}
+        for v, df in partials.items():
+            for i, entry in by_variable[v]:
+                sums.setdefault(i, []).append(product_term(1, entry, df, one))
+        out = {}
+        for i, products in sums.items():
+            d = sum_products(variables, products)
+            if not d.is_zero:
+                out[i] = d
+        return out
 
 
 def anchor_apply(A: AlgebroidPatch, X: "calculus.MultiVector", f: ExpPoly) -> ExpPoly:
@@ -189,11 +209,15 @@ def anchor_apply(A: AlgebroidPatch, X: "calculus.MultiVector", f: ExpPoly) -> Ex
     whose derivative is zero forms no product, nor does a component 1."""
     if X.degree != 1:
         raise ValueError("anchor_apply expects a degree-1 section")
-    terms = []
-    for (i,), c in X.components.items():
-        df = A.anchor_deriv(i, f)
-        if not df.is_zero:
-            terms.append(product_term(1, c, df, A.patch.one()))
+    if X.algebroid is not A:
+        raise calculus.MismatchError("the section lives over a different algebroid")
+    derivs = A.anchor_derivs(f)
+    one = A.patch.one()
+    terms = [
+        product_term(1, c, derivs[i], one)
+        for (i,), c in X.components.items()
+        if i in derivs
+    ]
     if not terms:
         return A.zero_scalar()
     return sum_products(A.patch.variables, terms)

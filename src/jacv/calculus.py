@@ -65,13 +65,18 @@ Sign conventions fixed here and relied on everywhere else:
   to (a - 1)(1 + (-1)^a) D ^ iota(D): 0 for odd a, where the whole twisted
   self-bracket is 0, and 2 (a - 1) D ^ iota(D) for even a, one contraction
   and one wedge (none for a = 0, where iota(D) is read as 0);
-* in the closed form rho(e_i) g_J is asked for every f_I with i in I, and
-  rho(e_j) f_I for every g_J with j in J.  When deg P = 1 each I is one
-  index, so each rho(e_i) g_J is asked once; when deg P >= 2 they are
-  memoized by (i, J) for the call, and likewise for P's components when
-  deg Q >= 2 (one memo when P is Q).  So rho(e_i) of a stored component is
-  taken at most once per bracket, and a bracket of degree-1 sections keeps
-  no memo.  A frame element with no anchor entry takes no derivative.
+* the anchored derivatives are taken per stored component, all frame
+  elements at once: ``AlgebroidPatch.anchor_derivs(c)`` sweeps c's
+  monomials once and returns {i: rho(e_i) c}, nonzero ones only.  The
+  differential adds each rho(e_i) w_K with i not in K to the key K + {i},
+  with the sign (-1)^pos of i's position there, so a component w does not
+  store costs nothing; only the bracket terms run over the output keys,
+  and not at all when the algebroid has no bracket.  In the closed form
+  rho(e_i) g_J is asked for every f_I with i in I, and rho(e_j) f_I for
+  every g_J with j in J; each side keeps the derivative maps of its
+  components by key for the call (one memo when P is Q), so each stored
+  component is swept at most once per bracket.  A frame element with no
+  anchor entry asks for no derivative.
 
 Sections over the direct sum with a trivial line are identified with pairs
 (P, Q) via  (P, Q) = P + ehat ^ Q  (split / merge below); all the pair
@@ -80,6 +85,7 @@ formulas quoted in the structure checks come out of this identification.
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -395,34 +401,30 @@ def differential(arg: object, w: Form) -> Form:
     if A.is_trivial:
         return Form.zero(A, w.degree + 1) if phi0 is None else wedge(phi0, w)
     sums: Sums = defaultdict(list)
-    for key in combinations(range(A.rank), w.degree + 1):
-        products = []
-        for pos, idx in enumerate(key):
-            if not A.anchor[idx]:
-                continue
-            c = w.components.get(key[:pos] + key[pos + 1 :])
-            if c is None:
-                continue
-            term = A.anchor_deriv(idx, c)
-            if not term.is_zero:
-                products.append((-1 if pos % 2 else 1, term, None))
-        for pa in range(len(key)):
-            for pb in range(pa + 1, len(key)):
-                row = A.brackets.get((key[pa], key[pb]))
-                if row is None:
-                    continue
-                rest = key[:pa] + key[pa + 1 : pb] + key[pb + 1 :]
-                outer = -1 if (pa + pb) % 2 else 1
-                for m, cm in row:
-                    placed = _wedge_keys((m,), rest)
-                    if placed is None:
+    # anchor terms: rho(e_i) w_K lands on K + {i} with the sign of i's
+    # position there, so only stored components are differentiated
+    for K, c in w.components.items():
+        for i, d in A.anchor_derivs(c).items():
+            if i not in K:
+                pos = bisect(K, i)
+                sums[K[:pos] + (i,) + K[pos:]].append((-1 if pos % 2 else 1, d, None))
+    if A.brackets:
+        for key in combinations(range(A.rank), w.degree + 1):
+            for pa in range(len(key)):
+                for pb in range(pa + 1, len(key)):
+                    row = A.brackets.get((key[pa], key[pb]))
+                    if row is None:
                         continue
-                    sign, full = placed
-                    wc = w.components.get(full)
-                    if wc is not None:
-                        products.append((sign * outer, cm, wc))
-        if products:
-            sums[key] = products
+                    rest = key[:pa] + key[pa + 1 : pb] + key[pb + 1 :]
+                    outer = -1 if (pa + pb) % 2 else 1
+                    for m, cm in row:
+                        placed = _wedge_keys((m,), rest)
+                        if placed is None:
+                            continue
+                        sign, full = placed
+                        wc = w.components.get(full)
+                        if wc is not None:
+                            sums[key].append((sign * outer, cm, wc))
     if phi0 is not None:
         _wedge_into(sums, 1, phi0, w)
     return _built(Form, A, w.degree + 1, sums)
@@ -481,17 +483,17 @@ def schouten(P: MultiVector, Q: MultiVector) -> MultiVector:
 def _schouten_into(sums: Sums, P: MultiVector, Q: MultiVector) -> None:
     """Add the products of [P, Q] into ``sums``.  When P is Q (even degree)
     each unordered pair of monomials is bracketed once, with k = 2 off the
-    diagonal.  rho(e_i) of a stored component is taken once per call: it is
-    memoized by (i, key) on a side whose derivatives can be asked for twice,
-    which needs the other side to have degree 2 or more."""
+    diagonal.  The anchored derivatives of a stored component are taken in
+    one sweep, the first time one is asked for, and kept by the component's
+    key for the call (one memo per side, one in all when P is Q)."""
     A = P.algebroid
     p, q = P.degree, Q.degree
     same = P is Q
     swap = 1 if (p - 1) * (q - 1) % 2 else -1  # -(-1)^((p-1)(q-1))
     one = A.patch.one()
     anchor, brackets = A.anchor, A.brackets
-    d_of_Q: Optional[Dict] = {} if p > 1 else None
-    d_of_P = d_of_Q if same else ({} if q > 1 else None)
+    d_of_Q: Dict[Key, Dict[int, ExpPoly]] = {}
+    d_of_P = d_of_Q if same else {}
     left = list(P.components.items())
     right = left if same else list(Q.components.items())
     for n, (I, f) in enumerate(left):
@@ -521,9 +523,9 @@ def _schouten_into(sums: Sums, P: MultiVector, Q: MultiVector) -> None:
                     continue
                 placed = _wedge_keys(I_a, J)
                 if placed is not None:
-                    sign, key = placed
-                    dg = _anchored(A, d_of_Q, i, J, g)
-                    if not dg.is_zero:
+                    dg = _anchored(A, d_of_Q, J, g).get(i)
+                    if dg is not None:
+                        sign, key = placed
                         sign *= k * (-1) ** (p - 1 - a)
                         sums[key].append(product_term(sign, f, dg, one))
             for b, j in enumerate(J):
@@ -531,23 +533,21 @@ def _schouten_into(sums: Sums, P: MultiVector, Q: MultiVector) -> None:
                     continue
                 placed = _wedge_keys(J[:b] + J[b + 1 :], I)
                 if placed is not None:
-                    sign, key = placed
-                    df = _anchored(A, d_of_P, j, I, f)
-                    if not df.is_zero:
+                    df = _anchored(A, d_of_P, I, f).get(j)
+                    if df is not None:
+                        sign, key = placed
                         sign *= k * swap * (-1) ** (q - 1 - b)
                         sums[key].append(product_term(sign, g, df, one))
 
 
 def _anchored(
-    A: object, memo: Optional[Dict], i: int, key: Key, value: ExpPoly
-) -> ExpPoly:
-    """rho(e_i) of the component ``value`` stored on ``key``, through
-    ``memo`` when one is given."""
-    if memo is None:
-        return A.anchor_deriv(i, value)
-    d = memo.get((i, key))
+    A: object, memo: Dict[Key, Dict[int, ExpPoly]], key: Key, value: ExpPoly
+) -> Dict[int, ExpPoly]:
+    """``A.anchor_derivs`` of the component ``value`` stored on ``key``,
+    taken once through ``memo``."""
+    d = memo.get(key)
     if d is None:
-        d = memo[i, key] = A.anchor_deriv(i, value)
+        d = memo[key] = A.anchor_derivs(value)
     return d
 
 

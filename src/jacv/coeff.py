@@ -34,9 +34,14 @@ of n products is one value, not n products and n - 1 partial sums.
 ``a - b`` subtracts in one pass and builds one value, not ``-b`` and then
 the sum; ``+`` and ``*`` return an operand as it is when the other is zero,
 and so does ``a - 0``; a lone unscaled term of ``sum_products`` is returned
-as it is.  A derivative along a variable the value does not involve is
-zero, and ``involves`` tells so without building it, which lets callers
-that differentiate along a whole anchor skip those variables.
+as it is.  ``partials(within)`` takes the derivatives along several
+variables in one sweep over the monomials and keeps only the nonzero ones,
+so a caller that differentiates along a whole anchor builds nothing for a
+variable the value does not involve and reads no monomial twice.
+
+A nonzero exp weight needs ``t`` among the variables: ``__new__``,
+``exp`` and ``times_exp`` refuse one over a tuple without ``t``, so every
+value can be differentiated along the variable its weights depend on.
 
 This ring is not a field.  The only invertible elements are q * exp(k*t) with
 q a nonzero rational; ``unit_inverse`` raises :class:`NotInvertible` for
@@ -97,6 +102,13 @@ def _weight(value: Scalar) -> int:
     if value.denominator != 1:
         raise ValueError(f"exp weight {value} is not an integer")
     return value.numerator
+
+
+def _needs_t(variables: Sequence[str]) -> None:
+    if "t" not in variables:
+        raise ValueError(
+            f"a nonzero exp weight needs 't' among the variables {tuple(variables)}"
+        )
 
 
 def add_product(
@@ -187,7 +199,8 @@ class ExpPoly:
     def __new__(cls, variables: Tuple[str, ...], terms: TermsDict) -> "ExpPoly":
         # The checks of the public constructor; ``_make`` skips them.
         for weight, poly in terms.items():
-            _weight(weight)
+            if _weight(weight) and any(poly.values()):
+                _needs_t(variables)
             for e, c in poly.items():
                 if len(e) != len(variables):
                     raise ValueError(
@@ -249,8 +262,11 @@ class ExpPoly:
     @classmethod
     def exp(cls, variables: Tuple[str, ...], weight: int) -> "ExpPoly":
         """The unit exp(weight * t)."""
+        weight = _weight(weight)
+        if weight:
+            _needs_t(variables)
         unit = (0,) * len(variables)
-        return cls._make(tuple(variables), {_weight(weight): {unit: 1}})
+        return cls._make(tuple(variables), {weight: {unit: 1}})
 
     # -- ring structure ----------------------------------------------------
 
@@ -329,23 +345,47 @@ class ExpPoly:
     def times_exp(self, weight: int) -> "ExpPoly":
         """Multiply by the unit exp(weight * t): shifts every weight."""
         weight = _weight(weight)
+        if weight and self.terms:
+            _needs_t(self.vars)
         return ExpPoly._make(
             self.vars, {k + weight: p for k, p in self.terms.items()}
         )
 
     # -- calculus ----------------------------------------------------------
 
-    def involves(self, name: str) -> bool:
-        """True iff ``diff(name)`` is nonzero: some monomial holds a positive
-        power of ``name`` or, for ``t``, some exp weight is nonzero.  (On
-        exp(k*t) * p with k != 0 the t-degree of k*p exceeds that of dp/dt,
-        so the two never cancel.)"""
-        if name not in self.vars:
-            raise UnknownVariable(f"{name!r} is not one of {self.vars}")
-        if name == "t" and any(self.terms):
-            return True
-        idx = self.vars.index(name)
-        return any(e[idx] for poly in self.terms.values() for e in poly)
+    def partials(self, within: Iterable[int]) -> Dict[int, "ExpPoly"]:
+        """``{i: d/d(vars[i]) of self}`` for the variable indices ``within``,
+        nonzero derivatives only, taken in one sweep over the monomials.
+
+        The derivative along ``t`` (found by name) also differentiates the
+        exp weights, as ``diff`` does.  It is never zero on a nonzero
+        weight: on exp(k*t) * p with k != 0 the t-degree of k*p exceeds that
+        of dp/dt, so the two never cancel.
+        """
+        within = tuple(within)
+        lowered: Dict[int, TermsDict] = {}
+        for weight, poly in self.terms.items():
+            here: Dict[int, PolyDict] = {}  # this weight's buffer per index
+            for e, c in poly.items():
+                for idx in within:
+                    power = e[idx]
+                    if power:
+                        acc = here.get(idx)
+                        if acc is None:
+                            acc = here[idx] = {}
+                            lowered.setdefault(idx, {})[weight] = acc
+                        # lowering one variable's power sends distinct
+                        # monomials to distinct keys
+                        acc[e[:idx] + (power - 1,) + e[idx + 1 :]] = c * power
+        t = self.vars.index("t") if "t" in self.vars else None
+        if t in within:
+            for weight, poly in self.terms.items():
+                if weight:
+                    acc = lowered.setdefault(t, {}).setdefault(weight, {})
+                    for e, c in poly.items():
+                        old = acc.get(e)
+                        acc[e] = c * weight if old is None else old + c * weight
+        return {idx: ExpPoly._make(self.vars, terms) for idx, terms in lowered.items()}
 
     def diff(self, name: str) -> "ExpPoly":
         """Partial derivative.  d/dt also differentiates the exp weights:

@@ -195,9 +195,11 @@ class _FrameTorsion:
     the entries m_kl of ``M``, the structure functions c_ab^l and the
     anchored derivatives rho_a(m_bc).
 
-    A derivative is taken when a pair first asks for it and kept in
-    ``derivs`` for the life of the object, which is one call of
-    ``_frame_pair_torsion``; a frame element with no anchor entry takes
+    The first time a pair asks for a derivative of an entry m_bc, all of
+    that entry's anchored derivatives are taken in one sweep
+    (``AlgebroidPatch.anchor_derivs``) and the map is kept in ``derivs`` by
+    (b, c) for the life of the object, which is one call of
+    ``_frame_pair_torsion``; a frame element with no anchor entry asks for
     none.  Zero entries and zero derivatives form no product, nor does a
     factor 1 (``product_term``).  Each I_m and each component of the result
     is one ``sum_products``, and each pair builds one section.
@@ -213,15 +215,15 @@ class _FrameTorsion:
             for i in range(r)
         ]
         self.anchored = [bool(entries) for entries in M.algebroid.anchor]
-        self.derivs: Dict[Tuple[int, int, int], ExpPoly] = {}
+        self.derivs: Dict[Tuple[int, int], Dict[int, ExpPoly]] = {}
 
-    def _rho(self, a: int, b: int, col: int) -> ExpPoly:
-        """rho(e_a) m_(b, col), taken once per object."""
-        d = self.derivs.get((a, b, col))
+    def _rho(self, a: int, b: int, col: int) -> Optional[ExpPoly]:
+        """rho(e_a) m_(b, col), or None when it is zero; the entry's
+        derivatives are taken once per object."""
+        d = self.derivs.get((b, col))
         if d is None:
-            d = self.algebroid.anchor_deriv(a, self.m[b][col])
-            self.derivs[a, b, col] = d
-        return d
+            d = self.derivs[b, col] = self.algebroid.anchor_derivs(self.m[b][col])
+        return d.get(a)
 
     def _bracket(self, a: int, b: int) -> Tuple[int, Entries]:
         """(sign, row) with [e_a, e_b] = sign * sum of c e_l over (l, c) in row."""
@@ -245,7 +247,7 @@ class _FrameTorsion:
                 if anchored[k]:
                     for l, _ in columns[other]:
                         d = self._rho(k, l, other)
-                        if not d.is_zero:
+                        if d is not None:
                             out[l].append(product_term(sign, m_k, d, one))
         if A.brackets:
             for k, m_ki in col_i:
@@ -274,7 +276,7 @@ class _FrameTorsion:
             if anchored[a]:
                 for l, _ in col:
                     d = self._rho(a, l, index)
-                    if not d.is_zero:
+                    if d is not None:
                         inner[l].append((sign, d, None))
         # - M I = - sum m_lm I_m e_l
         for m, products in inner.items():

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from jacv.algebroid import (
     AlgebroidPatch,
     JacobiAlgebroidData,
     Patch,
+    anchor_apply,
     bracket_sections,
     extend_with_R,
     lift_bar,
@@ -13,8 +16,10 @@ from jacv.algebroid import (
     make_trivial,
     validate_algebroid,
 )
-from jacv.calculus import Form, MultiVector, differential
+from jacv.calculus import Form, MismatchError, MultiVector, differential
+from jacv.coeff import ExpPoly, VariableSetMismatch
 from jacv.structures import make_standard_bialgebroid
+from tests.gen import action_algebroids, rand_scalar
 
 
 def test_patch_basics():
@@ -246,3 +251,64 @@ def test_explicit_requires_consistent_shapes():
     zero = p.zero()
     with pytest.raises(ValueError):
         make_explicit(p, 2, ((zero,),), {})  # anchor row too short
+
+
+def _rho_by_diff(A, i, f):
+    """Oracle: rho(e_i) f as the sum of entry * df/dx over the anchor
+    entries of e_i, one ``diff`` per entry."""
+    total = A.zero_scalar()
+    for name, entry in A.anchor[i]:
+        total = total + entry * f.diff(name)
+    return total
+
+
+def _assert_anchor_derivs(A, f):
+    got = A.anchor_derivs(f)
+    assert set(got) <= set(range(A.rank))
+    for i in range(A.rank):
+        expected = _rho_by_diff(A, i, f)
+        if expected.is_zero:
+            assert i not in got, (i, f)
+        else:
+            assert got[i] == expected, (i, f)
+
+
+def test_anchor_derivs_match_one_diff_per_entry():
+    p = Patch(("x", "y"))
+    x, y, one = p.coord("x"), p.coord("y"), p.const(1)
+    TA = make_tangent(p)
+    # a twist with non-constant components, so each lifted column has two
+    # entries (bar) or two entries weighted by e^{-t} (hat)
+    J = JacobiAlgebroidData(TA, differential(TA, Form(TA, 0, {(): x * y})))
+    bar, hat = lift_bar(J), lift_hat(J)
+    assert all(len(column) == 2 for column in bar.anchor + hat.anchor)
+    assert all(
+        entry.terms.keys() == {-1} for column in hat.anchor for _, entry in column
+    )
+    # column 0 is d/dx - d/dy, which cancels on x + y; column 1 is x d/dy
+    cancel = make_explicit(p, 2, ((one, p.zero()), (-one, x)), {})
+    assert cancel.anchor_derivs(x + y) == {1: x}
+    algebroids = [TA, bar, hat, cancel]
+    algebroids += [data.algebroid for data in action_algebroids()]
+    for A in algebroids:
+        for seed in range(15):
+            r = random.Random(seed)
+            f = rand_scalar(r, A.patch, max_degree=3, terms=3, with_t=True, exp_range=2)
+            _assert_anchor_derivs(A, f)
+        _assert_anchor_derivs(A, x + y)
+
+
+def test_anchor_derivs_and_anchor_apply_refuse_foreign_operands():
+    p = Patch(("x", "y"))
+    A = make_tangent(p)
+    ddx = MultiVector.frame(A, 0)
+    # x over (y, x, t): read by position it would be y
+    x_swapped = ExpPoly.var(("y", "x", "t"), "x")
+    with pytest.raises(VariableSetMismatch):
+        A.anchor_derivs(x_swapped)
+    with pytest.raises(VariableSetMismatch):
+        anchor_apply(A, ddx, x_swapped)
+    other = make_tangent(p)
+    with pytest.raises(MismatchError):
+        anchor_apply(A, MultiVector.frame(other, 0), p.coord("x"))
+    assert anchor_apply(A, ddx, p.coord("x")) == p.const(1)

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from jacv.algebroid import (
     anchor_apply,
     bracket_sections,
     extend_with_R,
+    lift_bar,
     lift_hat,
     make_explicit,
     make_tangent,
@@ -33,10 +35,12 @@ from jacv.calculus import (
     wedge_power,
 )
 from tests.gen import (
+    action_algebroids,
     closed_twist,
     contact,
     rand_form,
     rand_multivector,
+    rand_scalar,
     small_tangent,
     solvable_bialgebroid,
 )
@@ -209,6 +213,15 @@ def test_schouten_graded_jacobi():
             assert lhs == rhs, f"rank={A.rank} seed={seed} degrees=({p},{q},{s})"
 
 
+def _rho(A, i, f):
+    """Oracle: rho(e_i) f as the sum of entry * df/dx over the anchor
+    entries of e_i, one ``diff`` per entry."""
+    total = A.zero_scalar()
+    for name, entry in A.anchor[i]:
+        total = total + entry * f.diff(name)
+    return total
+
+
 def _recursive_schouten(P, Q):
     """Oracle: the Schouten bracket by recursion over lists of atoms, ("f",
     scalar) or ("e", frame index), applying the graded rules one atom at a
@@ -232,9 +245,9 @@ def _recursive_schouten(P, Q):
         if ka == "f" and kb == "f":
             return MultiVector.zero(A, 0)
         if ka == "e" and kb == "f":
-            return MultiVector.scalar_section(A, A.anchor_deriv(va, vb))
+            return MultiVector.scalar_section(A, _rho(A, va, vb))
         if ka == "f" and kb == "e":
-            return MultiVector.scalar_section(A, -A.anchor_deriv(vb, va))
+            return MultiVector.scalar_section(A, -_rho(A, vb, va))
         # only i < j is stored; [e_j, e_i] = -[e_i, e_j] and [e_i, e_i] = 0
         if va == vb:
             return MultiVector.zero(A, 1)
@@ -274,6 +287,70 @@ def _recursive_schouten(P, Q):
             if not term.is_zero:
                 total = total + term
     return total
+
+
+def _gathered_differential(arg, w):
+    """Oracle: the differential gathered per output key, summing over each
+    key's positions for the anchor terms and over its index pairs for the
+    bracket terms (the library's formula before it built the anchor terms
+    from the stored components), plus twist ^ w when twisted."""
+    A, phi0 = getattr(arg, "algebroid", arg), getattr(arg, "phi0", None)
+    zero = A.zero_scalar()
+    comps = {}
+    for key in combinations(range(A.rank), w.degree + 1):
+        total = zero
+        for pos, idx in enumerate(key):
+            c = w.components.get(key[:pos] + key[pos + 1 :])
+            if c is not None:
+                term = _rho(A, idx, c)
+                total = total - term if pos % 2 else total + term
+        for pa in range(len(key)):
+            for pb in range(pa + 1, len(key)):
+                rest = key[:pa] + key[pa + 1 : pb] + key[pb + 1 :]
+                outer = -1 if (pa + pb) % 2 else 1
+                for m, cm in A.brackets.get((key[pa], key[pb]), ()):
+                    if m in rest:
+                        continue
+                    full = tuple(sorted((m,) + rest))
+                    wc = w.components.get(full)
+                    if wc is not None:
+                        sign = -1 if sum(i < m for i in rest) % 2 else 1
+                        total = total + sign * outer * cm * wc
+        comps[key] = total
+    out = Form(A, w.degree + 1, comps)
+    return out if phi0 is None else out + wedge(phi0, w)
+
+
+def test_differential_matches_the_gathered_formula():
+    _, TA = small_tangent()
+    J = JacobiAlgebroidData(TA, closed_twist(random.Random(5), TA))
+    plain = [TA, extend_with_R(TA).algebroid, lift_bar(J), lift_hat(J)]
+    for data in action_algebroids():  # each downstairs one, then its lift_hat
+        plain.append(data.algebroid)
+        if not data.algebroid.patch.has_time:
+            plain.append(lift_bar(data))
+    assert any(A.brackets for A in plain)
+    nonzero = []
+    for A in plain:
+        # an exact twist, closed on every algebroid
+        f = rand_scalar(random.Random(A.rank), A.patch, max_degree=2, terms=3)
+        twisted = JacobiAlgebroidData(A, differential(A, Form(A, 0, {(): f})))
+        assert not twisted.phi0.is_zero
+        for seed in range(12):
+            r = random.Random(seed)
+            degree = seed % 4
+            lifted = A.patch.has_time
+            w = rand_form(
+                r, A, degree, density=0.7, max_degree=2, terms=2,
+                with_t=lifted, exp_range=int(lifted),
+            )
+            for arg in (A, twisted):
+                got = differential(arg, w)
+                assert got == _gathered_differential(arg, w), (A.rank, seed)
+                nonzero.append(not got.is_zero)
+            for arg in (A, twisted):
+                assert differential(arg, differential(arg, w)).is_zero, (A.rank, seed)
+    assert 2 * sum(nonzero) >= len(nonzero), f"{sum(nonzero)} of {len(nonzero)}"
 
 
 def test_closed_form_schouten_matches_the_recursion():

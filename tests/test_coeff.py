@@ -226,10 +226,9 @@ def test_every_value_is_stored_through_init(monkeypatch):
 
 def test_subtraction_builds_one_value(monkeypatch):
     # a - b is one pass, not -b and then a sum; a zero operand builds at
-    # most the negated value, and involves() builds nothing
+    # most the negated value
     x, t = ExpPoly.var(VARS, "x"), ExpPoly.var(VARS, "t")
     a, b, zero = x * t + 1, x.times_exp(1) - 3 * t, ExpPoly.zero(VARS)
-    c = x + 1
     built = []
     init = ExpPoly.__init__
 
@@ -242,9 +241,40 @@ def test_subtraction_builds_one_value(monkeypatch):
         del built[:]
         lhs, rhs = value
         assert lhs - rhs is not None and len(built) == count, (lhs, rhs)
+
+
+def test_partials_build_only_the_nonzero_derivatives(monkeypatch):
+    # one value per nonzero derivative; a variable the value does not
+    # involve builds nothing, and neither does a value free of them all
+    x, t = ExpPoly.var(VARS, "x"), ExpPoly.var(VARS, "t")
+    a, c = x * t + x.times_exp(1), x + 1
+    built = []
+    init = ExpPoly.__init__
+
+    def counting_init(self, variables, terms):
+        built.append(self)
+        init(self, variables, terms)
+
+    monkeypatch.setattr(ExpPoly, "__init__", counting_init)
+    partials = a.partials(range(3))
+    assert sorted(partials) == [0, 2] and len(built) == 2
+    assert partials[0] == t + ExpPoly.exp(VARS, 1)
     del built[:]
-    assert a.involves("x") and b.involves("t") and not c.involves("y")
-    assert built == []
+    assert c.partials((1, 2)) == {} and built == []
+
+
+def test_a_nonzero_exp_weight_needs_t():
+    # exp(t) over a tuple with no t could not be differentiated along t
+    with pytest.raises(ValueError, match="needs 't'"):
+        ExpPoly(("x",), {1: {(0,): 1}})
+    with pytest.raises(ValueError, match="needs 't'"):
+        ExpPoly.exp(("x",), -2)
+    with pytest.raises(ValueError, match="needs 't'"):
+        ExpPoly.var(("x",), "x").times_exp(1)
+    # weight 0, and a zero value, need no t
+    assert ExpPoly(("x",), {0: {(1,): 1}}) == ExpPoly.var(("x",), "x")
+    assert ExpPoly(("x",), {1: {(0,): 0}}).is_zero
+    assert ExpPoly.exp(("x",), 0) == 1 and ExpPoly.zero(("x",)).times_exp(1).is_zero
 
 
 def test_unit_inverse_and_as_fraction_are_exact():

@@ -61,11 +61,28 @@ def test_subtraction_adds_the_negative(a, b, n):
         _assert_stored_form(value)
 
 
+def _assert_partials_match_diff(a):
+    """``partials`` along every variable against one ``diff`` per variable:
+    a missing key means the derivative is zero."""
+    partials = a.partials(range(len(VARS)))
+    for i, name in enumerate(VARS):
+        derivative = a.diff(name)
+        if derivative.is_zero:
+            assert i not in partials, name
+        else:
+            assert partials[i] == derivative, name
+            _assert_stored_form(partials[i])
+    return partials
+
+
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(values)
-def test_involves_decides_a_zero_derivative(a):
-    for name in VARS:
-        assert a.involves(name) == (not a.diff(name).is_zero), name
+def test_partials_match_diff_along_every_variable(a):
+    _assert_partials_match_diff(a)
+    # a subset of the indices is the same map restricted to it
+    assert a.partials((0, 2)) == {
+        i: d for i, d in a.partials(range(len(VARS))).items() if i in (0, 2)
+    }
 
 
 # polynomials in x alone times exp weights: no power of y or t
@@ -80,13 +97,13 @@ x_values = st.lists(
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(x_values)
-def test_derivatives_along_variables_a_value_does_not_involve(a):
-    assert not a.involves("y") and a.diff("y").is_zero
+def test_partials_of_a_value_in_x_alone(a):
+    partials = _assert_partials_match_diff(a)
+    assert 1 not in partials
     # d/dt still counts the exp weights: exp(k t) p -> k exp(k t) p
     expected = sum(
         (k * ExpPoly(VARS, {k: poly}) for k, poly in a.terms.items()),
         ExpPoly.zero(VARS),
     )
-    assert a.diff("t") == expected
-    assert a.involves("t") == any(a.terms)
-    _assert_stored_form(a.diff("t"))
+    assert partials.get(2, ExpPoly.zero(VARS)) == expected
+    assert (2 in partials) == any(a.terms)

@@ -141,18 +141,6 @@ class _Section:
             raise MismatchError("scalar_value on a positive-degree section")
         return self.components.get((), self.algebroid.zero_scalar())
 
-    def component(self, *indices: int) -> ExpPoly:
-        """Component on a frame tuple, in any order (0-based, signed)."""
-        if len(indices) != self.degree:
-            raise MismatchError("wrong number of indices")
-        if len(set(indices)) != len(indices):
-            return self.algebroid.zero_scalar()
-        c = self.components.get(tuple(sorted(indices)))
-        if c is None:
-            return self.algebroid.zero_scalar()
-        inversions = sum(a > b for a, b in combinations(indices, 2))
-        return -c if inversions % 2 else c
-
     def _check_same(self, other: "_Section") -> None:
         if type(self) is not type(other):
             raise MismatchError("cannot combine a multivector with a form")

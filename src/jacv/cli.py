@@ -5,7 +5,7 @@ collects one report per check, and prints either an aligned text table or
 a stable JSON document.  Evaluation problems inside a check become
 ``error`` reports; problems inside a declaration stop the run, since every
 later line may depend on the broken name, and so does any line nested too
-deeply to evaluate.
+deeply to run.
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 syntax or
 declaration error, 3 undecided checks present under ``--strict``.
@@ -120,13 +120,6 @@ class RunReport:
 
 # -- interpreter ------------------------------------------------------------
 
-def _scalarize(value: Value, like: Value) -> Value:
-    """Promote a rational constant next to a ring element."""
-    if isinstance(value, Fraction) and isinstance(like, ExpPoly):
-        return ExpPoly.const(like.vars, value)
-    return value
-
-
 class Interpreter:
     def __init__(self) -> None:
         self.env: Dict[str, Value] = {}
@@ -217,8 +210,6 @@ class Interpreter:
             raise dsl.ScriptError(str(exc), line)
 
     def _apply_binary(self, op: str, left: Value, right: Value, line: int) -> Value:
-        left = _scalarize(left, right)
-        right = _scalarize(right, left)
         if op in ("+", "-"):
             if type(left) is not type(right) and not (
                 isinstance(left, (Fraction, ExpPoly))
@@ -501,8 +492,6 @@ def _difference_witness(a: Value, b: Value) -> Optional[str]:
             if w is not None:
                 return f"slot {i}: {w}"
         return None
-    a = _scalarize(a, b)
-    b = _scalarize(b, a)
     if isinstance(a, (Fraction, ExpPoly)) and isinstance(b, (Fraction, ExpPoly)):
         return None if a == b else f"difference = {a - b}"
     if type(a) is type(b) and isinstance(a, (MultiVector, Form, TensorMap)):

@@ -56,7 +56,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 Exponent = Tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -76,11 +76,7 @@ class UnknownVariable(ValueError):
     """Raised when a name is not among a value's variables."""
 
 
-class MissingAssignment(ValueError):
-    """Raised by evaluate() when a variable is left unassigned."""
-
-
-def _as_fraction(value: Scalar) -> Fraction:
+def _rational(value: Scalar) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -90,7 +86,7 @@ def _as_fraction(value: Scalar) -> Fraction:
 
 def _coefficient(value: Scalar) -> Scalar:
     """An exact scalar in stored form: an int when integral, else a Fraction."""
-    c = _as_fraction(value)
+    c = _rational(value)
     return c.numerator if c.denominator == 1 else c
 
 
@@ -211,7 +207,7 @@ class ExpPoly:
                         raise TypeError(f"exponent {e} holds a non-integer")
                     if power < 0:
                         raise ValueError(f"exponent {e} holds a negative power")
-                _as_fraction(c)
+                _rational(c)
         return object.__new__(cls)
 
     def __init__(self, variables: Tuple[str, ...], terms: TermsDict):
@@ -407,46 +403,11 @@ class ExpPoly:
                     acc[e] = c * weight if old is None else old + c * weight
         return ExpPoly._make(self.vars, terms)
 
-    def evaluate(
-        self, assignment: Mapping[str, Scalar], exp_t: Scalar
-    ) -> Fraction:
-        """Exact value at a rational point; exp_t stands in for exp(t)."""
-        for name in assignment:
-            if name not in self.vars:
-                raise UnknownVariable(f"{name!r} is not one of {self.vars}")
-        point = []
-        for name in self.vars:
-            if name not in assignment:
-                raise MissingAssignment(f"no value given for {name!r}")
-            point.append(_as_fraction(assignment[name]))
-        base = _as_fraction(exp_t)
-        if not base:
-            raise ValueError("exp_t stand-in must be nonzero")
-        total = Fraction(0)
-        for weight, poly in self.terms.items():
-            psum = Fraction(0)
-            for e, c in poly.items():
-                term = c
-                for value, power in zip(point, e):
-                    term *= value**power
-                psum += term
-            total += psum * base**weight
-        return total
-
     # -- predicates and inversion -----------------------------------------
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def as_fraction(self) -> Fraction:
-        """The value as a plain rational, if it is one."""
-        if not self.terms:
-            return Fraction(0)
-        unit = tuple(0 for _ in self.vars)
-        if set(self.terms) == {0} and set(self.terms[0]) == {unit}:
-            return Fraction(self.terms[0][unit])
-        raise ValueError(f"{self} is not a rational constant")
 
     def is_unit(self) -> bool:
         """True iff the value is q * exp(k*t) with q a nonzero rational."""

@@ -22,7 +22,7 @@ more than the arithmetic shows.
 
 A tensor reduction writes its endomorphism as N = c M with c a rational
 constant and M free of the denominators the inverse would bring in, and
-evaluates the torsion of M.  A matched pair inverts a map whose Pfaffian is
+takes the torsion of M.  A matched pair inverts a map whose Pfaffian is
 the unit Pf = q exp(kt): its inverse is B / q, where B is the matrix of
 signed sub-Pfaffians times exp(-kt) (``TensorMap._adjugate``), so M is
 ``outer after B`` or ``B after outer`` and c = 1 / q.  A mixed pair has
@@ -103,6 +103,7 @@ from .coeff import ExpPoly, NotInvertible, Product, Scalar, product_term, sum_pr
 from .structures import (
     JacobiBialgebroidData,
     TensorMap,
+    _check_over,
     _cleared,
     flat_map,
     jacobi_check,
@@ -295,7 +296,7 @@ def _frame_pair_torsion(
     """The torsion of N = c M on every frame pair, or its image under
     ``flat`` if given, labelled by the pair; ``c`` is a rational constant.
 
-    The torsion is evaluated on ``M`` by the closed form of the module
+    The torsion is taken of ``M`` by the closed form of the module
     docstring (``_FrameTorsion``), one pair at a time, and scaled by c^2
     (the lemma there), which is skipped when c^2 = 1.  The anchored
     derivatives of M's entries are taken once for the whole call, not once
@@ -431,6 +432,7 @@ def jomega_check(
     endomorphism sharp-after-flat; its closedness is the only coupling
     condition between the two inputs.
     """
+    _check_over(J, pi, omega)
     base = jacobi_check(J, pi)
     if not base.ok:
         return Report(
@@ -439,8 +441,8 @@ def jomega_check(
 
     def residues() -> Iterator[Tuple[str, Form]]:
         yield "form not closed: ", differential(J, omega)
-        N = sharp_map(pi).compose(flat_map(omega))
-        omega_n = two_form_of(flat_map(omega).compose(N))
+        fl = flat_map(omega)
+        omega_n = two_form_of(fl.compose(sharp_map(pi).compose(fl)))
         yield "recursion image of the form not closed: ", differential(J, omega_n)
 
     return _first_failure("component checks", residues())
@@ -454,6 +456,9 @@ def omegan_check(
     ``weak`` replaces vanishing of the torsion itself by vanishing of its
     image under the flat map of the form.
     """
+    _check_over(J, omega)
+    if N.algebroid is not J.algebroid:
+        raise MismatchError("the endomorphism lives over a different algebroid")
     if N.source != "A" or N.target != "A":
         raise MismatchError("the endomorphism must act on the algebroid side")
     fl = flat_map(omega)
@@ -507,6 +512,7 @@ def symplectic_pair_check(
     J: JacobiAlgebroidData, om1: Form, om2: Form
 ) -> Report:
     """Presymplectic pair with both flats invertible over the patch ring."""
+    _check_over(J, om1, om2)
     gate = _gate(
         "non-degeneracy",
         "form is degenerate",
@@ -522,22 +528,20 @@ def symplectic_pair_check(
 def hamiltonian_pair_check(
     J: JacobiAlgebroidData, pi1: MultiVector, pi2: MultiVector
 ) -> Report:
-    """Sufficient test: both bivectors integrable and their bracket zero.
+    """Two Jacobi structures whose sum is a Jacobi structure.
 
-    A compatible pair is always a compatible graph pair; the converse needs
-    an image condition this checker does not decide, so a nonzero bracket
-    only downgrades the verdict to not-decided (unless a member fails).
+    The twisted bracket is bilinear and symmetric on bivectors, so
+    [pi1 + pi2, pi1 + pi2]_phi = [pi1, pi1]_phi + 2 [pi1, pi2]_phi +
+    [pi2, pi2]_phi.  Once the member gate has shown both members integrable,
+    the sum is integrable exactly when the mixed bracket [pi1, pi2]_phi
+    vanishes, an identity decided exactly; a nonzero one is the witness.
     """
+    _check_over(J, pi1, pi2)
     gate = _member_gate(lambda pi: jacobi_check(J, pi), pi1, pi2)
     if gate is not None:
         return gate
-    mixed = phi0_schouten(J, pi1, pi2)
-    if mixed.is_zero:
-        return Report(PASS, strategy="bracket compatibility")
-    return Report(
-        NOT_DECIDED,
-        strategy="bracket compatibility",
-        witness=f"mixed bracket = {mixed}; compatibility is only sufficient",
+    return _first_failure(
+        "bracket compatibility", (("mixed bracket = ", phi0_schouten(J, pi1, pi2)),)
     )
 
 

@@ -13,10 +13,11 @@ Conventions pinned here:
   map), else of its skew block matrix [[0, A], [-A^T, 0]]; inversion exists
   exactly when the determinant is a unit of the coefficient ring, that is
   when the Pfaffian is a unit Pf = q exp(kt);
-* ``_adjugate`` reads the signed sub-Pfaffians of that one memo, for
-  ``inverse`` (each divided by Pf) and for the tensor reductions of
-  ``dirac`` (each times exp(-kt) only, with q left for the caller to divide
-  out once), so a map with integer coefficients has an integer adjugate;
+* ``_adjugate`` reads the signed sub-Pfaffians of that one memo, each
+  times exp(-kt), and returns them with q, which the caller takes out
+  once: ``inverse`` scales by 1/q, and the tensor reductions of ``dirac``
+  scale only a nonzero residue, so a map with integer coefficients has an
+  integer adjugate;
 * the dual of a map transposes the matrix and swaps bundle sides;
 * check outcomes are values (``Report``); a failed check never raises.
 """
@@ -131,20 +132,9 @@ class TensorMap:
         return self._entrywise(operator.sub, other)
 
     def scale(self, factor) -> "TensorMap":
-        """``factor`` times the map.  An int factor scales the stored
-        coefficients and forms no product."""
-        if isinstance(factor, int):
-            variables = self.algebroid.patch.variables
-            rows = tuple(
-                tuple(
-                    a if a.is_zero else sum_products(variables, [(factor, a, None)])
-                    for a in row
-                )
-                for row in self.matrix
-            )
-        else:
-            f = factor if isinstance(factor, ExpPoly) else self.algebroid.scalar(factor)
-            rows = tuple(tuple(f * a for a in row) for row in self.matrix)
+        """``factor`` times the map."""
+        f = factor if isinstance(factor, ExpPoly) else self.algebroid.scalar(factor)
+        rows = tuple(tuple(f * a for a in row) for row in self.matrix)
         return TensorMap(self.algebroid, self.source, self.target, rows)
 
     def __eq__(self, other: object) -> bool:
@@ -253,17 +243,17 @@ class TensorMap:
         return pf((1 << 2 * r) - 1), pf, True
 
     def inverse(self) -> "TensorMap":
-        """The inverse, when the determinant is a unit; else NotInvertible
-        (see ``_adjugate``, which builds it)."""
-        return self._adjugate(divide=True)[1]
+        """The inverse B / q, when the determinant is a unit; else
+        NotInvertible (see ``_adjugate``, which builds it)."""
+        q, adjugate = self._adjugate()
+        return adjugate if q == 1 else adjugate.scale(Fraction(1, q))
 
-    def _adjugate(self, divide: bool = False) -> Tuple[Scalar, "TensorMap"]:
+    def _adjugate(self) -> Tuple[Scalar, "TensorMap"]:
         """``(q, B)`` with ``self^-1 = B / q``, when Pf = q exp(kt) of
         ``_pfaffian`` is a unit: entry (i, j) of B is a signed sub-Pfaffian
         of its memo times exp(-kt) (formulas and proofs at ``_pfaffians``),
         so B has the coefficients of the sub-Pfaffians, integers when the
-        map has integer coefficients.  With ``divide``, B / q itself, each
-        sub-Pfaffian multiplied by 1 / Pf once.  NotInvertible, raised by the
+        map has integer coefficients.  NotInvertible, raised by the
         determinant's ``unit_inverse()`` so that its message names the
         determinant, when Pf is not a unit.
         """
@@ -271,9 +261,8 @@ class TensorMap:
         if not pf_full.is_unit():
             self._determinant(pf_full, block).unit_inverse()  # always raises
         q, k = pf_full.unit_parts()
-        inv_pf = pf_full.unit_inverse() if divide else None
         r = self.algebroid.rank
-        # (mask, cells): entry (i, j) of a cell is (-1)^odd pf(mask) / Pf
+        # (mask, cells): entry (i, j) of a cell is (-1)^odd pf(mask) exp(-kt)
         if block:
             full = (1 << 2 * r) - 1
             cofactors = [
@@ -291,16 +280,12 @@ class TensorMap:
                 for i in range(r)
                 for j in range(i + 1, r)
             ]
-        one = self.algebroid.patch.one()  # the empty Pfaffian pf(0)
         rows = [[self.algebroid.zero_scalar()] * r for _ in range(r)]
         for mask, cells in cofactors:
             sub = pf(mask)
             if sub.is_zero:
                 continue
-            if divide:
-                entry = inv_pf if sub is one else inv_pf * sub
-            else:
-                entry = sub.times_exp(-k) if k else sub
+            entry = sub.times_exp(-k) if k else sub
             for i, j, odd in cells:
                 rows[i][j] = -entry if odd else entry
         return q, TensorMap(self.algebroid, self.target, self.source, rows)
@@ -419,8 +404,8 @@ def _pfaffians(
 
 
 def _skew_rows(s: Section) -> List[List[ExpPoly]]:
-    """``rows[i][j] = s.component(j, i)``, reading each stored component
-    once and negating it once for its mirrored entry."""
+    """``rows[i][j]`` the component of ``s`` on (j, i), signed: each stored
+    component is read once and negated once for its mirrored entry."""
     A = s.algebroid
     rows = [[A.zero_scalar()] * A.rank for _ in range(A.rank)]
     for (i, j), c in s.components.items():
@@ -534,27 +519,33 @@ def _cleared(s: Section) -> Tuple[int, Section]:
     return d, type(s)(s.algebroid, s.degree, comps)
 
 
-def jacobi_check(J: JacobiAlgebroidData, pi: MultiVector) -> Report:
-    """Pass iff the twisted self-bracket of the bivector vanishes.
+def _self_bracket(J: JacobiAlgebroidData, pi: MultiVector, c: Scalar = 1) -> Section:
+    """c [pi, pi]_phi, with the bracket taken of d pi (``_cleared``) and a
+    nonzero one scaled by c / d^2 once.
 
-    The bracket is taken of d pi (``_cleared``), and a nonzero residue is
-    scaled by 1 / d^2 once.  Proof: the twisted bracket is bilinear over Q.
-    Its Schouten part is, by the graded Leibniz rules of ``calculus``, whose
-    anchor terms are derivations and so kill a constant; its twist terms
-    are a wedge with a contraction, each linear in both arguments.  So
-    [d pi, d pi] = d^2 [pi, pi], and d^-2 [d pi, d pi] is the same canonical
-    value, zero exactly when [pi, pi] is and with the same text as a
+    Proof: the twisted bracket is bilinear over Q.  Its Schouten part is, by
+    the graded Leibniz rules of ``calculus``, whose anchor terms are
+    derivations and so kill a constant; its twist terms are a wedge with a
+    contraction, each linear in both arguments.  So [d pi, d pi] =
+    d^2 [pi, pi], and c d^-2 [d pi, d pi] is the same canonical value as
+    c [pi, pi], zero exactly when [pi, pi] is and with the same text as a
     witness.  When the algebroid's data have integer coefficients, the
     bracket of d pi multiplies integers only.
     """
+    d, cleared = _cleared(pi)
+    square = phi0_schouten(J, cleared, cleared)
+    if square.is_zero or c == d == 1:
+        return square
+    return square * Fraction(c, d * d)
+
+
+def jacobi_check(J: JacobiAlgebroidData, pi: MultiVector) -> Report:
+    """Pass iff the twisted self-bracket of the bivector vanishes
+    (``_self_bracket``)."""
     _check_over(J, pi)
     if pi.degree != 2:
         raise MismatchError("jacobi_check needs a degree-2 multivector")
-    d, cleared = _cleared(pi)
-    square = phi0_schouten(J, cleared, cleared)
-    if d != 1 and not square.is_zero:
-        square = square * Fraction(1, d * d)
-    return _report_zero(square)
+    return _report_zero(_self_bracket(J, pi))
 
 
 def presymplectic_check(J: JacobiAlgebroidData, omega: Form) -> Report:
@@ -657,19 +648,14 @@ def dual_lie(B: JacobiBialgebroidData, xi: Form, target: Section) -> Section:
 def maurer_cartan_check(B: JacobiBialgebroidData, s: Section) -> Report:
     """Residue of d(s) + (1/2)[s, s] with the differential from the other side.
 
-    For a bivector, [s, s] is taken of d s and a nonzero one is scaled by
-    1 / (2 d^2) once, as in ``jacobi_check``; d_* s is linear and is
-    computed on s itself.
+    For a bivector, (1/2)[s, s] is ``_self_bracket``'s, scaled once by
+    1 / (2 d^2); d_* s is linear and is computed on s itself.
     """
     if s.degree != 2:
         raise MismatchError("the Maurer-Cartan check needs a degree-2 section")
     _check_over(B.a_side, s)
     if isinstance(s, MultiVector):
-        residue = dual_differential(B, s)
-        d, cleared = _cleared(s)
-        square = phi0_schouten(B.a_side, cleared, cleared)
-        if not square.is_zero:
-            residue = residue + square * Fraction(1, 2 * d * d)
+        residue = dual_differential(B, s) + _self_bracket(B.a_side, s, Fraction(1, 2))
     else:
         residue = differential(B.a_side, s) + Fraction(1, 2) * dual_schouten(B, s, s)
     return _report_zero(residue)
@@ -690,7 +676,7 @@ def _scaled_frames(A: AlgebroidPatch) -> List[MultiVector]:
 
 
 def bialgebroid_compat_check(B: JacobiBialgebroidData) -> Report:
-    """Both compatibility identities, evaluated on a finite section family.
+    """Both compatibility identities, checked on a finite section family.
 
     Identity one: the dual differential is a derivation from the primal
     bracket into the twisted bracket.  Identity two: the twisted Lie

@@ -77,6 +77,9 @@ algebroid A = tangent(p)
 check algebroid A
 check equal e1 ddx
 check equal (pair(dx, ddx)) 1
+check equal (1/2 + x) (x + 1/2)
+check equal (1 - x) -(x - 1)
+check equal (1/2*x) (x*1/2)
 jacobi C = extend(A)
 check equal ehat e3
 check equal epshat eps3
@@ -260,6 +263,47 @@ def test_check_algebroid_checks_that_the_twist_is_closed(
         status, "frame identities", witness,
     )
     assert code == exit_code
+
+
+def test_a_rational_next_to_a_ring_element_fails_with_their_difference(tmp_path, capsys):
+    code, out, _ = _run(tmp_path, capsys, TANGENT_XY + "check equal 1/2 x\n", "--json")
+    (record,) = json.loads(out)["checks"]
+    assert (record["status"], record["strategy"], record["witness"]) == (
+        "fail", "exact difference", "difference = -x + 1/2",
+    )
+    assert code == 1
+
+
+OVER_TWO_ALGEBROIDS = """\
+patch p = (x, y, z, w)
+algebroid TA = tangent(p)
+form Z = dx^dy
+form Om = dx^dy + dz^dw
+section Bad = z*(ddx^ddy) + ddz^ddw
+map N = sharp(Bad) . flat(Om)
+jacobi C = extend(TA)
+section Good = ddx^ddy + ddz^ddw
+form OmC = dx^dy + dz^dw
+"""
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "check symplectic_pair C Z Om",
+        "check hamiltonian_pair TA Bad Good",
+        "check omegan C Om N",
+        "check jomega TA Bad OmC",
+    ],
+)
+def test_inputs_over_another_algebroid_are_an_error(tmp_path, capsys, line):
+    # Z, Om, Bad and N live over TA, Good and OmC over the extension; each
+    # line is an error whichever input the check would have computed on first
+    code, out, _ = _run(tmp_path, capsys, OVER_TWO_ALGEBROIDS + line + "\n", "--json")
+    (record,) = json.loads(out)["checks"]
+    assert record["status"] == "error"
+    assert "different algebroid" in record["witness"]
+    assert code == 2
 
 
 def test_check_algebroid_of_a_number_is_an_argument_error(tmp_path, capsys):

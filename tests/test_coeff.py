@@ -110,16 +110,6 @@ def test_variable_set_mismatch_raises():
         a + b
 
 
-def test_evaluate_spot_values():
-    x = ExpPoly.var(VARS, "x")
-    y = ExpPoly.var(VARS, "y")
-    u = x * y + ExpPoly.const(VARS, 3)
-    assert u.evaluate({"x": 2, "y": Fraction(1, 2), "t": 0}, 1) == 4
-    w = x.times_exp(2)
-    # the stand-in value is substituted for e^t
-    assert w.evaluate({"x": 1, "y": 0, "t": 0}, 3) == 9
-
-
 def test_str_is_deterministic():
     for seed in range(5):
         r = random.Random(seed)
@@ -277,7 +267,7 @@ def test_a_nonzero_exp_weight_needs_t():
     assert ExpPoly.exp(("x",), 0) == 1 and ExpPoly.zero(("x",)).times_exp(1).is_zero
 
 
-def test_unit_inverse_and_as_fraction_are_exact():
+def test_unit_inverse_is_exact():
     inv = ExpPoly.const(VARS, 2).unit_inverse()
     assert inv.terms == {0: {(0, 0, 0): Fraction(1, 2)}}
     inv = (-ExpPoly.const(VARS, 3)).times_exp(2).unit_inverse()
@@ -287,13 +277,6 @@ def test_unit_inverse_and_as_fraction_are_exact():
     inv = ExpPoly.const(VARS, Fraction(-1, 4)).unit_inverse()
     assert inv.terms == {0: {(0, 0, 0): -4}}
     assert type(inv.terms[0][(0, 0, 0)]) is int
-    for value, expected in (
-        (ExpPoly.const(VARS, 3), Fraction(3)),
-        (ExpPoly.zero(VARS), Fraction(0)),
-        (ExpPoly.const(VARS, Fraction(6, 4)), Fraction(3, 2)),
-    ):
-        got = value.as_fraction()
-        assert type(got) is Fraction and got == expected
 
 
 @pytest.mark.parametrize(

@@ -40,6 +40,7 @@ from jacv.structures import (
 from tests.gen import (
     action_algebroids,
     contact,
+    contact_form,
     rand_form,
     rand_scalar,
     rand_unit_two_form,
@@ -213,12 +214,61 @@ def test_hamiltonian_pair_grading():
     assert hamiltonian_pair_check(c.C, c.Pi, c.Pi).ok
     p, A, J, pi1, pi2 = _incompatible_pair()
     v = hamiltonian_pair_check(J, pi1, pi2)
-    assert v.status == "not-decided"
-    assert "mixed bracket" in v.witness
+    assert v.status == "fail" and v.strategy == "bracket compatibility"
+    assert v.witness.startswith("mixed bracket = ")
     broken = MultiVector(A, 2, {(0, 1): p.coord("x1"), (2, 3): p.coord("x1")})
     assert not jacobi_check(J, broken).ok
     gate = hamiltonian_pair_check(J, broken, pi2)
     assert gate.status == "fail" and "left member" in gate.witness
+
+
+def test_hamiltonian_pair_agrees_with_jacobi_pair_on_contact_bivectors():
+    # both members integrable: pi1 + pi2 is Jacobi iff [pi1, pi2]_phi = 0,
+    # while jacobi_pair decides a nonzero bracket by the tensor reduction
+    c = contact()
+    r = random.Random(0)
+    pis = []
+    while len(pis) < 6:
+        slopes = [r.choice((-1, 0, 1)) for _ in range(4)]
+        if slopes[1] * slopes[2] != slopes[0] * slopes[3]:
+            shifts = [r.choice((0, 1)) for _ in range(3)]
+            pis.append(pi_from_omega(c.C, contact_form(slopes, shifts)))
+    statuses = set()
+    for pi1, pi2 in combinations(pis, 2):
+        ham = hamiltonian_pair_check(c.C, pi1, pi2)
+        pair = jacobi_pair_check(c.C, pi1, pi2)
+        assert ham.status == pair.status
+        if pair.status == "fail":
+            assert pair.strategy.startswith("tensor reduction")
+        statuses.add(ham.status)
+    assert statuses == {"pass", "fail"}
+
+
+def _inputs_over_two_algebroids():
+    """Each check with an input over the tangent of ``_plane4`` and another
+    over its extension, in the order that used to reach a verdict."""
+    p, A, J = _plane4()
+    C = extend_with_R(A)
+    E = C.algebroid
+    one, one_e = p.const(1), E.patch.const(1)
+    Z = Form(A, 2, {(0, 1): one})
+    om = Form(A, 2, {(0, 1): one, (2, 3): one})
+    om_e = Form(E, 2, {(0, 1): one_e, (2, 3): one_e})
+    bad = MultiVector(A, 2, {(0, 1): p.coord("x3"), (2, 3): one})
+    good = MultiVector(E, 2, {(0, 1): one_e, (2, 3): one_e})
+    N = sharp_map(bad).compose(flat_map(om))
+    return {
+        "symplectic_pair": lambda: symplectic_pair_check(C, Z, om),
+        "hamiltonian_pair": lambda: hamiltonian_pair_check(J, bad, good),
+        "omegan": lambda: omegan_check(C, om, N),
+        "jomega": lambda: jomega_check(J, bad, om_e),
+    }
+
+
+@pytest.mark.parametrize("check", ["symplectic_pair", "hamiltonian_pair", "omegan", "jomega"])
+def test_inputs_over_another_algebroid_are_rejected_before_any_verdict(check):
+    with pytest.raises(MismatchError, match="different algebroid"):
+        _inputs_over_two_algebroids()[check]()
 
 
 def test_image_condition_only_decided_for_units():

@@ -16,7 +16,7 @@ from jacv.algebroid import (
     make_tangent,
     make_trivial,
 )
-from jacv.calculus import Form, MultiVector, differential, merge
+from jacv.calculus import Form, MultiVector, differential, merge, phi0_schouten
 from jacv.coeff import ExpPoly
 from jacv.structures import (
     SIDE_A,
@@ -262,3 +262,50 @@ def rand_graph_section(r, A, kind):
     if kind == "sharp":
         return rand_multivector(r, A, 2, max_degree=1, terms=1)
     return rand_form(r, A, 2, max_degree=1, terms=1)
+
+
+RESIDUE_KINDS = ("twisted_dd", "self_bracket", "mixed_bracket")
+
+
+def _rational_components(r, A, degree, count):
+    """``count`` components on distinct frame keys, each a random scalar in
+    the coordinates, t and e^t, scaled by a Fraction."""
+    keys = list(combinations(range(A.rank), degree))
+    return {
+        key: rand_scalar(r, A.patch, terms=2, with_t=True, exp_range=1)
+        * Fraction(r.randint(1, 3), r.randint(2, 4))
+        for key in r.sample(keys, min(count, len(keys)))
+    }
+
+
+def residue_batch(seed, count):
+    """``count`` nonzero residues of the twisted calculus, as (kind, residue).
+
+    Each instance is drawn over one of the ``action_algebroids`` (structure
+    functions; the lifts also anchor along d/dt with weight e^-t), twisted
+    by a random one-form that is not closed.  ``twisted_dd`` is
+    d_phi d_phi w = d(phi) ^ w for a random form w of degree 0 or 1;
+    ``self_bracket`` is the Jacobi residue [P, P]_phi of a random bivector;
+    ``mixed_bracket`` is the compatibility residue [P, Q]_phi of two.  Their
+    coefficients hold exp weights, powers of t and Fractions.  A zero draw
+    is skipped, so every residue of the batch is nonzero.
+    """
+    r = random.Random(seed)
+    out = []
+    while len(out) < count:
+        A = r.choice(action_algebroids()).algebroid
+        J = JacobiAlgebroidData(A, Form(A, 1, _rational_components(r, A, 1, 2)))
+        kind = RESIDUE_KINDS[len(out) % len(RESIDUE_KINDS)]
+        if kind == "twisted_dd":
+            w = Form(A, r.randint(0, 1), {})
+            w = Form(A, w.degree, _rational_components(r, A, w.degree, 2))
+            residue = differential(J, differential(J, w))
+        else:
+            P = MultiVector(A, 2, _rational_components(r, A, 2, 2))
+            Q = P if kind == "self_bracket" else MultiVector(
+                A, 2, _rational_components(r, A, 2, 1)
+            )
+            residue = phi0_schouten(J, P, Q)
+        if not residue.is_zero:
+            out.append((kind, residue))
+    return out

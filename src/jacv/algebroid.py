@@ -113,7 +113,7 @@ class AlgebroidPatch:
     missing pair brackets to zero.  Zero entries given to the constructor
     are dropped.  ``anchor_derivs`` reads the anchor by variable instead:
     for each variable index, the frame elements whose anchor has an entry
-    along it, with that entry.
+    along it, with that entry, or None when the entry is 1.
     """
 
     patch: Patch
@@ -150,10 +150,14 @@ class AlgebroidPatch:
             if row:
                 brackets[i, j] = row
         self.brackets = brackets
-        by_variable: Dict[int, List[Tuple[int, ExpPoly]]] = {}
+        # an entry equal to 1 is held as None, so that it is never multiplied
+        one = self.patch.one()
+        by_variable: Dict[int, List[Tuple[int, Optional[ExpPoly]]]] = {}
         for i, column in enumerate(self.anchor):
             for name, entry in column:
-                by_variable.setdefault(variables.index(name), []).append((i, entry))
+                by_variable.setdefault(variables.index(name), []).append(
+                    (i, None if entry == one else entry)
+                )
         self._by_variable = dict(sorted(by_variable.items()))
 
     @property
@@ -179,8 +183,9 @@ class AlgebroidPatch:
         rho_i^x df/dx.  The partial derivatives of f along the anchored
         variables are taken in one sweep (``ExpPoly.partials``), so a
         variable f does not involve costs no derivative and no product, and
-        an entry equal to 1 (every entry of a tangent or extension frame) is
-        not multiplied.  ``f`` must be over the patch's variables.
+        an entry equal to 1 (every entry of a tangent or extension frame),
+        found once in ``__post_init__``, adds its derivative unmultiplied.
+        ``f`` must be over the patch's variables.
         """
         variables = self.patch.variables
         if f.vars != variables:
@@ -195,7 +200,9 @@ class AlgebroidPatch:
         sums: Dict[int, List[Product]] = {}
         for v, df in partials.items():
             for i, entry in by_variable[v]:
-                sums.setdefault(i, []).append(product_term(1, entry, df, one))
+                sums.setdefault(i, []).append(
+                    (1, df, None) if entry is None else product_term(1, entry, df, one)
+                )
         out = {}
         for i, products in sums.items():
             d = sum_products(variables, products)

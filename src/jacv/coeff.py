@@ -4,22 +4,39 @@ A value is  sum_k exp(k*t) * p_k(x1, ..., xn, t)  with integer weights k and
 each p_k a polynomial over the rationals in the patch coordinates and the
 formal variable t.  The representation
 
-    terms: {weight k -> {exponent tuple -> int | Fraction}}
+    terms: {weight k -> {packed exponent key -> int | Fraction}}
 
 is canonical because nothing in the ring rewrites between powers of t and
 exponentials: two values are equal iff their cleaned dicts are equal.  The
-variable tuple always lists the coordinates first and ``t`` last, and every
-exponent tuple has the same length as the variable tuple.  A stored
+variable tuple always lists the coordinates first and ``t`` last.  A stored
 coefficient is a nonzero ``int``, or a ``Fraction`` whose denominator is not
 1; never a float.  Integers keep the common case in native arithmetic.
 
-``ExpPoly(variables, terms)`` validates what it is given in ``__new__``.  The
-ring's own operations build their results through ``ExpPoly._make``, a
-trusted constructor private to this module.  It is given only terms the ring
-built itself from values over the same variables, so it skips those checks
-and relies on the invariant above.  Both paths store the value through
-``__init__``, which drops zero coefficients and empty weights and turns a
-``Fraction(n, 1)`` into ``n``; every value built is one ``__init__`` call.
+A monomial's exponents are packed into one int, a 16-bit field per
+variable: the power of ``vars[i]`` is ``(key >> 16*i) & 0xFFFF``.  The
+constant monomial is 0, the variable ``vars[i]`` is ``1 << 16*i``, the key
+of a product is the sum of the keys, and lowering the power of ``vars[i]``
+by one subtracts ``1 << 16*i``.  So a product forms no tuple and hashes one
+int.  Every stored power is below 2**15, the top bit of its field, so the
+sum of two keys never carries from one field into the next.  That bit of
+every field is the guard: ``add_product`` tests it on each product key and
+raises :class:`ExponentOverflow` (a ``ValueError``) before a key with a power
+of 2**15 or more is stored, and the public constructor refuses such a
+power.  Because the integer order of two keys is the lexicographic order
+of their exponent tuples read from ``t`` down, the canonical order of
+``__str__`` sorts on (degree, key).  ``monomials()`` is the one read-only
+view of a value as (weight, exponent tuple, coefficient) triples in that
+order; nothing outside this module reads the packed keys.
+
+``ExpPoly(variables, {weight: {exponent tuple: c}})`` checks what it is
+given and packs it once (the metaclass ``_Checked`` makes the class call
+this constructor).  The ring's own operations build their results
+through ``ExpPoly._make``, a trusted constructor private to this module.  It
+is given only packed terms the ring built itself from values over the same
+variables, so it skips those checks and relies on the invariant above.
+Both paths store the value through ``__init__``, which drops zero
+coefficients and empty weights and turns a ``Fraction(n, 1)`` into ``n``;
+every value built is one ``__init__`` call.
 
 Every sum and product is formed by one kernel, ``add_product(terms, k, a,
 b)``, which adds k * a * b (or k * a) into a raw ``TermsDict`` in place; the
@@ -39,9 +56,10 @@ variables in one sweep over the monomials and keeps only the nonzero ones,
 so a caller that differentiates along a whole anchor builds nothing for a
 variable the value does not involve and reads no monomial twice.
 
-A nonzero exp weight needs ``t`` among the variables: ``__new__``,
-``exp`` and ``times_exp`` refuse one over a tuple without ``t``, so every
-value can be differentiated along the variable its weights depend on.
+A nonzero exp weight needs ``t`` among the variables: the public
+constructor, ``exp`` and ``times_exp`` refuse one over a tuple without
+``t``, so every value can be differentiated along the variable its weights
+depend on.
 
 This ring is not a field.  The only invertible elements are q * exp(k*t) with
 q a nonzero rational; ``unit_inverse`` raises :class:`NotInvertible` for
@@ -55,13 +73,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import add
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 Exponent = Tuple[int, ...]
 Scalar = Union[int, Fraction]
-PolyDict = Dict[Exponent, Scalar]
+PolyDict = Dict[int, Scalar]  # packed exponent key -> coefficient
 TermsDict = Dict[int, PolyDict]
+
+BITS = 16  # bits per variable in a packed exponent key
+FIELD = (1 << BITS) - 1
+MAX_POWER = (1 << (BITS - 1)) - 1  # the guard bit of a field stays clear
 
 
 class NotInvertible(ArithmeticError):
@@ -74,6 +95,34 @@ class VariableSetMismatch(ValueError):
 
 class UnknownVariable(ValueError):
     """Raised when a name is not among a value's variables."""
+
+
+class ExponentOverflow(ValueError):
+    """Raised when the power of one variable would exceed ``MAX_POWER``."""
+
+
+class _Guards(dict):
+    """The guard mask of n variables, the top bit of each of n fields, by n."""
+
+    def __missing__(self, n: int) -> int:
+        mask = self[n] = sum(1 << (BITS * i + BITS - 1) for i in range(n))
+        return mask
+
+
+_GUARD = _Guards()
+
+
+def _unpack(key: int, n: int) -> Exponent:
+    return tuple((key >> (BITS * i)) & FIELD for i in range(n))
+
+
+def _overflow(variables: Sequence[str], key: int) -> ExponentOverflow:
+    """The error for a product key whose guard bits are set."""
+    names = [v for v, power in zip(variables, _unpack(key, len(variables)))
+             if power > MAX_POWER]
+    return ExponentOverflow(
+        f"the power of {', '.join(names)} exceeds {MAX_POWER}"
+    )
 
 
 def _rational(value: Scalar) -> Fraction:
@@ -107,6 +156,35 @@ def _needs_t(variables: Sequence[str]) -> None:
         )
 
 
+def _packed(variables: Tuple[str, ...], terms: Dict) -> TermsDict:
+    """The terms given to the public constructor, checked and packed:
+    integer weights, exponent tuples as long as ``variables`` of powers in
+    0..MAX_POWER, int or Fraction coefficients."""
+    out: TermsDict = {}
+    for weight, poly in terms.items():
+        weight = _weight(weight)
+        if weight and any(poly.values()):
+            _needs_t(variables)
+        packed = out[weight] = {}
+        for e, c in poly.items():
+            if len(e) != len(variables):
+                raise ValueError(f"exponent {e} does not match variables {variables}")
+            key = 0
+            for i, power in enumerate(e):
+                if not isinstance(power, int):
+                    raise TypeError(f"exponent {e} holds a non-integer")
+                if power < 0:
+                    raise ValueError(f"exponent {e} holds a negative power")
+                if power > MAX_POWER:
+                    raise ExponentOverflow(
+                        f"exponent {e} holds a power above {MAX_POWER}"
+                    )
+                key += power << (BITS * i)
+            _rational(c)
+            packed[key] = c
+    return out
+
+
 def add_product(
     terms: TermsDict, k: int, a: "ExpPoly", b: Optional["ExpPoly"] = None
 ) -> None:
@@ -116,11 +194,11 @@ def add_product(
     A key the buffer does not hold yet stores the product itself, with no
     ``0 +`` in front.  A weight the buffer does not hold yet gets a fresh
     dict, never an operand's own, so the operands are not changed when the
-    buffer is.  A monomial with no variable in it (a constant, or a unit
-    q * exp(k*t)) shifts no exponent, so it forms no exponent tuple.  Zero
-    coefficients and empty weights are left for ``ExpPoly._make`` to drop.
-    The operands must be over the variables the buffer is built for; the
-    caller checks that, as for ``_make``.
+    buffer is.  A product key is the sum of its factors' keys; it raises
+    :class:`ExponentOverflow` when a guard bit is set, before it is stored.
+    Zero coefficients and empty weights are left for ``ExpPoly._make`` to
+    drop.  The operands must be over the variables the buffer is built for;
+    the caller checks that, as for ``_make``.
     """
     if b is None:
         for weight, poly in a.terms.items():
@@ -144,6 +222,7 @@ def add_product(
                     old = get(e)
                     acc[e] = k * c if old is None else old + k * c
         return
+    guard = _GUARD[len(a.vars)]
     for ka, pa in a.terms.items():
         for kb, pb in b.terms.items():
             acc = terms.get(ka + kb)
@@ -153,9 +232,10 @@ def add_product(
             for ea, ca in pa.items():
                 if k != 1:
                     ca = k * ca
-                shifts = any(ea)
                 for eb, cb in pb.items():
-                    key = tuple(map(add, ea, eb)) if shifts else eb
+                    key = ea + eb
+                    if key & guard:
+                        raise _overflow(a.vars, key)
                     value = ca * cb
                     old = get(key)
                     acc[key] = value if old is None else old + value
@@ -187,28 +267,20 @@ def sum_products(variables: Tuple[str, ...], products: Sequence[Product]) -> "Ex
     return ExpPoly._make(variables, terms)
 
 
-class ExpPoly:
+class _Checked(type):
+    """Calling ``ExpPoly(variables, {weight: {exponent tuple: c}})`` checks
+    and packs the terms once (``_packed``) and stores them through
+    ``_make``; the class call never reaches ``__init__`` unpacked."""
+
+    def __call__(cls, variables: Sequence[str], terms: Dict) -> "ExpPoly":
+        variables = tuple(variables)
+        return cls._make(variables, _packed(variables, terms))
+
+
+class ExpPoly(metaclass=_Checked):
     """One element of the coefficient ring, canonical by construction."""
 
     __slots__ = ("vars", "terms")
-
-    def __new__(cls, variables: Tuple[str, ...], terms: TermsDict) -> "ExpPoly":
-        # The checks of the public constructor; ``_make`` skips them.
-        for weight, poly in terms.items():
-            if _weight(weight) and any(poly.values()):
-                _needs_t(variables)
-            for e, c in poly.items():
-                if len(e) != len(variables):
-                    raise ValueError(
-                        f"exponent {e} does not match variables {tuple(variables)}"
-                    )
-                for power in e:
-                    if not isinstance(power, int):
-                        raise TypeError(f"exponent {e} holds a non-integer")
-                    if power < 0:
-                        raise ValueError(f"exponent {e} holds a negative power")
-                _rational(c)
-        return object.__new__(cls)
 
     def __init__(self, variables: Tuple[str, ...], terms: TermsDict):
         # Every value, checked or trusted, is stored here: zero coefficients
@@ -220,16 +292,16 @@ class ExpPoly:
                 for e, c in poly.items() if c
             }
             if kept:
-                clean[int(weight)] = kept
+                clean[weight] = kept
         object.__setattr__(self, "vars", tuple(variables))
         object.__setattr__(self, "terms", clean)
 
     @classmethod
     def _make(cls, variables: Tuple[str, ...], terms: TermsDict) -> "ExpPoly":
         """Trusted constructor for terms the ring built itself from values over
-        ``variables``: integer weights, exponent tuples of the right length,
-        coefficients int or Fraction.  Skips the checks of ``__new__`` and
-        goes straight to ``__init__``."""
+        ``variables``: int weights, packed exponent keys with every power at
+        most ``MAX_POWER``, coefficients int or Fraction.  Skips the checks
+        of the public constructor and goes straight to ``__init__``."""
         self = object.__new__(cls)
         self.__init__(variables, terms)
         return self
@@ -245,15 +317,14 @@ class ExpPoly:
 
     @classmethod
     def const(cls, variables: Tuple[str, ...], value: Scalar) -> "ExpPoly":
-        unit = (0,) * len(variables)
-        return cls._make(tuple(variables), {0: {unit: _coefficient(value)}})
+        return cls._make(tuple(variables), {0: {0: _coefficient(value)}})
 
     @classmethod
     def var(cls, variables: Tuple[str, ...], name: str) -> "ExpPoly":
         if name not in variables:
             raise UnknownVariable(f"{name!r} is not one of {variables}")
-        exp = tuple(1 if v == name else 0 for v in variables)
-        return cls._make(tuple(variables), {0: {exp: 1}})
+        key = 1 << (BITS * variables.index(name))
+        return cls._make(tuple(variables), {0: {key: 1}})
 
     @classmethod
     def exp(cls, variables: Tuple[str, ...], weight: int) -> "ExpPoly":
@@ -261,8 +332,7 @@ class ExpPoly:
         weight = _weight(weight)
         if weight:
             _needs_t(variables)
-        unit = (0,) * len(variables)
-        return cls._make(tuple(variables), {weight: {unit: 1}})
+        return cls._make(tuple(variables), {weight: {0: 1}})
 
     # -- ring structure ----------------------------------------------------
 
@@ -359,12 +429,13 @@ class ExpPoly:
         of dp/dt, so the two never cancel.
         """
         within = tuple(within)
+        fields = [(idx, BITS * idx, 1 << (BITS * idx)) for idx in within]
         lowered: Dict[int, TermsDict] = {}
         for weight, poly in self.terms.items():
             here: Dict[int, PolyDict] = {}  # this weight's buffer per index
             for e, c in poly.items():
-                for idx in within:
-                    power = e[idx]
+                for idx, shift, unit in fields:
+                    power = (e >> shift) & FIELD
                     if power:
                         acc = here.get(idx)
                         if acc is None:
@@ -372,7 +443,7 @@ class ExpPoly:
                             lowered.setdefault(idx, {})[weight] = acc
                         # lowering one variable's power sends distinct
                         # monomials to distinct keys
-                        acc[e[:idx] + (power - 1,) + e[idx + 1 :]] = c * power
+                        acc[e - unit] = c * power
         t = self.vars.index("t") if "t" in self.vars else None
         if t in within:
             for weight, poly in self.terms.items():
@@ -388,14 +459,15 @@ class ExpPoly:
         exp(k*t) * p  ->  exp(k*t) * (k*p + dp/dt)."""
         if name not in self.vars:
             raise UnknownVariable(f"{name!r} is not one of {self.vars}")
-        idx = self.vars.index(name)
+        shift = BITS * self.vars.index(name)
+        unit = 1 << shift
         terms: TermsDict = {}
         for weight, poly in self.terms.items():
             # lowering the power of one variable sends distinct monomials to
             # distinct keys; only the exp weight of d/dt can meet one of them
             acc = terms[weight] = {
-                e[:idx] + (e[idx] - 1,) + e[idx + 1 :]: c * e[idx]
-                for e, c in poly.items() if e[idx]
+                e - unit: c * ((e >> shift) & FIELD)
+                for e, c in poly.items() if (e >> shift) & FIELD
             }
             if weight and name == "t":
                 for e, c in poly.items():
@@ -414,8 +486,7 @@ class ExpPoly:
         if len(self.terms) != 1:
             return False
         (poly,) = self.terms.values()
-        unit = tuple(0 for _ in self.vars)
-        return set(poly) == {unit}
+        return len(poly) == 1 and 0 in poly
 
     def unit_parts(self) -> Tuple[Scalar, int]:
         """``(q, k)`` of a unit q * exp(k*t); NotInvertible for a non-unit."""
@@ -427,9 +498,8 @@ class ExpPoly:
 
     def unit_inverse(self) -> "ExpPoly":
         q, weight = self.unit_parts()
-        unit = tuple(0 for _ in self.vars)
         inverse = Fraction(1) / q  # 1 / c is a float for an int c
-        return ExpPoly._make(self.vars, {-weight: {unit: inverse}})
+        return ExpPoly._make(self.vars, {-weight: {0: inverse}})
 
     def denominator(self) -> int:
         """The least common multiple of the coefficient denominators: 1 when
@@ -443,13 +513,20 @@ class ExpPoly:
 
     # -- canonical order and text form ------------------------------------
 
-    def _sorted_monomials(self, poly: PolyDict) -> Iterable[Exponent]:
-        # Graded order first, then lexicographic with t the most significant
-        # variable (variable order x1 < ... < xn < t); leading term printed
-        # first.
-        return sorted(
-            poly, key=lambda e: (sum(e), tuple(reversed(e))), reverse=True
-        )
+    def monomials(self) -> Iterator[Tuple[int, Exponent, Scalar]]:
+        """(weight, exponent tuple, coefficient) of every stored monomial,
+        in the canonical order of ``__str__``: weights ascending; within a
+        weight graded order first, then lexicographic with t the most
+        significant variable (variable order x1 < ... < xn < t), leading
+        term first.  A packed key orders as its exponent tuple read from t
+        down, so it breaks the ties of the degree."""
+        n = len(self.vars)
+        for weight in sorted(self.terms):
+            poly = self.terms[weight]
+            unpacked = [(_unpack(key, n), key) for key in poly]
+            unpacked.sort(key=lambda item: (sum(item[0]), item[1]), reverse=True)
+            for e, key in unpacked:
+                yield weight, e, poly[key]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExpPoly):
@@ -496,19 +573,14 @@ class ExpPoly:
         return "*".join(factors)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         pieces = []
-        for weight in sorted(self.terms):
-            poly = self.terms[weight]
-            for e in self._sorted_monomials(poly):
-                c = poly[e]
-                text = self._term_text(weight, e, c)
-                if not pieces:
-                    pieces.append(text if c > 0 else f"-{text}")
-                else:
-                    pieces.append(f"+ {text}" if c > 0 else f"- {text}")
-        return " ".join(pieces)
+        for weight, e, c in self.monomials():
+            text = self._term_text(weight, e, c)
+            if not pieces:
+                pieces.append(text if c > 0 else f"-{text}")
+            else:
+                pieces.append(f"+ {text}" if c > 0 else f"- {text}")
+        return " ".join(pieces) if pieces else "0"
 
     def __repr__(self) -> str:
         return f"ExpPoly({self})"

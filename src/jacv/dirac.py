@@ -109,7 +109,8 @@ from .structures import (
     jacobi_check,
     make_standard_bialgebroid,
     maurer_cartan_check,
-    nondegenerate_check,
+    Pfaffian,
+    _unit_determinant,
     sharp_map,
     two_form_of,
 )
@@ -353,21 +354,26 @@ def _member_gate(
     )
 
 
-def _reduction(kind: str, m1: TensorMap, m2: TensorMap) -> Report:
+def _reduction(
+    kind: str, m1: TensorMap, m2: TensorMap, pfaffian2: Optional[Pfaffian] = None
+) -> Report:
     """Torsion of the endomorphism a matched pair induces, if it is a graph.
 
     The second map is inverted if its Pfaffian Pf = q exp(kt) is a unit,
     else the first; each map's Pfaffian is expanded once, inside
     ``_adjugate``, which gives the inverse as B / q with B the signed
-    sub-Pfaffians times exp(-kt).  The endomorphism is N = M / q, with M
+    sub-Pfaffians times exp(-kt).  ``pfaffian2`` is m2's ``_pfaffian()``
+    when the caller has expanded it already.  The endomorphism is N = M / q, with M
     ``outer after B`` for two sharps and ``B after outer`` for two flats:
     the weight goes into M, and each residue of M is scaled by 1 / q^2
     (module docstring).  With neither map invertible the verdict is
     ``not-decided``.
     """
-    for inner, outer, which in ((m2, m1, "second"), (m1, m2, "first")):
+    for inner, outer, which, pfaffian in (
+        (m2, m1, "second", pfaffian2), (m1, m2, "first", None)
+    ):
         try:
-            q, adjugate = inner._adjugate()
+            q, adjugate = inner._adjugate(pfaffian)
         except NotInvertible:
             continue
         if kind == KIND_SHARP:
@@ -396,7 +402,18 @@ def dirac_pair_check(
     reduction, which is ``not-decided`` when neither musical map has unit
     determinant.  ``not-decided`` never means an obstruction was found.
     """
-    B = _as_bialgebroid(data)
+    return _pair(_as_bialgebroid(data), left, right)
+
+
+def _pair(
+    B: JacobiBialgebroidData,
+    left: GraphRelation,
+    right: GraphRelation,
+    second: Optional[Tuple[TensorMap, Pfaffian]] = None,
+) -> Report:
+    """The ladder of ``dirac_pair_check``.  ``second`` is the musical map of
+    ``right`` with its ``_pfaffian()``, when the caller has expanded it
+    already; the tensor reduction then reads its adjugate off that memo."""
     if left.algebroid is not B.A or right.algebroid is not B.A:
         raise MismatchError("graph members live over a different algebroid")
     gate = _member_gate(
@@ -418,7 +435,8 @@ def dirac_pair_check(
         B.a_side, left.section, right.section
     ).is_zero:
         return Report(PASS, strategy="bracket compatibility")
-    return _reduction(left.kind, left.music(), right.music())
+    m2, pfaffian2 = second or (right.music(), None)
+    return _reduction(left.kind, left.music(), m2, pfaffian2)
 
 
 # -- bivector-with-form and form-with-endomorphism structures ----------------
@@ -511,18 +529,29 @@ def presymplectic_pair_check(
 def symplectic_pair_check(
     J: JacobiAlgebroidData, om1: Form, om2: Form
 ) -> Report:
-    """Presymplectic pair with both flats invertible over the patch ring."""
+    """Presymplectic pair with both flats invertible over the patch ring.
+
+    Each flat's Pfaffian is expanded once: the non-degeneracy gate reads
+    the determinant off it, and the tensor reduction, which goes through
+    the second flat once the gate has passed, reads the adjugate off the
+    same memo."""
     _check_over(J, om1, om2)
-    gate = _gate(
-        "non-degeneracy",
-        "form is degenerate",
-        lambda omega: nondegenerate_check(flat_map(omega)),
-        om1,
-        om2,
-    )
+    expanded: List[Tuple[TensorMap, Pfaffian]] = []
+
+    def nondegenerate(omega: Form) -> Report:
+        fl = flat_map(omega)
+        expanded.append((fl, fl._pfaffian()))
+        return _unit_determinant(fl._determinant(expanded[-1][1]))
+
+    gate = _gate("non-degeneracy", "form is degenerate", nondegenerate, om1, om2)
     if gate is not None:
         return gate
-    return presymplectic_pair_check(J, om1, om2)
+    return _pair(
+        _as_bialgebroid(J),
+        GraphRelation.of_two_form(om1),
+        GraphRelation.of_two_form(om2),
+        second=expanded[1],
+    )
 
 
 def hamiltonian_pair_check(

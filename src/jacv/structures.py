@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .coeff import ExpPoly, NotInvertible, Scalar, product_term, sum_products
 from .algebroid import (
@@ -57,6 +57,8 @@ from .calculus import (
 )
 
 Matrix = Tuple[Tuple[ExpPoly, ...], ...]
+# (Pf, pf, block) of ``TensorMap._pfaffian``: one Pfaffian memo of a map
+Pfaffian = Tuple[ExpPoly, Callable[[int], ExpPoly], bool]
 
 SIDE_A = "A"
 SIDE_DUAL = "A*"
@@ -217,10 +219,11 @@ class TensorMap:
     def determinant(self) -> ExpPoly:
         """Pf * Pf for a skew matrix, else (-1)^(r(r-1)/2) Pf of its block
         matrix (proofs at ``_pfaffians``)."""
-        pf_full, _, block = self._pfaffian()
-        return self._determinant(pf_full, block)
+        return self._determinant(self._pfaffian())
 
-    def _determinant(self, pf_full: ExpPoly, block: bool) -> ExpPoly:
+    def _determinant(self, pfaffian: "Pfaffian") -> ExpPoly:
+        """The determinant read off ``pfaffian``, this map's ``_pfaffian()``."""
+        pf_full, _, block = pfaffian
         if not block:
             return pf_full * pf_full
         return -pf_full if self.algebroid.rank // 2 % 2 else pf_full
@@ -228,7 +231,7 @@ class TensorMap:
     def is_unit_determinant(self) -> bool:
         return self.determinant().is_unit()
 
-    def _pfaffian(self) -> Tuple[ExpPoly, Callable[[int], ExpPoly], bool]:
+    def _pfaffian(self) -> "Pfaffian":
         """``(Pf, pf, block)`` with ``pf`` of ``_pfaffians``.  A skew matrix
         is expanded itself; on odd rank Pf is 0 and nothing is expanded.  Any
         other matrix A expands its skew block matrix [[0, A], [-A^T, 0]],
@@ -248,18 +251,22 @@ class TensorMap:
         q, adjugate = self._adjugate()
         return adjugate if q == 1 else adjugate.scale(Fraction(1, q))
 
-    def _adjugate(self) -> Tuple[Scalar, "TensorMap"]:
+    def _adjugate(
+        self, pfaffian: Optional["Pfaffian"] = None
+    ) -> Tuple[Scalar, "TensorMap"]:
         """``(q, B)`` with ``self^-1 = B / q``, when Pf = q exp(kt) of
         ``_pfaffian`` is a unit: entry (i, j) of B is a signed sub-Pfaffian
         of its memo times exp(-kt) (formulas and proofs at ``_pfaffians``),
         so B has the coefficients of the sub-Pfaffians, integers when the
-        map has integer coefficients.  NotInvertible, raised by the
-        determinant's ``unit_inverse()`` so that its message names the
-        determinant, when Pf is not a unit.
+        map has integer coefficients.  ``pfaffian`` is this map's
+        ``_pfaffian()`` when the caller has expanded it already.
+        NotInvertible, raised by the determinant's ``unit_inverse()`` so
+        that its message names the determinant, when Pf is not a unit.
         """
-        pf_full, pf, block = self._pfaffian()
+        pfaffian = pfaffian or self._pfaffian()
+        pf_full, pf, block = pfaffian
         if not pf_full.is_unit():
-            self._determinant(pf_full, block).unit_inverse()  # always raises
+            self._determinant(pfaffian).unit_inverse()  # always raises
         q, k = pf_full.unit_parts()
         r = self.algebroid.rank
         # (mask, cells): entry (i, j) of a cell is (-1)^odd pf(mask) exp(-kt)
@@ -557,7 +564,11 @@ def presymplectic_check(J: JacobiAlgebroidData, omega: Form) -> Report:
 
 
 def nondegenerate_check(m: TensorMap) -> Report:
-    det = m.determinant()
+    return _unit_determinant(m.determinant())
+
+
+def _unit_determinant(det: ExpPoly) -> Report:
+    """The report of ``nondegenerate_check`` on a map's determinant."""
     if det.is_unit():
         return Report(PASS, strategy="unit determinant")
     return Report(FAIL, witness=f"det = {det}", strategy="unit determinant")
@@ -649,7 +660,10 @@ def maurer_cartan_check(B: JacobiBialgebroidData, s: Section) -> Report:
     """Residue of d(s) + (1/2)[s, s] with the differential from the other side.
 
     For a bivector, (1/2)[s, s] is ``_self_bracket``'s, scaled once by
-    1 / (2 d^2); d_* s is linear and is computed on s itself.
+    1 / (2 d^2); d_* s is linear and is computed on s itself.  For a form
+    over a trivial dual with a zero twist the dual bracket is 0
+    (``_trivial_dual``), so the residue is d_phi s alone and no bracket is
+    built.
     """
     if s.degree != 2:
         raise MismatchError("the Maurer-Cartan check needs a degree-2 section")
@@ -657,8 +671,18 @@ def maurer_cartan_check(B: JacobiBialgebroidData, s: Section) -> Report:
     if isinstance(s, MultiVector):
         residue = dual_differential(B, s) + _self_bracket(B.a_side, s, Fraction(1, 2))
     else:
-        residue = differential(B.a_side, s) + Fraction(1, 2) * dual_schouten(B, s, s)
+        residue = differential(B.a_side, s)
+        if not _trivial_dual(B):
+            residue = residue + Fraction(1, 2) * dual_schouten(B, s, s)
     return _report_zero(residue)
+
+
+def _trivial_dual(B: JacobiBialgebroidData) -> bool:
+    """The dual has no anchor entry, no bracket and a zero twist.  Then
+    d_* = 0, X0 = 0, L_* = 0 and the dual's twisted bracket is 0, because
+    every term of the untwisted one has a factor c_ij^k or rho(e_i) g
+    (``calculus``) and the twist terms have a factor of the twist."""
+    return B.Astar.is_trivial and B.astar_side.phi0.is_zero
 
 
 # -- bialgebroid compatibility ----------------------------------------------
@@ -683,9 +707,10 @@ def bialgebroid_compat_check(B: JacobiBialgebroidData) -> Report:
     derivatives along the two twists cancel on every multivector.  Evidence
     only, so the report says so.
 
-    A trivial dual with a zero twist (every ``standard`` pair) passes with
-    no bracket computed.  There d_* = 0, X0 = 0 and L_* = 0, and the
-    twisted bracket is bilinear, so identity one reads
+    A trivial dual with a zero twist (every ``standard`` pair,
+    ``_trivial_dual``) passes with no bracket computed.  There d_* = 0,
+    X0 = 0 and L_* = 0, and the twisted bracket is bilinear, so identity one
+    reads
     0 = [0, Y]_phi + [X, 0]_phi and identity two reads L_0 P + 0 = 0, for
     every section and not only on the family.  A trivial dual with a
     nonzero twist still runs the family: its d_* is wedging with the twist.
@@ -693,7 +718,7 @@ def bialgebroid_compat_check(B: JacobiBialgebroidData) -> Report:
     recorded corpus hash covers.
     """
     strategy = "verified on test family"
-    if B.Astar.is_trivial and B.astar_side.phi0.is_zero:
+    if _trivial_dual(B):
         return Report(PASS, strategy=strategy)
     return _first_failure(strategy, _compat_residues(B))
 

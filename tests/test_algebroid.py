@@ -17,6 +17,7 @@ from jacv.algebroid import (
     validate_algebroid,
 )
 from jacv.calculus import Form, MismatchError, MultiVector, differential
+from jacv import coeff
 from jacv.coeff import ExpPoly, VariableSetMismatch
 from jacv.structures import make_standard_bialgebroid
 from tests.gen import action_algebroids, rand_scalar
@@ -296,6 +297,45 @@ def test_anchor_derivs_match_one_diff_per_entry():
             f = rand_scalar(r, A.patch, max_degree=3, terms=3, with_t=True, exp_range=2)
             _assert_anchor_derivs(A, f)
         _assert_anchor_derivs(A, x + y)
+
+
+def test_unit_anchor_entries_are_found_once(monkeypatch):
+    # every entry of a tangent or extension frame is 1: anchor_derivs adds
+    # its derivative with no comparison and no product, while an entry -1 or
+    # x is multiplied
+    p = Patch(("x", "y"))
+    x, y, one = p.coord("x"), p.coord("y"), p.const(1)
+    TA = make_tangent(p)
+    mixed = make_explicit(p, 2, ((one, -one), (x, one)), {})
+    f = x * x * y + y.times_exp(1)
+    expected = {
+        TA: {0: 2 * x * y, 1: x * x + ExpPoly.exp(p.variables, 1)},
+        mixed: {0: 2 * x * y + x * (x * x + ExpPoly.exp(p.variables, 1)),
+                1: -2 * x * y + x * x + ExpPoly.exp(p.variables, 1)},
+    }
+    compared, products = [], []
+    eq, add_product = ExpPoly.__eq__, coeff.add_product
+
+    def counting_eq(a, b):
+        compared.append((a, b))
+        return eq(a, b)
+
+    def counting_product(terms, k, a, b=None):
+        if b is not None:
+            products.append((a, b))
+        add_product(terms, k, a, b)
+
+    monkeypatch.setattr(ExpPoly, "__eq__", counting_eq)
+    monkeypatch.setattr(coeff, "add_product", counting_product)
+    ext = extend_with_R(TA).algebroid
+    derivs, counts = {}, {}
+    for A in (TA, ext, mixed):
+        del compared[:], products[:]
+        derivs[A] = A.anchor_derivs(f)
+        counts[A] = len(compared), len(products)
+    monkeypatch.undo()
+    assert counts[TA] == counts[ext] == (0, 0) and counts[mixed][1] == 2
+    assert derivs == {TA: expected[TA], ext: expected[TA], mixed: expected[mixed]}
 
 
 def test_anchor_derivs_and_anchor_apply_refuse_foreign_operands():

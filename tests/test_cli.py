@@ -340,6 +340,28 @@ check condition31 P P
 """
 
 
+POWERS = """\
+patch p = (x, y)
+algebroid A = tangent(p)
+form f = iota(e1, x*eps1)
+"""
+
+
+def test_a_high_power_keeps_its_value_in_the_witness(tmp_path, capsys):
+    code, out, _ = _run(tmp_path, capsys, POWERS + "check zero (f^200)\n")
+    assert code == 1
+    assert "fail  [L4] zero (f ^ 200)" in out and "value = x^200\n" in out
+
+
+@pytest.mark.parametrize("line", ["check zero (g^200)", "form h = g^200"])
+def test_a_power_past_the_exponent_field_exits_two_with_its_line(tmp_path, capsys, line):
+    # x^40000 does not fit the 15 bits a packed exponent may use
+    code, out, err = _run(tmp_path, capsys, POWERS + "form g = f^200\n" + line + "\n")
+    assert code == 2
+    assert "line 5: the power of x exceeds 32767" in out + err
+    assert "Traceback" not in out + err
+
+
 def test_strict_turns_not_decided_into_exit_three(tmp_path, capsys):
     code, out, _ = _run(tmp_path, capsys, NOT_DECIDED, "--json")
     assert code == 0

@@ -1,10 +1,11 @@
-import copy
 import random
 from fractions import Fraction
 
 import pytest
 
 from jacv.coeff import (
+    MAX_POWER,
+    ExponentOverflow,
     ExpPoly,
     NotInvertible,
     UnknownVariable,
@@ -151,31 +152,38 @@ def _from_recipe(recipe):
     return out
 
 
+def _stored(value):
+    """``{(weight, exponent tuple): coefficient}`` read through the
+    ``monomials`` view."""
+    return {(weight, e): c for weight, e, c in value.monomials()}
+
+
 def _assert_stored_form(value, label=None):
     """Every weight holds at least one coefficient; every coefficient is a
     nonzero int or a Fraction that is not integral, never a float."""
-    for weight, poly in value.terms.items():
-        assert type(weight) is int and poly, (label, value.terms)
-        for e, c in poly.items():
-            assert len(e) == len(value.vars), (label, e)
-            if type(c) is int:
-                assert c, (label, value.terms)
-            else:
-                assert type(c) is Fraction and c.denominator != 1, (label, e, c)
+    monomials = list(value.monomials())
+    assert {weight for weight, _, _ in monomials} == set(value.terms), (label, monomials)
+    for weight, e, c in monomials:
+        assert type(weight) is int, (label, monomials)
+        assert len(e) == len(value.vars), (label, e)
+        if type(c) is int:
+            assert c, (label, monomials)
+        else:
+            assert type(c) is Fraction and c.denominator != 1, (label, e, c)
 
 
 def test_ring_operations_keep_the_stored_form():
     half, two = ExpPoly.const(VARS, Fraction(1, 2)), ExpPoly.const(VARS, 2)
     x, t = ExpPoly.var(VARS, "x"), ExpPoly.var(VARS, "t")
     # results whose Fractions become integral
-    assert (half * two).terms == {0: {(0, 0, 0): 1}}
-    assert type((half * x + half * x).terms[0][(1, 0, 0)]) is int
-    assert type((half * t * t).diff("t").terms[0][(0, 0, 1)]) is int
-    assert type((half * x).times_exp(2).diff("t").terms[2][(1, 0, 0)]) is int
-    assert ExpPoly(VARS, {0: {(0, 0, 0): Fraction(4, 2), (1, 0, 0): 0}}).terms == {
-        0: {(0, 0, 0): 2}
+    assert _stored(half * two) == {(0, (0, 0, 0)): 1}
+    assert type(_stored(half * x + half * x)[0, (1, 0, 0)]) is int
+    assert type(_stored((half * t * t).diff("t"))[0, (0, 0, 1)]) is int
+    assert type(_stored((half * x).times_exp(2).diff("t"))[2, (1, 0, 0)]) is int
+    assert _stored(ExpPoly(VARS, {0: {(0, 0, 0): Fraction(4, 2), (1, 0, 0): 0}})) == {
+        (0, (0, 0, 0)): 2
     }
-    assert (half + (-half)).terms == {}
+    assert _stored(half + (-half)) == {}
     for seed in range(30):
         r = random.Random(8000 + seed)
         a, b = _from_recipe(_recipe(r)), _from_recipe(_recipe(r, terms=2))
@@ -267,16 +275,38 @@ def test_a_nonzero_exp_weight_needs_t():
     assert ExpPoly.exp(("x",), 0) == 1 and ExpPoly.zero(("x",)).times_exp(1).is_zero
 
 
+def test_powers_stop_below_the_guard_bit():
+    # one 16-bit field per variable, whose top bit is the guard
+    assert MAX_POWER == 2**15 - 1 and issubclass(ExponentOverflow, ValueError)
+    x, y, t = (ExpPoly.var(VARS, name) for name in VARS)
+    top = ExpPoly(VARS, {0: {(MAX_POWER, 0, 0): 1}})
+    assert str(top * y) == "x^32767*y" and (top * y).diff("y") == top
+    assert top.diff("x") == MAX_POWER * ExpPoly(VARS, {0: {(MAX_POWER - 1, 0, 0): 1}})
+    # a product past the guard raises before its field carries into y's
+    with pytest.raises(ExponentOverflow, match="the power of x exceeds 32767"):
+        top * x
+    with pytest.raises(ExponentOverflow, match="the power of x exceeds 32767"):
+        sum_products(VARS, [(1, y, None), (2, x, top)])
+    t_top = ExpPoly(VARS, {1: {(0, 0, MAX_POWER): 1}})
+    assert str(t_top * x) == "x*t^32767*exp(t)"
+    with pytest.raises(ExponentOverflow, match="the power of t exceeds 32767"):
+        t_top * (t + 1)
+    # sums and derivatives never raise a power
+    assert top + top == 2 * top and (t_top - t_top).is_zero
+    with pytest.raises(ExponentOverflow, match="above 32767"):
+        ExpPoly(VARS, {0: {(0, MAX_POWER + 1, 0): 1}})
+
+
 def test_unit_inverse_is_exact():
     inv = ExpPoly.const(VARS, 2).unit_inverse()
-    assert inv.terms == {0: {(0, 0, 0): Fraction(1, 2)}}
+    assert _stored(inv) == {(0, (0, 0, 0)): Fraction(1, 2)}
     inv = (-ExpPoly.const(VARS, 3)).times_exp(2).unit_inverse()
-    assert inv.terms == {-2: {(0, 0, 0): Fraction(-1, 3)}}
-    assert type(inv.terms[-2][(0, 0, 0)]) is Fraction
+    assert _stored(inv) == {(-2, (0, 0, 0)): Fraction(-1, 3)}
+    assert type(_stored(inv)[-2, (0, 0, 0)]) is Fraction
     # the inverse of a unit fraction is stored as an int
     inv = ExpPoly.const(VARS, Fraction(-1, 4)).unit_inverse()
-    assert inv.terms == {0: {(0, 0, 0): -4}}
-    assert type(inv.terms[0][(0, 0, 0)]) is int
+    assert _stored(inv) == {(0, (0, 0, 0)): -4}
+    assert type(_stored(inv)[0, (0, 0, 0)]) is int
 
 
 @pytest.mark.parametrize(
@@ -360,8 +390,7 @@ def test_ring_operations_match_sympy():
 
     def shifted(value, shift):
         return sum(
-            (monomial(c, e, weight + shift)
-             for weight, poly in value.terms.items() for e, c in poly.items()),
+            (monomial(c, e, weight + shift) for weight, e, c in value.monomials()),
             R.zero,
         )
 
@@ -392,7 +421,7 @@ def test_ring_operations_match_sympy():
                 seed, "diff*", name)
         # signed sums of products through the kernel, which must not change
         # an operand's terms while it fills a buffer that started from them
-        before = copy.deepcopy((a.terms, b.terms))
+        before = (list(a.monomials()), list(b.monomials()))
         total = sum_products(
             VARS, [(1, a, b), (-2, b, None), (2, a, a), (-1, b, a), (1, a, None)]
         )
@@ -405,8 +434,9 @@ def test_ring_operations_match_sympy():
         add_product(buffer, -2, a, b)
         add_product(buffer, 1, a)
         expected = (2 * pa - pb) * E**2 - 2 * pa * pb
-        assert shifted(ExpPoly(VARS, buffer), 4) == expected, (seed, "add_product")
-        assert (a.terms, b.terms) == before, (seed, "operands changed")
+        assert shifted(ExpPoly._make(VARS, buffer), 4) == expected, (seed, "add_product")
+        assert (list(a.monomials()), list(b.monomials())) == before, (
+            seed, "operands changed")
         assert sum_products(VARS, [(1, a, None)]) is a
         c, _, weight = ra[0]
         unit = ExpPoly.const(VARS, c).times_exp(weight)

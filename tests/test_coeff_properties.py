@@ -8,7 +8,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from jacv.coeff import ExpPoly  # noqa: E402
+from jacv.coeff import MAX_POWER, ExponentOverflow, ExpPoly  # noqa: E402
 from tests.test_coeff import VARS, _assert_stored_form  # noqa: E402
 
 coefficients = st.one_of(
@@ -102,8 +102,68 @@ def test_derivatives_along_variables_a_value_does_not_involve(a):
     assert 1 not in partials and a.diff("y").is_zero
     # d/dt still counts the exp weights: exp(k t) p -> k exp(k t) p
     expected = sum(
-        (k * ExpPoly(VARS, {k: poly}) for k, poly in a.terms.items()),
+        (k * ExpPoly(VARS, {k: {e: c}}) for k, e, c in a.monomials()),
         ExpPoly.zero(VARS),
     )
     assert partials.get(2, ExpPoly.zero(VARS)) == expected
     assert (2 in partials) == any(a.terms)
+
+
+# powers at the edge of a packed field: products reach past MAX_POWER
+edge_powers = st.one_of(
+    st.integers(0, 2),
+    st.integers(MAX_POWER // 2 - 1, MAX_POWER // 2 + 1),
+    st.integers(MAX_POWER - 1, MAX_POWER),
+)
+edge_monomials = st.lists(
+    st.tuples(coefficients, st.tuples(*(edge_powers for _ in VARS)), st.integers(-2, 2)),
+    max_size=3,
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(edge_monomials, edge_monomials)
+def test_ring_operations_at_the_field_edge_match_sympy(ma, mb):
+    """sympy's polynomials in the variables and E = e^t, as in
+    ``test_ring_operations_match_sympy``: values are compared after
+    multiplying by E^2.  A product raises ``ExponentOverflow`` exactly when
+    some pair of stored monomials has powers of one variable summing past
+    MAX_POWER; otherwise it equals sympy's."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.rings import ring
+
+    R, *gens = ring(VARS + ("E",), sympy.QQ)
+    syms, E = dict(zip(VARS, gens)), gens[-1]
+
+    def value(ms):
+        return sum((ExpPoly(VARS, {w: {e: c}}) for c, e, w in ms), ExpPoly.zero(VARS))
+
+    def shifted(v, shift):
+        return R.from_dict({
+            e + (w + shift,): sympy.QQ(c.numerator, c.denominator)
+            for w, e, c in v.monomials()
+        })
+
+    def tops(v):
+        """The highest stored power of each variable."""
+        return [max((e[i] for _, e, _ in v.monomials()), default=0) for i in range(len(VARS))]
+
+    a, b = value(ma), value(mb)
+    pa, pb = shifted(a, 2), shifted(b, 2)
+    assert shifted(a + b, 2) == pa + pb
+    assert shifted(a - b, 2) == pa - pb
+    for name in VARS:
+        expected = pa.diff(syms[name])
+        if name == "t":
+            expected += E * pa.diff(E) - 2 * pa
+        assert shifted(a.diff(name), 2) == expected, name
+    overflow = not (a.is_zero or b.is_zero) and any(
+        p + q > MAX_POWER for p, q in zip(tops(a), tops(b))
+    )
+    if overflow:
+        with pytest.raises(ExponentOverflow):
+            a * b
+    else:
+        product = a * b
+        assert shifted(product, 4) == pa * pb
+        _assert_stored_form(product)

@@ -13,7 +13,7 @@ from jacv.algebroid import (
     make_trivial,
 )
 from jacv.calculus import Form, MismatchError, MultiVector
-from jacv import dirac
+from jacv import dirac, structures
 from jacv.dirac import (
     KIND_SHARP,
     GraphRelation,
@@ -207,6 +207,33 @@ def test_flat_flat_reduction_and_degenerate_fallback():
     om2 = Form(A, 2, {(2, 3): p.const(1)})
     und = presymplectic_pair_check(J, om1, om2)
     assert und.status == "not-decided"
+
+
+def test_symplectic_pair_expands_each_flat_once(monkeypatch):
+    # the non-degeneracy gate and the tensor reduction through the second
+    # flat share one Pfaffian memo per flat; a degenerate left form stops the
+    # gate after its own expansion
+    c = contact()
+    om1 = contact_form((1, 2, 3, 4), (1, 0, 0))
+    om2 = contact_form((2, 1, -1, 3), (0, 1, 1))
+    failing = presymplectic_pair_check(c.C, om1, om2)
+    assert failing.status == "fail"
+    expanded = []
+
+    def counting(algebroid, matrix, _real=structures._pfaffians):
+        expanded.append(matrix)
+        return _real(algebroid, matrix)
+
+    monkeypatch.setattr(structures, "_pfaffians", counting)
+    for left, right, report in [
+        (c.wH, c.wE, Report("pass", "tensor reduction through the second flat")),
+        (om1, om2, failing),
+        (c.wP, c.Om, Report("fail", "non-degeneracy", "left form is degenerate: det = 0")),
+    ]:
+        del expanded[:]
+        assert symplectic_pair_check(c.C, left, right) == report
+        flats = [flat_map(left).matrix, flat_map(right).matrix]
+        assert expanded == flats[: 1 if report.strategy == "non-degeneracy" else 2]
 
 
 def test_hamiltonian_pair_grading():

@@ -333,8 +333,7 @@ def test_determinant_and_inverse_match_sympy(monkeypatch):
         def poly(value, shift):
             return R.ring.from_dict({
                 e + (weight + shift,): QQ(c.numerator, c.denominator)
-                for weight, terms in value.terms.items()
-                for e, c in terms.items()
+                for weight, e, c in value.monomials()
             })
 
         def matrix(m, shift):
@@ -571,6 +570,26 @@ def test_trivial_untwisted_dual_passes_with_no_dual_differential(monkeypatch):
     # a dual with a bracket runs the family, through the counted function
     assert bialgebroid_compat_check(solvable_bialgebroid()).ok
     assert calls
+
+
+def test_member_gate_of_a_form_over_a_trivial_dual_builds_no_bracket(monkeypatch):
+    # d_* = 0 and the dual bracket is 0, so the residue is d_phi(omega)
+    c = contact()
+    B = make_standard_bialgebroid(c.C)
+    x1 = c.ext.patch.coord("x1")
+    forms = [c.Om, c.wH, contact_form((1, 2, 3, 4), (1, 0, 0)), c.Om + x1 * c.wP]
+    reports = [maurer_cartan_check(B, omega) for omega in forms]
+    assert [r.status for r in reports] == ["pass", "pass", "pass", "fail"]
+    assert reports[-1].witness == str(differential(c.C, forms[-1]))
+
+    def no_bracket(*args):
+        raise AssertionError("the dual bracket was built")
+
+    monkeypatch.setattr(structures, "dual_schouten", no_bracket)
+    assert [maurer_cartan_check(B, omega) for omega in forms] == reports
+    # a dual with a bracket still brackets the form
+    with pytest.raises(AssertionError, match="dual bracket"):
+        maurer_cartan_check(solvable_bialgebroid(), Form.zero(solvable_bialgebroid().A, 2))
 
 
 def test_trivial_dual_with_a_twist_still_runs_the_family():

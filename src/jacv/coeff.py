@@ -429,12 +429,14 @@ class ExpPoly(metaclass=_Checked):
         of dp/dt, so the two never cancel.
         """
         within = tuple(within)
-        fields = [(idx, BITS * idx, 1 << (BITS * idx)) for idx in within]
         lowered: Dict[int, TermsDict] = {}
         for weight, poly in self.terms.items():
             here: Dict[int, PolyDict] = {}  # this weight's buffer per index
             for e, c in poly.items():
-                for idx, shift, unit in fields:
+                if not e:
+                    continue  # a constant
+                for idx in within:
+                    shift = BITS * idx
                     power = (e >> shift) & FIELD
                     if power:
                         acc = here.get(idx)
@@ -443,7 +445,7 @@ class ExpPoly(metaclass=_Checked):
                             lowered.setdefault(idx, {})[weight] = acc
                         # lowering one variable's power sends distinct
                         # monomials to distinct keys
-                        acc[e - unit] = c * power
+                        acc[e - (1 << shift)] = c * power
         t = self.vars.index("t") if "t" in self.vars else None
         if t in within:
             for weight, poly in self.terms.items():

@@ -102,15 +102,15 @@ from .calculus import (
 from .coeff import ExpPoly, NotInvertible, Product, Scalar, product_term, sum_products
 from .structures import (
     JacobiBialgebroidData,
+    Pfaffian,
     TensorMap,
     _check_over,
     _cleared,
+    _unit_determinant,
     flat_map,
     jacobi_check,
     make_standard_bialgebroid,
     maurer_cartan_check,
-    Pfaffian,
-    _unit_determinant,
     sharp_map,
     two_form_of,
 )
@@ -362,11 +362,11 @@ def _reduction(
     The second map is inverted if its Pfaffian Pf = q exp(kt) is a unit,
     else the first; each map's Pfaffian is expanded once, inside
     ``_adjugate``, which gives the inverse as B / q with B the signed
-    sub-Pfaffians times exp(-kt).  ``pfaffian2`` is m2's ``_pfaffian()``
-    when the caller has expanded it already.  The endomorphism is N = M / q, with M
-    ``outer after B`` for two sharps and ``B after outer`` for two flats:
-    the weight goes into M, and each residue of M is scaled by 1 / q^2
-    (module docstring).  With neither map invertible the verdict is
+    sub-Pfaffians times exp(-kt); ``pfaffian2`` is m2's ``_pfaffian()``
+    when the caller has expanded it already.  The endomorphism is N = M / q,
+    with M ``outer after B`` for two sharps and ``B after outer`` for two
+    flats: the weight goes into M, and each residue of M is scaled by
+    1 / q^2 (module docstring).  With neither map invertible the verdict is
     ``not-decided``.
     """
     for inner, outer, which, pfaffian in (

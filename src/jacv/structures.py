@@ -221,7 +221,7 @@ class TensorMap:
         matrix (proofs at ``_pfaffians``)."""
         return self._determinant(self._pfaffian())
 
-    def _determinant(self, pfaffian: "Pfaffian") -> ExpPoly:
+    def _determinant(self, pfaffian: Pfaffian) -> ExpPoly:
         """The determinant read off ``pfaffian``, this map's ``_pfaffian()``."""
         pf_full, _, block = pfaffian
         if not block:
@@ -231,7 +231,7 @@ class TensorMap:
     def is_unit_determinant(self) -> bool:
         return self.determinant().is_unit()
 
-    def _pfaffian(self) -> "Pfaffian":
+    def _pfaffian(self) -> Pfaffian:
         """``(Pf, pf, block)`` with ``pf`` of ``_pfaffians``.  A skew matrix
         is expanded itself; on odd rank Pf is 0 and nothing is expanded.  Any
         other matrix A expands its skew block matrix [[0, A], [-A^T, 0]],
@@ -252,7 +252,7 @@ class TensorMap:
         return adjugate if q == 1 else adjugate.scale(Fraction(1, q))
 
     def _adjugate(
-        self, pfaffian: Optional["Pfaffian"] = None
+        self, pfaffian: Optional[Pfaffian] = None
     ) -> Tuple[Scalar, "TensorMap"]:
         """``(q, B)`` with ``self^-1 = B / q``, when Pf = q exp(kt) of
         ``_pfaffian`` is a unit: entry (i, j) of B is a signed sub-Pfaffian
@@ -709,10 +709,9 @@ def bialgebroid_compat_check(B: JacobiBialgebroidData) -> Report:
 
     A trivial dual with a zero twist (every ``standard`` pair,
     ``_trivial_dual``) passes with no bracket computed.  There d_* = 0,
-    X0 = 0 and L_* = 0, and the twisted bracket is bilinear, so identity one
-    reads
-    0 = [0, Y]_phi + [X, 0]_phi and identity two reads L_0 P + 0 = 0, for
-    every section and not only on the family.  A trivial dual with a
+    X0 = 0 and L_* = 0, and the twisted bracket is bilinear, so identity
+    one reads 0 = [0, Y]_phi + [X, 0]_phi and identity two reads
+    L_0 P + 0 = 0, for every section and not only on the family.  A trivial dual with a
     nonzero twist still runs the family: its d_* is wedging with the twist.
     Both paths report the same strategy string, which the benchmark's
     recorded corpus hash covers.

@@ -307,13 +307,25 @@ def _wedge_into(sums: Sums, k: int, u: Section, v: Section) -> None:
 
 
 def wedge_power(u: Section, power: int) -> Section:
+    """``u`` wedged with itself ``power`` times, by repeated squaring: at
+    most 2 * log2(power) wedges.  As soon as a partial power is zero the
+    result is the zero of the full degree."""
     if power < 0:
         raise MismatchError("negative wedge power")
-    out: Section = type(u).scalar_section(u.algebroid, u.algebroid.patch.one())
-    for _ in range(power):
-        if out.is_zero:
-            return type(u).zero(u.algebroid, power * u.degree)
-        out = wedge(out, u)
+    degree = power * u.degree
+    out: Optional[Section] = None
+    while power:
+        if power & 1:
+            out = u if out is None else wedge(out, u)
+            if out.is_zero:
+                return type(u).zero(u.algebroid, degree)
+        power >>= 1
+        if power:
+            u = wedge(u, u)
+            if u.is_zero:
+                return type(u).zero(u.algebroid, degree)
+    if out is None:
+        return type(u).scalar_section(u.algebroid, u.algebroid.patch.one())
     return out
 
 

@@ -2,31 +2,47 @@
 
 A value is  sum_k exp(k*t) * p_k(x1, ..., xn, t)  with integer weights k and
 each p_k a polynomial over the rationals in the patch coordinates and the
-formal variable t.  The representation
+formal variable t.  A value stores one flat dict
 
-    terms: {weight k -> {packed exponent key -> int | Fraction}}
+    _terms: {term key -> int | Fraction}
 
-is canonical because nothing in the ring rewrites between powers of t and
-exponentials: two values are equal iff their cleaned dicts are equal.  The
-variable tuple always lists the coordinates first and ``t`` last.  A stored
-coefficient is a nonzero ``int``, or a ``Fraction`` whose denominator is not
-1; never a float.  Integers keep the common case in native arithmetic.
+and it is canonical because nothing in the ring rewrites between powers of
+t and exponentials: two values are equal iff their cleaned dicts are equal.
+The variable tuple always lists the coordinates first and ``t`` last.  A
+stored coefficient is a nonzero ``int``, or a ``Fraction`` whose
+denominator is not 1; never a float.  Integers keep the common case in
+native arithmetic.
 
-A monomial's exponents are packed into one int, a 16-bit field per
-variable: the power of ``vars[i]`` is ``(key >> 16*i) & 0xFFFF``.  The
-constant monomial is 0, the variable ``vars[i]`` is ``1 << 16*i``, the key
-of a product is the sum of the keys, and lowering the power of ``vars[i]``
-by one subtracts ``1 << 16*i``.  So a product forms no tuple and hashes one
-int.  Every stored power is below 2**15, the top bit of its field, so the
-sum of two keys never carries from one field into the next.  That bit of
-every field is the guard: ``add_product`` tests it on each product key and
-raises :class:`ExponentOverflow` (a ``ValueError``) before a key with a power
-of 2**15 or more is stored, and the public constructor refuses such a
-power.  Because the integer order of two keys is the lexicographic order
-of their exponent tuples read from ``t`` down, the canonical order of
-``__str__`` sorts on (degree, key).  ``monomials()`` is the one read-only
-view of a value as (weight, exponent tuple, coefficient) triples in that
-order; nothing outside this module reads the packed keys.
+A term key packs a monomial's exponents and its exp weight into one int.
+Each of the n = ``len(vars)`` variables has a 16-bit field: the power of
+``vars[i]`` is ``(key >> 16*i) & 0xFFFF``.  The weight sits above the n
+fields, ``key = exponents + (weight << 16*n)``: ``key >> 16*n`` reads it
+back and ``key & ((1 << 16*n) - 1)`` reads the exponents.  The weight is
+signed and needs no width limit, because Python's shifts and masks act on
+an int as on an infinite two's complement: the low 16n bits of a key with
+a negative weight are still its exponents, and ``>>`` floors back to the
+weight.  The constant 1 is the key 0, ``vars[i]`` is ``1 << 16*i`` and
+exp(k*t) is ``k << 16*n``.  Weights add under multiplication as exponents
+do, so the key of a product is the sum of the keys; lowering the power of
+``vars[i]`` by one subtracts ``1 << 16*i`` and leaves the weight as it is.
+So a product forms no tuple, hashes one int and fills one dict.
+
+Every stored power is below 2**15, the top bit of its field, so the sum of
+two keys never carries from one field into the next, nor from the top
+field into the weight.  That bit of every field is the guard:
+``add_product`` tests ``key & guard`` on each product key, which reads only
+the exponent fields whatever the sign of the weight, and raises
+:class:`ExponentOverflow` (a ``ValueError``) before a key with a power of
+2**15 or more is stored; the public constructor refuses such a power.  The
+canonical order of ``__str__`` is weights ascending, then degree and
+exponent bits descending; the integer order of the exponent bits is the
+lexicographic order of the exponent tuples read from ``t`` down.
+``monomials()`` is the one read-only view of a value as (weight, exponent
+tuple, coefficient) triples in that order; nothing outside this module
+reads the keys.  The property ``terms`` regroups them on each read into
+the public constructor's form ``{weight: {exponent tuple: c}}``, for the
+benchmark's tracer, which counts the monomials of each factor through it;
+the ring never reads it.
 
 ``ExpPoly(variables, {weight: {exponent tuple: c}})`` checks what it is
 given and packs it once (the metaclass ``_Checked`` makes the class call
@@ -35,8 +51,8 @@ through ``ExpPoly._make``, a trusted constructor private to this module.  It
 is given only packed terms the ring built itself from values over the same
 variables, so it skips those checks and relies on the invariant above.
 Both paths store the value through ``__init__``, which drops zero
-coefficients and empty weights and turns a ``Fraction(n, 1)`` into ``n``;
-every value built is one ``__init__`` call.
+coefficients and turns a ``Fraction(n, 1)`` into ``n``; every value built
+is one ``__init__`` call.
 
 Every sum and product is formed by one kernel, ``add_product(terms, k, a,
 b)``, which adds k * a * b (or k * a) into a raw ``TermsDict`` in place; the
@@ -66,7 +82,7 @@ q a nonzero rational; ``unit_inverse`` raises :class:`NotInvertible` for
 anything else (including honest polynomials like 1 + x1).  ``unit_parts``
 reads q and k off a unit, and ``denominator`` the common denominator of a
 value's coefficients, so that callers outside this module can keep their
-arithmetic over the integers without reading ``terms``.
+arithmetic over the integers without reading the monomials.
 """
 
 from __future__ import annotations
@@ -77,8 +93,7 @@ from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 Exponent = Tuple[int, ...]
 Scalar = Union[int, Fraction]
-PolyDict = Dict[int, Scalar]  # packed exponent key -> coefficient
-TermsDict = Dict[int, PolyDict]
+TermsDict = Dict[int, Scalar]  # term key -> coefficient
 
 BITS = 16  # bits per variable in a packed exponent key
 FIELD = (1 << BITS) - 1
@@ -161,15 +176,15 @@ def _packed(variables: Tuple[str, ...], terms: Dict) -> TermsDict:
     integer weights, exponent tuples as long as ``variables`` of powers in
     0..MAX_POWER, int or Fraction coefficients."""
     out: TermsDict = {}
+    top = BITS * len(variables)
     for weight, poly in terms.items():
         weight = _weight(weight)
         if weight and any(poly.values()):
             _needs_t(variables)
-        packed = out[weight] = {}
         for e, c in poly.items():
             if len(e) != len(variables):
                 raise ValueError(f"exponent {e} does not match variables {variables}")
-            key = 0
+            key = weight << top
             for i, power in enumerate(e):
                 if not isinstance(power, int):
                     raise TypeError(f"exponent {e} holds a non-integer")
@@ -181,7 +196,7 @@ def _packed(variables: Tuple[str, ...], terms: Dict) -> TermsDict:
                     )
                 key += power << (BITS * i)
             _rational(c)
-            packed[key] = c
+            out[key] = c
     return out
 
 
@@ -192,53 +207,43 @@ def add_product(
     buffer ``terms`` in place; ``k`` is a small int.
 
     A key the buffer does not hold yet stores the product itself, with no
-    ``0 +`` in front.  A weight the buffer does not hold yet gets a fresh
-    dict, never an operand's own, so the operands are not changed when the
-    buffer is.  A product key is the sum of its factors' keys; it raises
+    ``0 +`` in front; an empty buffer takes a copy of ``k * a`` whole.  The
+    buffer is never an operand's own dict, so the operands are not changed
+    when it is.  A product key is the sum of its factors' keys; it raises
     :class:`ExponentOverflow` when a guard bit is set, before it is stored.
-    Zero coefficients and empty weights are left for ``ExpPoly._make`` to
-    drop.  The operands must be over the variables the buffer is built for;
-    the caller checks that, as for ``_make``.
+    Zero coefficients are left for ``ExpPoly._make`` to drop.  The operands
+    must be over the variables the buffer is built for; the caller checks
+    that, as for ``_make``.
     """
+    get = terms.get
     if b is None:
-        for weight, poly in a.terms.items():
-            acc = terms.get(weight)
-            if acc is None:
-                terms[weight] = (
-                    dict(poly) if k == 1 else {e: k * c for e, c in poly.items()}
-                )
-                continue
-            get = acc.get
-            if k == 1:
-                for e, c in poly.items():
-                    old = get(e)
-                    acc[e] = c if old is None else old + c
-            elif k == -1:
-                for e, c in poly.items():
-                    old = get(e)
-                    acc[e] = -c if old is None else old - c
-            else:
-                for e, c in poly.items():
-                    old = get(e)
-                    acc[e] = k * c if old is None else old + k * c
+        if not terms:
+            terms.update(a._terms if k == 1 else {e: k * c for e, c in a._terms.items()})
+        elif k == 1:
+            for e, c in a._terms.items():
+                old = get(e)
+                terms[e] = c if old is None else old + c
+        elif k == -1:
+            for e, c in a._terms.items():
+                old = get(e)
+                terms[e] = -c if old is None else old - c
+        else:
+            for e, c in a._terms.items():
+                old = get(e)
+                terms[e] = k * c if old is None else old + k * c
         return
     guard = _GUARD[len(a.vars)]
-    for ka, pa in a.terms.items():
-        for kb, pb in b.terms.items():
-            acc = terms.get(ka + kb)
-            if acc is None:
-                acc = terms[ka + kb] = {}
-            get = acc.get
-            for ea, ca in pa.items():
-                if k != 1:
-                    ca = k * ca
-                for eb, cb in pb.items():
-                    key = ea + eb
-                    if key & guard:
-                        raise _overflow(a.vars, key)
-                    value = ca * cb
-                    old = get(key)
-                    acc[key] = value if old is None else old + value
+    pb = b._terms.items()
+    for ea, ca in a._terms.items():
+        if k != 1:
+            ca = k * ca
+        for eb, cb in pb:
+            key = ea + eb
+            if key & guard:
+                raise _overflow(a.vars, key)
+            value = ca * cb
+            old = get(key)
+            terms[key] = value if old is None else old + value
 
 
 Product = Tuple[int, "ExpPoly", Optional["ExpPoly"]]
@@ -280,31 +285,39 @@ class _Checked(type):
 class ExpPoly(metaclass=_Checked):
     """One element of the coefficient ring, canonical by construction."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_terms")
 
     def __init__(self, variables: Tuple[str, ...], terms: TermsDict):
         # Every value, checked or trusted, is stored here: zero coefficients
-        # and empty weights are dropped, integral Fractions become ints.
-        clean: TermsDict = {}
-        for weight, poly in terms.items():
-            kept = {
-                e: c if c.__class__ is int or c.denominator != 1 else c.numerator
-                for e, c in poly.items() if c
-            }
-            if kept:
-                clean[weight] = kept
+        # are dropped, integral Fractions become ints.
         object.__setattr__(self, "vars", tuple(variables))
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_terms", {
+            e: c if c.__class__ is int or c.denominator != 1 else c.numerator
+            for e, c in terms.items() if c
+        })
 
     @classmethod
     def _make(cls, variables: Tuple[str, ...], terms: TermsDict) -> "ExpPoly":
         """Trusted constructor for terms the ring built itself from values over
-        ``variables``: int weights, packed exponent keys with every power at
-        most ``MAX_POWER``, coefficients int or Fraction.  Skips the checks
-        of the public constructor and goes straight to ``__init__``."""
+        ``variables``: term keys with every power at most ``MAX_POWER``,
+        coefficients int or Fraction.  Skips the checks of the public
+        constructor and goes straight to ``__init__``."""
         self = object.__new__(cls)
         self.__init__(variables, terms)
         return self
+
+    @property
+    def terms(self) -> Dict[int, Dict[Exponent, Scalar]]:
+        """``{weight: {exponent tuple: c}}``, the public constructor's form,
+        built from the stored keys on each read, so that
+        ``ExpPoly(value.vars, value.terms) == value``.  It calls no public
+        method, which the benchmark's tracer would time as a ring call."""
+        n = len(self.vars)
+        top = BITS * n
+        grouped: Dict[int, Dict[Exponent, Scalar]] = {}
+        for key, c in self._terms.items():
+            grouped.setdefault(key >> top, {})[_unpack(key, n)] = c
+        return grouped
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ExpPoly is immutable")
@@ -317,14 +330,14 @@ class ExpPoly(metaclass=_Checked):
 
     @classmethod
     def const(cls, variables: Tuple[str, ...], value: Scalar) -> "ExpPoly":
-        return cls._make(tuple(variables), {0: {0: _coefficient(value)}})
+        return cls._make(tuple(variables), {0: _coefficient(value)})
 
     @classmethod
     def var(cls, variables: Tuple[str, ...], name: str) -> "ExpPoly":
         if name not in variables:
             raise UnknownVariable(f"{name!r} is not one of {variables}")
         key = 1 << (BITS * variables.index(name))
-        return cls._make(tuple(variables), {0: {key: 1}})
+        return cls._make(tuple(variables), {key: 1})
 
     @classmethod
     def exp(cls, variables: Tuple[str, ...], weight: int) -> "ExpPoly":
@@ -332,7 +345,7 @@ class ExpPoly(metaclass=_Checked):
         weight = _weight(weight)
         if weight:
             _needs_t(variables)
-        return cls._make(tuple(variables), {weight: {0: 1}})
+        return cls._make(tuple(variables), {weight << (BITS * len(variables)): 1})
 
     # -- ring structure ----------------------------------------------------
 
@@ -356,10 +369,7 @@ class ExpPoly(metaclass=_Checked):
     __radd__ = __add__
 
     def __neg__(self) -> "ExpPoly":
-        return ExpPoly._make(
-            self.vars,
-            {k: {e: -c for e, c in p.items()} for k, p in self.terms.items()},
-        )
+        return ExpPoly._make(self.vars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: object) -> "ExpPoly":
         rhs = self._coerce(other)
@@ -377,9 +387,9 @@ class ExpPoly(metaclass=_Checked):
         """``self + rhs``, or ``self - rhs`` when ``subtract``, in one pass
         that builds one value; a zero operand builds none, except the
         negated ``rhs`` of ``0 - rhs``."""
-        if not rhs.terms:
+        if not rhs._terms:
             return self
-        if not self.terms:
+        if not self._terms:
             return -rhs if subtract else rhs
         terms: TermsDict = {}
         add_product(terms, 1, self)
@@ -390,9 +400,9 @@ class ExpPoly(metaclass=_Checked):
         rhs = self._coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
-        if not self.terms:
+        if not self._terms:
             return self
-        if not rhs.terms:
+        if not rhs._terms:
             return rhs
         terms: TermsDict = {}
         add_product(terms, 1, self, rhs)
@@ -403,19 +413,24 @@ class ExpPoly(metaclass=_Checked):
     def __pow__(self, power: int) -> "ExpPoly":
         if not isinstance(power, int) or power < 0:
             raise ValueError(f"only nonnegative integer powers, got {power!r}")
-        out = ExpPoly.const(self.vars, 1)
-        for _ in range(power):
-            out = out * self
-        return out
+        # repeated squaring: at most 2 * log2(power) products
+        out: Optional[ExpPoly] = None
+        base = self
+        while power:
+            if power & 1:
+                out = base if out is None else out * base
+            power >>= 1
+            if power:
+                base = base * base
+        return ExpPoly.const(self.vars, 1) if out is None else out
 
     def times_exp(self, weight: int) -> "ExpPoly":
         """Multiply by the unit exp(weight * t): shifts every weight."""
         weight = _weight(weight)
-        if weight and self.terms:
+        if weight and self._terms:
             _needs_t(self.vars)
-        return ExpPoly._make(
-            self.vars, {k + weight: p for k, p in self.terms.items()}
-        )
+        shift = weight << (BITS * len(self.vars))
+        return ExpPoly._make(self.vars, {e + shift: c for e, c in self._terms.items()})
 
     # -- calculus ----------------------------------------------------------
 
@@ -429,31 +444,30 @@ class ExpPoly(metaclass=_Checked):
         of dp/dt, so the two never cancel.
         """
         within = tuple(within)
+        top = BITS * len(self.vars)
+        exponents = (1 << top) - 1
         lowered: Dict[int, TermsDict] = {}
-        for weight, poly in self.terms.items():
-            here: Dict[int, PolyDict] = {}  # this weight's buffer per index
-            for e, c in poly.items():
-                if not e:
-                    continue  # a constant
-                for idx in within:
-                    shift = BITS * idx
-                    power = (e >> shift) & FIELD
-                    if power:
-                        acc = here.get(idx)
-                        if acc is None:
-                            acc = here[idx] = {}
-                            lowered.setdefault(idx, {})[weight] = acc
-                        # lowering one variable's power sends distinct
-                        # monomials to distinct keys
-                        acc[e - (1 << shift)] = c * power
+        for e, c in self._terms.items():
+            if not e & exponents:
+                continue  # a constant times exp(k*t)
+            for idx in within:
+                shift = BITS * idx
+                power = (e >> shift) & FIELD
+                if power:
+                    acc = lowered.get(idx)
+                    if acc is None:
+                        acc = lowered[idx] = {}
+                    # lowering one variable's power sends distinct terms to
+                    # distinct keys
+                    acc[e - (1 << shift)] = c * power
         t = self.vars.index("t") if "t" in self.vars else None
         if t in within:
-            for weight, poly in self.terms.items():
+            for e, c in self._terms.items():
+                weight = e >> top
                 if weight:
-                    acc = lowered.setdefault(t, {}).setdefault(weight, {})
-                    for e, c in poly.items():
-                        old = acc.get(e)
-                        acc[e] = c * weight if old is None else old + c * weight
+                    acc = lowered.setdefault(t, {})
+                    old = acc.get(e)
+                    acc[e] = c * weight if old is None else old + c * weight
         return {idx: ExpPoly._make(self.vars, terms) for idx, terms in lowered.items()}
 
     def diff(self, name: str) -> "ExpPoly":
@@ -463,54 +477,53 @@ class ExpPoly(metaclass=_Checked):
             raise UnknownVariable(f"{name!r} is not one of {self.vars}")
         shift = BITS * self.vars.index(name)
         unit = 1 << shift
-        terms: TermsDict = {}
-        for weight, poly in self.terms.items():
-            # lowering the power of one variable sends distinct monomials to
-            # distinct keys; only the exp weight of d/dt can meet one of them
-            acc = terms[weight] = {
-                e - unit: c * ((e >> shift) & FIELD)
-                for e, c in poly.items() if (e >> shift) & FIELD
-            }
-            if weight and name == "t":
-                for e, c in poly.items():
-                    old = acc.get(e)
-                    acc[e] = c * weight if old is None else old + c * weight
+        # lowering the power of one variable sends distinct terms to distinct
+        # keys; only the exp weight of d/dt can meet one of them
+        terms: TermsDict = {
+            e - unit: c * ((e >> shift) & FIELD)
+            for e, c in self._terms.items() if (e >> shift) & FIELD
+        }
+        if name == "t":
+            top = BITS * len(self.vars)
+            for e, c in self._terms.items():
+                weight = e >> top
+                if weight:
+                    old = terms.get(e)
+                    terms[e] = c * weight if old is None else old + c * weight
         return ExpPoly._make(self.vars, terms)
 
     # -- predicates and inversion -----------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def is_unit(self) -> bool:
         """True iff the value is q * exp(k*t) with q a nonzero rational."""
-        if len(self.terms) != 1:
+        if len(self._terms) != 1:
             return False
-        (poly,) = self.terms.values()
-        return len(poly) == 1 and 0 in poly
+        (key,) = self._terms
+        return not key & ((1 << (BITS * len(self.vars))) - 1)
 
     def unit_parts(self) -> Tuple[Scalar, int]:
         """``(q, k)`` of a unit q * exp(k*t); NotInvertible for a non-unit."""
         if not self.is_unit():
             raise NotInvertible(f"{self} is not a unit in the ring")
-        ((weight, poly),) = self.terms.items()
-        (q,) = poly.values()
-        return q, weight
+        ((key, q),) = self._terms.items()
+        return q, key >> (BITS * len(self.vars))
 
     def unit_inverse(self) -> "ExpPoly":
         q, weight = self.unit_parts()
         inverse = Fraction(1) / q  # 1 / c is a float for an int c
-        return ExpPoly._make(self.vars, {-weight: {0: inverse}})
+        return ExpPoly._make(self.vars, {-weight << (BITS * len(self.vars)): inverse})
 
     def denominator(self) -> int:
         """The least common multiple of the coefficient denominators: 1 when
         every coefficient is an integer."""
         d = 1
-        for poly in self.terms.values():
-            for c in poly.values():
-                if c.__class__ is not int:
-                    d = lcm(d, c.denominator)
+        for c in self._terms.values():
+            if c.__class__ is not int:
+                d = lcm(d, c.denominator)
         return d
 
     # -- canonical order and text form ------------------------------------
@@ -520,41 +533,36 @@ class ExpPoly(metaclass=_Checked):
         in the canonical order of ``__str__``: weights ascending; within a
         weight graded order first, then lexicographic with t the most
         significant variable (variable order x1 < ... < xn < t), leading
-        term first.  A packed key orders as its exponent tuple read from t
-        down, so it breaks the ties of the degree."""
+        term first.  The exponent bits of a key order as its exponent tuple
+        read from t down, so they break the ties of the degree."""
         n = len(self.vars)
-        for weight in sorted(self.terms):
-            poly = self.terms[weight]
-            unpacked = [(_unpack(key, n), key) for key in poly]
-            unpacked.sort(key=lambda item: (sum(item[0]), item[1]), reverse=True)
-            for e, key in unpacked:
-                yield weight, e, poly[key]
+        top = BITS * n
+        exponents = (1 << top) - 1
+        rows = []
+        for key, c in self._terms.items():
+            e = _unpack(key, n)
+            rows.append((key >> top, -sum(e), -(key & exponents), e, c))
+        rows.sort()  # keys differ in the first three fields, so e and c never compare
+        for weight, _, _, e, c in rows:
+            yield weight, e, c
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExpPoly):
             if isinstance(other, (int, Fraction)):
                 return self == ExpPoly.const(self.vars, other)
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.vars == other.vars and self._terms == other._terms
 
     def negates(self, other: "ExpPoly") -> bool:
         """``self == -other``, read from the stored terms without building
         ``-other``."""
-        if self.vars != other.vars or self.terms.keys() != other.terms.keys():
+        if self.vars != other.vars or self._terms.keys() != other._terms.keys():
             return False
-        for weight, poly in self.terms.items():
-            theirs = other.terms[weight]
-            if poly.keys() != theirs.keys():
-                return False
-            if any(c != -theirs[e] for e, c in poly.items()):
-                return False
-        return True
+        theirs = other._terms
+        return all(c == -theirs[e] for e, c in self._terms.items())
 
     def __hash__(self) -> int:
-        frozen = frozenset(
-            (k, frozenset(p.items())) for k, p in self.terms.items()
-        )
-        return hash((self.vars, frozen))
+        return hash((self.vars, frozenset(self._terms.items())))
 
     def _term_text(self, weight: int, e: Exponent, c: Fraction) -> str:
         factors = []
@@ -588,4 +596,4 @@ class ExpPoly(metaclass=_Checked):
         return f"ExpPoly({self})"
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)

@@ -660,16 +660,19 @@ def maurer_cartan_check(B: JacobiBialgebroidData, s: Section) -> Report:
     """Residue of d(s) + (1/2)[s, s] with the differential from the other side.
 
     For a bivector, (1/2)[s, s] is ``_self_bracket``'s, scaled once by
-    1 / (2 d^2); d_* s is linear and is computed on s itself.  For a form
-    over a trivial dual with a zero twist the dual bracket is 0
-    (``_trivial_dual``), so the residue is d_phi s alone and no bracket is
-    built.
+    1 / (2 d^2); d_* s is linear and is computed on s itself.  Over a
+    trivial dual with a zero twist (``_trivial_dual``) d_* = 0, so the
+    residue of a bivector is (1/2)[s, s] alone and d_* s is not computed,
+    and the dual bracket is 0, so the residue of a form is d_phi s alone and
+    no bracket is built.
     """
     if s.degree != 2:
         raise MismatchError("the Maurer-Cartan check needs a degree-2 section")
     _check_over(B.a_side, s)
     if isinstance(s, MultiVector):
-        residue = dual_differential(B, s) + _self_bracket(B.a_side, s, Fraction(1, 2))
+        residue = _self_bracket(B.a_side, s, Fraction(1, 2))
+        if not _trivial_dual(B):
+            residue = dual_differential(B, s) + residue
     else:
         residue = differential(B.a_side, s)
         if not _trivial_dual(B):

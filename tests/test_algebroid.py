@@ -284,7 +284,9 @@ def test_anchor_derivs_match_one_diff_per_entry():
     bar, hat = lift_bar(J), lift_hat(J)
     assert all(len(column) == 2 for column in bar.anchor + hat.anchor)
     assert all(
-        entry.terms.keys() == {-1} for column in hat.anchor for _, entry in column
+        {weight for weight, _, _ in entry.monomials()} == {-1}
+        for column in hat.anchor
+        for _, entry in column
     )
     # column 0 is d/dx - d/dy, which cancels on x + y; column 1 is x d/dy
     cancel = make_explicit(p, 2, ((one, p.zero()), (-one, x)), {})

@@ -1,9 +1,11 @@
+import math
 import random
 from itertools import combinations
 from fractions import Fraction
 
 import pytest
 
+from jacv import calculus
 from jacv.algebroid import (
     JacobiAlgebroidData,
     Patch,
@@ -99,7 +101,7 @@ def test_wedge_associativity():
         assert wedge(wedge(u, v), w) == wedge(u, wedge(v, w))
 
 
-def test_wedge_power_matches_iteration():
+def test_wedge_power_matches_iteration(monkeypatch):
     c = contact()
     cubed = wedge(wedge(c.Om, c.Om), c.Om)
     assert wedge_power(c.Om, 3) == cubed
@@ -108,6 +110,28 @@ def test_wedge_power_matches_iteration():
     _, A = small_tangent()
     w = Form(A, 2, {(0, 2): A.scalar(1), (1, 2): A.patch.coord("x")})
     assert wedge_power(w, 50) == Form.zero(A, 100)
+    x, y = A.patch.coord("x"), A.patch.coord("y")
+    sections = [
+        c.Om, c.wP, w, Form(A, 0, {(): x + 2 * y}), Form.zero(A, 2),
+        MultiVector(A, 1, {(0,): x, (2,): y}),
+        MultiVector(A, 2, {(0, 1): A.scalar(1), (1, 2): x}),
+    ]
+    for u in sections:
+        expected = type(u).scalar_section(u.algebroid, u.algebroid.patch.one())
+        for n in range(9):
+            assert wedge_power(u, n) == expected, (u, n)
+            expected = wedge(expected, u)
+    wedges = []
+    counted = calculus.wedge
+
+    def counting(u, v):
+        wedges.append((u, v))
+        return counted(u, v)
+
+    monkeypatch.setattr(calculus, "wedge", counting)
+    assert wedge_power(Form(A, 0, {(): x}), 200) == Form(A, 0, {(): x ** 200})
+    # repeated squaring: 7 squarings and 2 wedges for 200 = 0b11001000
+    assert len(wedges) <= 2 * math.log2(200)
 
 
 def test_differential_squares_to_zero():

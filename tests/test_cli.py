@@ -1,11 +1,12 @@
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
 import pytest
 
-from jacv import cli, dsl
+from jacv import calculus, cli, dsl
 from jacv.algebroid import JacobiAlgebroidData, Patch, make_tangent
 from jacv.calculus import Form
 from jacv.lift import lift_bialgebroid
@@ -354,12 +355,24 @@ def test_a_high_power_keeps_its_value_in_the_witness(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["check zero (g^200)", "form h = g^200"])
-def test_a_power_past_the_exponent_field_exits_two_with_its_line(tmp_path, capsys, line):
+def test_a_power_past_the_exponent_field_exits_two_with_its_line(
+    tmp_path, capsys, monkeypatch, line
+):
+    wedges = []
+    counted = calculus.wedge
+
+    def counting(u, v):
+        wedges.append((u, v))
+        return counted(u, v)
+
+    monkeypatch.setattr(calculus, "wedge", counting)
     # x^40000 does not fit the 15 bits a packed exponent may use
     code, out, err = _run(tmp_path, capsys, POWERS + "form g = f^200\n" + line + "\n")
     assert code == 2
     assert "line 5: the power of x exceeds 32767" in out + err
     assert "Traceback" not in out + err
+    # both powers square: at most 2 * log2(200) wedges each
+    assert len(wedges) <= 4 * math.log2(200)
 
 
 def test_strict_turns_not_decided_into_exit_three(tmp_path, capsys):

@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from jacv import coeff
 from jacv.coeff import (
     MAX_POWER,
     ExponentOverflow,
@@ -80,12 +82,27 @@ def test_diff_sees_exponential_weight():
         u.diff("nope")
 
 
-def test_pow_matches_repeated_product():
-    for seed in range(10):
-        r = random.Random(seed)
-        a = rand_poly(r, terms=2)
-        assert a ** 3 == a * a * a
-        assert a ** 0 == ExpPoly.const(VARS, 1)
+def test_pow_matches_repeated_product(monkeypatch):
+    values = [rand_poly(random.Random(seed), terms=2) for seed in range(10)]
+    values += [ExpPoly.zero(VARS), ExpPoly.exp(VARS, -3), ExpPoly.var(VARS, "y")]
+    for a in values:
+        expected = ExpPoly.const(VARS, 1)
+        for n in range(9):
+            assert a ** n == expected, (a, n)
+            expected = expected * a
+    products = []
+    kernel = coeff.add_product
+
+    def counting(terms, k, a, b=None):
+        if b is not None:
+            products.append((a, b))
+        kernel(terms, k, a, b)
+
+    monkeypatch.setattr(coeff, "add_product", counting)
+    x = ExpPoly.var(VARS, "x")
+    assert x.times_exp(-1) ** 200 == ExpPoly(VARS, {-200: {(200, 0, 0): 1}})
+    # repeated squaring: 7 squarings and 2 products for 200 = 0b11001000
+    assert len(products) <= 2 * math.log2(200)
 
 
 def test_units_and_inverses():
@@ -159,10 +176,17 @@ def _stored(value):
 
 
 def _assert_stored_form(value, label=None):
-    """Every weight holds at least one coefficient; every coefficient is a
-    nonzero int or a Fraction that is not integral, never a float."""
+    """The view lists each monomial once, and the public constructor builds
+    the same value from it, so no zero coefficient is stored out of its
+    sight; every coefficient is a nonzero int or a Fraction that is not
+    integral, never a float."""
     monomials = list(value.monomials())
-    assert {weight for weight, _, _ in monomials} == set(value.terms), (label, monomials)
+    assert len({(weight, e) for weight, e, _ in monomials}) == len(monomials), (
+        label, monomials)
+    rebuilt = {}
+    for weight, e, c in monomials:
+        rebuilt.setdefault(weight, {})[e] = c
+    assert ExpPoly(value.vars, rebuilt) == value, (label, monomials)
     for weight, e, c in monomials:
         assert type(weight) is int, (label, monomials)
         assert len(e) == len(value.vars), (label, e)
@@ -170,6 +194,18 @@ def _assert_stored_form(value, label=None):
             assert c, (label, monomials)
         else:
             assert type(c) is Fraction and c.denominator != 1, (label, e, c)
+
+
+def test_terms_is_the_constructor_form():
+    for seed in range(20):
+        r = random.Random(8500 + seed)
+        value = _from_recipe(_recipe(r)).times_exp(r.choice((-(1 << 20), 0, 1 << 20)))
+        assert ExpPoly(VARS, value.terms) == value, seed
+        # one entry per monomial, as a count of the monomials per weight reads
+        assert sum(map(len, value.terms.values())) == len(list(value.monomials())), seed
+        # each read builds a fresh dict; changing it changes no value
+        value.terms.clear()
+        assert ExpPoly(VARS, value.terms) == value, seed
 
 
 def test_ring_operations_keep_the_stored_form():

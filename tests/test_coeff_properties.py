@@ -8,7 +8,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from jacv.coeff import MAX_POWER, ExponentOverflow, ExpPoly  # noqa: E402
+from jacv.coeff import MAX_POWER, ExponentOverflow, ExpPoly, NotInvertible  # noqa: E402
 from tests.test_coeff import VARS, _assert_stored_form  # noqa: E402
 
 coefficients = st.one_of(
@@ -106,7 +106,7 @@ def test_derivatives_along_variables_a_value_does_not_involve(a):
         ExpPoly.zero(VARS),
     )
     assert partials.get(2, ExpPoly.zero(VARS)) == expected
-    assert (2 in partials) == any(a.terms)
+    assert (2 in partials) == any(weight for weight, _, _ in a.monomials())
 
 
 # powers at the edge of a packed field: products reach past MAX_POWER
@@ -115,20 +115,29 @@ edge_powers = st.one_of(
     st.integers(MAX_POWER // 2 - 1, MAX_POWER // 2 + 1),
     st.integers(MAX_POWER - 1, MAX_POWER),
 )
+# weights near 0 and far from it, of both signs: the weight field of a key
+# has no width limit and a negative weight borrows through every field above
+# the exponents
+edge_weights = st.one_of(
+    st.integers(-2, 2),
+    st.sampled_from([sign * ((1 << 20) + d) for sign in (1, -1) for d in (1, -1)]),
+)
 edge_monomials = st.lists(
-    st.tuples(coefficients, st.tuples(*(edge_powers for _ in VARS)), st.integers(-2, 2)),
+    st.tuples(coefficients, st.tuples(*(edge_powers for _ in VARS)), edge_weights),
     max_size=3,
 )
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
-@given(edge_monomials, edge_monomials)
-def test_ring_operations_at_the_field_edge_match_sympy(ma, mb):
+@given(edge_monomials, edge_monomials, coefficients.filter(bool), edge_weights)
+def test_ring_operations_at_the_field_edge_match_sympy(ma, mb, q, k):
     """sympy's polynomials in the variables and E = e^t, as in
     ``test_ring_operations_match_sympy``: values are compared after
-    multiplying by E^2.  A product raises ``ExponentOverflow`` exactly when
-    some pair of stored monomials has powers of one variable summing past
-    MAX_POWER; otherwise it equals sympy's."""
+    multiplying by E^s, with s the least shift that makes both operands
+    polynomial.  A product raises ``ExponentOverflow`` exactly when some
+    pair of stored monomials has powers of one variable summing past
+    MAX_POWER, whatever the weights; otherwise it equals sympy's.  The unit
+    q e^{kt} and ``times_exp(k)`` are checked on the same weights."""
     sympy = pytest.importorskip("sympy")
     from sympy.polys.rings import ring
 
@@ -148,15 +157,26 @@ def test_ring_operations_at_the_field_edge_match_sympy(ma, mb):
         """The highest stored power of each variable."""
         return [max((e[i] for _, e, _ in v.monomials()), default=0) for i in range(len(VARS))]
 
-    a, b = value(ma), value(mb)
-    pa, pb = shifted(a, 2), shifted(b, 2)
-    assert shifted(a + b, 2) == pa + pb
-    assert shifted(a - b, 2) == pa - pb
-    for name in VARS:
-        expected = pa.diff(syms[name])
+    def derivative(p, name, shift):
+        """d/d(name) of the value whose E^shift multiple is p."""
         if name == "t":
-            expected += E * pa.diff(E) - 2 * pa
-        assert shifted(a.diff(name), 2) == expected, name
+            return p.diff(syms["t"]) + E * p.diff(E) - shift * p
+        return p.diff(syms[name])
+
+    a, b = value(ma), value(mb)
+    s = max([0] + [-w for v in (a, b) for w, _, _ in v.monomials()])
+    pa, pb = shifted(a, s), shifted(b, s)
+    assert shifted(a + b, s) == pa + pb
+    assert shifted(a - b, s) == pa - pb
+    partials = a.partials(range(len(VARS)))
+    for i, name in enumerate(VARS):
+        expected = derivative(pa, name, s)
+        assert shifted(a.diff(name), s) == expected, name
+        assert shifted(partials.get(i, ExpPoly.zero(VARS)), s) == expected, name
+        assert (i in partials) == bool(expected), name
+    # times_exp(k) = E^k times the value; m makes E^(k + m) a polynomial
+    m = max(0, -k)
+    assert shifted(a.times_exp(k), s + m) == pa * E ** (k + m)
     overflow = not (a.is_zero or b.is_zero) and any(
         p + q > MAX_POWER for p, q in zip(tops(a), tops(b))
     )
@@ -165,5 +185,19 @@ def test_ring_operations_at_the_field_edge_match_sympy(ma, mb):
             a * b
     else:
         product = a * b
-        assert shifted(product, 4) == pa * pb
+        assert shifted(product, 2 * s) == pa * pb
         _assert_stored_form(product)
+    # the unit q e^{kt}, its parts and its inverse
+    unit = ExpPoly(VARS, {k: {(0,) * len(VARS): q}})
+    assert unit.is_unit() and unit.unit_parts() == (q, k)
+    inverse = unit.unit_inverse()
+    n = max(0, k)
+    assert shifted(inverse, n) == R(1 / sympy.QQ(q.numerator, q.denominator)) * E ** (n - k)
+    assert unit * inverse == ExpPoly.const(VARS, 1)
+    _assert_stored_form(inverse)
+    monomials = list(a.monomials())
+    constant = len(monomials) == 1 and not any(monomials[0][1])
+    assert a.is_unit() == constant
+    if not constant:
+        with pytest.raises(NotInvertible):
+            a.unit_parts()

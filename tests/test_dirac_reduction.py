@@ -225,9 +225,7 @@ def test_an_exponential_factor_breaks_the_homogeneity_on_lift_bar():
 # -- integer arithmetic ------------------------------------------------------
 
 def _fractional(value):
-    return any(
-        c.__class__ is not int for poly in value.terms.values() for c in poly.values()
-    )
+    return any(c.__class__ is not int for _, _, c in value.monomials())
 
 
 def _record_products(monkeypatch):

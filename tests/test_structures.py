@@ -351,8 +351,11 @@ def test_determinant_and_inverse_match_sympy(monkeypatch):
                     m.inverse()
             return det
 
+        def lowest_weight(m):
+            return min(k for row in m.matrix for c in row for k, _, _ in c.monomials())
+
         def check_inverse(unit, where):
-            low = max(0, -min(k for row in unit.matrix for c in row for k in c.terms))
+            low = max(0, -lowest_weight(unit))
             # inverse(E^low unit) = num / den, i.e. adjugate / det; inv_den
             # stands in for adjugate(), which raises a TypeError in sympy 1.14
             # on some polynomial matrices (a charpoly with a zero coefficient)
@@ -360,7 +363,7 @@ def test_determinant_and_inverse_match_sympy(monkeypatch):
             del paths[:]
             inv = unit.inverse()
             assert paths == path(unit), where
-            high = max(0, -min(k for row in inv.matrix for c in row for k in c.terms))
+            high = max(0, -lowest_weight(inv))
             for i in range(rank):
                 for j in range(rank):
                     assert poly(inv.matrix[i][j], high) * den == (
@@ -590,6 +593,34 @@ def test_member_gate_of_a_form_over_a_trivial_dual_builds_no_bracket(monkeypatch
     # a dual with a bracket still brackets the form
     with pytest.raises(AssertionError, match="dual bracket"):
         maurer_cartan_check(solvable_bialgebroid(), Form.zero(solvable_bialgebroid().A, 2))
+
+
+def test_member_gate_of_a_bivector_over_a_trivial_dual_skips_d_star(monkeypatch):
+    # d_* = 0, so the residue is (1/2)[pi, pi] alone; the reports are those
+    # of the route that computes d_* pi and adds it
+    r = random.Random(24)
+    c = contact()
+    B = make_standard_bialgebroid(c.C)
+    bivectors = [c.Pi, *_rational_bivectors(r, c.ext, 3)]
+    bivectors.append(pi_from_omega(c.C, contact_form((1, 2, 2, 0), (1, -1, 2))))
+    assert all(dual_differential(B, pi).is_zero for pi in bivectors)
+    reports = [_unscaled_mc(B, pi) for pi in bivectors]
+    assert {report.status for report in reports} == {"pass", "fail"}
+    calls = []
+    counted = structures.dual_differential
+
+    def counting(B, P):
+        calls.append(P)
+        return counted(B, P)
+
+    monkeypatch.setattr(structures, "dual_differential", counting)
+    assert [maurer_cartan_check(B, pi) for pi in bivectors] == reports
+    assert calls == []
+    # a dual with a bracket still computes d_* of the bivector
+    solvable = solvable_bialgebroid()
+    zero = MultiVector.zero(solvable.a_side.algebroid, 2)
+    assert maurer_cartan_check(solvable, zero).ok
+    assert calls == [zero]
 
 
 def test_trivial_dual_with_a_twist_still_runs_the_family():

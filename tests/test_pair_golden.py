@@ -3,8 +3,9 @@
 The batch follows the pairs workload of ``perfbench``: per instance
 (omega1, omega2) the flat/flat Dirac pair in both orders, nondegeneracy of
 omega1, and when omega1 is nondegenerate the Jacobi check of its bivector
-and the mixed sharp/flat pair; last the downstairs/upstairs transport
-check.  The forms come from ``tests.gen.contact_form``, four instances of
+and the mixed sharp/flat pair; then the downstairs/upstairs transport
+check; last the symplectic pair (omega1, omega2), which the workload does
+not run.  The forms come from ``tests.gen.contact_form``, four instances of
 each class (both nondegenerate, first nondegenerate, both degenerate), with
 integer and with rational slopes; in one instance omega2 is a multiple of
 omega1, so that pair is compatible.  Every (step, status, strategy, witness)
@@ -64,7 +65,8 @@ def batch():
 
 
 def steps(om1, om2, nondegenerate):
-    """(step, report) in the order of the pairs workload."""
+    """(step, report) in the order of the pairs workload, then the
+    symplectic pair."""
     C = contact().C
     flat1 = dirac.GraphRelation.of_two_form(om1)
     flat2 = dirac.GraphRelation.of_two_form(om2)
@@ -77,6 +79,7 @@ def steps(om1, om2, nondegenerate):
         sharp = dirac.GraphRelation.of_bivector(pi)
         yield "mixed", dirac.dirac_pair_check(C, sharp, flat2)
     yield "transport", lift.theorem_main1_crosscheck(C, flat1, flat2)
+    yield "symplectic", dirac.symplectic_pair_check(C, om1, om2)
 
 
 def render():
@@ -94,6 +97,7 @@ def test_pair_reports_match_the_golden_copy():
     rows = [line.split(" | ") for line in text.splitlines()]
     assert {row[1] for row in rows} == set(CLASSES)
     assert {row[2] for row in rows} == {
-        "pair", "pair_reversed", "nondegenerate", "jacobi", "mixed", "transport"
+        "pair", "pair_reversed", "nondegenerate", "jacobi", "mixed", "transport",
+        "symplectic",
     }
     assert {row[3] for row in rows} == {"pass", "fail", "not-decided"}

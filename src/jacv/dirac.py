@@ -102,15 +102,14 @@ from .calculus import (
 from .coeff import ExpPoly, NotInvertible, Product, Scalar, product_term, sum_products
 from .structures import (
     JacobiBialgebroidData,
-    Pfaffian,
     TensorMap,
     _check_over,
     _cleared,
-    _unit_determinant,
     flat_map,
     jacobi_check,
     make_standard_bialgebroid,
     maurer_cartan_check,
+    nondegenerate_check,
     sharp_map,
     two_form_of,
 )
@@ -354,26 +353,20 @@ def _member_gate(
     )
 
 
-def _reduction(
-    kind: str, m1: TensorMap, m2: TensorMap, pfaffian2: Optional[Pfaffian] = None
-) -> Report:
+def _reduction(kind: str, m1: TensorMap, m2: TensorMap) -> Report:
     """Torsion of the endomorphism a matched pair induces, if it is a graph.
 
     The second map is inverted if its Pfaffian Pf = q exp(kt) is a unit,
-    else the first; each map's Pfaffian is expanded once, inside
-    ``_adjugate``, which gives the inverse as B / q with B the signed
-    sub-Pfaffians times exp(-kt); ``pfaffian2`` is m2's ``_pfaffian()``
-    when the caller has expanded it already.  The endomorphism is N = M / q,
+    else the first; ``_adjugate`` gives the inverse as B / q with B the
+    signed sub-Pfaffians times exp(-kt).  The endomorphism is N = M / q,
     with M ``outer after B`` for two sharps and ``B after outer`` for two
     flats: the weight goes into M, and each residue of M is scaled by
     1 / q^2 (module docstring).  With neither map invertible the verdict is
     ``not-decided``.
     """
-    for inner, outer, which, pfaffian in (
-        (m2, m1, "second", pfaffian2), (m1, m2, "first", None)
-    ):
+    for inner, outer, which in ((m2, m1, "second"), (m1, m2, "first")):
         try:
-            q, adjugate = inner._adjugate(pfaffian)
+            q, adjugate = inner._adjugate()
         except NotInvertible:
             continue
         if kind == KIND_SHARP:
@@ -402,18 +395,7 @@ def dirac_pair_check(
     reduction, which is ``not-decided`` when neither musical map has unit
     determinant.  ``not-decided`` never means an obstruction was found.
     """
-    return _pair(_as_bialgebroid(data), left, right)
-
-
-def _pair(
-    B: JacobiBialgebroidData,
-    left: GraphRelation,
-    right: GraphRelation,
-    second: Optional[Tuple[TensorMap, Pfaffian]] = None,
-) -> Report:
-    """The ladder of ``dirac_pair_check``.  ``second`` is the musical map of
-    ``right`` with its ``_pfaffian()``, when the caller has expanded it
-    already; the tensor reduction then reads its adjugate off that memo."""
+    B = _as_bialgebroid(data)
     if left.algebroid is not B.A or right.algebroid is not B.A:
         raise MismatchError("graph members live over a different algebroid")
     gate = _member_gate(
@@ -435,8 +417,7 @@ def _pair(
         B.a_side, left.section, right.section
     ).is_zero:
         return Report(PASS, strategy="bracket compatibility")
-    m2, pfaffian2 = second or (right.music(), None)
-    return _reduction(left.kind, left.music(), m2, pfaffian2)
+    return _reduction(left.kind, left.music(), right.music())
 
 
 # -- bivector-with-form and form-with-endomorphism structures ----------------
@@ -531,27 +512,18 @@ def symplectic_pair_check(
 ) -> Report:
     """Presymplectic pair with both flats invertible over the patch ring.
 
-    Each flat's Pfaffian is expanded once: the non-degeneracy gate reads
-    the determinant off it, and the tensor reduction, which goes through
-    the second flat once the gate has passed, reads the adjugate off the
-    same memo."""
+    The non-degeneracy gate fails at the first form whose flat lacks a unit
+    determinant.  Past it the verdict is that of ``presymplectic_pair_check``:
+    the member gate, then the tensor reduction, which goes through the
+    second flat."""
     _check_over(J, om1, om2)
-    expanded: List[Tuple[TensorMap, Pfaffian]] = []
-
-    def nondegenerate(omega: Form) -> Report:
-        fl = flat_map(omega)
-        expanded.append((fl, fl._pfaffian()))
-        return _unit_determinant(fl._determinant(expanded[-1][1]))
-
-    gate = _gate("non-degeneracy", "form is degenerate", nondegenerate, om1, om2)
+    gate = _gate(
+        "non-degeneracy", "form is degenerate",
+        lambda om: nondegenerate_check(flat_map(om)), om1, om2,
+    )
     if gate is not None:
         return gate
-    return _pair(
-        _as_bialgebroid(J),
-        GraphRelation.of_two_form(om1),
-        GraphRelation.of_two_form(om2),
-        second=expanded[1],
-    )
+    return presymplectic_pair_check(J, om1, om2)
 
 
 def hamiltonian_pair_check(

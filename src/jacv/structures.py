@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from .coeff import ExpPoly, NotInvertible, Scalar, product_term, sum_products
 from .algebroid import (
@@ -251,19 +251,16 @@ class TensorMap:
         q, adjugate = self._adjugate()
         return adjugate if q == 1 else adjugate.scale(Fraction(1, q))
 
-    def _adjugate(
-        self, pfaffian: Optional[Pfaffian] = None
-    ) -> Tuple[Scalar, "TensorMap"]:
+    def _adjugate(self) -> Tuple[Scalar, "TensorMap"]:
         """``(q, B)`` with ``self^-1 = B / q``, when Pf = q exp(kt) of
         ``_pfaffian`` is a unit: entry (i, j) of B is a signed sub-Pfaffian
-        of its memo times exp(-kt) (formulas and proofs at ``_pfaffians``),
-        so B has the coefficients of the sub-Pfaffians, integers when the
-        map has integer coefficients.  ``pfaffian`` is this map's
-        ``_pfaffian()`` when the caller has expanded it already.
-        NotInvertible, raised by the determinant's ``unit_inverse()`` so
-        that its message names the determinant, when Pf is not a unit.
+        of that one memo times exp(-kt) (formulas and proofs at
+        ``_pfaffians``), so B has the coefficients of the sub-Pfaffians,
+        integers when the map has integer coefficients.  NotInvertible,
+        raised by the determinant's ``unit_inverse()`` so that its message
+        names the determinant, when Pf is not a unit.
         """
-        pfaffian = pfaffian or self._pfaffian()
+        pfaffian = self._pfaffian()
         pf_full, pf, block = pfaffian
         if not pf_full.is_unit():
             self._determinant(pfaffian).unit_inverse()  # always raises
@@ -564,11 +561,7 @@ def presymplectic_check(J: JacobiAlgebroidData, omega: Form) -> Report:
 
 
 def nondegenerate_check(m: TensorMap) -> Report:
-    return _unit_determinant(m.determinant())
-
-
-def _unit_determinant(det: ExpPoly) -> Report:
-    """The report of ``nondegenerate_check`` on a map's determinant."""
+    det = m.determinant()
     if det.is_unit():
         return Report(PASS, strategy="unit determinant")
     return Report(FAIL, witness=f"det = {det}", strategy="unit determinant")

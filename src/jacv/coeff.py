@@ -71,6 +71,8 @@ as it is.  ``partials(within)`` takes the derivatives along several
 variables in one sweep over the monomials and keeps only the nonzero ones,
 so a caller that differentiates along a whole anchor builds nothing for a
 variable the value does not involve and reads no monomial twice.
+``diff(name)`` is ``partials`` along one variable, with a zero value for a
+zero derivative.
 
 A nonzero exp weight needs ``t`` among the variables: the public
 constructor, ``exp`` and ``times_exp`` refuse one over a tuple without
@@ -439,9 +441,9 @@ class ExpPoly(metaclass=_Checked):
         nonzero derivatives only, taken in one sweep over the monomials.
 
         The derivative along ``t`` (found by name) also differentiates the
-        exp weights, as ``diff`` does.  It is never zero on a nonzero
-        weight: on exp(k*t) * p with k != 0 the t-degree of k*p exceeds that
-        of dp/dt, so the two never cancel.
+        exp weights.  It is never zero on a nonzero weight: on exp(k*t) * p
+        with k != 0 the t-degree of k*p exceeds that of dp/dt, so the two
+        never cancel.
         """
         within = tuple(within)
         top = BITS * len(self.vars)
@@ -471,26 +473,13 @@ class ExpPoly(metaclass=_Checked):
         return {idx: ExpPoly._make(self.vars, terms) for idx, terms in lowered.items()}
 
     def diff(self, name: str) -> "ExpPoly":
-        """Partial derivative.  d/dt also differentiates the exp weights:
+        """Partial derivative, ``partials`` along one variable.  d/dt also
+        differentiates the exp weights:
         exp(k*t) * p  ->  exp(k*t) * (k*p + dp/dt)."""
         if name not in self.vars:
             raise UnknownVariable(f"{name!r} is not one of {self.vars}")
-        shift = BITS * self.vars.index(name)
-        unit = 1 << shift
-        # lowering the power of one variable sends distinct terms to distinct
-        # keys; only the exp weight of d/dt can meet one of them
-        terms: TermsDict = {
-            e - unit: c * ((e >> shift) & FIELD)
-            for e, c in self._terms.items() if (e >> shift) & FIELD
-        }
-        if name == "t":
-            top = BITS * len(self.vars)
-            for e, c in self._terms.items():
-                weight = e >> top
-                if weight:
-                    old = terms.get(e)
-                    terms[e] = c * weight if old is None else old + c * weight
-        return ExpPoly._make(self.vars, terms)
+        i = self.vars.index(name)
+        return self.partials((i,)).get(i) or ExpPoly.zero(self.vars)
 
     # -- predicates and inversion -----------------------------------------
 

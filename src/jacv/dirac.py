@@ -101,6 +101,7 @@ from .calculus import (
 )
 from .coeff import ExpPoly, NotInvertible, Product, Scalar, product_term, sum_products
 from .structures import (
+    SIDE_A,
     JacobiBialgebroidData,
     TensorMap,
     _check_over,
@@ -171,7 +172,7 @@ def torsion_tensor(N: TensorMap, X: MultiVector, Y: MultiVector) -> MultiVector:
 
 
 def _check_endomorphism(N: TensorMap) -> None:
-    if N.source != "A" or N.target != "A":
+    if N.source != SIDE_A or N.target != SIDE_A:
         raise MismatchError("torsion needs an endomorphism of the algebroid side")
 
 
@@ -458,8 +459,7 @@ def omegan_check(
     _check_over(J, omega)
     if N.algebroid is not J.algebroid:
         raise MismatchError("the endomorphism lives over a different algebroid")
-    if N.source != "A" or N.target != "A":
-        raise MismatchError("the endomorphism must act on the algebroid side")
+    _check_endomorphism(N)
     fl = flat_map(omega)
     commute = fl.compose(N) - N.dual().compose(fl)
     if not commute.is_zero:

@@ -222,6 +222,19 @@ def test_torsion_of_a_flat_map_exits_two_at_low_rank(tmp_path, capsys, algebroid
     assert "torsion needs an endomorphism of the algebroid side" in out
 
 
+def test_omegan_of_a_map_out_of_the_dual_side_is_an_error(tmp_path, capsys):
+    # omegan shares the side check of torsion, message included
+    text = (
+        "patch p = (x, y)\nalgebroid A = tangent(p)\njacobi C = extend(A)\n"
+        "form w = eps1^eps3\nsection s = e1^e3\nmap M = sharp(s)\ncheck omegan C w M\n"
+    )
+    code, out, _ = _run(tmp_path, capsys, text, "--json")
+    assert code == 2
+    (record,) = json.loads(out)["checks"]
+    assert record["status"] == "error"
+    assert record["witness"] == "torsion needs an endomorphism of the algebroid side"
+
+
 def test_check_errors_are_recorded_and_run_continues(tmp_path, capsys):
     text = PASSING + "check zero nosuchname\ncheck algebroid A\n"
     code, out, _ = _run(tmp_path, capsys, text, "--json")

@@ -219,11 +219,11 @@ def test_symplectic_pair_gates_nondegeneracy_before_the_pair(monkeypatch):
     assert failing.status == "fail"
     expanded = []
 
-    def counting(algebroid, matrix, _real=structures._pfaffians):
+    def recording(algebroid, matrix, _real=structures._pfaffians):
         expanded.append(matrix)
         return _real(algebroid, matrix)
 
-    monkeypatch.setattr(structures, "_pfaffians", counting)
+    monkeypatch.setattr(structures, "_pfaffians", recording)
     for left, right, report in [
         (c.wH, c.wE, Report("pass", "tensor reduction through the second flat")),
         (om1, om2, failing),

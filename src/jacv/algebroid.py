@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .coeff import ExpPoly, Product, VariableSetMismatch, product_term, sum_products
+from .coeff import ExpPoly, Product, VariableSetMismatch, sum_products
 from . import calculus
 
 
@@ -113,7 +113,7 @@ class AlgebroidPatch:
     missing pair brackets to zero.  Zero entries given to the constructor
     are dropped.  ``anchor_derivs`` reads the anchor by variable instead:
     for each variable index, the frame elements whose anchor has an entry
-    along it, with that entry, or None when the entry is 1.
+    along it, with that entry.
     """
 
     patch: Patch
@@ -150,14 +150,10 @@ class AlgebroidPatch:
             if row:
                 brackets[i, j] = row
         self.brackets = brackets
-        # an entry equal to 1 is held as None, so that it is never multiplied
-        one = self.patch.one()
-        by_variable: Dict[int, List[Tuple[int, Optional[ExpPoly]]]] = {}
+        by_variable: Dict[int, List[Tuple[int, ExpPoly]]] = {}
         for i, column in enumerate(self.anchor):
             for name, entry in column:
-                by_variable.setdefault(variables.index(name), []).append(
-                    (i, None if entry == one else entry)
-                )
+                by_variable.setdefault(variables.index(name), []).append((i, entry))
         self._by_variable = dict(sorted(by_variable.items()))
 
     @property
@@ -183,8 +179,9 @@ class AlgebroidPatch:
         rho_i^x df/dx.  The partial derivatives of f along the anchored
         variables are taken in one sweep (``ExpPoly.partials``), so a
         variable f does not involve costs no derivative and no product, and
-        an entry equal to 1 (every entry of a tangent or extension frame),
-        found once in ``__post_init__``, adds its derivative unmultiplied.
+        an entry equal to 1 (every entry of a tangent or extension frame)
+        adds its derivative unmultiplied, as ``sum_products`` skips a
+        factor 1.
         ``f`` must be over the patch's variables.
         """
         variables = self.patch.variables
@@ -196,16 +193,13 @@ class AlgebroidPatch:
         partials = f.partials(by_variable)
         if not partials:
             return {}
-        one = self.patch.one()
         sums: Dict[int, List[Product]] = {}
         for v, df in partials.items():
             for i, entry in by_variable[v]:
-                sums.setdefault(i, []).append(
-                    (1, df, None) if entry is None else product_term(1, entry, df, one)
-                )
+                sums.setdefault(i, []).append((1, entry, df))
         out = {}
         for i, products in sums.items():
-            d = sum_products(variables, products)
+            d = sum_products(products)
             if not d.is_zero:
                 out[i] = d
         return out
@@ -219,15 +213,8 @@ def anchor_apply(A: AlgebroidPatch, X: "calculus.MultiVector", f: ExpPoly) -> Ex
     if X.algebroid is not A:
         raise calculus.MismatchError("the section lives over a different algebroid")
     derivs = A.anchor_derivs(f)
-    one = A.patch.one()
-    terms = [
-        product_term(1, c, derivs[i], one)
-        for (i,), c in X.components.items()
-        if i in derivs
-    ]
-    if not terms:
-        return A.zero_scalar()
-    return sum_products(A.patch.variables, terms)
+    terms = [(1, c, derivs[i]) for (i,), c in X.components.items() if i in derivs]
+    return sum_products(terms) if terms else A.zero_scalar()
 
 
 def bracket_sections(
@@ -237,6 +224,8 @@ def bracket_sections(
     fg[e_i, e_j] + f rho(e_i)g e_j - g rho(e_j)f e_i summed over components."""
     if X.degree != 1 or Y.degree != 1:
         raise ValueError("bracket_sections expects degree-1 sections")
+    if X.algebroid is not A or Y.algebroid is not A:
+        raise calculus.MismatchError("a section lives over a different algebroid")
     return calculus.schouten(X, Y)
 
 

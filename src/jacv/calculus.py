@@ -47,9 +47,10 @@ Sign conventions fixed here and relied on everywhere else:
   running the frame loops; the twisted bracket keeps only its twist terms;
 * every component of ``wedge``, ``contract``, ``differential``, ``schouten``
   and ``phi0_schouten`` is gathered as a list of signed products
-  (k, a, b) per output key and built once by ``coeff.sum_products``; the
-  twist terms of the differential and of the twisted bracket go into the
-  same lists, so each result is one section built once;
+  (k, a, b) per output key and built once by ``coeff.sum_products``, which
+  forms no product with a factor 1, so the lists hold every factor as it
+  comes; the twist terms of the differential and of the twisted bracket go
+  into the same lists, so each result is one section built once;
 * a section bracketed with itself (``schouten(D, D)`` or
   ``phi0_schouten(J, D, D)`` with one object twice) of degree a.  The
   second graded rule with a1 = a2 = a reads [D, D] = -(-1)^((a-1)^2) [D, D].
@@ -92,7 +93,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .coeff import ExpPoly, Product, product_term, sum_products
+from .coeff import ExpPoly, Product, sum_products
 
 Key = Tuple[int, ...]
 Sums = Dict[Key, List[Product]]
@@ -274,12 +275,8 @@ def _wedge_keys(left: Key, right: Key) -> Optional[Tuple[int, Key]]:
 def _built(cls: type, A: object, degree: int, sums: Sums) -> Section:
     """The section whose component on each key is the sum of that key's
     signed products, each built as one value; the constructor validates."""
-    variables = A.patch.variables
-    return cls(
-        A,
-        degree,
-        {key: sum_products(variables, products) for key, products in sums.items()},
-    )
+    comps = {key: sum_products(products) for key, products in sums.items()}
+    return cls(A, degree, comps)
 
 
 # -- wedge, contraction, pairing ------------------------------------------
@@ -359,9 +356,7 @@ def pair(w: Section, p: Section) -> ExpPoly:
         raise MismatchError("pairing needs equal degrees")
     theirs = p.components
     products = [(1, c, theirs[key]) for key, c in w.components.items() if key in theirs]
-    if not products:
-        return w.algebroid.zero_scalar()
-    return sum_products(w.algebroid.patch.variables, products)
+    return sum_products(products) if products else w.algebroid.zero_scalar()
 
 
 def eval_on(u: Section, args: Sequence[Section]) -> ExpPoly:
@@ -490,7 +485,6 @@ def _schouten_into(sums: Sums, P: MultiVector, Q: MultiVector) -> None:
     p, q = P.degree, Q.degree
     same = P is Q
     swap = 1 if (p - 1) * (q - 1) % 2 else -1  # -(-1)^((p-1)(q-1))
-    one = A.patch.one()
     anchor, brackets = A.anchor, A.brackets
     d_of_Q: Dict[Key, Dict[int, ExpPoly]] = {}
     d_of_P = d_of_Q if same else {}
@@ -513,12 +507,12 @@ def _schouten_into(sums: Sums, P: MultiVector, Q: MultiVector) -> None:
                     if i > j:  # [e_i, e_j] = -[e_j, e_i]
                         sign = -sign
                     if fg is None:
-                        fg = g if f is one else f if g is one else f * g
+                        fg = f * g
                     for mm, c in row:
                         placed = _wedge_keys((mm,), K)
                         if placed is not None:
                             s, key = placed
-                            sums[key].append(product_term(s * sign, fg, c, one))
+                            sums[key].append((s * sign, fg, c))
                 if not anchor[i]:
                     continue
                 placed = _wedge_keys(I_a, J)
@@ -527,7 +521,7 @@ def _schouten_into(sums: Sums, P: MultiVector, Q: MultiVector) -> None:
                     if dg is not None:
                         sign, key = placed
                         sign *= k * (-1) ** (p - 1 - a)
-                        sums[key].append(product_term(sign, f, dg, one))
+                        sums[key].append((sign, f, dg))
             for b, j in enumerate(J):
                 if not anchor[j]:
                     continue
@@ -537,7 +531,7 @@ def _schouten_into(sums: Sums, P: MultiVector, Q: MultiVector) -> None:
                     if df is not None:
                         sign, key = placed
                         sign *= k * swap * (-1) ** (q - 1 - b)
-                        sums[key].append(product_term(sign, g, df, one))
+                        sums[key].append((sign, g, df))
 
 
 def _anchored(

@@ -58,16 +58,21 @@ Every sum and product is formed by one kernel, ``add_product(terms, k, a,
 b)``, which adds k * a * b (or k * a) into a raw ``TermsDict`` in place; the
 finished buffer becomes one value through ``_make``.  ``+``, ``-`` and
 ``*`` are one buffer each, and ``sum_products`` takes a whole signed sum of
-products (a list of ``(k, a, b)``) to one value.  The callers in
-``calculus``, ``algebroid`` and ``structures`` collect their products per
-output component and build each component once.
+products (a nonempty list of ``(k, a, b)``) to one value over the variables
+of its first operand.  The callers in ``calculus``, ``algebroid``,
+``structures`` and ``dirac`` collect their products per output component
+and build each component once.  The kernel is the one place that skips a
+factor 1: it drops an operand whose stored terms are the constant 1, so a
+caller hands it every product as it comes, 1s included, and 1 times a
+value forms no product.
 
 No operation builds a value it throws away, partial sums included: a sum
 of n products is one value, not n products and n - 1 partial sums.
 ``a - b`` subtracts in one pass and builds one value, not ``-b`` and then
 the sum; ``+`` and ``*`` return an operand as it is when the other is zero,
-and so does ``a - 0``; a lone unscaled term of ``sum_products`` is returned
-as it is.  ``partials(within)`` takes the derivatives along several
+and so does ``a - 0``; ``*`` returns the other operand when one is 1; a
+lone unscaled term of ``sum_products`` whose other factor is absent or 1
+is returned as it is.  ``partials(within)`` takes the derivatives along several
 variables in one sweep over the monomials and keeps only the nonzero ones,
 so a caller that differentiates along a whole anchor builds nothing for a
 variable the value does not involve and reads no monomial twice.
@@ -127,6 +132,7 @@ class _Guards(dict):
 
 
 _GUARD = _Guards()
+_ONE = {0: 1}  # the stored terms of the constant 1, over any variables
 
 
 def _unpack(key: int, n: int) -> Exponent:
@@ -208,15 +214,21 @@ def add_product(
     """Add ``k * a * b``, or ``k * a`` when ``b`` is None, into the raw
     buffer ``terms`` in place; ``k`` is a small int.
 
-    A key the buffer does not hold yet stores the product itself, with no
-    ``0 +`` in front; an empty buffer takes a copy of ``k * a`` whole.  The
-    buffer is never an operand's own dict, so the operands are not changed
-    when it is.  A product key is the sum of its factors' keys; it raises
-    :class:`ExponentOverflow` when a guard bit is set, before it is stored.
-    Zero coefficients are left for ``ExpPoly._make`` to drop.  The operands
-    must be over the variables the buffer is built for; the caller checks
-    that, as for ``_make``.
+    A factor whose stored terms are the constant 1 is dropped, so 1 times a
+    value forms no product.  A key the buffer does not hold yet stores the
+    product itself, with no ``0 +`` in front; an empty buffer takes a copy
+    of ``k * a`` whole.  The buffer is never an operand's own dict, so the
+    operands are not changed when it is.  A product key is the sum of its
+    factors' keys; it raises :class:`ExponentOverflow` when a guard bit is
+    set, before it is stored.  Zero coefficients are left for
+    ``ExpPoly._make`` to drop.  The operands must be over the variables the
+    buffer is built for; the caller checks that, as for ``_make``.
     """
+    if b is not None:
+        if a._terms == _ONE:
+            a, b = b, None
+        elif b._terms == _ONE:
+            b = None
     get = terms.get
     if b is None:
         if not terms:
@@ -251,23 +263,19 @@ def add_product(
 Product = Tuple[int, "ExpPoly", Optional["ExpPoly"]]
 
 
-def product_term(k: int, a: "ExpPoly", b: "ExpPoly", one: "ExpPoly") -> Product:
-    """The term k * a * b of ``sum_products``, with no factor equal to
-    ``one`` (the constant 1), so that 1 times a value forms no product."""
-    if a == one:
-        return k, b, None
-    return (k, a, None) if b == one else (k, a, b)
-
-
-def sum_products(variables: Tuple[str, ...], products: Sequence[Product]) -> "ExpPoly":
-    """The sum of ``k * a * b`` (``k * a`` when ``b`` is None) over
-    ``products``, built as one value through ``add_product``.  A lone
-    ``(1, a, None)`` is ``a`` itself and builds nothing.  Every operand must
-    be over ``variables``; the caller checks that."""
-    if len(products) == 1:
-        k, a, b = products[0]
-        if k == 1 and b is None:
+def sum_products(products: Sequence[Product]) -> "ExpPoly":
+    """The sum of ``k * a * b`` (``k * a`` when ``b`` is None) over the
+    nonempty ``products``, built as one value through ``add_product``, over
+    the variables of the first operand.  A lone unscaled term whose other
+    factor is absent or 1 is that factor itself and builds nothing.  Every
+    operand must be over the same variables; the caller checks that."""
+    k, a, b = products[0]
+    if len(products) == 1 and k == 1:
+        if b is None or b._terms == _ONE:
             return a
+        if a._terms == _ONE:
+            return b
+    variables = a.vars
     terms: TermsDict = {}
     for k, a, b in products:
         add_product(terms, k, a, b)
@@ -404,8 +412,10 @@ class ExpPoly(metaclass=_Checked):
             return NotImplemented
         if not self._terms:
             return self
-        if not rhs._terms:
+        if not rhs._terms or self._terms == _ONE:
             return rhs
+        if rhs._terms == _ONE:
+            return self
         terms: TermsDict = {}
         add_product(terms, 1, self, rhs)
         return ExpPoly._make(self.vars, terms)

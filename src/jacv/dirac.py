@@ -99,7 +99,7 @@ from .calculus import (
     differential,
     phi0_schouten,
 )
-from .coeff import ExpPoly, NotInvertible, Product, Scalar, product_term, sum_products
+from .coeff import ExpPoly, NotInvertible, Product, Scalar, sum_products
 from .structures import (
     SIDE_A,
     JacobiBialgebroidData,
@@ -203,8 +203,8 @@ class _FrameTorsion:
     (b, c) for the life of the object, which is one call of
     ``_frame_pair_torsion``; a frame element with no anchor entry asks for
     none.  Zero entries and zero derivatives form no product, nor does a
-    factor 1 (``product_term``).  Each I_m and each component of the result
-    is one ``sum_products``, and each pair builds one section.
+    factor 1, which ``sum_products`` skips.  Each I_m and each component of
+    the result is one ``sum_products``, and each pair builds one section.
     """
 
     def __init__(self, M: TensorMap) -> None:
@@ -237,7 +237,6 @@ class _FrameTorsion:
     def at(self, i: int, j: int) -> MultiVector:
         """The torsion of M on the frame pair (e_i, e_j), i < j."""
         A, columns = self.algebroid, self.columns
-        one, variables = A.patch.one(), A.patch.variables
         anchored = self.anchored
         col_i, col_j = columns[i], columns[j]
         out: Dict[int, List[Product]] = defaultdict(list)
@@ -250,29 +249,27 @@ class _FrameTorsion:
                     for l, _ in columns[other]:
                         d = self._rho(k, l, other)
                         if d is not None:
-                            out[l].append(product_term(sign, m_k, d, one))
+                            out[l].append((sign, m_k, d))
         if A.brackets:
             for k, m_ki in col_i:
                 for k2, m_kj in col_j:
                     sign, row = self._bracket(k, k2)
                     if row:
-                        both = sum_products(
-                            variables, [product_term(1, m_ki, m_kj, one)]
-                        )
+                        both = m_ki * m_kj
                         for l, c in row:
-                            out[l].append(product_term(sign, both, c, one))
+                            out[l].append((sign, both, c))
             # I_m, structure terms: m_ki c_kj^m + m_kj c_ik^m - m_mp c_ij^p
             for k, m_ki in col_i:
                 sign, row = self._bracket(k, j)
                 for l, c in row:
-                    inner[l].append(product_term(sign, m_ki, c, one))
+                    inner[l].append((sign, m_ki, c))
             for k, m_kj in col_j:
                 sign, row = self._bracket(i, k)
                 for l, c in row:
-                    inner[l].append(product_term(sign, m_kj, c, one))
+                    inner[l].append((sign, m_kj, c))
             for p, c in A.brackets.get((i, j), ()):
                 for l, m_lp in columns[p]:
-                    inner[l].append(product_term(-1, m_lp, c, one))
+                    inner[l].append((-1, m_lp, c))
         # I_m, anchored terms: - rho_j(m_mi) + rho_i(m_mj)
         for col, a, index, sign in ((col_i, j, i, -1), (col_j, i, j, 1)):
             if anchored[a]:
@@ -282,13 +279,11 @@ class _FrameTorsion:
                         inner[l].append((sign, d, None))
         # - M I = - sum m_lm I_m e_l
         for m, products in inner.items():
-            value = sum_products(variables, products)
+            value = sum_products(products)
             if not value.is_zero:
                 for l, m_lm in columns[m]:
-                    out[l].append(product_term(-1, m_lm, value, one))
-        return MultiVector(
-            A, 1, {(l,): sum_products(variables, p) for l, p in out.items()}
-        )
+                    out[l].append((-1, m_lm, value))
+        return MultiVector(A, 1, {(l,): sum_products(p) for l, p in out.items()})
 
 
 def _frame_pair_torsion(

@@ -31,7 +31,7 @@ from itertools import combinations
 from math import lcm
 from typing import Callable, Dict, Iterator, List, Tuple
 
-from .coeff import ExpPoly, NotInvertible, Scalar, product_term, sum_products
+from .coeff import ExpPoly, NotInvertible, Scalar, sum_products
 from .algebroid import (
     FAIL,
     PASS,
@@ -175,8 +175,7 @@ class TensorMap:
                 entry = row[j]
                 if not entry.is_zero:
                     sums.setdefault((i,), []).append((1, entry, c))
-        variables = self.algebroid.patch.variables
-        comps = {key: sum_products(variables, terms) for key, terms in sums.items()}
+        comps = {key: sum_products(terms) for key, terms in sums.items()}
         return _kind_for(self.target)(self.algebroid, 1, comps)
 
     def compose(self, inner: "TensorMap") -> "TensorMap":
@@ -186,7 +185,6 @@ class TensorMap:
         if inner.target != self.source:
             raise MismatchError("inner target does not feed this map's source")
         zero = self.algebroid.zero_scalar()
-        variables = self.algebroid.patch.variables
         columns = tuple(zip(*inner.matrix))
         rows = []
         for row in self.matrix:
@@ -197,7 +195,7 @@ class TensorMap:
                     for a, b in zip(row, column)
                     if not a.is_zero and not b.is_zero
                 ]
-                out.append(sum_products(variables, terms) if terms else zero)
+                out.append(sum_products(terms) if terms else zero)
             rows.append(tuple(out))
         return TensorMap(self.algebroid, inner.source, self.target, tuple(rows))
 
@@ -229,7 +227,8 @@ class TensorMap:
         return -pf_full if self.algebroid.rank // 2 % 2 else pf_full
 
     def is_unit_determinant(self) -> bool:
-        return self.determinant().is_unit()
+        """The determinant is a unit iff the Pfaffian is (``_pfaffians``)."""
+        return self._pfaffian()[0].is_unit()
 
     def _pfaffian(self) -> Pfaffian:
         """``(Pf, pf, block)`` with ``pf`` of ``_pfaffians``.  A skew matrix
@@ -328,7 +327,7 @@ def _pfaffians(
     Pf() = 1.  Every Pfaffian is memoized by its mask for the life of the
     returned function.  A zero entry is skipped before its sub-Pfaffian is
     asked for, a zero sub-Pfaffian before it is multiplied, and the empty
-    Pfaffian 1 is never multiplied.
+    Pfaffian 1 is never multiplied (``sum_products`` skips a factor 1).
 
     Why ``TensorMap`` determinants and inverses are right, over the ring R
     of ``ExpPoly`` values (a commutative domain holding Q):
@@ -375,10 +374,8 @@ def _pfaffians(
       holds as many indices below n as from n on (expanding one removes one
       of each), so it starts below n: the rows -A^T are never read.
     """
-    one = algebroid.patch.one()
     zero = algebroid.zero_scalar()
-    variables = algebroid.patch.variables
-    memo: Dict[int, ExpPoly] = {0: one}
+    memo: Dict[int, ExpPoly] = {0: algebroid.patch.one()}
 
     def pf(mask: int) -> ExpPoly:
         value = memo.get(mask)
@@ -395,9 +392,9 @@ def _pfaffians(
                 if not entry.is_zero:
                     sub = pf(rest ^ bit)
                     if not sub.is_zero:
-                        terms.append(product_term(sign, entry, sub, one))
+                        terms.append((sign, entry, sub))
                 sign = -sign
-            value = sum_products(variables, terms) if terms else zero
+            value = sum_products(terms) if terms else zero
             memo[mask] = value
         return value
 
@@ -516,10 +513,7 @@ def _cleared(s: Section) -> Tuple[int, Section]:
     d = lcm(*(c.denominator() for c in s.components.values()))
     if d == 1:
         return 1, s
-    variables = s.algebroid.patch.variables
-    comps = {
-        key: sum_products(variables, [(d, c, None)]) for key, c in s.components.items()
-    }
+    comps = {key: sum_products([(d, c, None)]) for key, c in s.components.items()}
     return d, type(s)(s.algebroid, s.degree, comps)
 
 
@@ -561,9 +555,12 @@ def presymplectic_check(J: JacobiAlgebroidData, omega: Form) -> Report:
 
 
 def nondegenerate_check(m: TensorMap) -> Report:
-    det = m.determinant()
-    if det.is_unit():
+    """Pass iff the determinant is a unit, read off the Pfaffian; a failure's
+    witness is the determinant, formed from the same memo."""
+    pfaffian = m._pfaffian()
+    if pfaffian[0].is_unit():
         return Report(PASS, strategy="unit determinant")
+    det = m._determinant(pfaffian)
     return Report(FAIL, witness=f"det = {det}", strategy="unit determinant")
 
 
@@ -759,13 +756,6 @@ class CouplePair:
             raise MismatchError("couple components must have degree 1")
         if self.vector.algebroid is not self.covector.algebroid:
             raise MismatchError("couple components over different algebroids")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CouplePair):
-            return NotImplemented
-        return self.vector == other.vector and self.covector == other.covector
-
-    __hash__ = None  # type: ignore[assignment]
 
     def __str__(self) -> str:
         return f"({self.vector}, {self.covector})"

@@ -6,6 +6,7 @@ from functools import lru_cache
 from itertools import combinations
 from types import SimpleNamespace
 
+from jacv import coeff
 from jacv.algebroid import (
     AlgebroidPatch,
     JacobiAlgebroidData,
@@ -29,6 +30,29 @@ from jacv.structures import (
     sharp_map,
     two_form_of,
 )
+
+
+def record_products(monkeypatch):
+    """The list of the operand pairs of the products the ring kernel forms
+    from now on.  Every product, inside ``*`` or a sum of products, is
+    formed by ``coeff.add_product``, which reads its overflow guard once
+    for each product it forms and never for a sum or a factor 1; so a call
+    counts when it reads the guard, whatever it was handed."""
+    products, current = [], [None]
+    kernel = coeff.add_product
+
+    class Guards(coeff._Guards):
+        def __getitem__(self, n):
+            products.append(current[0])
+            return super().__getitem__(n)
+
+    def recording(terms, k, a, b=None):
+        current[0] = a, b
+        kernel(terms, k, a, b)
+
+    monkeypatch.setattr(coeff, "_GUARD", Guards())
+    monkeypatch.setattr(coeff, "add_product", recording)
+    return products
 
 
 def rand_scalar(r, patch, max_degree=2, terms=2, with_t=False, exp_range=0):

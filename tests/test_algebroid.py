@@ -17,10 +17,9 @@ from jacv.algebroid import (
     validate_algebroid,
 )
 from jacv.calculus import Form, MismatchError, MultiVector, differential
-from jacv import coeff
 from jacv.coeff import ExpPoly, VariableSetMismatch
 from jacv.structures import make_standard_bialgebroid
-from tests.gen import action_algebroids, rand_scalar
+from tests.gen import action_algebroids, rand_scalar, record_products
 
 
 def test_patch_basics():
@@ -303,8 +302,8 @@ def test_anchor_derivs_match_one_diff_per_entry():
 
 def test_unit_anchor_entries_are_found_once(monkeypatch):
     # every entry of a tangent or extension frame is 1: anchor_derivs adds
-    # its derivative with no comparison and no product, while an entry -1 or
-    # x is multiplied
+    # its derivative with no value comparison, and the kernel forms no
+    # product with it, while an entry -1 or x is multiplied
     p = Patch(("x", "y"))
     x, y, one = p.coord("x"), p.coord("y"), p.const(1)
     TA = make_tangent(p)
@@ -315,20 +314,15 @@ def test_unit_anchor_entries_are_found_once(monkeypatch):
         mixed: {0: 2 * x * y + x * (x * x + ExpPoly.exp(p.variables, 1)),
                 1: -2 * x * y + x * x + ExpPoly.exp(p.variables, 1)},
     }
-    compared, products = [], []
-    eq, add_product = ExpPoly.__eq__, coeff.add_product
+    compared = []
+    eq = ExpPoly.__eq__
 
     def counting_eq(a, b):
         compared.append((a, b))
         return eq(a, b)
 
-    def counting_product(terms, k, a, b=None):
-        if b is not None:
-            products.append((a, b))
-        add_product(terms, k, a, b)
-
     monkeypatch.setattr(ExpPoly, "__eq__", counting_eq)
-    monkeypatch.setattr(coeff, "add_product", counting_product)
+    products = record_products(monkeypatch)
     ext = extend_with_R(TA).algebroid
     derivs, counts = {}, {}
     for A in (TA, ext, mixed):
@@ -353,4 +347,28 @@ def test_anchor_derivs_and_anchor_apply_refuse_foreign_operands():
     other = make_tangent(p)
     with pytest.raises(MismatchError):
         anchor_apply(A, MultiVector.frame(other, 0), p.coord("x"))
+    # two sections over another algebroid bracket over that one, not over A
+    foreign = MultiVector.frame(other, 0), MultiVector.frame(other, 1)
+    with pytest.raises(MismatchError):
+        bracket_sections(A, *foreign)
+    with pytest.raises(MismatchError):
+        bracket_sections(A, ddx, foreign[1])
     assert anchor_apply(A, ddx, p.coord("x")) == p.const(1)
+
+
+def test_unit_components_that_are_not_the_shared_one_form_no_product(monkeypatch):
+    # A.scalar(1) is a fresh 1, not the patch's shared object: the kernel,
+    # which compares stored terms, skips it all the same, so the bracket of
+    # two such sections forms no product, f g = 1 included
+    for J in action_algebroids():
+        A = J.algebroid
+        units = [MultiVector(A, 1, {(i,): A.scalar(1)}) for i in range(A.rank)]
+        frames = [MultiVector.frame(A, i) for i in range(A.rank)]
+        assert units[0].components[(0,)] is not A.patch.one()
+        for i in range(A.rank):
+            for j in range(i + 1, A.rank):
+                with monkeypatch.context() as patched:
+                    products = record_products(patched)
+                    bracket = bracket_sections(A, units[i], units[j])
+                assert products == [], (A.rank, i, j)
+                assert bracket == bracket_sections(A, frames[i], frames[j])

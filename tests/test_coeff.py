@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from jacv import coeff
 from jacv.coeff import (
     MAX_POWER,
     ExponentOverflow,
@@ -15,6 +14,7 @@ from jacv.coeff import (
     add_product,
     sum_products,
 )
+from tests.gen import record_products
 
 VARS = ("x", "y", "t")
 
@@ -90,16 +90,8 @@ def test_pow_matches_repeated_product(monkeypatch):
         for n in range(9):
             assert a ** n == expected, (a, n)
             expected = expected * a
-    products = []
-    kernel = coeff.add_product
-
-    def counting(terms, k, a, b=None):
-        if b is not None:
-            products.append((a, b))
-        kernel(terms, k, a, b)
-
-    monkeypatch.setattr(coeff, "add_product", counting)
     x = ExpPoly.var(VARS, "x")
+    products = record_products(monkeypatch)
     assert x.times_exp(-1) ** 200 == ExpPoly(VARS, {-200: {(200, 0, 0): 1}})
     # repeated squaring: 7 squarings and 2 products for 200 = 0b11001000
     assert len(products) <= 2 * math.log2(200)
@@ -322,7 +314,7 @@ def test_powers_stop_below_the_guard_bit():
     with pytest.raises(ExponentOverflow, match="the power of x exceeds 32767"):
         top * x
     with pytest.raises(ExponentOverflow, match="the power of x exceeds 32767"):
-        sum_products(VARS, [(1, y, None), (2, x, top)])
+        sum_products([(1, y, None), (2, x, top)])
     t_top = ExpPoly(VARS, {1: {(0, 0, MAX_POWER): 1}})
     assert str(t_top * x) == "x*t^32767*exp(t)"
     with pytest.raises(ExponentOverflow, match="the power of t exceeds 32767"):
@@ -331,6 +323,24 @@ def test_powers_stop_below_the_guard_bit():
     assert top + top == 2 * top and (t_top - t_top).is_zero
     with pytest.raises(ExponentOverflow, match="above 32767"):
         ExpPoly(VARS, {0: {(0, MAX_POWER + 1, 0): 1}})
+
+
+def test_a_factor_one_forms_no_product(monkeypatch):
+    # the kernel is the one place that skips a 1, read off the stored terms
+    # whatever object holds it: * hands back the other operand, a lone
+    # unscaled term of sum_products is its other factor, and a longer sum
+    # adds the other factor unmultiplied
+    x, y = ExpPoly.var(VARS, "x"), ExpPoly.var(VARS, "y")
+    ones = ExpPoly.const(VARS, 1), ExpPoly.const(VARS, Fraction(3, 3))
+    expected = ExpPoly(VARS, {0: {(1, 0, 0): 2, (0, 1, 0): -1}})
+    products = record_products(monkeypatch)
+    assert 1 * x is x and x * 1 is x
+    for one in ones:
+        assert one * x is x and x * one is x and one * one is one
+        assert sum_products([(1, one, x)]) is x and sum_products([(1, x, one)]) is x
+        assert sum_products([(2, one, x), (-1, y, one)]) == expected
+    assert products == []
+    assert sum_products([(1, x, y)]) == x * y and len(products) == 2
 
 
 def test_unit_inverse_is_exact():
@@ -459,7 +469,7 @@ def test_ring_operations_match_sympy():
         # an operand's terms while it fills a buffer that started from them
         before = (list(a.monomials()), list(b.monomials()))
         total = sum_products(
-            VARS, [(1, a, b), (-2, b, None), (2, a, a), (-1, b, a), (1, a, None)]
+            [(1, a, b), (-2, b, None), (2, a, a), (-1, b, a), (1, a, None)]
         )
         expected = pa * pb - 2 * pb * E**2 + 2 * pa * pa - pb * pa + pa * E**2
         assert shifted(total, 4) == expected, (seed, "sum_products")
@@ -473,7 +483,7 @@ def test_ring_operations_match_sympy():
         assert shifted(ExpPoly._make(VARS, buffer), 4) == expected, (seed, "add_product")
         assert (list(a.monomials()), list(b.monomials())) == before, (
             seed, "operands changed")
-        assert sum_products(VARS, [(1, a, None)]) is a
+        assert sum_products([(1, a, None)]) is a
         c, _, weight = ra[0]
         unit = ExpPoly.const(VARS, c).times_exp(weight)
         # E^2 * unit^-1 = E^(2 - weight) / c

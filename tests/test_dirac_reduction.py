@@ -21,7 +21,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from jacv import coeff, dirac  # noqa: E402
+from jacv import dirac  # noqa: E402
 from jacv.algebroid import NOT_DECIDED, Report, lift_hat  # noqa: E402
 from jacv.calculus import MultiVector  # noqa: E402
 from jacv.coeff import ExpPoly, NotInvertible  # noqa: E402
@@ -40,6 +40,7 @@ from tests.gen import (  # noqa: E402
     rand_multivector,
     rand_scalar,
     rand_unit_two_form,
+    record_products,
 )
 from tests.test_dirac import _torsion_by_the_public_formula  # noqa: E402
 
@@ -228,21 +229,6 @@ def _fractional(value):
     return any(c.__class__ is not int for _, _, c in value.monomials())
 
 
-def _record_products(monkeypatch):
-    """The operand pairs of the products formed from now on (as
-    ``_count_products`` of ``test_structures`` counts them)."""
-    products = []
-    add_product = coeff.add_product
-
-    def recording(terms, k, a, b=None):
-        if b is not None:
-            products.append((a, b))
-        add_product(terms, k, a, b)
-
-    monkeypatch.setattr(coeff, "add_product", recording)
-    return products
-
-
 def test_reductions_of_integer_forms_multiply_integers(monkeypatch):
     # Pf = 4: the flat/flat reduction divides by q = 4 and the mixed one by
     # d = 4, the denominator of pi_from_omega, each once per residue
@@ -261,7 +247,7 @@ def test_reductions_of_integer_forms_multiply_integers(monkeypatch):
         with monkeypatch.context() as patched:
             # the member gate is no part of the reduction
             patched.setattr(dirac, "_member_gate", lambda *args: None)
-            products = _record_products(patched)
+            products = record_products(patched)
             report = dirac_pair_check(c.C, left, right)
         assert report.status == "fail"
         scaled = next(

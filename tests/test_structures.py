@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from jacv import coeff, structures
+from jacv import structures
 from jacv.algebroid import (
     PASS,
     AlgebroidPatch,
@@ -68,6 +68,7 @@ from tests.gen import (
     rand_scalar,
     rand_unit_bivector,
     rand_unit_two_form,
+    record_products,
     small_tangent,
     solvable_bialgebroid,
     standard_flat,
@@ -178,27 +179,11 @@ def test_tensor_map_algebra():
     assert det == c.ext.scalar(1)
 
 
-def _count_products(monkeypatch):
-    """The list of the operand pairs of the products formed from now on.
-    Every product, inside ``*`` or a sum of products, is formed by the
-    kernel."""
-    products = []
-    add_product = coeff.add_product
-
-    def counting(terms, k, a, b=None):
-        if b is not None:
-            products.append((a, b))
-        add_product(terms, k, a, b)
-
-    monkeypatch.setattr(coeff, "add_product", counting)
-    return products
-
-
 def test_skew_inverse_forms_few_products(monkeypatch):
     # flat(Om) is inverted from one Pfaffian memo in 9 products; its skew
     # block matrix, which a map that is not skew expands, takes 20
     m = flat_map(contact().Om)
-    products = _count_products(monkeypatch)
+    products = record_products(monkeypatch)
     inv = m.inverse()
     assert len(products) < 20, len(products)
     assert inv.compose(m) == TensorMap.identity(m.algebroid, SIDE_A)
@@ -210,7 +195,7 @@ def test_general_inverse_forms_few_products(monkeypatch):
     # cofactors takes 1,072
     A = make_tangent(Patch(("x", "y", "z", "u", "v", "w")))
     m = _unit_determinant_matrix(random.Random(6), A, skew=False)
-    products = _count_products(monkeypatch)
+    products = record_products(monkeypatch)
     inv = m.inverse()
     assert len(products) < 900, len(products)
     monkeypatch.undo()
@@ -1062,12 +1047,12 @@ def test_self_brackets_multiply_integers_before_the_one_scaling(monkeypatch):
     for check, c2 in ((lambda s: jacobi_check(c.C, s), Fraction(1, 16)),
                       (lambda s: maurer_cartan_check(B, s), Fraction(1, 32))):
         with monkeypatch.context() as patched:
-            products = _count_products(patched)
+            products = record_products(patched)
             assert check(pi).ok
         assert products
         assert not any(_fractional(a) or _fractional(b) for a, b in products)
         with monkeypatch.context() as patched:
-            products = _count_products(patched)
+            products = record_products(patched)
             assert check(failing).status == "fail"
         scaled = next(
             n for n, (a, b) in enumerate(products) if _fractional(a) or _fractional(b)

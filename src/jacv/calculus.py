@@ -77,7 +77,18 @@ Sign conventions fixed here and relied on everywhere else:
   every g_J with j in J; each side keeps the derivative maps of its
   components by key for the call (one memo when P is Q), so each stored
   component is swept at most once per bracket.  A frame element with no
-  anchor entry asks for no derivative.
+  anchor entry asks for no derivative;
+* every index placement, the sign and increasing key of e_L ^ e_R, is read
+  from one table, ``_wedge_keys(L, R)``: a pure function of the two index
+  tuples, memoized with a bound of 2^16 entries, so a placement is derived
+  once and not once per product.  The differential reads the anchor term's
+  placement as ``_wedge_keys((i,), K)``: i's position in K + {i} is the
+  number of indices of K below i, which is the inversion count of (i,) + K;
+* results are built by ``_Section._trusted``, which skips the checks of the
+  public constructor.  That is sound because every key of a result is
+  derived from validated operands over one algebroid, and so is every
+  product; ``Form(...)`` and ``MultiVector(...)`` keep every check for the
+  sections that come from outside.
 
 Sections over the direct sum with a trivial line are identified with pairs
 (P, Q) via  (P, Q) = P + ehat ^ Q  (split / merge below); all the pair
@@ -86,10 +97,10 @@ formulas quoted in the structure checks come out of this identification.
 
 from __future__ import annotations
 
-from bisect import bisect
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -131,6 +142,21 @@ class _Section:
                 clean[key] = c
         self.components = clean
 
+    @classmethod
+    def _trusted(
+        cls, algebroid: object, degree: int, components: Dict[Key, ExpPoly]
+    ) -> "_Section":
+        """Trusted constructor for components the calculus built itself from
+        validated operands over ``algebroid``: every key strictly increasing
+        in range with ``degree`` indices, every value over the patch's
+        variables.  Skips the checks of the public constructor and keeps
+        only the nonzero components."""
+        self = object.__new__(cls)
+        self.algebroid = algebroid
+        self.degree = degree
+        self.components = {k: c for k, c in components.items() if not c.is_zero}
+        return self
+
     # -- basics ------------------------------------------------------------
 
     @property
@@ -158,7 +184,7 @@ class _Section:
         zero = self.algebroid.zero_scalar()
         for key, c in other.components.items():
             comps[key] = comps.get(key, zero) + c
-        return type(self)(self.algebroid, self.degree, comps)
+        return self._trusted(self.algebroid, self.degree, comps)
 
     def __sub__(self, other: "_Section") -> "_Section":
         self._check_same(other)
@@ -166,7 +192,7 @@ class _Section:
         for key, c in other.components.items():
             old = comps.get(key)
             comps[key] = -c if old is None else old - c
-        return type(self)(self.algebroid, self.degree, comps)
+        return self._trusted(self.algebroid, self.degree, comps)
 
     def __neg__(self) -> "_Section":
         return type(self)(
@@ -261,8 +287,11 @@ class Form(_Section):
 Section = Union[MultiVector, Form]
 
 
+@lru_cache(maxsize=1 << 16)
 def _wedge_keys(left: Key, right: Key) -> Optional[Tuple[int, Key]]:
-    """Sign and increasing key of e_left ^ e_right; None when the keys overlap."""
+    """Sign and increasing key of e_left ^ e_right; None when the keys overlap.
+    A pure function of the two index tuples, so each placement is derived
+    once (module docstring)."""
     inversions = 0
     for i in left:
         for j in right:
@@ -274,9 +303,10 @@ def _wedge_keys(left: Key, right: Key) -> Optional[Tuple[int, Key]]:
 
 def _built(cls: type, A: object, degree: int, sums: Sums) -> Section:
     """The section whose component on each key is the sum of that key's
-    signed products, each built as one value; the constructor validates."""
+    signed products, each built as one value.  The keys and products come
+    from validated operands over ``A``, so it builds through ``_trusted``."""
     comps = {key: sum_products(products) for key, products in sums.items()}
-    return cls(A, degree, comps)
+    return cls._trusted(A, degree, comps)
 
 
 # -- wedge, contraction, pairing ------------------------------------------
@@ -400,9 +430,10 @@ def differential(arg: object, w: Form) -> Form:
     # position there, so only stored components are differentiated
     for K, c in w.components.items():
         for i, d in A.anchor_derivs(c).items():
-            if i not in K:
-                pos = bisect(K, i)
-                sums[K[:pos] + (i,) + K[pos:]].append((-1 if pos % 2 else 1, d, None))
+            placed = _wedge_keys((i,), K)
+            if placed is not None:
+                sign, key = placed
+                sums[key].append((sign, d, None))
     if A.brackets:
         for key in combinations(range(A.rank), w.degree + 1):
             for pa in range(len(key)):

@@ -663,3 +663,97 @@ def test_mismatch_errors():
         differential(A, e1)
     with pytest.raises(MismatchError):
         eval_on(wedge(eps1, Form.coframe(A, 1)), [e1])
+
+
+def test_placement_table_matches_permutation_parity():
+    """An independent count for every placement over range(6), which holds
+    every key over a smaller range: the sign of e_L ^ e_R is the parity of
+    the permutation sorting L + R, and overlapping keys give None.  A wrong
+    memoized entry would be reused by every later call, so the table read
+    through the cache must equal the one derived afresh after a clear."""
+    Permutation = pytest.importorskip("sympy.combinatorics").Permutation
+    keys = [key for n in range(7) for key in combinations(range(6), n)]
+    expected = {}
+    for left in keys:
+        for right in keys:
+            if set(left) & set(right):
+                expected[left, right] = None
+                continue
+            merged = left + right
+            order = sorted(range(len(merged)), key=merged.__getitem__)
+            sign = -1 if Permutation(order).parity() else 1
+            expected[left, right] = (sign, tuple(sorted(merged)))
+    wedge_keys = calculus._wedge_keys
+    cached = {(a, b): wedge_keys(a, b) for a, b in expected}
+    wedge_keys.cache_clear()
+    fresh = {(a, b): wedge_keys(a, b) for a, b in expected}
+    assert cached == expected
+    assert fresh == expected
+
+
+@pytest.mark.parametrize("cls", [Form, MultiVector])
+def test_public_constructor_rejects_invalid_components(cls):
+    _, A = small_tangent()
+    _, other = small_tangent(("a", "b", "c"))
+    one = A.scalar(1)
+    for degree, comps in [
+        (2, {(1, 0): one}),  # decreasing
+        (2, {(1, 1): one}),  # repeated index
+        (1, {(3,): one}),  # out of range
+        (1, {(-1,): one}),  # out of range
+        (2, {(0,): one}),  # wrong length
+        (1, {(0,): other.scalar(1)}),  # another variable tuple
+    ]:
+        with pytest.raises(MismatchError):
+            cls(A, degree, comps)
+    s = cls(A, 1, {(0,): A.zero_scalar(), (1,): one})
+    assert s.components == {(1,): one}
+
+
+def _trusted_path_cases():
+    """Twisted data on three algebroids: the tangent algebroid with a closed
+    twist, its extension by a line with a twist that is not closed, and an
+    action algebroid with structure functions."""
+    r = random.Random(27)
+    _, A = small_tangent()
+    ext = extend_with_R(A)
+    E = ext.algebroid
+    open_twist = ext.phi0 + rand_form(r, E, 1, max_degree=1)
+    return [
+        JacobiAlgebroidData(A, closed_twist(r, A)),
+        JacobiAlgebroidData(E, open_twist),
+        action_algebroids()[0],
+    ]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_calculus_results_pass_the_public_constructor(case):
+    """Every result built through the trusted path holds no zero component
+    and no key the public constructor would reject: rebuilding it through
+    ``Form``/``MultiVector`` gives the same components."""
+    J = _trusted_path_cases()[case]
+    A = J.algebroid
+    r = random.Random(2700 + case)
+    results = []
+    for _ in range(3):
+        for p in range(3):
+            P = rand_multivector(r, A, p, max_degree=1)
+            u = rand_form(r, A, p, max_degree=1)
+            results += [differential(A, u), differential(J, u), P - P, u - u]
+            results += [schouten(P, P), phi0_schouten(J, P, P)]
+            if p:
+                x = rand_multivector(r, A, 1, max_degree=1)
+                y = rand_form(r, A, 1, max_degree=1)
+                results += [contract(x, u), contract(y, P)]
+            for q in range(3):
+                Q = rand_multivector(r, A, q, max_degree=1)
+                v = rand_form(r, A, q, max_degree=1)
+                results += [wedge(P, Q), wedge(u, v)]
+                results += [schouten(P, Q), phi0_schouten(J, P, Q)]
+                if p == q:
+                    results += [P + Q, P - Q, u + v, u - v]
+    assert any(not s.is_zero for s in results)
+    for s in results:
+        rebuilt = type(s)(s.algebroid, s.degree, dict(s.components))
+        assert rebuilt == s
+        assert rebuilt.components == s.components

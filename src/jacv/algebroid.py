@@ -22,6 +22,7 @@ exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .coeff import ExpPoly, Product, VariableSetMismatch, sum_products
@@ -204,17 +205,13 @@ class AlgebroidPatch:
                 out[i] = d
         return out
 
-
-def anchor_apply(A: AlgebroidPatch, X: "calculus.MultiVector", f: ExpPoly) -> ExpPoly:
-    """The derivation of a degree-1 section applied to a scalar; a component
-    whose derivative is zero forms no product, nor does a component 1."""
-    if X.degree != 1:
-        raise ValueError("anchor_apply expects a degree-1 section")
-    if X.algebroid is not A:
-        raise calculus.MismatchError("the section lives over a different algebroid")
-    derivs = A.anchor_derivs(f)
-    terms = [(1, c, derivs[i]) for (i,), c in X.components.items() if i in derivs]
-    return sum_products(terms) if terms else A.zero_scalar()
+    def signed_bracket(self, a: int, b: int) -> Tuple[int, Entries]:
+        """(sign, row) with [e_a, e_b] = sign * sum of c e_l over (l, c) in
+        row: the stored row of the pair in increasing order, read with its
+        sign; the row of a == b is empty."""
+        if a < b:
+            return 1, self.brackets.get((a, b), ())
+        return -1, self.brackets.get((b, a), ())
 
 
 def bracket_sections(
@@ -269,8 +266,10 @@ def validate_algebroid(A: Union[AlgebroidPatch, JacobiAlgebroidData]) -> Report:
     for twisted data, then that the twist is closed.
 
     The identities run on frame elements, which suffices: the Leibniz rule
-    propagates them to arbitrary sections.  A failure's witness names the
-    first failing identity and its nonzero residue.
+    propagates them to arbitrary sections.  Their residues are read off
+    the anchor entries and the structure functions in closed form
+    (``_frame_residues``), with no section bracketed.  A failure's witness
+    names the first failing identity and its nonzero residue.
     """
     twist = None
     if isinstance(A, JacobiAlgebroidData):
@@ -281,29 +280,80 @@ def validate_algebroid(A: Union[AlgebroidPatch, JacobiAlgebroidData]) -> Report:
 def _frame_residues(
     A: AlgebroidPatch, twist: Optional["calculus.Form"] = None
 ) -> Iterator[Tuple[str, object]]:
-    """The anchor and Jacobi residues on frame elements, then d(twist)."""
-    e = [calculus.MultiVector.frame(A, i) for i in range(A.rank)]
-    labels = A.frame_labels
-    for i in range(A.rank):
-        for j in range(i + 1, A.rank):
-            eij = bracket_sections(A, e[i], e[j])
-            for name in A.patch.anchor_coords:
-                coord = ExpPoly.var(A.patch.variables, name)
-                lhs = anchor_apply(A, eij, coord)
-                rhs = anchor_apply(A, e[i], anchor_apply(A, e[j], coord))
-                rhs = rhs - anchor_apply(A, e[j], anchor_apply(A, e[i], coord))
-                yield f"anchor([{labels[i]},{labels[j]}]) on {name}: ", lhs - rhs
-    for i in range(A.rank):
-        for j in range(i + 1, A.rank):
-            for k in range(j + 1, A.rank):
-                total = bracket_sections(A, bracket_sections(A, e[i], e[j]), e[k])
-                total = total + bracket_sections(
-                    A, bracket_sections(A, e[j], e[k]), e[i]
-                )
-                total = total + bracket_sections(
-                    A, bracket_sections(A, e[k], e[i]), e[j]
-                )
-                yield f"jacobi({labels[i]},{labels[j]},{labels[k]}): ", total
+    """The anchor and Jacobi residues on frame elements, then d(twist).
+
+    Write rho_i for the derivation rho(e_i), rho_i^x for its entry along
+    the coordinate x and c_ab^l for the structure functions, with
+    c_ba^l = -c_ab^l and c_aa^l = 0.  The one fact used: [e_a, e_b] =
+    sum_l c_ab^l e_l has coefficient-1 frames, whose Leibniz terms vanish,
+    and for a scalar f the Leibniz rule reads
+    [f e_l, e_c] = f [e_l, e_c] - rho_c(f) e_l.
+
+    * Anchor.  rho is linear over scalars, so
+      rho([e_i, e_j]) x = sum_k c_ij^k rho_k^x,
+      and [rho_i, rho_j] x = rho_i(rho_j^x) - rho_j(rho_i^x).  The residue
+      on (i, j, x) is
+
+          sum_k c_ij^k rho_k^x - rho_i(rho_j^x) + rho_j(rho_i^x).
+
+    * Jacobi.  [[e_a, e_b], e_c] = sum_l (c_ab^l [e_l, e_c]
+      - rho_c(c_ab^l) e_l), so component m of the Jacobiator on (i, j, k)
+      is the sum over the cyclic (a, b, c) of (i, j, k) of
+
+          sum_l c_ab^l c_lc^m - rho_c(c_ab^m).
+
+      Every term has a factor c, so an algebroid with no bracket yields no
+      Jacobi residue.
+
+    The first time a derivative of an anchor entry rho_j^x or of a stored
+    c_ab^l (a < b) is asked for, all of that function's anchored
+    derivatives are taken in one sweep (``AlgebroidPatch.anchor_derivs``)
+    and kept by (j, x), resp. (a, b, l), for this call only.  Each residue
+    is one ``sum_products``.  Labels and order are those of bracketing
+    frame sections, and the residues are the same canonical values.
+    """
+    r, labels, brackets = A.rank, A.frame_labels, A.brackets
+    anchor = [dict(column) for column in A.anchor]
+    derivs: Dict[Tuple[int, ...], Dict[int, ExpPoly]] = {}
+
+    def rho(a: int, key: Tuple[int, ...], f: ExpPoly) -> Optional[ExpPoly]:
+        """rho_a(f), or None when it is zero; f is stored under ``key``."""
+        d = derivs.get(key)
+        if d is None:
+            d = derivs[key] = A.anchor_derivs(f)
+        return d.get(a)
+
+    zero = A.zero_scalar()
+    for i in range(r):
+        for j in range(i + 1, r):
+            row = brackets.get((i, j), ())
+            for x in A.patch.anchor_coords:
+                products: List[Product] = [
+                    (1, c, anchor[k][x]) for k, c in row if x in anchor[k]
+                ]
+                for a, b, sign in ((i, j, -1), (j, i, 1)):
+                    if x in anchor[b]:
+                        d = rho(a, (b, x), anchor[b][x])
+                        if d is not None:
+                            products.append((sign, d, None))
+                residue = sum_products(products) if products else zero
+                yield f"anchor([{labels[i]},{labels[j]}]) on {x}: ", residue
+    if brackets:
+        for i, j, k in combinations(range(r), 3):
+            out: Dict[int, List[Product]] = {}
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                sign, row = A.signed_bracket(a, b)
+                for l, c_ab in row:
+                    sign_lc, row_lc = A.signed_bracket(l, c)
+                    for m, c_lc in row_lc:
+                        out.setdefault(m, []).append((sign * sign_lc, c_ab, c_lc))
+                    d = rho(c, (min(a, b), max(a, b), l), c_ab)
+                    if d is not None:
+                        out.setdefault(l, []).append((-sign, d, None))
+            total = calculus.MultiVector(
+                A, 1, {(m,): sum_products(p) for m, p in out.items()}
+            )
+            yield f"jacobi({labels[i]},{labels[j]},{labels[k]}): ", total
     if twist is not None:
         yield "d(phi0): ", calculus.differential(A, twist)
 

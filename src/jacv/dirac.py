@@ -85,7 +85,6 @@ from .algebroid import (
     NOT_DECIDED,
     PASS,
     AlgebroidPatch,
-    Entries,
     JacobiAlgebroidData,
     Report,
     _first_failure,
@@ -227,13 +226,6 @@ class _FrameTorsion:
             d = self.derivs[b, col] = self.algebroid.anchor_derivs(self.m[b][col])
         return d.get(a)
 
-    def _bracket(self, a: int, b: int) -> Tuple[int, Entries]:
-        """(sign, row) with [e_a, e_b] = sign * sum of c e_l over (l, c) in row."""
-        brackets = self.algebroid.brackets
-        if a < b:
-            return 1, brackets.get((a, b), ())
-        return -1, brackets.get((b, a), ())
-
     def at(self, i: int, j: int) -> MultiVector:
         """The torsion of M on the frame pair (e_i, e_j), i < j."""
         A, columns = self.algebroid, self.columns
@@ -253,18 +245,18 @@ class _FrameTorsion:
         if A.brackets:
             for k, m_ki in col_i:
                 for k2, m_kj in col_j:
-                    sign, row = self._bracket(k, k2)
+                    sign, row = A.signed_bracket(k, k2)
                     if row:
                         both = m_ki * m_kj
                         for l, c in row:
                             out[l].append((sign, both, c))
             # I_m, structure terms: m_ki c_kj^m + m_kj c_ik^m - m_mp c_ij^p
             for k, m_ki in col_i:
-                sign, row = self._bracket(k, j)
+                sign, row = A.signed_bracket(k, j)
                 for l, c in row:
                     inner[l].append((sign, m_ki, c))
             for k, m_kj in col_j:
-                sign, row = self._bracket(i, k)
+                sign, row = A.signed_bracket(i, k)
                 for l, c in row:
                     inner[l].append((sign, m_kj, c))
             for p, c in A.brackets.get((i, j), ()):

@@ -774,21 +774,30 @@ def pairing_pm(u: CouplePair, v: CouplePair, sign: int) -> ExpPoly:
 def courant_bracket(
     B: JacobiBialgebroidData, u: CouplePair, v: CouplePair
 ) -> CouplePair:
-    """The skew bracket on couples built from both twisted calculi."""
+    """The skew bracket on couples built from both twisted calculi.
+
+    Over a trivial dual with a zero twist (``_trivial_dual``) the dual Lie
+    derivatives, the dual differential and the dual bracket are 0, as
+    ``maurer_cartan_check`` and ``bialgebroid_compat_check`` use, so only
+    the primal bracket of the vectors, the two primal Lie derivatives and
+    d<u, v>_- are computed.
+    """
     A = B.A
     minus = pairing_pm(u, v, -1)
-    vec = (
-        phi0_schouten(B.a_side, u.vector, v.vector)
-        + dual_lie(B, u.covector, v.vector)
-        - dual_lie(B, v.covector, u.vector)
-        - dual_differential(B, MultiVector.scalar_section(A, minus))
-    )
+    vec = phi0_schouten(B.a_side, u.vector, v.vector)
     cov = (
-        dual_schouten(B, u.covector, v.covector)
-        + lie_derivative(B.a_side, u.vector, v.covector)
+        lie_derivative(B.a_side, u.vector, v.covector)
         - lie_derivative(B.a_side, v.vector, u.covector)
         + differential(B.a_side, Form.scalar_section(A, minus))
     )
+    if not _trivial_dual(B):
+        vec = (
+            vec
+            + dual_lie(B, u.covector, v.vector)
+            - dual_lie(B, v.covector, u.vector)
+            - dual_differential(B, MultiVector.scalar_section(A, minus))
+        )
+        cov = dual_schouten(B, u.covector, v.covector) + cov
     return CouplePair(vec, cov)
 
 

@@ -1,4 +1,5 @@
-"""Shared builders for the test suite: seeded random data and fixed corpora."""
+"""Shared builders for the test suite: seeded random data, fixed corpora and
+reference routes that bracket sections where the library uses a closed form."""
 
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from jacv.algebroid import (
     AlgebroidPatch,
     JacobiAlgebroidData,
     Patch,
+    bracket_sections,
     extend_with_R,
     lift_hat,
     make_explicit,
@@ -18,7 +20,7 @@ from jacv.algebroid import (
     make_trivial,
 )
 from jacv.calculus import Form, MultiVector, differential, merge, phi0_schouten
-from jacv.coeff import ExpPoly
+from jacv.coeff import ExpPoly, sum_products
 from jacv.structures import (
     SIDE_A,
     JacobiBialgebroidData,
@@ -53,6 +55,39 @@ def record_products(monkeypatch):
     monkeypatch.setattr(coeff, "_GUARD", Guards())
     monkeypatch.setattr(coeff, "add_product", recording)
     return products
+
+
+def anchor_apply(A, X, f):
+    """The derivation of a degree-1 section X over ``A`` applied to a
+    scalar: the sum over X's components X^i of X^i rho(e_i) f."""
+    derivs = A.anchor_derivs(f)
+    terms = [(1, c, derivs[i]) for (i,), c in X.components.items() if i in derivs]
+    return sum_products(terms) if terms else A.zero_scalar()
+
+
+def bracketed_frame_residues(A, twist=None):
+    """The frame identities of ``validate_algebroid`` by bracketing frame
+    sections and applying anchors to coordinates: every (label, residue),
+    zero or not, in the library's order."""
+    e = [MultiVector.frame(A, i) for i in range(A.rank)]
+    labels = A.frame_labels
+    out = []
+    for i, j in combinations(range(A.rank), 2):
+        eij = bracket_sections(A, e[i], e[j])
+        for name in A.patch.anchor_coords:
+            coord = A.patch.coord(name)
+            lhs = anchor_apply(A, eij, coord)
+            rhs = anchor_apply(A, e[i], anchor_apply(A, e[j], coord))
+            rhs = rhs - anchor_apply(A, e[j], anchor_apply(A, e[i], coord))
+            out.append((f"anchor([{labels[i]},{labels[j]}]) on {name}: ", lhs - rhs))
+    for i, j, k in combinations(range(A.rank), 3):
+        total = bracket_sections(A, bracket_sections(A, e[i], e[j]), e[k])
+        total = total + bracket_sections(A, bracket_sections(A, e[j], e[k]), e[i])
+        total = total + bracket_sections(A, bracket_sections(A, e[k], e[i]), e[j])
+        out.append((f"jacobi({labels[i]},{labels[j]},{labels[k]}): ", total))
+    if twist is not None:
+        out.append(("d(phi0): ", differential(A, twist)))
+    return out
 
 
 def rand_scalar(r, patch, max_degree=2, terms=2, with_t=False, exp_range=0):

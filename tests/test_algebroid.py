@@ -2,11 +2,12 @@ import random
 
 import pytest
 
+from jacv import calculus
 from jacv.algebroid import (
     AlgebroidPatch,
     JacobiAlgebroidData,
     Patch,
-    anchor_apply,
+    _frame_residues,
     bracket_sections,
     extend_with_R,
     lift_bar,
@@ -19,7 +20,13 @@ from jacv.algebroid import (
 from jacv.calculus import Form, MismatchError, MultiVector, differential
 from jacv.coeff import ExpPoly, VariableSetMismatch
 from jacv.structures import make_standard_bialgebroid
-from tests.gen import action_algebroids, rand_scalar, record_products
+from tests.gen import (
+    action_algebroids,
+    bracketed_frame_residues,
+    rand_form,
+    rand_scalar,
+    record_products,
+)
 
 
 def test_patch_basics():
@@ -334,7 +341,7 @@ def test_unit_anchor_entries_are_found_once(monkeypatch):
     assert derivs == {TA: expected[TA], ext: expected[TA], mixed: expected[mixed]}
 
 
-def test_anchor_derivs_and_anchor_apply_refuse_foreign_operands():
+def test_anchor_derivs_and_bracket_sections_refuse_foreign_operands():
     p = Patch(("x", "y"))
     A = make_tangent(p)
     ddx = MultiVector.frame(A, 0)
@@ -342,18 +349,14 @@ def test_anchor_derivs_and_anchor_apply_refuse_foreign_operands():
     x_swapped = ExpPoly.var(("y", "x", "t"), "x")
     with pytest.raises(VariableSetMismatch):
         A.anchor_derivs(x_swapped)
-    with pytest.raises(VariableSetMismatch):
-        anchor_apply(A, ddx, x_swapped)
-    other = make_tangent(p)
-    with pytest.raises(MismatchError):
-        anchor_apply(A, MultiVector.frame(other, 0), p.coord("x"))
+    assert A.anchor_derivs(p.coord("x")) == {0: p.const(1)}
     # two sections over another algebroid bracket over that one, not over A
+    other = make_tangent(p)
     foreign = MultiVector.frame(other, 0), MultiVector.frame(other, 1)
     with pytest.raises(MismatchError):
         bracket_sections(A, *foreign)
     with pytest.raises(MismatchError):
         bracket_sections(A, ddx, foreign[1])
-    assert anchor_apply(A, ddx, p.coord("x")) == p.const(1)
 
 
 def test_unit_components_that_are_not_the_shared_one_form_no_product(monkeypatch):
@@ -372,3 +375,81 @@ def test_unit_components_that_are_not_the_shared_one_form_no_product(monkeypatch
                     bracket = bracket_sections(A, units[i], units[j])
                 assert products == [], (A.rank, i, j)
                 assert bracket == bracket_sections(A, frames[i], frames[j])
+
+
+def _random_explicit(r, has_time=None):
+    """Random frame data: rank 0-4 over one or two coordinates, sparse
+    anchor entries with exp weights, and with or without brackets."""
+    if has_time is None:
+        has_time = r.random() < 0.5
+    patch = Patch(("x", "y")[: r.randint(1, 2)], has_time=has_time)
+    rank = r.randint(0, 4)
+    zero = patch.zero()
+
+    def entry(density):
+        if r.random() >= density:
+            return zero
+        return rand_scalar(
+            r, patch, max_degree=r.randint(0, 1), terms=r.randint(1, 2),
+            with_t=has_time, exp_range=r.choice((0, 0, 1)),
+        )
+
+    anchor = [[entry(0.4) for _ in range(rank)] for _ in patch.anchor_coords]
+    brackets = {}
+    if r.random() < 0.6:
+        for i in range(rank):
+            for j in range(i + 1, rank):
+                if r.random() < 0.5:
+                    brackets[i, j] = [entry(0.4) for _ in range(rank)]
+    return make_explicit(patch, rank, anchor, brackets)
+
+
+def _nonzero(residues):
+    return [(label, str(residue), residue) for label, residue in residues
+            if not residue.is_zero]
+
+
+def test_closed_form_frame_residues_agree_with_bracketed_frames():
+    # every nonzero (label, residue), not only the first failure, is that
+    # of bracketing frame sections and applying anchors to coordinates
+    r = random.Random(28)
+    cases = []
+    for _ in range(200):
+        A = _random_explicit(r)
+        twist = rand_form(r, A, 1, max_degree=1, terms=1) if r.random() < 0.3 else None
+        cases.append((A, twist))
+    for _ in range(40):
+        A = _random_explicit(r, has_time=False)
+        J = JacobiAlgebroidData(A, rand_form(r, A, 1, max_degree=1, terms=1, exp_range=1))
+        cases += [(lift_bar(J), None), (lift_hat(J), None), (A, J.phi0)]
+    cases += [(J.algebroid, J.phi0) for J in action_algebroids()]
+    cases += [(lift_bar(J), None) for J in action_algebroids() if not J.algebroid.patch.has_time]
+    seen = set()
+    for n, (A, twist) in enumerate(cases):
+        got = _nonzero(_frame_residues(A, twist))
+        assert got == _nonzero(bracketed_frame_residues(A, twist)), n
+        failed = {label.split("(")[0] for label, _, _ in got}
+        seen |= failed or {"pass"}
+        if A.rank >= 3 and A.brackets and "jacobi" not in failed:
+            seen.add("jacobi holds")
+    # every identity fails somewhere, and the Jacobi identity also holds
+    # on bracketed data
+    assert seen == {"pass", "anchor", "jacobi", "d", "jacobi holds"}
+
+
+def test_an_algebroid_with_no_bracket_has_no_jacobi_residue(monkeypatch):
+    # every Jacobi term has a factor c, so no Jacobi residue is yielded, and
+    # the anchor residues take no section bracket
+    def no_bracket(*args):
+        raise AssertionError("a section bracket was taken")
+
+    monkeypatch.setattr(calculus, "schouten", no_bracket)
+    p = Patch(("x", "y"), has_time=True)
+    x, one = p.coord("x"), p.const(1)
+    A = make_explicit(p, 3, ((one, x, p.zero()), (x, one, x), (one, one, one)), {})
+    labels = [label for label, _ in _frame_residues(A)]
+    assert labels == [
+        f"anchor([e{i},e{j}]) on {v}: " for i, j in ((1, 2), (1, 3), (2, 3)) for v in "xyt"
+    ]
+    assert not validate_algebroid(A).ok
+    assert validate_algebroid(make_tangent(p)).ok

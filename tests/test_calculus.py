@@ -9,7 +9,6 @@ from jacv import calculus
 from jacv.algebroid import (
     JacobiAlgebroidData,
     Patch,
-    anchor_apply,
     bracket_sections,
     extend_with_R,
     lift_bar,
@@ -38,6 +37,7 @@ from jacv.calculus import (
 )
 from tests.gen import (
     action_algebroids,
+    anchor_apply,
     closed_twist,
     contact,
     rand_form,

@@ -580,6 +580,35 @@ def test_member_gate_of_a_form_over_a_trivial_dual_builds_no_bracket(monkeypatch
         maurer_cartan_check(solvable_bialgebroid(), Form.zero(solvable_bialgebroid().A, 2))
 
 
+def test_graph_closure_over_a_trivial_dual_computes_no_dual_term(monkeypatch):
+    # the dual Lie derivatives, differential and bracket are 0 over a
+    # trivial dual, so the Courant bracket leaves them out; the reports are
+    # those of the route that computes and adds them
+    r = random.Random(28)
+    c = contact()
+    B = make_standard_bialgebroid(c.C)
+    x1 = c.p.coord("x1")
+    sections = [c.Om, c.wH, c.Pi, c.Om + x1 * c.wP, x1 * c.Pi]
+    sections += [rand_graph_section(r, c.ext, kind) for kind in ("sharp", "flat") * 2]
+    with monkeypatch.context() as patched:
+        patched.setattr(structures, "_trivial_dual", lambda B: False)
+        reports = [graph_closure_check(B, s) for s in sections]
+    kinds = {(type(s).__name__, report.status) for s, report in zip(sections, reports)}
+    assert kinds == {(k, v) for k in ("MultiVector", "Form") for v in ("pass", "fail")}
+
+    def no_dual_term(*args):
+        raise AssertionError("a dual term was computed")
+
+    for name in ("dual_lie", "dual_differential", "dual_schouten"):
+        monkeypatch.setattr(structures, name, no_dual_term)
+    assert [graph_closure_check(B, s) for s in sections] == reports
+    # a dual with a bracket still computes them
+    solvable = solvable_bialgebroid()
+    for s in (MultiVector.zero(solvable.A, 2), Form.zero(solvable.A, 2)):
+        with pytest.raises(AssertionError, match="dual term"):
+            graph_closure_check(solvable, s)
+
+
 def test_member_gate_of_a_bivector_over_a_trivial_dual_skips_d_star(monkeypatch):
     # d_* = 0, so the residue is (1/2)[pi, pi] alone; the reports are those
     # of the route that computes d_* pi and adds it

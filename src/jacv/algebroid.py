@@ -214,18 +214,6 @@ class AlgebroidPatch:
         return -1, self.brackets.get((b, a), ())
 
 
-def bracket_sections(
-    A: AlgebroidPatch, X: "calculus.MultiVector", Y: "calculus.MultiVector"
-) -> "calculus.MultiVector":
-    """Bracket of two degree-1 sections: the Schouten bracket in degree 1,
-    fg[e_i, e_j] + f rho(e_i)g e_j - g rho(e_j)f e_i summed over components."""
-    if X.degree != 1 or Y.degree != 1:
-        raise ValueError("bracket_sections expects degree-1 sections")
-    if X.algebroid is not A or Y.algebroid is not A:
-        raise calculus.MismatchError("a section lives over a different algebroid")
-    return calculus.schouten(X, Y)
-
-
 PASS = "pass"
 FAIL = "fail"
 NOT_DECIDED = "not-decided"
@@ -308,20 +296,18 @@ def _frame_residues(
     The first time a derivative of an anchor entry rho_j^x or of a stored
     c_ab^l (a < b) is asked for, all of that function's anchored
     derivatives are taken in one sweep (``AlgebroidPatch.anchor_derivs``)
-    and kept by (j, x), resp. (a, b, l), for this call only.  Each residue
-    is one ``sum_products``.  Labels and order are those of bracketing
-    frame sections, and the residues are the same canonical values.
+    and kept by (j, x), resp. (a, b, l), for this call only, through
+    ``calculus._anchored``.  Each residue is one ``sum_products``.  Labels
+    and order are those of bracketing frame sections, and the residues are
+    the same canonical values.
     """
     r, labels, brackets = A.rank, A.frame_labels, A.brackets
     anchor = [dict(column) for column in A.anchor]
-    derivs: Dict[Tuple[int, ...], Dict[int, ExpPoly]] = {}
+    derivs: Dict[tuple, Dict[int, ExpPoly]] = {}
 
-    def rho(a: int, key: Tuple[int, ...], f: ExpPoly) -> Optional[ExpPoly]:
+    def rho(a: int, key: tuple, f: ExpPoly) -> Optional[ExpPoly]:
         """rho_a(f), or None when it is zero; f is stored under ``key``."""
-        d = derivs.get(key)
-        if d is None:
-            d = derivs[key] = A.anchor_derivs(f)
-        return d.get(a)
+        return calculus._anchored(A, derivs, key, f).get(a)
 
     zero = A.zero_scalar()
     for i in range(r):

@@ -76,8 +76,10 @@ Sign conventions fixed here and relied on everywhere else:
   rho(e_i) g_J is asked for every f_I with i in I, and rho(e_j) f_I for
   every g_J with j in J; each side keeps the derivative maps of its
   components by key for the call (one memo when P is Q), so each stored
-  component is swept at most once per bracket.  A frame element with no
-  anchor entry asks for no derivative;
+  component is swept at most once per bracket.  ``_anchored`` is the one
+  such memo in the library: the frame identities of ``algebroid`` and the
+  frame torsion of ``dirac`` keep theirs through it too.  A frame element
+  with no anchor entry asks for no derivative;
 * every index placement, the sign and increasing key of e_L ^ e_R, is read
   from one table, ``_wedge_keys(L, R)``: a pure function of the two index
   tuples, memoized with a bound of 2^16 entries, so a placement is derived
@@ -566,10 +568,12 @@ def _schouten_into(sums: Sums, P: MultiVector, Q: MultiVector) -> None:
 
 
 def _anchored(
-    A: object, memo: Dict[Key, Dict[int, ExpPoly]], key: Key, value: ExpPoly
+    A: object, memo: Dict[tuple, Dict[int, ExpPoly]], key: tuple, value: ExpPoly
 ) -> Dict[int, ExpPoly]:
-    """``A.anchor_derivs`` of the component ``value`` stored on ``key``,
-    taken once through ``memo``."""
+    """``A.anchor_derivs`` of the function ``value`` stored under ``key``,
+    taken once through ``memo``: the one per-call derivative memo of the
+    library, also that of ``algebroid._frame_residues`` and
+    ``dirac._FrameTorsion``."""
     d = memo.get(key)
     if d is None:
         d = memo[key] = A.anchor_derivs(value)

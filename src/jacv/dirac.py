@@ -69,8 +69,10 @@ Every anchored derivative in it is rho_a(m_bc) of an entry of M, the same
 for every pair that asks for it, so one call of ``_frame_pair_torsion``
 takes each at most once (``_FrameTorsion``).  Both sides are the same
 element of the canonical coefficient ring, so the residue, and with it the
-verdict and the witness, is that of ``torsion_tensor``, which brackets
-sections and stays the independent reference.
+verdict and the witness, is that of bracketing sections.  The tests keep
+two references: ``tests/gen.py::torsion_tensor`` brackets frame sections
+with ``calculus.schouten``, and ``tests/test_coordinate_model.py`` brackets
+vector fields in coordinates with sympy, sharing none of this calculus.
 """
 
 from __future__ import annotations
@@ -88,13 +90,13 @@ from .algebroid import (
     JacobiAlgebroidData,
     Report,
     _first_failure,
-    bracket_sections,
 )
 from .calculus import (
     Form,
     MismatchError,
     MultiVector,
     Section,
+    _anchored,
     differential,
     phi0_schouten,
 )
@@ -162,28 +164,9 @@ class GraphRelation:
 
 # -- torsion of an endomorphism ---------------------------------------------
 
-def torsion_tensor(N: TensorMap, X: MultiVector, Y: MultiVector) -> MultiVector:
-    """[NX,NY] - N[NX,Y] - N[X,NY] + N(N[X,Y]) with the plain bracket."""
-    _check_endomorphism(N)
-    if X.degree != 1 or Y.degree != 1:
-        raise MismatchError("torsion arguments must be degree-1 multivectors")
-    return _torsion(N, X, Y, N.apply(X), N.apply(Y))
-
-
 def _check_endomorphism(N: TensorMap) -> None:
     if N.source != SIDE_A or N.target != SIDE_A:
         raise MismatchError("torsion needs an endomorphism of the algebroid side")
-
-
-def _torsion(
-    N: TensorMap, X: MultiVector, Y: MultiVector, NX: MultiVector, NY: MultiVector
-) -> MultiVector:
-    """The torsion from the images ``NX``, ``NY``, grouped so that ``N`` is
-    applied twice: [NX,NY] - N([NX,Y] + [X,NY] - N[X,Y])."""
-    A = N.algebroid
-    inner = bracket_sections(A, NX, Y) + bracket_sections(A, X, NY)
-    inner = inner - N.apply(bracket_sections(A, X, Y))
-    return bracket_sections(A, NX, NY) - N.apply(inner)
 
 
 def torsion_tensor_check(N: TensorMap) -> Report:
@@ -199,9 +182,9 @@ class _FrameTorsion:
     The first time a pair asks for a derivative of an entry m_bc, all of
     that entry's anchored derivatives are taken in one sweep
     (``AlgebroidPatch.anchor_derivs``) and the map is kept in ``derivs`` by
-    (b, c) for the life of the object, which is one call of
-    ``_frame_pair_torsion``; a frame element with no anchor entry asks for
-    none.  Zero entries and zero derivatives form no product, nor does a
+    (b, c) through ``calculus._anchored`` for the life of the object, which
+    is one call of ``_frame_pair_torsion``; a frame element with no anchor
+    entry asks for none.  Zero entries and zero derivatives form no product, nor does a
     factor 1, which ``sum_products`` skips.  Each I_m and each component of
     the result is one ``sum_products``, and each pair builds one section.
     """
@@ -216,15 +199,13 @@ class _FrameTorsion:
             for i in range(r)
         ]
         self.anchored = [bool(entries) for entries in M.algebroid.anchor]
-        self.derivs: Dict[Tuple[int, int], Dict[int, ExpPoly]] = {}
+        self.derivs: Dict[tuple, Dict[int, ExpPoly]] = {}
 
     def _rho(self, a: int, b: int, col: int) -> Optional[ExpPoly]:
         """rho(e_a) m_(b, col), or None when it is zero; the entry's
         derivatives are taken once per object."""
-        d = self.derivs.get((b, col))
-        if d is None:
-            d = self.derivs[b, col] = self.algebroid.anchor_derivs(self.m[b][col])
-        return d.get(a)
+        m_b = self.m[b][col]
+        return _anchored(self.algebroid, self.derivs, (b, col), m_b).get(a)
 
     def at(self, i: int, j: int) -> MultiVector:
         """The torsion of M on the frame pair (e_i, e_j), i < j."""

@@ -39,7 +39,6 @@ from .algebroid import (
     JacobiAlgebroidData,
     Report,
     _first_failure,
-    bracket_sections,
 )
 from . import calculus
 from .calculus import (
@@ -725,7 +724,7 @@ def _compat_residues(B: JacobiBialgebroidData) -> Iterator[Tuple[str, Section]]:
     ]
     pairs += [(s, frames[j]) for s in family[A.rank :] for j in range(A.rank)]
     for X, Y in pairs:
-        lhs = dual_differential(B, bracket_sections(A, X, Y))
+        lhs = dual_differential(B, calculus.schouten(X, Y))
         rhs = phi0_schouten(B.a_side, dual_differential(B, X), Y) + phi0_schouten(
             B.a_side, X, dual_differential(B, Y)
         )

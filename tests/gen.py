@@ -12,14 +12,20 @@ from jacv.algebroid import (
     AlgebroidPatch,
     JacobiAlgebroidData,
     Patch,
-    bracket_sections,
     extend_with_R,
     lift_hat,
     make_explicit,
     make_tangent,
     make_trivial,
 )
-from jacv.calculus import Form, MultiVector, differential, merge, phi0_schouten
+from jacv.calculus import (
+    Form,
+    MultiVector,
+    differential,
+    merge,
+    phi0_schouten,
+    schouten,
+)
 from jacv.coeff import ExpPoly, sum_products
 from jacv.structures import (
     SIDE_A,
@@ -73,7 +79,7 @@ def bracketed_frame_residues(A, twist=None):
     labels = A.frame_labels
     out = []
     for i, j in combinations(range(A.rank), 2):
-        eij = bracket_sections(A, e[i], e[j])
+        eij = schouten(e[i], e[j])
         for name in A.patch.anchor_coords:
             coord = A.patch.coord(name)
             lhs = anchor_apply(A, eij, coord)
@@ -81,13 +87,22 @@ def bracketed_frame_residues(A, twist=None):
             rhs = rhs - anchor_apply(A, e[j], anchor_apply(A, e[i], coord))
             out.append((f"anchor([{labels[i]},{labels[j]}]) on {name}: ", lhs - rhs))
     for i, j, k in combinations(range(A.rank), 3):
-        total = bracket_sections(A, bracket_sections(A, e[i], e[j]), e[k])
-        total = total + bracket_sections(A, bracket_sections(A, e[j], e[k]), e[i])
-        total = total + bracket_sections(A, bracket_sections(A, e[k], e[i]), e[j])
+        total = schouten(schouten(e[i], e[j]), e[k])
+        total = total + schouten(schouten(e[j], e[k]), e[i])
+        total = total + schouten(schouten(e[k], e[i]), e[j])
         out.append((f"jacobi({labels[i]},{labels[j]},{labels[k]}): ", total))
     if twist is not None:
         out.append(("d(phi0): ", differential(A, twist)))
     return out
+
+
+def torsion_tensor(N, X, Y):
+    """The torsion [NX,NY] - N([NX,Y] + [X,NY] - N[X,Y]) of an endomorphism
+    N on two degree-1 sections, by bracketing sections: the reference for
+    the closed form of ``dirac._FrameTorsion``."""
+    NX, NY = N.apply(X), N.apply(Y)
+    inner = schouten(NX, Y) + schouten(X, NY) - N.apply(schouten(X, Y))
+    return schouten(NX, NY) - N.apply(inner)
 
 
 def rand_scalar(r, patch, max_degree=2, terms=2, with_t=False, exp_range=0):

@@ -8,7 +8,6 @@ from jacv.algebroid import (
     JacobiAlgebroidData,
     Patch,
     _frame_residues,
-    bracket_sections,
     extend_with_R,
     lift_bar,
     lift_hat,
@@ -17,7 +16,14 @@ from jacv.algebroid import (
     make_trivial,
     validate_algebroid,
 )
-from jacv.calculus import Form, MismatchError, MultiVector, differential
+from jacv.calculus import (
+    Form,
+    MismatchError,
+    MultiVector,
+    differential,
+    phi0_schouten,
+    schouten,
+)
 from jacv.coeff import ExpPoly, VariableSetMismatch
 from jacv.structures import make_standard_bialgebroid
 from tests.gen import (
@@ -57,7 +63,7 @@ def test_tangent_validates_and_anchors_identically():
     # anchor of the i-th frame element is the i-th coordinate derivation
     e0 = MultiVector.frame(A, 0)
     e1 = MultiVector.frame(A, 1)
-    assert bracket_sections(A, e0, e1).is_zero
+    assert schouten(e0, e1).is_zero
 
 
 def test_trivial_validates():
@@ -73,8 +79,8 @@ def test_explicit_solvable_bracket():
     A = make_explicit(p, 2, ((zero, zero),), {(0, 1): (zero, one)})
     assert validate_algebroid(A).ok
     e1, e2 = MultiVector.frame(A, 0), MultiVector.frame(A, 1)
-    assert bracket_sections(A, e1, e2) == e2
-    assert bracket_sections(A, e2, e1) == -e2
+    assert schouten(e1, e2) == e2
+    assert schouten(e2, e1) == -e2
 
 
 def test_jacobi_identity_failure_is_reported():
@@ -152,7 +158,7 @@ def test_lift_hat_structure():
     assert up.anchor == ((("x", emt), ("t", emt)), (("y", emt),))
     # twist enters the lifted bracket: [e1, e2]^ = -phi(e1) e2 scaled by e^{-t}
     e1, e2 = MultiVector.frame(up, 0), MultiVector.frame(up, 1)
-    got = bracket_sections(up, e1, e2)
+    got = schouten(e1, e2)
     assert got == -emt * e2
     # every ordered pair, on a base with structure functions and a twist with
     # two nonzero components:
@@ -183,7 +189,7 @@ def test_lift_hat_structure():
                 if i == k:
                     value = value + phi[j]
                 want[k,] = emt * value
-            got = bracket_sections(up, MultiVector.frame(up, i), MultiVector.frame(up, j))
+            got = schouten(MultiVector.frame(up, i), MultiVector.frame(up, j))
             assert got == MultiVector(up, 1, want), (i, j)
 
 
@@ -341,7 +347,7 @@ def test_unit_anchor_entries_are_found_once(monkeypatch):
     assert derivs == {TA: expected[TA], ext: expected[TA], mixed: expected[mixed]}
 
 
-def test_anchor_derivs_and_bracket_sections_refuse_foreign_operands():
+def test_anchor_derivs_and_brackets_refuse_foreign_operands():
     p = Patch(("x", "y"))
     A = make_tangent(p)
     ddx = MultiVector.frame(A, 0)
@@ -350,13 +356,17 @@ def test_anchor_derivs_and_bracket_sections_refuse_foreign_operands():
     with pytest.raises(VariableSetMismatch):
         A.anchor_derivs(x_swapped)
     assert A.anchor_derivs(p.coord("x")) == {0: p.const(1)}
-    # two sections over another algebroid bracket over that one, not over A
+    # sections over two algebroids on one patch do not bracket, and the
+    # twisted bracket over A refuses sections over another algebroid
     other = make_tangent(p)
     foreign = MultiVector.frame(other, 0), MultiVector.frame(other, 1)
     with pytest.raises(MismatchError):
-        bracket_sections(A, *foreign)
+        schouten(ddx, foreign[1])
+    J = JacobiAlgebroidData(A, Form.coframe(A, 0))
     with pytest.raises(MismatchError):
-        bracket_sections(A, ddx, foreign[1])
+        phi0_schouten(J, *foreign)
+    with pytest.raises(MismatchError):
+        phi0_schouten(J, ddx, foreign[1])
 
 
 def test_unit_components_that_are_not_the_shared_one_form_no_product(monkeypatch):
@@ -372,9 +382,9 @@ def test_unit_components_that_are_not_the_shared_one_form_no_product(monkeypatch
             for j in range(i + 1, A.rank):
                 with monkeypatch.context() as patched:
                     products = record_products(patched)
-                    bracket = bracket_sections(A, units[i], units[j])
+                    bracket = schouten(units[i], units[j])
                 assert products == [], (A.rank, i, j)
-                assert bracket == bracket_sections(A, frames[i], frames[j])
+                assert bracket == schouten(frames[i], frames[j])
 
 
 def _random_explicit(r, has_time=None):

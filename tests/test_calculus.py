@@ -9,7 +9,6 @@ from jacv import calculus
 from jacv.algebroid import (
     JacobiAlgebroidData,
     Patch,
-    bracket_sections,
     extend_with_R,
     lift_bar,
     lift_hat,
@@ -555,7 +554,7 @@ def test_lie_derivative_against_derivation_oracle():
             for j in range(base.rank):
                 ej = MultiVector.frame(base, j)
                 direct = anchor_apply(base, X, pair(u, ej)) - pair(
-                    u, bracket_sections(base, X, ej)
+                    u, schouten(X, ej)
                 )
                 assert pair(got, ej) == direct, f"seed={seed} j={j}"
 

@@ -25,7 +25,6 @@ from jacv.dirac import (
     omegan_check,
     presymplectic_pair_check,
     symplectic_pair_check,
-    torsion_tensor,
     torsion_tensor_check,
 )
 from jacv.lift import lift_bialgebroid
@@ -44,6 +43,7 @@ from tests.gen import (
     rand_form,
     rand_scalar,
     rand_unit_two_form,
+    torsion_tensor,
 )
 
 
@@ -79,15 +79,6 @@ def test_torsion_tensor_corpus_recursion_maps():
     report = torsion_tensor_check(_kernel_torsion_map(p, A))
     assert report.status == "fail"
     assert "torsion at (" in report.witness
-
-
-def test_torsion_tensor_argument_validation():
-    c = contact()
-    e = MultiVector.frame(c.ext, 0)
-    with pytest.raises(MismatchError):
-        torsion_tensor(flat_map(c.Om), e, e)
-    with pytest.raises(MismatchError):
-        torsion_tensor(c.NH, c.Pi, e)
 
 
 @pytest.mark.parametrize("rank", [0, 1])
@@ -373,7 +364,8 @@ def test_dirac_pair_input_validation():
 
 
 def _torsion_by_the_public_formula(N, flat=None, strategy="torsion on frame pairs"):
-    """The frame-pair verdict built from ``torsion_tensor`` pair by pair."""
+    """The frame-pair verdict built from the reference ``torsion_tensor``,
+    which brackets sections, pair by pair."""
     A = N.algebroid
     kind = "torsion" if flat is None else "flattened torsion"
     for i, j in combinations(range(A.rank), 2):

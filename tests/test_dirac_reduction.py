@@ -5,11 +5,14 @@ A matched pair reduces to N = M / q, where Pf = q exp(kt) is the Pfaffian of
 the inverted map and M is composed from its adjugate; a mixed pair reduces
 to N = M / d, with d clearing the denominators of the sharp.  The torsion of
 N is read off as c^2 times the torsion of M.  The reference here takes the
-old route instead: ``inverse().compose()``, then the public
-``torsion_tensor`` on each frame pair.  Both must give the same status,
+old route instead: ``inverse().compose()``, then ``tests.gen.torsion_tensor``,
+which brackets sections, on each frame pair.  Both must give the same status,
 strategy and witness on closed contact-type two-forms whose Pfaffian has a
 rational part other than 1 and -1, with integer and with rational
-coefficients, and on their lifts, whose Pfaffian carries exp(3t).
+coefficients, and on their lifts, whose Pfaffian carries exp(3t).  The
+closed form of the frame torsion is checked in turn against a sympy
+coordinate model (``test_coordinate_model``), which shares none of jacv's
+calculus.
 """
 
 import random
@@ -29,7 +32,6 @@ from jacv.dirac import (  # noqa: E402
     KIND_FLAT,
     GraphRelation,
     dirac_pair_check,
-    torsion_tensor,
 )
 from jacv.lift import lift_bialgebroid, lift_section  # noqa: E402
 from jacv.structures import SIDE_A, TensorMap, flat_map, pi_from_omega  # noqa: E402
@@ -41,6 +43,7 @@ from tests.gen import (  # noqa: E402
     rand_scalar,
     rand_unit_two_form,
     record_products,
+    torsion_tensor,
 )
 from tests.test_dirac import _torsion_by_the_public_formula  # noqa: E402
 

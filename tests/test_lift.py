@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from jacv.algebroid import JacobiAlgebroidData, Patch, bracket_sections, make_tangent
-from jacv.calculus import Form, MismatchError, MultiVector, rebase
+from jacv.algebroid import JacobiAlgebroidData, Patch, make_tangent
+from jacv.calculus import Form, MismatchError, MultiVector, rebase, schouten
 from jacv.coeff import ExpPoly
 from jacv.dirac import GraphRelation
 from jacv import lift
@@ -50,10 +50,10 @@ def test_lift_bialgebroid_shape():
     B = solvable_bialgebroid()
     up2 = lift_bialgebroid(B)
     e1, e2 = MultiVector.frame(up2.A, 0), MultiVector.frame(up2.A, 1)
-    assert bracket_sections(up2.A, e1, e2) == e2
+    assert schouten(e1, e2) == e2
     f1, f2 = MultiVector.frame(up2.Astar, 0), MultiVector.frame(up2.Astar, 1)
     emt = ExpPoly.exp(up2.Astar.patch.variables, -1)
-    assert bracket_sections(up2.Astar, f1, f2) == emt * f2
+    assert schouten(f1, f2) == emt * f2
 
 
 def test_lift_instance_wiring():

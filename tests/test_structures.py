@@ -13,6 +13,7 @@ from jacv.algebroid import (
     Patch,
     Report,
     extend_with_R,
+    lift_hat,
     make_explicit,
     make_tangent,
     make_trivial,
@@ -29,7 +30,7 @@ from jacv.calculus import (
     wedge,
 )
 from jacv.coeff import ExpPoly, NotInvertible
-from jacv.dirac import GraphRelation, dirac_pair_check
+from jacv.dirac import GraphRelation, dirac_pair_check, torsion_tensor_check
 from jacv.lift import lift_bialgebroid, lift_section, theorem_main1_crosscheck
 from jacv.structures import (
     SIDE_A,
@@ -415,7 +416,9 @@ def test_jacobi_and_presymplectic_on_corpus():
 
 def test_jacobi_check_takes_each_anchored_derivative_once(monkeypatch):
     # [Pi, Pi] sweeps each stored component of Pi at most once for all its
-    # anchored derivatives, and d omega each stored component of omega
+    # anchored derivatives, d omega each stored component of omega, the
+    # frame identities each anchor entry and each stored structure function,
+    # and the frame torsion each nonzero entry of the map
     c = contact()
     calls = []
     anchor_derivs = AlgebroidPatch.anchor_derivs
@@ -430,6 +433,21 @@ def test_jacobi_check_takes_each_anchored_derivative_once(monkeypatch):
     del calls[:]
     assert differential(c.C, c.Om).is_zero
     assert 0 < len(calls) <= len(c.Om.components), len(calls)
+    r = random.Random(3)
+    algebroids = [J.algebroid for J in action_algebroids()] + [lift_hat(c.C)]
+    for A in algebroids:
+        del calls[:]
+        assert validate_algebroid(A).ok
+        stored = sum(map(len, A.anchor)) + sum(map(len, A.brackets.values()))
+        assert 0 < len(calls) <= stored, (A.frame_labels, len(calls), stored)
+        f_id = TensorMap.identity(A).scale(A.patch.coord(A.patch.coords[0]))
+        for N in (f_id, unit_triangular(r, A)):
+            del calls[:]
+            report = torsion_tensor_check(N)
+            entries = sum(not m.is_zero for row in N.matrix for m in row)
+            assert len(calls) <= entries, (A.frame_labels, len(calls), entries)
+            if N is f_id:  # zero torsion, so every frame pair is computed
+                assert report.ok and calls
 
 
 def test_pairing_oracle_for_self_bracket():

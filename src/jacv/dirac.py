@@ -100,7 +100,7 @@ from .calculus import (
     differential,
     phi0_schouten,
 )
-from .coeff import ExpPoly, NotInvertible, Product, Scalar, sum_products
+from .coeff import ExpPoly, Product, Scalar, sum_products
 from .structures import (
     SIDE_A,
     JacobiBialgebroidData,
@@ -116,47 +116,46 @@ from .structures import (
     two_form_of,
 )
 
-KIND_SHARP = "sharp"
-KIND_FLAT = "flat"
-
 @dataclass(eq=False)
 class GraphRelation:
-    """Graph of a musical map, tagged with the section that generates it.
+    """Graph of a musical map, generated by a degree-2 section whose class
+    gives its kind.
 
-    ``sharp`` wraps a degree-2 multivector (graph of its sharp map, oriented
-    with the algebroid side first); ``flat`` wraps a degree-2 form (graph of
-    its flat map, dual side first).  The orientation difference is invisible
-    to the checks because relation torsion is orientation-independent.
+    A ``sharp`` graph is that of a multivector's sharp map, oriented with
+    the algebroid side first; a ``flat`` graph is that of a form's flat map,
+    dual side first.  The orientation difference is invisible to the checks
+    because relation torsion is orientation-independent.
     """
 
-    kind: str
     section: Section
 
     def __post_init__(self) -> None:
-        if self.kind not in (KIND_SHARP, KIND_FLAT):
-            raise ValueError(f"unknown graph kind {self.kind!r}")
-        wanted = MultiVector if self.kind == KIND_SHARP else Form
-        if not isinstance(self.section, wanted):
-            raise MismatchError(f"a {self.kind} graph needs a {wanted.__name__}")
-        if self.section.degree != 2:
+        s = self.section
+        if not isinstance(s, (MultiVector, Form)) or s.degree != 2:
             raise MismatchError("graph relations are generated by degree-2 sections")
 
     @classmethod
     def of_bivector(cls, pi: MultiVector) -> "GraphRelation":
-        return cls(KIND_SHARP, pi)
+        if not isinstance(pi, MultiVector):
+            raise MismatchError("a sharp graph needs a MultiVector")
+        return cls(pi)
 
     @classmethod
     def of_two_form(cls, omega: Form) -> "GraphRelation":
-        return cls(KIND_FLAT, omega)
+        if not isinstance(omega, Form):
+            raise MismatchError("a flat graph needs a Form")
+        return cls(omega)
+
+    @property
+    def kind(self) -> str:
+        return "sharp" if isinstance(self.section, MultiVector) else "flat"
 
     @property
     def algebroid(self) -> AlgebroidPatch:
         return self.section.algebroid
 
     def music(self) -> TensorMap:
-        if self.kind == KIND_SHARP:
-            return sharp_map(self.section)
-        return flat_map(self.section)
+        return (sharp_map if self.kind == "sharp" else flat_map)(self.section)
 
     def __str__(self) -> str:
         return f"{self.kind} graph of {self.section}"
@@ -334,11 +333,11 @@ def _reduction(kind: str, m1: TensorMap, m2: TensorMap) -> Report:
     ``not-decided``.
     """
     for inner, outer, which in ((m2, m1, "second"), (m1, m2, "first")):
-        try:
-            q, adjugate = inner._adjugate()
-        except NotInvertible:
+        pfaffian = inner._pfaffian()
+        if not pfaffian[0].is_unit():
             continue
-        if kind == KIND_SHARP:
+        q, adjugate = inner._adjugate(pfaffian)
+        if kind == "sharp":
             M = outer.compose(adjugate)
         else:
             M = adjugate.compose(outer)
@@ -374,7 +373,7 @@ def dirac_pair_check(
         return gate
     if left.kind != right.kind:
         # Transposing the pair transposes the relation and keeps the torsion.
-        transposed = left.kind == KIND_FLAT
+        transposed = isinstance(left.section, Form)
         sharp, flat = (right, left) if transposed else (left, right)
         note = "tensor composition sharp after flat"
         if transposed:
@@ -382,7 +381,7 @@ def dirac_pair_check(
         d, cleared = _cleared(sharp.section)
         M = sharp_map(cleared).compose(flat.music())
         return _first_failure(note, _frame_pair_torsion(M, c=Fraction(1, d)))
-    if left.kind == KIND_SHARP and phi0_schouten(
+    if isinstance(left.section, MultiVector) and phi0_schouten(
         B.a_side, left.section, right.section
     ).is_zero:
         return Report(PASS, strategy="bracket compatibility")
@@ -526,8 +525,8 @@ def condition_image_check(
     """
     if pi1.algebroid is not pi2.algebroid:
         raise MismatchError("sections live over different algebroids")
-    u1 = sharp_map(pi1).is_unit_determinant()
-    u2 = sharp_map(pi2).is_unit_determinant()
+    u1 = nondegenerate_check(sharp_map(pi1)).ok
+    u2 = nondegenerate_check(sharp_map(pi2)).ok
     if u1 and u2:
         return Report(PASS, strategy="unit determinants: preimages are full")
     lacking = []

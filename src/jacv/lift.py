@@ -193,10 +193,6 @@ def verify_hat_bar_differentials(
 
 # -- verdict transport -------------------------------------------------------
 
-def _lift_relation(upstairs_A: AlgebroidPatch, rel: GraphRelation) -> GraphRelation:
-    return GraphRelation(rel.kind, lift_section(upstairs_A, rel.section))
-
-
 def theorem_main1_crosscheck(
     data: DataLike, left: GraphRelation, right: GraphRelation
 ) -> Report:
@@ -211,8 +207,8 @@ def theorem_main1_crosscheck(
     upstairs = lift_bialgebroid(B)
     up = dirac_pair_check(
         upstairs,
-        _lift_relation(upstairs.A, left),
-        _lift_relation(upstairs.A, right),
+        GraphRelation(lift_section(upstairs.A, left.section)),
+        GraphRelation(lift_section(upstairs.A, right.section)),
     )
     if NOT_DECIDED in (down.status, up.status):
         return Report(

@@ -13,11 +13,11 @@ Conventions pinned here:
   map), else of its skew block matrix [[0, A], [-A^T, 0]]; inversion exists
   exactly when the determinant is a unit of the coefficient ring, that is
   when the Pfaffian is a unit Pf = q exp(kt);
-* ``_adjugate`` reads the signed sub-Pfaffians of that one memo, each
-  times exp(-kt), and returns them with q, which the caller takes out
-  once: ``inverse`` scales by 1/q, and the tensor reductions of ``dirac``
-  scale only a nonzero residue, so a map with integer coefficients has an
-  integer adjugate;
+* once its caller has found Pf a unit, ``_adjugate`` reads the signed
+  sub-Pfaffians of that one memo, each times exp(-kt), and returns them
+  with q, which the caller takes out once: ``inverse`` scales by 1/q, and
+  the tensor reductions of ``dirac`` scale only a nonzero residue, so a
+  map with integer coefficients has an integer adjugate;
 * the dual of a map transposes the matrix and swaps bundle sides;
 * check outcomes are values (``Report``); a failed check never raises.
 """
@@ -59,25 +59,22 @@ Matrix = Tuple[Tuple[ExpPoly, ...], ...]
 # (Pf, pf, block) of ``TensorMap._pfaffian``: one Pfaffian memo of a map
 Pfaffian = Tuple[ExpPoly, Callable[[int], ExpPoly], bool]
 
-SIDE_A = "A"
-SIDE_DUAL = "A*"
+SIDE_A = MultiVector
+SIDE_DUAL = Form
 
 
-def _other_side(side: str) -> str:
-    return SIDE_DUAL if side == SIDE_A else SIDE_A
-
-
-def _kind_for(side: str) -> type:
-    return MultiVector if side == SIDE_A else Form
+def _other_side(side: type) -> type:
+    return SIDE_DUAL if side is SIDE_A else SIDE_A
 
 
 @dataclass(eq=False)
 class TensorMap:
-    """A bundle map between degree-1 sections, stored as a component matrix."""
+    """A bundle map between degree-1 sections, stored as a component matrix;
+    ``source`` and ``target`` are the section classes of its sides."""
 
     algebroid: AlgebroidPatch
-    source: str
-    target: str
+    source: type
+    target: type
     matrix: Matrix
 
     def __post_init__(self) -> None:
@@ -98,7 +95,7 @@ class TensorMap:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def identity(cls, algebroid: AlgebroidPatch, side: str = SIDE_A) -> "TensorMap":
+    def identity(cls, algebroid: AlgebroidPatch, side: type = SIDE_A) -> "TensorMap":
         zero = algebroid.zero_scalar()
         one = algebroid.patch.one()
         r = algebroid.rank
@@ -157,10 +154,9 @@ class TensorMap:
     # -- action ------------------------------------------------------------
 
     def apply(self, section: Section) -> Section:
-        want = _kind_for(self.source)
-        if not isinstance(section, want):
+        if not isinstance(section, self.source):
             raise MismatchError(
-                f"map expects a degree-1 {want.__name__} on its source side"
+                f"map expects a degree-1 {self.source.__name__} on its source side"
             )
         if section.degree != 1:
             raise MismatchError("maps act on degree-1 sections")
@@ -175,7 +171,7 @@ class TensorMap:
                 if not entry.is_zero:
                     sums.setdefault((i,), []).append((1, entry, c))
         comps = {key: sum_products(terms) for key, terms in sums.items()}
-        return _kind_for(self.target)(self.algebroid, 1, comps)
+        return self.target(self.algebroid, 1, comps)
 
     def compose(self, inner: "TensorMap") -> "TensorMap":
         """The map ``self after inner``."""
@@ -225,10 +221,6 @@ class TensorMap:
             return pf_full * pf_full
         return -pf_full if self.algebroid.rank // 2 % 2 else pf_full
 
-    def is_unit_determinant(self) -> bool:
-        """The determinant is a unit iff the Pfaffian is (``_pfaffians``)."""
-        return self._pfaffian()[0].is_unit()
-
     def _pfaffian(self) -> Pfaffian:
         """``(Pf, pf, block)`` with ``pf`` of ``_pfaffians``.  A skew matrix
         is expanded itself; on odd rank Pf is 0 and nothing is expanded.  Any
@@ -244,24 +236,23 @@ class TensorMap:
         return pf((1 << 2 * r) - 1), pf, True
 
     def inverse(self) -> "TensorMap":
-        """The inverse B / q, when the determinant is a unit; else
-        NotInvertible (see ``_adjugate``, which builds it)."""
-        q, adjugate = self._adjugate()
+        """The inverse B / q (``_adjugate``) when the determinant is a unit;
+        else NotInvertible, whose message names the determinant."""
+        pfaffian = self._pfaffian()
+        if not pfaffian[0].is_unit():
+            det = self._determinant(pfaffian)
+            raise NotInvertible(f"{det} is not a unit in the ring")
+        q, adjugate = self._adjugate(pfaffian)
         return adjugate if q == 1 else adjugate.scale(Fraction(1, q))
 
-    def _adjugate(self) -> Tuple[Scalar, "TensorMap"]:
-        """``(q, B)`` with ``self^-1 = B / q``, when Pf = q exp(kt) of
-        ``_pfaffian`` is a unit: entry (i, j) of B is a signed sub-Pfaffian
-        of that one memo times exp(-kt) (formulas and proofs at
-        ``_pfaffians``), so B has the coefficients of the sub-Pfaffians,
-        integers when the map has integer coefficients.  NotInvertible,
-        raised by the determinant's ``unit_inverse()`` so that its message
-        names the determinant, when Pf is not a unit.
+    def _adjugate(self, pfaffian: Pfaffian) -> Tuple[Scalar, "TensorMap"]:
+        """``(q, B)`` with ``self^-1 = B / q``, for this map's ``_pfaffian()``
+        whose Pf = q exp(kt) the caller has found a unit: entry (i, j) of B
+        is a signed sub-Pfaffian of that one memo times exp(-kt) (formulas
+        and proofs at ``_pfaffians``), so B has the coefficients of the
+        sub-Pfaffians, integers when the map has integer coefficients.
         """
-        pfaffian = self._pfaffian()
         pf_full, pf, block = pfaffian
-        if not pf_full.is_unit():
-            self._determinant(pfaffian).unit_inverse()  # always raises
         q, k = pf_full.unit_parts()
         r = self.algebroid.rank
         # (mask, cells): entry (i, j) of a cell is (-1)^odd pf(mask) exp(-kt)
@@ -297,7 +288,8 @@ class TensorMap:
             "[" + ", ".join(str(entry) for entry in row) + "]"
             for row in self.matrix
         ]
-        return f"{self.source}->{self.target} " + "[" + "; ".join(rows) + "]"
+        names = {SIDE_A: "A", SIDE_DUAL: "A*"}
+        return f"{names[self.source]}->{names[self.target]} [" + "; ".join(rows) + "]"
 
     __repr__ = __str__
 
@@ -324,9 +316,12 @@ def _pfaffians(
     Expansion along the first index s0 of S = (s0 < s1 < ...):
     Pf(S) = sum_{p >= 1} (-1)^(p+1) a_{s0 sp} Pf(S without s0, sp), with
     Pf() = 1.  Every Pfaffian is memoized by its mask for the life of the
-    returned function.  A zero entry is skipped before its sub-Pfaffian is
-    asked for, a zero sub-Pfaffian before it is multiplied, and the empty
-    Pfaffian 1 is never multiplied (``sum_products`` skips a factor 1).
+    returned function, and expanded once, after its sub-Pfaffians: an
+    explicit stack keeps the order of a depth-first recursion without
+    Python's recursion limit.  A zero entry is skipped before its
+    sub-Pfaffian is asked for, a zero sub-Pfaffian before it is multiplied,
+    and the empty Pfaffian 1 is never multiplied (``sum_products`` skips a
+    factor 1).
 
     Why ``TensorMap`` determinants and inverses are right, over the ring R
     of ``ExpPoly`` values (a commutative domain holding Q):
@@ -377,25 +372,33 @@ def _pfaffians(
     memo: Dict[int, ExpPoly] = {0: algebroid.patch.one()}
 
     def pf(mask: int) -> ExpPoly:
-        value = memo.get(mask)
-        if value is None:
-            first = mask & -mask
+        stack = [mask]
+        while stack:
+            top = stack[-1]
+            if top in memo:
+                stack.pop()
+                continue
+            first = top & -top
             row = matrix[first.bit_length() - 1]
-            rest = mask ^ first
+            rest = top ^ first
             bits, sign = rest, 1
-            terms = []
+            terms, missing = [], []
             while bits:
                 bit = bits & -bits
                 bits ^= bit
                 entry = row[bit.bit_length() - 1]
                 if not entry.is_zero:
-                    sub = pf(rest ^ bit)
-                    if not sub.is_zero:
+                    sub = memo.get(rest ^ bit)
+                    if sub is None:
+                        missing.append(rest ^ bit)
+                    elif not sub.is_zero:
                         terms.append((sign, entry, sub))
                 sign = -sign
-            value = sum_products(terms) if terms else zero
-            memo[mask] = value
-        return value
+            if missing:  # the first one on top, as a recursion takes them
+                stack += reversed(missing)
+            else:
+                memo[stack.pop()] = sum_products(terms) if terms else zero
+        return memo[mask]
 
     return pf
 
@@ -427,7 +430,7 @@ def flat_map(omega: Form) -> TensorMap:
     return TensorMap(omega.algebroid, SIDE_A, SIDE_DUAL, _skew_rows(omega))
 
 
-def _antisymmetric_tensor(m: TensorMap, cls: type) -> Section:
+def _antisymmetric_tensor(m: TensorMap) -> Section:
     if not _is_skew(m.matrix):
         raise MismatchError("matrix does not come from an antisymmetric tensor")
     r = m.algebroid.rank
@@ -437,21 +440,21 @@ def _antisymmetric_tensor(m: TensorMap, cls: type) -> Section:
             c = m.matrix[j][i]
             if not c.is_zero:
                 comps[(i, j)] = c
-    return cls(m.algebroid, 2, comps)
+    return m.target(m.algebroid, 2, comps)
 
 
 def bivector_of(m: TensorMap) -> MultiVector:
     """Recover pi from its sharp matrix; inverse of ``sharp_map``."""
     if m.source != SIDE_DUAL or m.target != SIDE_A:
         raise MismatchError("bivector_of expects a map from the dual side")
-    return _antisymmetric_tensor(m, MultiVector)
+    return _antisymmetric_tensor(m)
 
 
 def two_form_of(m: TensorMap) -> Form:
     """Recover omega from its flat matrix; inverse of ``flat_map``."""
     if m.source != SIDE_A or m.target != SIDE_DUAL:
         raise MismatchError("two_form_of expects a map into the dual side")
-    return _antisymmetric_tensor(m, Form)
+    return _antisymmetric_tensor(m)
 
 
 def omega_from_pi(J: JacobiAlgebroidData, pi: MultiVector) -> Form:

@@ -9,14 +9,12 @@ from types import SimpleNamespace
 
 from jacv import coeff
 from jacv.algebroid import (
-    AlgebroidPatch,
     JacobiAlgebroidData,
     Patch,
     extend_with_R,
     lift_hat,
     make_explicit,
     make_tangent,
-    make_trivial,
 )
 from jacv.calculus import (
     Form,
@@ -33,9 +31,7 @@ from jacv.structures import (
     TensorMap,
     bivector_of,
     flat_map,
-    make_standard_bialgebroid,
     pi_from_omega,
-    sharp_map,
     two_form_of,
 )
 

@@ -1,7 +1,6 @@
 import math
 import random
 from itertools import combinations
-from fractions import Fraction
 
 import pytest
 
@@ -13,7 +12,6 @@ from jacv.algebroid import (
     lift_bar,
     lift_hat,
     make_explicit,
-    make_tangent,
     make_trivial,
 )
 from jacv.calculus import (

@@ -288,6 +288,51 @@ def test_a_rational_next_to_a_ring_element_fails_with_their_difference(tmp_path,
     assert code == 1
 
 
+OPERATORS = [
+    # a scalar times a map, on either side, scales the map
+    ("check equal (2*flat(w)) (flat(2*w))", "pass", None),
+    ("check equal (flat(w)*x) (flat(x*w))", "pass", None),
+    (
+        "check equal (flat(w)*2) (flat(w))",
+        "fail",
+        "difference = A->A* [[0, -1]; [1, 0]]",
+    ),
+    (
+        "check equal (x*sharp(ddx^ddy)) (sharp(ddx^ddy))",
+        "fail",
+        "difference = A*->A [[0, -x + 1]; [x - 1, 0]]",
+    ),
+    # a section times a scalar on the right
+    ("check equal (dx*2) (2*dx)", "pass", None),
+    ("check equal (dx*x) (dy*x)", "fail", "difference = x*dx + -x*dy"),
+    ("check zero (dx*dy)", "error", "line 4: * needs a scalar on one side"),
+    # t is the ring's own variable wherever an algebroid is declared
+    ("check zero t", "fail", "value = t"),
+    # tuples compare slot by slot, and their lengths first
+    ("check equal (1, x) (1, x)", "pass", None),
+    ("check equal (1, x) (1, y)", "fail", "slot 1: difference = -y + x"),
+    (
+        "check equal (1, (x, dx)) (1, (x, dy))",
+        "fail",
+        "slot 1: slot 1: difference = 1*dx + -1*dy",
+    ),
+    ("check equal (1, x) (1, x, 2)", "fail", "tuple lengths differ: 2 vs 3"),
+]
+
+
+@pytest.mark.parametrize(
+    "line, status, witness", OPERATORS, ids=[line for line, _, _ in OPERATORS]
+)
+def test_scalar_products_tuples_and_t_from_a_script(
+    tmp_path, capsys, line, status, witness
+):
+    text = TANGENT_XY + "form w = dx^dy\n" + line + "\n"
+    code, out, _ = _run(tmp_path, capsys, text, "--json")
+    (record,) = json.loads(out)["checks"]
+    assert (record["status"], record.get("witness")) == (status, witness)
+    assert code == {"pass": 0, "fail": 1, "error": 2}[status]
+
+
 OVER_TWO_ALGEBROIDS = """\
 patch p = (x, y, z, w)
 algebroid TA = tangent(p)
@@ -386,6 +431,20 @@ def test_a_power_past_the_exponent_field_exits_two_with_its_line(
     assert "Traceback" not in out + err
     # both powers square: at most 2 * log2(200) wedges each
     assert len(wedges) <= 4 * math.log2(200)
+
+
+RANK_1200 = """\
+patch p = (x)
+algebroid T = trivial(p, 1200)
+check nondegenerate id(T)
+"""
+
+
+def test_a_pfaffian_deeper_than_the_recursion_limit_is_decided(tmp_path, capsys):
+    # the block matrix of id(T) expands through 1200 nested sub-Pfaffians
+    code, out, err = _run(tmp_path, capsys, RANK_1200)
+    assert (code, err) == (0, "")
+    assert out.startswith("pass  [L3] nondegenerate id(T)  [unit determinant]\n")
 
 
 def test_strict_turns_not_decided_into_exit_three(tmp_path, capsys):

@@ -15,7 +15,6 @@ from jacv.algebroid import (
 from jacv.calculus import Form, MismatchError, MultiVector
 from jacv import dirac, structures
 from jacv.dirac import (
-    KIND_SHARP,
     GraphRelation,
     condition_image_check,
     dirac_pair_check,
@@ -112,7 +111,7 @@ def test_strategy_ladder_on_corpus_pairs():
     auto = jacobi_pair_check(c.C, c.Pi, PiE)
     assert auto.ok and auto.strategy == "bracket compatibility"
     # the complete reduction, which the bracket test short-cuts, agrees
-    reduced = dirac._reduction(KIND_SHARP, sharp_map(c.Pi), sharp_map(PiE))
+    reduced = dirac._reduction("sharp", sharp_map(c.Pi), sharp_map(PiE))
     assert reduced.ok
     assert reduced.strategy.startswith("tensor reduction")
 
@@ -319,6 +318,24 @@ def test_omegan_full_on_corpus():
         assert omegan_check(c.C, c.Om, N).ok
 
 
+def test_omegan_fails_on_a_map_the_flat_does_not_intertwine():
+    p, A, J = _plane4()
+    om = Form(A, 2, {(0, 1): p.const(1), (2, 3): p.const(1)})
+    one, z = A.scalar(1), A.zero_scalar()
+    # diag(1, 2, 1, 1): flat . N and N^T . flat differ on (e1, e2)
+    diagonal = [[z] * 4 for _ in range(4)]
+    for i, value in enumerate((one, A.scalar(2), one, one)):
+        diagonal[i][i] = value
+    N = TensorMap(A, SIDE_A, SIDE_A, diagonal)
+    for weak in (False, True):
+        report = omegan_check(J, om, N, weak=weak)
+        assert (report.status, report.strategy, report.witness) == (
+            "fail",
+            "matrix commutation",
+            "flat does not intertwine the endomorphism with its dual",
+        )
+
+
 def test_omegan_weak_is_strictly_weaker():
     p, A, J = _plane4()
     om = Form(A, 2, {(0, 1): p.const(1)})
@@ -341,15 +358,21 @@ def test_omegan_rejects_wrong_sided_maps():
 
 def test_graph_relation_validation():
     c = contact()
-    with pytest.raises(ValueError):
-        GraphRelation("diagonal", c.Pi)
-    with pytest.raises(MismatchError):
-        GraphRelation("sharp", c.Om)
-    with pytest.raises(MismatchError):
+    # the section's class is the graph's kind
+    assert GraphRelation(c.Pi).kind == "sharp"
+    assert GraphRelation(c.Om).kind == "flat"
+    with pytest.raises(MismatchError, match="a sharp graph needs a MultiVector"):
+        GraphRelation.of_bivector(c.Om)
+    with pytest.raises(MismatchError, match="a flat graph needs a Form"):
+        GraphRelation.of_two_form(c.Pi)
+    with pytest.raises(MismatchError, match="degree-2 sections"):
+        GraphRelation(c.ext.scalar(1))
+    with pytest.raises(MismatchError, match="degree-2 sections"):
         GraphRelation.of_bivector(MultiVector.frame(c.ext, 0))
     rel = GraphRelation.of_two_form(c.Om)
     assert rel.music() == flat_map(c.Om)
     assert rel.algebroid is c.ext
+    assert str(rel) == f"flat graph of {c.Om}"
 
 
 def test_dirac_pair_input_validation():

@@ -28,11 +28,7 @@ from jacv import dirac  # noqa: E402
 from jacv.algebroid import NOT_DECIDED, Report, lift_hat  # noqa: E402
 from jacv.calculus import MultiVector  # noqa: E402
 from jacv.coeff import ExpPoly, NotInvertible  # noqa: E402
-from jacv.dirac import (  # noqa: E402
-    KIND_FLAT,
-    GraphRelation,
-    dirac_pair_check,
-)
+from jacv.dirac import GraphRelation, dirac_pair_check  # noqa: E402
 from jacv.lift import lift_bialgebroid, lift_section  # noqa: E402
 from jacv.structures import SIDE_A, TensorMap, flat_map, pi_from_omega  # noqa: E402
 from tests.gen import (  # noqa: E402
@@ -61,7 +57,7 @@ def _reference_pair(left, right):
     """The composition of ``dirac_pair_check`` by inverse and compose, past
     its member gate, for the pairs drawn here: two flats, or a mixed pair."""
     if left.kind != right.kind:
-        transposed = left.kind == KIND_FLAT
+        transposed = left.kind == "flat"
         sharp, flat = (right, left) if transposed else (left, right)
         strategy = "tensor composition sharp after flat"
         if transposed:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from jacv.algebroid import JacobiAlgebroidData, Patch, make_tangent
+from jacv.algebroid import JacobiAlgebroidData, Patch, Report, make_tangent
 from jacv.calculus import Form, MismatchError, MultiVector, rebase, schouten
 from jacv.coeff import ExpPoly
 from jacv.dirac import GraphRelation
@@ -156,6 +156,24 @@ def test_main1_crosscheck_transports_failures():
     )
     assert report.ok
     assert report.witness == "both levels: fail"
+
+
+def test_main1_crosscheck_fails_when_the_levels_disagree(monkeypatch):
+    # a pair that passes at both levels, with a failure planted upstairs only
+    c = contact()
+    left = GraphRelation.of_bivector(c.Pi)
+    right = GraphRelation.of_two_form(c.wH)
+    real = lift.dirac_pair_check
+    planted = Report("fail", strategy="planted", witness="planted residue")
+
+    def upstairs_fails(data, first, second):
+        return real(data, first, second) if first.algebroid is c.ext else planted
+
+    monkeypatch.setattr(lift, "dirac_pair_check", upstairs_fails)
+    report = theorem_main1_crosscheck(c.C, left, right)
+    assert (report.status, report.strategy) == ("fail", "verdict transport")
+    assert report.witness.startswith("downstairs pass (")
+    assert report.witness.endswith("), upstairs fail (planted residue)")
 
 
 def test_main1_crosscheck_stays_undecided_without_a_strategy():

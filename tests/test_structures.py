@@ -29,7 +29,7 @@ from jacv.calculus import (
     schouten,
     wedge,
 )
-from jacv.coeff import ExpPoly, NotInvertible
+from jacv.coeff import ExpPoly, NotInvertible, sum_products
 from jacv.dirac import GraphRelation, dirac_pair_check, torsion_tensor_check
 from jacv.lift import lift_bialgebroid, lift_section, theorem_main1_crosscheck
 from jacv.structures import (
@@ -150,7 +150,6 @@ def test_nondegenerate_needs_unit_not_just_nonzero():
     p, A, _ = _plane()
     # determinant x^2 is nonzero but not invertible in the coefficient ring
     pi = MultiVector(A, 2, {(0, 1): p.coord("x")})
-    assert not sharp_map(pi).is_unit_determinant()
     assert nondegenerate_check(sharp_map(pi)).status == "fail"
 
 
@@ -390,16 +389,68 @@ def test_determinant_and_inverse_match_sympy(monkeypatch):
     # a nonzero determinant that is not a unit: x e^t
     A = make_tangent(Patch(("x",)))
     m = TensorMap(A, SIDE_A, SIDE_A, ((A.patch.coord("x").times_exp(1),),))
-    assert not m.is_unit_determinant()
+    assert not nondegenerate_check(m).ok
     with _not_a_unit(m.determinant()):
         m.inverse()
     # an odd-rank skew map: det 0, and its inverse names that determinant
     A = make_tangent(Patch(names[:3]))
     m = _oracle_matrix(random.Random(7), A, True, 1.0)
     assert structures._is_skew(m.matrix) and m.determinant().is_zero
-    assert not m.is_unit_determinant()
+    assert not nondegenerate_check(m).ok
     with pytest.raises(NotInvertible, match="^0 is not a unit in the ring$"):
         m.inverse()
+
+
+def _recursive_pfaffians(algebroid, matrix):
+    """The first-index expansion by recursion, the route ``_pfaffians`` took
+    before its explicit stack: a reference for its products and their order."""
+    zero = algebroid.zero_scalar()
+    memo = {0: algebroid.patch.one()}
+
+    def pf(mask):
+        if mask not in memo:
+            first = mask & -mask
+            row = matrix[first.bit_length() - 1]
+            rest, sign, terms = mask ^ first, 1, []
+            for j in range(len(row)):
+                if rest >> j & 1:
+                    if not row[j].is_zero:
+                        sub = pf(rest ^ (1 << j))
+                        if not sub.is_zero:
+                            terms.append((sign, row[j], sub))
+                    sign = -sign
+            memo[mask] = sum_products(terms) if terms else zero
+        return memo[mask]
+
+    return pf
+
+
+def test_the_stacked_pfaffian_forms_the_products_of_the_recursion(monkeypatch):
+    # the same values from the same products in the same order, over the
+    # whole matrix and then every mask an inverse reads: without two indices
+    # of a skew matrix, or without one index of each half of a block matrix
+    for rank, skew, density, seed in (
+        (4, True, 1.0, 1), (6, True, 0.6, 2), (3, False, 0.7, 3), (4, False, 1.0, 4)
+    ):
+        A = make_tangent(Patch(("x", "y", "z", "u", "v", "w")[:rank]))
+        m = _oracle_matrix(random.Random(seed), A, skew, density)
+        if skew:
+            matrix, full = m.matrix, (1 << rank) - 1
+            pairs = combinations(range(rank), 2)
+        else:
+            zeros = (A.zero_scalar(),) * rank
+            matrix, full = tuple(zeros + row for row in m.matrix), (1 << 2 * rank) - 1
+            pairs = ((j, rank + i) for i in range(rank) for j in range(rank))
+        masks = [full] + [full ^ (1 << i) ^ (1 << j) for i, j in pairs]
+        runs = []
+        for expand in (structures._pfaffians, _recursive_pfaffians):
+            products = record_products(monkeypatch)
+            pf = expand(A, matrix)
+            values = [pf(mask) for mask in masks]
+            monkeypatch.undo()
+            runs.append((values, products))
+        assert runs[0] == runs[1], (rank, skew)
+        assert runs[0][1], "the expansion formed no product"
 
 
 def test_jacobi_and_presymplectic_on_corpus():
@@ -985,15 +1036,14 @@ def _apply_by_the_matrix(N, section):
         for j in range(A.rank):
             total = total + N.matrix[i][j] * section.components.get((j,), zero)
         comps[(i,)] = total
-    image_kind = MultiVector if N.target == SIDE_A else Form
-    return image_kind(A, 1, comps)
+    return N.target(A, 1, comps)
 
 
-@pytest.mark.parametrize("source", [SIDE_A, SIDE_DUAL])
+@pytest.mark.parametrize("source", [SIDE_A, SIDE_DUAL], ids=["A", "A*"])
 def test_tensor_map_apply_matches_the_matrix_product(source):
     r = random.Random(11)
     _, A = small_tangent(("x", "y", "z", "w"))
-    kind = MultiVector if source == SIDE_A else Form
+    assert (SIDE_A, SIDE_DUAL) == (MultiVector, Form)
     for target in (SIDE_A, SIDE_DUAL):
         for density in (0.3, 1.0):
             rows = tuple(
@@ -1010,14 +1060,13 @@ def test_tensor_map_apply_matches_the_matrix_product(source):
                         (j,): rand_scalar(r, A.patch)
                         for j in range(A.rank) if r.random() < section_density
                     }
-                    s = kind(A, 1, comps)
+                    s = source(A, 1, comps)
                     assert N.apply(s) == _apply_by_the_matrix(N, s)
-            image_kind = MultiVector if target == SIDE_A else Form
             for i in range(A.rank):
-                frame = kind(A, 1, {(i,): A.scalar(1)})
+                frame = source(A, 1, {(i,): A.scalar(1)})
                 column = {(k,): N.matrix[k][i] for k in range(A.rank)}
-                assert N.apply(frame) == image_kind(A, 1, column)
-            assert N.apply(kind.zero(A, 1)).is_zero
+                assert N.apply(frame) == target(A, 1, column)
+            assert N.apply(source.zero(A, 1)).is_zero
 
 
 def test_tensor_map_shape_errors():
@@ -1025,6 +1074,11 @@ def test_tensor_map_shape_errors():
     _, A = small_tangent()
     with pytest.raises(ValueError):
         TensorMap(A, SIDE_A, SIDE_A, ((A.scalar(1),),))
+    # a side is a section class; the names of the printed sides are not sides
+    with pytest.raises(ValueError, match="bad source side 'A'"):
+        TensorMap(A, "A", SIDE_A, c.NH.matrix)
+    with pytest.raises(ValueError, match="bad target side 'A\\*'"):
+        TensorMap(A, SIDE_A, "A*", c.NH.matrix)
     with pytest.raises(MismatchError, match="different algebroid"):
         c.NH.apply(MultiVector.frame(A, 0))
     with pytest.raises(MismatchError, match="degree-1 MultiVector"):

@@ -90,8 +90,13 @@ from .structures import (
 
 Value = object
 
-# what the library raises on values it cannot combine or invert
-LIBRARY_ERRORS = (MismatchError, NotInvertible, TypeError, ValueError)
+# what the library raises on values it cannot combine or invert; an
+# OverflowError is a count too large for an index, such as a huge rank
+LIBRARY_ERRORS = (MismatchError, NotInvertible, OverflowError, TypeError, ValueError)
+
+SCALARS = (Fraction, ExpPoly)
+# what + and -, unary minus and ``check zero`` take
+VALUE_TYPES = SCALARS + (Form, MultiVector, TensorMap)
 
 
 @dataclass
@@ -137,33 +142,24 @@ class Interpreter:
         raise dsl.ScriptError(f"unknown name {ident!r}", line)
 
     def _frame_token(self, ident: str) -> Optional[Value]:
+        """A coordinate or ``t``, else a frame or coframe label of the
+        ambient algebroid (a label printed twice, as on a double extension,
+        names its last element), else ``e<i>``/``eps<i>``."""
         A = self.ambient
         if A is None:
             return None
-        if ident == "t":
-            return ExpPoly.var(A.patch.variables, "t")
-        if ident in A.patch.coords:
+        if ident == "t" or ident in A.patch.coords:
             return A.patch.coord(ident)
-        if ident == "ehat" and A.ext_base is not None:
-            return MultiVector.frame(A, A.rank - 1)
-        if ident == "epshat" and A.ext_base is not None:
-            return Form.coframe(A, A.rank - 1)
-        if ident.startswith("eps") and ident[3:].isdigit():
-            i = int(ident[3:])
-            if 1 <= i <= A.rank:
-                return Form.coframe(A, i - 1)
-        if ident.startswith("dd") and ident[2:] in A.patch.coords:
-            i = A.patch.coords.index(ident[2:])
-            if i < A.rank:
-                return MultiVector.frame(A, i)
-        if ident.startswith("d") and ident[1:] in A.patch.coords:
-            i = A.patch.coords.index(ident[1:])
-            if i < A.rank:
-                return Form.coframe(A, i)
-        if ident.startswith("e") and ident[1:].isdigit():
-            i = int(ident[1:])
-            if 1 <= i <= A.rank:
-                return MultiVector.frame(A, i - 1)
+        for labels, element in ((A.frame_labels, MultiVector.frame),
+                                (A.coframe_labels, Form.coframe)):
+            if ident in labels:
+                return element(A, A.rank - 1 - labels[::-1].index(ident))
+        for prefix, element in (("eps", Form.coframe), ("e", MultiVector.frame)):
+            digits = ident[len(prefix):]
+            # the length test keeps int() within its digit limit
+            if (ident.startswith(prefix) and digits.isascii() and digits.isdigit()
+                    and len(digits) <= len(str(A.rank)) and 1 <= int(digits) <= A.rank):
+                return element(A, int(digits) - 1)
         return None
 
     def variables(self) -> Tuple[str, ...]:
@@ -181,7 +177,7 @@ class Interpreter:
             return self.lookup(e.ident, line)
         if isinstance(e, dsl.Neg):
             v = self.eval(e.inner, line)
-            if isinstance(v, (Fraction, ExpPoly, MultiVector, Form, TensorMap)):
+            if isinstance(v, VALUE_TYPES):
                 return -v
             raise dsl.ScriptError("cannot negate this value", line)
         if isinstance(e, dsl.Tup):
@@ -189,11 +185,7 @@ class Interpreter:
         if isinstance(e, dsl.GraphLit):
             inner = self.eval(e.inner, line)
             if e.kind == "sharp":
-                if not isinstance(inner, MultiVector):
-                    raise dsl.ScriptError("sharp graph needs a bivector", line)
                 return GraphRelation.of_bivector(inner)
-            if not isinstance(inner, Form):
-                raise dsl.ScriptError("flat graph needs a two-form", line)
             return GraphRelation.of_two_form(inner)
         if isinstance(e, dsl.Bin):
             return self._binary(e, line)
@@ -211,18 +203,18 @@ class Interpreter:
 
     def _apply_binary(self, op: str, left: Value, right: Value, line: int) -> Value:
         if op in ("+", "-"):
-            if type(left) is not type(right) and not (
-                isinstance(left, (Fraction, ExpPoly))
-                and isinstance(right, (Fraction, ExpPoly))
-            ):
-                raise dsl.ScriptError("mismatched operands for +/-", line)
+            if not (type(left) is type(right) and isinstance(left, VALUE_TYPES)
+                    or isinstance(left, SCALARS) and isinstance(right, SCALARS)):
+                raise dsl.ScriptError(
+                    "+ and - join two scalars, or two sections or maps of one kind", line
+                )
             return left + right if op == "+" else left - right
         if op == "*":
-            if isinstance(left, (Fraction, ExpPoly)):
+            if isinstance(left, SCALARS):
                 if isinstance(right, TensorMap):
                     return right.scale(left)
                 return left * right
-            if isinstance(right, (Fraction, ExpPoly)):
+            if isinstance(right, SCALARS):
                 if isinstance(left, TensorMap):
                     return left.scale(right)
                 return right * left
@@ -414,7 +406,7 @@ WEIGHT = Kind(
 )
 PAIR = Kind("a pair (a, b)",
             lambda interp, v: v if isinstance(v, tuple) and len(v) == 2 else None)
-VALUE = _isa("a scalar, section or map", Fraction, ExpPoly, Form, MultiVector, TensorMap)
+VALUE = _isa("a scalar, section or map", *VALUE_TYPES)
 ANY = Kind("a value", lambda interp, v: v)
 
 # declaration keyword -> (kind of the bound value, ambient algebroid it sets)

@@ -85,10 +85,10 @@ constructor, ``exp`` and ``times_exp`` refuse one over a tuple without
 depend on.
 
 This ring is not a field.  The only invertible elements are q * exp(k*t) with
-q a nonzero rational; ``unit_inverse`` raises :class:`NotInvertible` for
-anything else (including honest polynomials like 1 + x1).  ``unit_parts``
-reads q and k off a unit, and ``denominator`` the common denominator of a
-value's coefficients, so that callers outside this module can keep their
+q a nonzero rational.  ``unit_parts`` reads q and k off a unit and raises
+:class:`NotInvertible` for anything else (including honest polynomials like
+1 + x1), and ``denominator`` reads the common denominator of a value's
+coefficients, so that callers outside this module can keep their
 arithmetic over the integers without reading the monomials.
 """
 
@@ -510,11 +510,6 @@ class ExpPoly(metaclass=_Checked):
             raise NotInvertible(f"{self} is not a unit in the ring")
         ((key, q),) = self._terms.items()
         return q, key >> (BITS * len(self.vars))
-
-    def unit_inverse(self) -> "ExpPoly":
-        q, weight = self.unit_parts()
-        inverse = Fraction(1) / q  # 1 / c is a float for an int c
-        return ExpPoly._make(self.vars, {-weight << (BITS * len(self.vars)): inverse})
 
     def denominator(self) -> int:
         """The least common multiple of the coefficient denominators: 1 when

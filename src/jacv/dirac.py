@@ -137,13 +137,13 @@ class GraphRelation:
     @classmethod
     def of_bivector(cls, pi: MultiVector) -> "GraphRelation":
         if not isinstance(pi, MultiVector):
-            raise MismatchError("a sharp graph needs a MultiVector")
+            raise MismatchError("a sharp graph needs a bivector")
         return cls(pi)
 
     @classmethod
     def of_two_form(cls, omega: Form) -> "GraphRelation":
         if not isinstance(omega, Form):
-            raise MismatchError("a flat graph needs a Form")
+            raise MismatchError("a flat graph needs a two-form")
         return cls(omega)
 
     @property
@@ -428,13 +428,12 @@ def omegan_check(
         raise MismatchError("the endomorphism lives over a different algebroid")
     _check_endomorphism(N)
     fl = flat_map(omega)
-    commute = fl.compose(N) - N.dual().compose(fl)
-    if not commute.is_zero:
-        return Report(
-            FAIL,
-            witness="flat does not intertwine the endomorphism with its dual",
-            strategy="matrix commutation",
-        )
+    commute = _first_failure("matrix commutation", [(
+        "flat does not intertwine the endomorphism with its dual: ",
+        fl.compose(N) - N.dual().compose(fl),
+    )])
+    if not commute.ok:
+        return commute
     torsion = _first_failure(
         "torsion on frame pairs", _frame_pair_torsion(N, fl if weak else None)
     )

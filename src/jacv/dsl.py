@@ -26,13 +26,12 @@ from typing import Callable, List, Optional, Tuple, TypeVar, Union
 
 
 class ScriptError(Exception):
-    """Syntax or evaluation problem, tagged with a source location."""
+    """Syntax or evaluation problem, tagged with its line."""
 
-    def __init__(self, message: str, line: int, column: int = 0) -> None:
+    def __init__(self, message: str, line: int) -> None:
         super().__init__(f"line {line}: {message}")
         self.message = message
         self.line = line
-        self.column = column
 
 
 # The parser, the printer and the evaluator recurse on the expression tree;
@@ -174,7 +173,7 @@ def _tokenize_line(text: str, line: int) -> List[_Token]:
             out.append(_Token(c, c, i))
             i += 1
             continue
-        raise ScriptError(f"unexpected character {c!r}", line, i)
+        raise ScriptError(f"unexpected character {c!r}", line)
     return out
 
 
@@ -205,11 +204,7 @@ class _LineParser:
         tok = self.peek()
         if tok is None or tok.kind != kind:
             found = tok.text if tok else "end of line"
-            raise ScriptError(
-                f"expected {kind!r}, found {found!r}",
-                self.line,
-                tok.column if tok else 0,
-            )
+            raise ScriptError(f"expected {kind!r}, found {found!r}", self.line)
         return self.next()
 
     def done(self) -> bool:
@@ -258,9 +253,7 @@ class _LineParser:
         try:
             return int(tok.text)
         except ValueError:
-            raise ScriptError(
-                "number too long or not decimal", self.line, tok.column
-            ) from None
+            raise ScriptError("number too long or not decimal", self.line) from None
 
     def parse_primary(self, adjacent_call_only: bool = False) -> Expr:
         tok = self.next()
@@ -272,7 +265,7 @@ class _LineParser:
                     self.next()
                     denom = self.integer(self.next())
                     if denom == 0:
-                        raise ScriptError("zero denominator", self.line, tok.column)
+                        raise ScriptError("zero denominator", self.line)
                     return Num(Fraction(numer, denom))
             return Num(Fraction(numer))
         if tok.kind == "name":
@@ -311,7 +304,7 @@ class _LineParser:
             if len(items) == 1:
                 return items[0]
             return Tup(tuple(items))
-        raise ScriptError(f"unexpected token {tok.text!r}", self.line, tok.column)
+        raise ScriptError(f"unexpected token {tok.text!r}", self.line)
 
     # compact argument for check lines: optional minus + primary
 
@@ -357,7 +350,7 @@ def _parse_statement(tokens: List[_Token], line: int) -> Statement:
                 raise ScriptError("positional argument after options", line)
             args.append(p.parse_check_arg())
         return CheckStmt(sub, tuple(args), tuple(options), line)
-    raise ScriptError(f"unknown statement {head.text!r}", line, head.column)
+    raise ScriptError(f"unknown statement {head.text!r}", line)
 
 
 def parse(text: str) -> Script:

@@ -225,11 +225,12 @@ def theorem_main1_crosscheck(
             witness=f"both levels: {down.status}",
             strategy="verdict transport",
         )
+    # a level that passes has no witness; its strategy says how it passed
     return Report(
         FAIL,
         witness=(
-            f"downstairs {down.status} ({down.witness}), "
-            f"upstairs {up.status} ({up.witness})"
+            f"downstairs {down.status} ({down.witness or down.strategy}), "
+            f"upstairs {up.status} ({up.witness or up.strategy})"
         ),
         strategy="verdict transport",
     )

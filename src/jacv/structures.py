@@ -95,14 +95,14 @@ class TensorMap:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def identity(cls, algebroid: AlgebroidPatch, side: type = SIDE_A) -> "TensorMap":
+    def identity(cls, algebroid: AlgebroidPatch) -> "TensorMap":
         zero = algebroid.zero_scalar()
         one = algebroid.patch.one()
         r = algebroid.rank
         rows = tuple(
             tuple(one if i == j else zero for j in range(r)) for i in range(r)
         )
-        return cls(algebroid, side, side, rows)
+        return cls(algebroid, SIDE_A, SIDE_A, rows)
 
     # -- algebra -----------------------------------------------------------
 

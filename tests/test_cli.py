@@ -8,7 +8,7 @@ import pytest
 
 from jacv import calculus, cli, dsl
 from jacv.algebroid import JacobiAlgebroidData, Patch, make_tangent
-from jacv.calculus import Form
+from jacv.calculus import Form, MultiVector
 from jacv.lift import lift_bialgebroid
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -182,6 +182,9 @@ MALFORMED = [
     "form z = bivector_of(3)",
     "check jacobi_pair J P P strategy=auto",
     "algebroid T = trivial(p, -1)",
+    # a rank too large for an index, and a sum of two tuples
+    "algebroid T = trivial(p, 100000000000000000000)",
+    "let a = (x, y) + (x, y)",
     "form z = zero_form(A, -1)",
     "section z = zero_section(A, -1)",
     # too deep for the recursive parser, printer or evaluator
@@ -524,6 +527,91 @@ def test_names_bind_once():
 def test_frame_tokens_need_an_ambient():
     with pytest.raises(dsl.ScriptError):
         cli.run_text("patch p = (x)\nlet v = ddx\n")
+
+
+def _ambient(text):
+    interp = cli.Interpreter()
+    interp.run(dsl.parse(text))
+    return interp
+
+
+@pytest.mark.parametrize(
+    "algebroid", ["tangent(p)", "extend(tangent(p))", "extend(trivial(p, 2))"]
+)
+def test_every_printed_label_names_its_element(algebroid):
+    interp = _ambient(f"patch p = (x, y, z)\nalgebroid A = {algebroid}\n")
+    A = interp.ambient
+    for labels, element, prefix in ((A.frame_labels, MultiVector.frame, "e"),
+                                    (A.coframe_labels, Form.coframe, "eps")):
+        for i, label in enumerate(labels):
+            value = interp.lookup(label, 0)
+            assert value == element(A, i) and value.algebroid is A, label
+            # the positional name of the same element
+            assert interp.lookup(f"{prefix}{i + 1}", 0) == value, label
+
+
+def test_a_repeated_label_names_the_last_element():
+    # a double extension prints ehat and epshat twice; each names the newest
+    interp = _ambient(
+        "patch p = (x)\nalgebroid A = tangent(p)\njacobi C = extend(A)\n"
+        "jacobi D = extend(C)\n"
+    )
+    A = interp.ambient
+    assert A.frame_labels == ("ddx", "ehat", "ehat")
+    assert interp.lookup("ehat", 0) == MultiVector.frame(A, 2)
+    assert interp.lookup("epshat", 0) == Form.coframe(A, 2)
+    assert interp.lookup("e2", 0) == MultiVector.frame(A, 1)
+
+
+FRAME_NAMES = """\
+patch p = (x, y)
+algebroid T = trivial(p, 2)
+"""
+
+
+@pytest.mark.parametrize(
+    "line, witness",
+    [
+        # dd<x>/d<x> are tangent labels; a trivial frame prints e<i>/eps<i>
+        ("check zero ddx", "line 3: unknown name 'ddx'"),
+        ("check zero dy", "line 3: unknown name 'dy'"),
+        ("check zero e3", "line 3: unknown name 'e3'"),
+        ("check zero eps0", "line 3: unknown name 'eps0'"),
+        ("check zero e" + "1" * 5000, "line 3: unknown name 'e" + "1" * 5000 + "'"),
+        ("check zero e2", "value = 1*e2"),
+        ("check zero eps1", "value = 1*eps1"),
+    ],
+    ids=lambda v: v[:24],
+)
+def test_frame_names_are_the_printed_labels(tmp_path, capsys, line, witness):
+    code, out, _ = _run(tmp_path, capsys, FRAME_NAMES + line + "\n", "--json")
+    (record,) = json.loads(out)["checks"]
+    assert record["witness"] == witness
+    assert record["status"] == ("fail" if code == 1 else "error")
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("let v = eps¹", "unknown name 'eps¹'"),
+        (
+            "let a = (x, y) + (x, y)",
+            "+ and - join two scalars, or two sections or maps of one kind\n",
+        ),
+        ("let a = (x, y) - 1", "+ and - join two scalars"),
+        ("let a = p + p", "+ and - join two scalars"),
+        ("let a = (sharp ddx^ddy) + (sharp ddx^ddy)", "+ and - join two scalars"),
+        ("let a = dx + ddx", "+ and - join two scalars"),
+        ("let a = (sharp dx^dy)", "a sharp graph needs a bivector"),
+        ("let a = (flat ddx^ddy)", "a flat graph needs a two-form"),
+        ("algebroid T = trivial(p, 100000000000000000000)", "trivial: "),
+    ],
+)
+def test_declaration_errors_name_their_line(tmp_path, capsys, line, message):
+    code, out, err = _run(tmp_path, capsys, TANGENT_XY + line + "\n")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: line 3: {message}")
+    assert "Traceback" not in err
 
 
 def _readme_names(label):

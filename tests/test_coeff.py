@@ -100,7 +100,7 @@ def test_pow_matches_repeated_product(monkeypatch):
 def test_units_and_inverses():
     half_e = ExpPoly.const(VARS, Fraction(1, 2)).times_exp(-4)
     assert half_e.is_unit()
-    assert half_e * half_e.unit_inverse() == ExpPoly.const(VARS, 1)
+    assert half_e.unit_parts() == (Fraction(1, 2), -4)
 
     x = ExpPoly.var(VARS, "x")
     assert not x.is_unit()
@@ -110,7 +110,7 @@ def test_units_and_inverses():
     assert not mixed.is_unit()
     for bad in (x, mixed, ExpPoly.zero(VARS)):
         with pytest.raises(NotInvertible):
-            bad.unit_inverse()
+            bad.unit_parts()
 
 
 def test_variable_set_mismatch_raises():
@@ -215,13 +215,12 @@ def test_ring_operations_keep_the_stored_form():
     for seed in range(30):
         r = random.Random(8000 + seed)
         a, b = _from_recipe(_recipe(r)), _from_recipe(_recipe(r, terms=2))
-        c, _, weight = _recipe(r, terms=1)[0]
+        _, _, weight = _recipe(r, terms=1)[0]
         results = {
             "a": a, "b": b, "+": a + b, "-": a - b, "neg": -a, "*": a * b,
             "**": b ** (seed % 4), "times_exp": a.times_exp(weight),
             "int+": a + 3, "fraction*": Fraction(2, 3) * a,
             "int-": a - 3, "fraction-": Fraction(2, 3) - a,
-            "unit_inverse": ExpPoly.const(VARS, c).times_exp(weight).unit_inverse(),
         }
         results.update((f"d/d{n}", (a * b).diff(n)) for n in VARS)
         for label, value in results.items():
@@ -244,7 +243,7 @@ def test_every_value_is_stored_through_init(monkeypatch):
     values = [
         x, t, half, ExpPoly(VARS, {1: {(1, 0, 0): 2}}), ExpPoly.zero(VARS),
         ExpPoly.exp(VARS, 2), x + t, -x, x - t, x * t, (x + t) ** 2,
-        x.times_exp(1), (x * t).diff("x"), half.unit_inverse(),
+        x.times_exp(1), (x * t).diff("x"),
     ]
     assert len(stored) >= len(values)
     assert all(any(v is s for s in stored) for v in values)
@@ -341,18 +340,6 @@ def test_a_factor_one_forms_no_product(monkeypatch):
         assert sum_products([(2, one, x), (-1, y, one)]) == expected
     assert products == []
     assert sum_products([(1, x, y)]) == x * y and len(products) == 2
-
-
-def test_unit_inverse_is_exact():
-    inv = ExpPoly.const(VARS, 2).unit_inverse()
-    assert _stored(inv) == {(0, (0, 0, 0)): Fraction(1, 2)}
-    inv = (-ExpPoly.const(VARS, 3)).times_exp(2).unit_inverse()
-    assert _stored(inv) == {(-2, (0, 0, 0)): Fraction(-1, 3)}
-    assert type(_stored(inv)[-2, (0, 0, 0)]) is Fraction
-    # the inverse of a unit fraction is stored as an int
-    inv = ExpPoly.const(VARS, Fraction(-1, 4)).unit_inverse()
-    assert _stored(inv) == {(0, (0, 0, 0)): -4}
-    assert type(_stored(inv)[0, (0, 0, 0)]) is int
 
 
 @pytest.mark.parametrize(
@@ -484,9 +471,3 @@ def test_ring_operations_match_sympy():
         assert (list(a.monomials()), list(b.monomials())) == before, (
             seed, "operands changed")
         assert sum_products([(1, a, None)]) is a
-        c, _, weight = ra[0]
-        unit = ExpPoly.const(VARS, c).times_exp(weight)
-        # E^2 * unit^-1 = E^(2 - weight) / c
-        assert shifted(unit.unit_inverse(), 2) == (
-            R.from_dict({(0,) * len(VARS) + (2 - weight,): 1 / rational(c)})
-        ), (seed, "unit_inverse")

@@ -463,7 +463,7 @@ def lie_derivative(arg: object, X: MultiVector, u: Section) -> Section:
 
     The twisted variant uses the twisted differential / twisted bracket.
     """
-    A, phi0 = _twist_of(arg)
+    A, _ = _twist_of(arg)
     if not isinstance(X, MultiVector) or X.degree != 1:
         raise MismatchError("lie_derivative needs a degree-1 multivector")
     if X.algebroid is not A or u.algebroid is not A:
@@ -474,8 +474,6 @@ def lie_derivative(arg: object, X: MultiVector, u: Section) -> Section:
         return contract(X, differential(arg, u)) + differential(
             arg, contract(X, u)
         )
-    if phi0 is None:
-        return schouten(X, u)
     return phi0_schouten(arg, X, u)
 
 
@@ -586,17 +584,16 @@ def phi0_schouten(J: object, D1: MultiVector, D2: MultiVector) -> MultiVector:
         + (a1 - 1) D1 ^ iota(D2)  -  (-1)^(a1+1) (a2 - 1) iota(D1) ^ D2,
 
     with iota contraction by the twist and iota of a degree-0 section read
-    as 0.  A zero twist contracts to zero sections, so the plain bracket is
-    returned with no correction built.  The corrections are summed into the
+    as 0.  A bare algebroid reads as a zero twist, and a zero twist
+    contracts to zero sections, so the plain bracket is returned with no
+    correction built.  The corrections are summed into the
     bracket's own products, so the result is built once.  When D1 is D2 the
     whole bracket is 0 in odd degree a, and in even degree the corrections
     are 2 (a - 1) D ^ iota(D) (module docstring)."""
     A, phi0 = _twist_of(J)
-    if phi0 is None:
-        raise MismatchError("phi0_schouten needs twist data")
     if D1.algebroid is not A or D2.algebroid is not A:
         raise MismatchError("sections live over different algebroids")
-    if phi0.is_zero:
+    if phi0 is None or phi0.is_zero:
         return schouten(D1, D2)
     a1, a2 = D1.degree, D2.degree
     degree = a1 + a2 - 1

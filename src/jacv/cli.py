@@ -3,9 +3,11 @@
 Runs a declarations-then-checks script (see the companion syntax module),
 collects one report per check, and prints either an aligned text table or
 a stable JSON document.  Evaluation problems inside a check become
-``error`` reports; problems inside a declaration stop the run, since every
-later line may depend on the broken name, and so does any line nested too
-deeply to run.
+``error`` reports, whose name carries the line as ``[L<n>]``; problems
+inside a declaration stop the run, since every later line may depend on
+the broken name, and so does any line nested too deeply to run.  Errors
+are raised without a line: ``dsl.parse`` and ``Interpreter.run``, the two
+loops that walk the lines, attach it.
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 syntax or
 declaration error, 3 undecided checks present under ``--strict``.
@@ -133,13 +135,13 @@ class Interpreter:
 
     # ---- name and frame-token resolution
 
-    def lookup(self, ident: str, line: int) -> Value:
+    def lookup(self, ident: str) -> Value:
         if ident in self.env:
             return self.env[ident]
         token = self._frame_token(ident)
         if token is not None:
             return token
-        raise dsl.ScriptError(f"unknown name {ident!r}", line)
+        raise dsl.ScriptError(f"unknown name {ident!r}")
 
     def _frame_token(self, ident: str) -> Optional[Value]:
         """A coordinate or ``t``, else a frame or coframe label of the
@@ -156,9 +158,11 @@ class Interpreter:
                 return element(A, A.rank - 1 - labels[::-1].index(ident))
         for prefix, element in (("eps", Form.coframe), ("e", MultiVector.frame)):
             digits = ident[len(prefix):]
-            # the length test keeps int() within its digit limit
+            # printed indices have no leading zero, and the length test keeps
+            # int() within its digit limit
             if (ident.startswith(prefix) and digits.isascii() and digits.isdigit()
-                    and len(digits) <= len(str(A.rank)) and 1 <= int(digits) <= A.rank):
+                    and digits[0] != "0" and len(digits) <= len(str(A.rank))
+                    and int(digits) <= A.rank):
                 return element(A, int(digits) - 1)
         return None
 
@@ -170,43 +174,35 @@ class Interpreter:
 
     # ---- expression evaluation
 
-    def eval(self, e: dsl.Expr, line: int) -> Value:
+    def eval(self, e: dsl.Expr) -> Value:
         if isinstance(e, dsl.Num):
             return e.value
         if isinstance(e, dsl.Name):
-            return self.lookup(e.ident, line)
+            return self.lookup(e.ident)
         if isinstance(e, dsl.Neg):
-            v = self.eval(e.inner, line)
+            v = self.eval(e.inner)
             if isinstance(v, VALUE_TYPES):
                 return -v
-            raise dsl.ScriptError("cannot negate this value", line)
+            raise dsl.ScriptError("cannot negate this value")
         if isinstance(e, dsl.Tup):
-            return tuple(self.eval(item, line) for item in e.items)
+            return tuple(self.eval(item) for item in e.items)
         if isinstance(e, dsl.GraphLit):
-            inner = self.eval(e.inner, line)
+            inner = self.eval(e.inner)
             if e.kind == "sharp":
                 return GraphRelation.of_bivector(inner)
             return GraphRelation.of_two_form(inner)
         if isinstance(e, dsl.Bin):
-            return self._binary(e, line)
+            return self._binary(e.op, self.eval(e.left), self.eval(e.right))
         if isinstance(e, dsl.Call):
-            return self._call(e, line)
-        raise dsl.ScriptError(f"cannot evaluate {e!r}", line)
+            return self._call(e)
+        raise dsl.ScriptError(f"cannot evaluate {e!r}")
 
-    def _binary(self, e: dsl.Bin, line: int) -> Value:
-        left = self.eval(e.left, line)
-        right = self.eval(e.right, line)
-        try:
-            return self._apply_binary(e.op, left, right, line)
-        except LIBRARY_ERRORS as exc:
-            raise dsl.ScriptError(str(exc), line)
-
-    def _apply_binary(self, op: str, left: Value, right: Value, line: int) -> Value:
+    def _binary(self, op: str, left: Value, right: Value) -> Value:
         if op in ("+", "-"):
             if not (type(left) is type(right) and isinstance(left, VALUE_TYPES)
                     or isinstance(left, SCALARS) and isinstance(right, SCALARS)):
                 raise dsl.ScriptError(
-                    "+ and - join two scalars, or two sections or maps of one kind", line
+                    "+ and - join two scalars, or two sections or maps of one kind"
                 )
             return left + right if op == "+" else left - right
         if op == "*":
@@ -218,32 +214,32 @@ class Interpreter:
                 if isinstance(left, TensorMap):
                     return left.scale(right)
                 return right * left
-            raise dsl.ScriptError("* needs a scalar on one side", line)
+            raise dsl.ScriptError("* needs a scalar on one side")
         if op == "^":
             if isinstance(right, Fraction):
                 if right.denominator != 1 or right < 1:
-                    raise dsl.ScriptError("wedge power needs a positive integer", line)
+                    raise dsl.ScriptError("wedge power needs a positive integer")
                 if not isinstance(left, (MultiVector, Form)):
-                    raise dsl.ScriptError("wedge power needs a section", line)
+                    raise dsl.ScriptError("wedge power needs a section")
                 return wedge_power(left, int(right))
             if isinstance(left, (MultiVector, Form)) and type(left) is type(right):
                 return wedge(left, right)
-            raise dsl.ScriptError("^ joins two sections of the same kind", line)
+            raise dsl.ScriptError("^ joins two sections of the same kind")
         if op == ".":
             if isinstance(left, TensorMap) and isinstance(right, TensorMap):
                 return left.compose(right)
-            raise dsl.ScriptError(". composes two maps", line)
-        raise dsl.ScriptError(f"unknown operator {op!r}", line)
+            raise dsl.ScriptError(". composes two maps")
+        raise dsl.ScriptError(f"unknown operator {op!r}")
 
-    def _call(self, e: dsl.Call, line: int) -> Value:
-        args = [self.eval(a, line) for a in e.args]
+    def _call(self, e: dsl.Call) -> Value:
+        args = [self.eval(a) for a in e.args]
         sig = SIGNATURES.get(e.func)
         if sig is None:
-            raise dsl.ScriptError(f"unknown function {e.func!r}", line)
+            raise dsl.ScriptError(f"unknown function {e.func!r}")
         try:
-            return sig.apply(self, e.func, args, (), line)
+            return sig.apply(self, e.func, args, ())
         except LIBRARY_ERRORS as exc:
-            raise dsl.ScriptError(f"{e.func}: {exc}", line)
+            raise dsl.ScriptError(f"{e.func}: {exc}")
 
     # ---- statements
 
@@ -256,27 +252,28 @@ class Interpreter:
                     self._run_decl(stmt)
             except RecursionError:
                 raise dsl.ScriptError(dsl.TOO_DEEP, stmt.line) from None
-            except LIBRARY_ERRORS as exc:
-                raise dsl.ScriptError(str(exc), stmt.line)
+            except (dsl.ScriptError, *LIBRARY_ERRORS) as exc:
+                # a script error of the statement has no line yet, so its
+                # text is its message
+                raise dsl.ScriptError(str(exc), stmt.line) from None
         return self.report
 
-    def _bind(self, name: str, value: Value, line: int) -> None:
+    def _bind(self, name: str, value: Value) -> None:
         if name in self.env:
-            raise dsl.ScriptError(f"name {name!r} is already bound", line)
+            raise dsl.ScriptError(f"name {name!r} is already bound")
         self.env[name] = value
 
     def _run_decl(self, stmt: Union[dsl.PatchDecl, dsl.Decl]) -> None:
         if isinstance(stmt, dsl.PatchDecl):
-            self._bind(stmt.name, Patch(stmt.coords), stmt.line)
+            self._bind(stmt.name, Patch(stmt.coords))
             return
         kind, ambient_of = DECLARATIONS[stmt.keyword]
-        value = kind.coerce(self, self.eval(stmt.value, stmt.line))
+        value = kind.coerce(self, self.eval(stmt.value))
         if value is None:
-            raise dsl.ScriptError(f"{stmt.keyword} declaration needs {kind.what}",
-                                  stmt.line)
+            raise dsl.ScriptError(f"{stmt.keyword} declaration needs {kind.what}")
         if ambient_of is not None:
             self.ambient = ambient_of(value)
-        self._bind(stmt.name, value, stmt.line)
+        self._bind(stmt.name, value)
 
     def _run_check(self, stmt: dsl.CheckStmt) -> None:
         name = f"[L{stmt.line}] " + dsl.render_statement(stmt)[len("check "):]
@@ -286,8 +283,8 @@ class Interpreter:
             report = Report("error", "dispatch", f"unknown check {stmt.subcommand!r}")
         else:
             try:
-                args = [self.eval(a, stmt.line) for a in stmt.args]
-                report = sig.apply(self, key, args, stmt.options, stmt.line)
+                args = [self.eval(a) for a in stmt.args]
+                report = sig.apply(self, key, args, stmt.options)
             except (dsl.ScriptError, *LIBRARY_ERRORS) as exc:
                 report = Report("error", "evaluation", str(exc))
         self.report.names.append(name)
@@ -442,27 +439,29 @@ class Sig:
     options: Options = field(default_factory=dict)
 
     def apply(self, interp: Interpreter, name: str, args: Sequence[Value],
-              options: Sequence[Tuple[str, str]], line: int) -> Value:
+              options: Sequence[Tuple[str, str]]) -> Value:
         n = len(self.kinds)
         wanted = n + (self.tail is not None)
         if len(args) < wanted or (self.tail is None and len(args) > n):
             least = "at least " if self.tail else ""
-            raise dsl.ScriptError(f"{name} takes {least}{wanted} argument(s)", line)
+            raise dsl.ScriptError(f"{name} takes {least}{wanted} argument(s)")
         kinds = self.kinds + (self.tail,) * (len(args) - n)
         values = []
         for i, (kind, arg) in enumerate(zip(kinds, args), start=1):
             value = kind.coerce(interp, arg)
             if value is None:
-                raise dsl.ScriptError(f"{name}: argument {i} must be {kind.what}", line)
+                raise dsl.ScriptError(f"{name}: argument {i} must be {kind.what}")
             values.append(value)
         chosen = {}
         for key, raw in options:
             allowed = self.options.get(key)
             if allowed is None:
-                raise dsl.ScriptError(f"{name}: unknown option {key!r}", line)
+                raise dsl.ScriptError(f"{name}: unknown option {key!r}")
+            if key in chosen:
+                raise dsl.ScriptError(f"{name}: option {key} is given twice")
             if raw not in allowed:
                 raise dsl.ScriptError(
-                    f"{name}: option {key} must be one of {'|'.join(allowed)}", line
+                    f"{name}: option {key} must be one of {'|'.join(allowed)}"
                 )
             chosen[key] = allowed[raw]
         return self.fn(*values, **chosen)

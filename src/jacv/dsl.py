@@ -26,10 +26,15 @@ from typing import Callable, List, Optional, Tuple, TypeVar, Union
 
 
 class ScriptError(Exception):
-    """Syntax or evaluation problem, tagged with its line."""
+    """Syntax or evaluation problem.
 
-    def __init__(self, message: str, line: int) -> None:
-        super().__init__(f"line {line}: {message}")
+    It is raised without a line; the two loops that walk a script's lines,
+    ``parse`` and the interpreter's ``run``, raise it again with the line
+    of the statement, which then prefixes the message.
+    """
+
+    def __init__(self, message: str, line: Optional[int] = None) -> None:
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.message = message
         self.line = line
 
@@ -141,7 +146,7 @@ class _Token:
     column: int
 
 
-def _tokenize_line(text: str, line: int) -> List[_Token]:
+def _tokenize_line(text: str) -> List[_Token]:
     out: List[_Token] = []
     i, n = 0, len(text)
     while i < n:
@@ -173,7 +178,7 @@ def _tokenize_line(text: str, line: int) -> List[_Token]:
             out.append(_Token(c, c, i))
             i += 1
             continue
-        raise ScriptError(f"unexpected character {c!r}", line)
+        raise ScriptError(f"unexpected character {c!r}")
     return out
 
 
@@ -183,9 +188,8 @@ T = TypeVar("T")
 
 
 class _LineParser:
-    def __init__(self, tokens: List[_Token], line: int) -> None:
+    def __init__(self, tokens: List[_Token]) -> None:
         self.tokens = tokens
-        self.line = line
         self.pos = 0
 
     def peek(self, ahead: int = 0) -> Optional[_Token]:
@@ -196,7 +200,7 @@ class _LineParser:
     def next(self) -> _Token:
         tok = self.peek()
         if tok is None:
-            raise ScriptError("unexpected end of line", self.line)
+            raise ScriptError("unexpected end of line")
         self.pos += 1
         return tok
 
@@ -204,7 +208,7 @@ class _LineParser:
         tok = self.peek()
         if tok is None or tok.kind != kind:
             found = tok.text if tok else "end of line"
-            raise ScriptError(f"expected {kind!r}, found {found!r}", self.line)
+            raise ScriptError(f"expected {kind!r}, found {found!r}")
         return self.next()
 
     def done(self) -> bool:
@@ -253,7 +257,7 @@ class _LineParser:
         try:
             return int(tok.text)
         except ValueError:
-            raise ScriptError("number too long or not decimal", self.line) from None
+            raise ScriptError("number too long or not decimal") from None
 
     def parse_primary(self, adjacent_call_only: bool = False) -> Expr:
         tok = self.next()
@@ -265,7 +269,7 @@ class _LineParser:
                     self.next()
                     denom = self.integer(self.next())
                     if denom == 0:
-                        raise ScriptError("zero denominator", self.line)
+                        raise ScriptError("zero denominator")
                     return Num(Fraction(numer, denom))
             return Num(Fraction(numer))
         if tok.kind == "name":
@@ -304,7 +308,7 @@ class _LineParser:
             if len(items) == 1:
                 return items[0]
             return Tup(tuple(items))
-        raise ScriptError(f"unexpected token {tok.text!r}", self.line)
+        raise ScriptError(f"unexpected token {tok.text!r}")
 
     # compact argument for check lines: optional minus + primary
 
@@ -317,7 +321,7 @@ class _LineParser:
 
 
 def _parse_statement(tokens: List[_Token], line: int) -> Statement:
-    p = _LineParser(tokens, line)
+    p = _LineParser(tokens)
     head = p.expect("name")
     if head.text == "patch":
         name = p.expect("name").text
@@ -326,14 +330,14 @@ def _parse_statement(tokens: List[_Token], line: int) -> Statement:
         coords = p.comma_list(lambda: p.expect("name").text)
         p.expect(")")
         if not p.done():
-            raise ScriptError("trailing tokens after patch declaration", line)
+            raise ScriptError("trailing tokens after patch declaration")
         return PatchDecl(name, tuple(coords), line)
     if head.text in DECL_KEYWORDS:
         name = p.expect("name").text
         p.expect("=")
         value = p.parse_expr()
         if not p.done():
-            raise ScriptError("trailing tokens after declaration", line)
+            raise ScriptError("trailing tokens after declaration")
         return Decl(head.text, name, value, line)
     if head.text == "check":
         sub = p.expect("name").text
@@ -347,22 +351,23 @@ def _parse_statement(tokens: List[_Token], line: int) -> Statement:
                 options.append((key, p.expect("name").text))
                 continue
             if options:
-                raise ScriptError("positional argument after options", line)
+                raise ScriptError("positional argument after options")
             args.append(p.parse_check_arg())
         return CheckStmt(sub, tuple(args), tuple(options), line)
-    raise ScriptError(f"unknown statement {head.text!r}", line)
+    raise ScriptError(f"unknown statement {head.text!r}")
 
 
 def parse(text: str) -> Script:
     statements: List[Statement] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize_line(raw, lineno)
-        if not tokens:
-            continue
         try:
-            statements.append(_parse_statement(tokens, lineno))
+            tokens = _tokenize_line(raw)
+            if tokens:
+                statements.append(_parse_statement(tokens, lineno))
         except RecursionError:
             raise ScriptError(TOO_DEEP, lineno) from None
+        except ScriptError as exc:
+            raise ScriptError(exc.message, lineno) from None
     return Script(tuple(statements))
 
 

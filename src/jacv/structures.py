@@ -485,28 +485,6 @@ def _check_over(J: JacobiAlgebroidData, *sections: Section) -> None:
 # -- Jacobi and presymplectic checks ---------------------------------------
 
 
-def jacobi_bracket(
-    J: JacobiAlgebroidData, pi: MultiVector, xi: Form, eta: Form
-) -> Form:
-    """Bracket induced on 1-forms by a bivector over twisted data.
-
-    Value: L_{sharp xi} eta - L_{sharp eta} xi - d<sharp xi, eta>, all three
-    terms twisted.
-    """
-    _check_over(J, pi, xi, eta)
-    if xi.degree != 1 or eta.degree != 1:
-        raise MismatchError("jacobi_bracket needs degree-1 forms")
-    sharp = sharp_map(pi)
-    sx = sharp.apply(xi)
-    se = sharp.apply(eta)
-    value = pair(eta, sx)
-    return (
-        lie_derivative(J, sx, eta)
-        - lie_derivative(J, se, xi)
-        - differential(J, Form.scalar_section(J.algebroid, value))
-    )
-
-
 def _cleared(s: Section) -> Tuple[int, Section]:
     """``(d, d s)`` with d the least common multiple of the denominators of
     the coefficients of ``s``: d s has integer coefficients.  It scales the

@@ -20,7 +20,9 @@ from jacv.calculus import (
     Form,
     MultiVector,
     differential,
+    lie_derivative,
     merge,
+    pair,
     phi0_schouten,
     schouten,
 )
@@ -32,6 +34,7 @@ from jacv.structures import (
     bivector_of,
     flat_map,
     pi_from_omega,
+    sharp_map,
     two_form_of,
 )
 
@@ -99,6 +102,19 @@ def torsion_tensor(N, X, Y):
     NX, NY = N.apply(X), N.apply(Y)
     inner = schouten(NX, Y) + schouten(X, NY) - N.apply(schouten(X, Y))
     return schouten(NX, NY) - N.apply(inner)
+
+
+def jacobi_bracket(J, pi, xi, eta):
+    """The bracket L_{sharp xi} eta - L_{sharp eta} xi - d<sharp xi, eta>
+    induced on two 1-forms by a bivector over twisted data, all three terms
+    twisted: the reference for the self-bracket of the bivector."""
+    sharp = sharp_map(pi)
+    sx, se = sharp.apply(xi), sharp.apply(eta)
+    return (
+        lie_derivative(J, sx, eta)
+        - lie_derivative(J, se, xi)
+        - differential(J, Form.scalar_section(J.algebroid, pair(eta, sx)))
+    )
 
 
 def rand_scalar(r, patch, max_degree=2, terms=2, with_t=False, exp_range=0):

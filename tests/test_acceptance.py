@@ -46,7 +46,6 @@ from jacv.lift import (
 from jacv.structures import (
     flat_map,
     graph_closure_check,
-    jacobi_bracket,
     jacobi_check,
     make_standard_bialgebroid,
     maurer_cartan_check,
@@ -58,6 +57,7 @@ from jacv.structures import (
 from tests.gen import (
     closed_twist,
     contact,
+    jacobi_bracket,
     rand_form,
     rand_graph_section,
     rand_multivector,

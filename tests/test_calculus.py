@@ -401,13 +401,16 @@ def test_schouten_on_scalars_vanishes():
 
 
 def test_twisted_schouten_zero_twist_reduction():
+    # a bare algebroid reads as a zero twist
     _, A = small_tangent()
     J = JacobiAlgebroidData(A, Form.zero(A, 1))
     for seed in range(25):
         r = random.Random(seed)
         P = rand_multivector(r, A, r.randint(1, 3), max_degree=1, terms=1)
         Q = rand_multivector(r, A, r.randint(1, 3), max_degree=1, terms=1)
-        assert phi0_schouten(J, P, Q) == schouten(P, Q), f"seed={seed}"
+        plain = schouten(P, Q)
+        assert phi0_schouten(J, P, Q) == plain, f"seed={seed}"
+        assert phi0_schouten(A, P, Q) == plain, f"seed={seed}"
 
 
 def test_zero_twist_builds_no_correction(monkeypatch):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -177,6 +178,7 @@ MALFORMED = [
     "check zero A",
     "check algebroid A foo=bar",
     "check omegan J w N weak=yes",
+    "check omegan J w N weak=true weak=false",
     "check symplectic_pair J w w strategy=auto",
     "form z = iota(A, 3)",
     "form z = bivector_of(3)",
@@ -308,7 +310,7 @@ OPERATORS = [
     # a section times a scalar on the right
     ("check equal (dx*2) (2*dx)", "pass", None),
     ("check equal (dx*x) (dy*x)", "fail", "difference = x*dx + -x*dy"),
-    ("check zero (dx*dy)", "error", "line 4: * needs a scalar on one side"),
+    ("check zero (dx*dy)", "error", "* needs a scalar on one side"),
     # t is the ring's own variable wherever an algebroid is declared
     ("check zero t", "fail", "value = t"),
     # tuples compare slot by slot, and their lengths first
@@ -373,7 +375,51 @@ def test_check_algebroid_of_a_number_is_an_argument_error(tmp_path, capsys):
     assert code == 2
     (record,) = json.loads(out)["checks"]
     assert record["status"] == "error"
-    assert record["witness"] == "line 3: check algebroid: argument 1 must be an algebroid"
+    assert record["witness"] == "check algebroid: argument 1 must be an algebroid"
+
+
+def test_check_errors_read_as_bare_messages(tmp_path, capsys):
+    # an interpreter error, a library error and a dispatch error alike: the
+    # line is in the record's name, the witness is the message alone
+    text = TANGENT_XY + (
+        "check zero (dx*dy)\n"
+        "check dirac_pair A (sharp dx^dy) (flat dx^dy)\n"
+        "check frob A\n"
+    )
+    code, out, _ = _run(tmp_path, capsys, text, "--json")
+    assert code == 2
+    records = json.loads(out)["checks"]
+    assert [(r["name"][:5], r["status"], r["witness"]) for r in records] == [
+        ("[L3] ", "error", "* needs a scalar on one side"),
+        ("[L4] ", "error", "a sharp graph needs a bivector"),
+        ("[L5] ", "error", "unknown check 'frob'"),
+    ]
+
+
+# two of the corpus's contact forms and the deformation map between them
+OMEGAN = """\
+patch p = (x1, x2, y1, y2, z)
+algebroid TA = tangent(p)
+jacobi J = (TA, 0)
+form bO = -y1*dx1 - y2*dx2 + dz
+form bH = -y1*dx1 + y2*dx2 + dz
+jacobi C = extend(TA)
+form Om = merge(C, (d(J, bO), bO))
+form wH = merge(C, (d(J, bH), bH))
+map NH = inverse(flat(Om)) . flat(wH)
+check omegan C Om NH weak=true
+check omegan C Om NH weak=false
+"""
+
+
+def test_the_weak_option_reaches_omegan(tmp_path, capsys):
+    code, out, _ = _run(tmp_path, capsys, OMEGAN, "--json")
+    assert code == 0
+    records = json.loads(out)["checks"]
+    assert [(r["status"], r["strategy"]) for r in records] == [
+        ("pass", "weak commutation/torsion/closedness"),
+        ("pass", "commutation/torsion/closedness"),
+    ]
 
 
 @pytest.mark.xfail(
@@ -430,7 +476,11 @@ def test_a_power_past_the_exponent_field_exits_two_with_its_line(
     # x^40000 does not fit the 15 bits a packed exponent may use
     code, out, err = _run(tmp_path, capsys, POWERS + "form g = f^200\n" + line + "\n")
     assert code == 2
-    assert "line 5: the power of x exceeds 32767" in out + err
+    if line.startswith("check "):
+        assert "error  [L5] zero (g ^ 200)" in out
+        assert "\n       the power of x exceeds 32767\n" in out
+    else:
+        assert err.startswith("error: line 5: the power of x exceeds 32767")
     assert "Traceback" not in out + err
     # both powers square: at most 2 * log2(200) wedges each
     assert len(wedges) <= 4 * math.log2(200)
@@ -544,10 +594,10 @@ def test_every_printed_label_names_its_element(algebroid):
     for labels, element, prefix in ((A.frame_labels, MultiVector.frame, "e"),
                                     (A.coframe_labels, Form.coframe, "eps")):
         for i, label in enumerate(labels):
-            value = interp.lookup(label, 0)
+            value = interp.lookup(label)
             assert value == element(A, i) and value.algebroid is A, label
             # the positional name of the same element
-            assert interp.lookup(f"{prefix}{i + 1}", 0) == value, label
+            assert interp.lookup(f"{prefix}{i + 1}") == value, label
 
 
 def test_a_repeated_label_names_the_last_element():
@@ -558,9 +608,9 @@ def test_a_repeated_label_names_the_last_element():
     )
     A = interp.ambient
     assert A.frame_labels == ("ddx", "ehat", "ehat")
-    assert interp.lookup("ehat", 0) == MultiVector.frame(A, 2)
-    assert interp.lookup("epshat", 0) == Form.coframe(A, 2)
-    assert interp.lookup("e2", 0) == MultiVector.frame(A, 1)
+    assert interp.lookup("ehat") == MultiVector.frame(A, 2)
+    assert interp.lookup("epshat") == Form.coframe(A, 2)
+    assert interp.lookup("e2") == MultiVector.frame(A, 1)
 
 
 FRAME_NAMES = """\
@@ -573,13 +623,17 @@ algebroid T = trivial(p, 2)
     "line, witness",
     [
         # dd<x>/d<x> are tangent labels; a trivial frame prints e<i>/eps<i>
-        ("check zero ddx", "line 3: unknown name 'ddx'"),
-        ("check zero dy", "line 3: unknown name 'dy'"),
-        ("check zero e3", "line 3: unknown name 'e3'"),
-        ("check zero eps0", "line 3: unknown name 'eps0'"),
-        ("check zero e" + "1" * 5000, "line 3: unknown name 'e" + "1" * 5000 + "'"),
+        ("check zero ddx", "unknown name 'ddx'"),
+        ("check zero dy", "unknown name 'dy'"),
+        ("check zero e3", "unknown name 'e3'"),
+        ("check zero eps0", "unknown name 'eps0'"),
+        ("check zero e" + "1" * 5000, "unknown name 'e" + "1" * 5000 + "'"),
         ("check zero e2", "value = 1*e2"),
         ("check zero eps1", "value = 1*eps1"),
+        # a printed index has no leading zero, also where the rank has two digits
+        ("algebroid U = trivial(p, 10)\ncheck equal e01 e1", "unknown name 'e01'"),
+        ("algebroid U = trivial(p, 10)\ncheck zero eps09", "unknown name 'eps09'"),
+        ("algebroid U = trivial(p, 10)\ncheck zero e10", "value = 1*e10"),
     ],
     ids=lambda v: v[:24],
 )
@@ -605,6 +659,9 @@ def test_frame_names_are_the_printed_labels(tmp_path, capsys, line, witness):
         ("let a = (sharp dx^dy)", "a sharp graph needs a bivector"),
         ("let a = (flat ddx^ddy)", "a flat graph needs a two-form"),
         ("algebroid T = trivial(p, 100000000000000000000)", "trivial: "),
+        ("let a = -p", "cannot negate this value"),
+        ("let a = dx^0", "wedge power needs a positive integer"),
+        ("let a = x^2", "wedge power needs a section"),
     ],
 )
 def test_declaration_errors_name_their_line(tmp_path, capsys, line, message):
@@ -612,6 +669,37 @@ def test_declaration_errors_name_their_line(tmp_path, capsys, line, message):
     assert code == 2 and out == ""
     assert err.startswith(f"error: line 3: {message}")
     assert "Traceback" not in err
+
+
+DEPTH = sys.getrecursionlimit()
+
+
+@pytest.mark.parametrize(
+    "line, parses",
+    [
+        # the parser takes several frames for each parenthesis
+        ("let a = " + "(" * (DEPTH // 2) + "x" + ")" * (DEPTH // 2), False),
+        # the parser takes one frame for each minus, and the printer of the
+        # check's name two
+        ("check zero (" + "-" * (DEPTH * 3 // 4) + "x)", True),
+    ],
+    ids=["parser", "printer"],
+)
+def test_a_line_nested_too_deeply_exits_two_with_its_line(tmp_path, capsys, line, parses):
+    text = TANGENT_XY + line + "\n"
+    try:
+        dsl.parse(text)
+        parsed = True
+    except dsl.ScriptError:
+        parsed = False
+    assert parsed is parses
+    code, out, err = _run(tmp_path, capsys, text)
+    assert (code, out) == (2, "")
+    assert err == f"error: line 3: {dsl.TOO_DEEP}\n"
+
+
+def test_the_parser_and_the_interpreter_know_the_same_declarations():
+    assert set(dsl.DECL_KEYWORDS) == set(cli.DECLARATIONS)
 
 
 def _readme_names(label):

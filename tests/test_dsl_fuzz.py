@@ -20,7 +20,7 @@ MAX_MUTATED_TOKENS = 40
 
 
 def _mutants(line):
-    tokens = dsl._tokenize_line(line, 1)
+    tokens = dsl._tokenize_line(line)
     yield line
     if len(tokens) > MAX_MUTATED_TOKENS:
         return
@@ -51,7 +51,7 @@ def _fuzz(script):
     interp = cli.Interpreter()
     codes = []
     for line in script.splitlines():
-        if not dsl._tokenize_line(line, 1):
+        if not dsl._tokenize_line(line):
             continue
         for mutant in dict.fromkeys(_mutants(line)):
             codes.append(_exit_code(interp, mutant))

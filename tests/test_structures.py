@@ -45,7 +45,6 @@ from jacv.structures import (
     dual_schouten,
     flat_map,
     graph_closure_check,
-    jacobi_bracket,
     jacobi_check,
     make_standard_bialgebroid,
     maurer_cartan_check,
@@ -62,6 +61,7 @@ from tests.gen import (
     closed_twist,
     contact,
     contact_form,
+    jacobi_bracket,
     poisson_bialgebroid,
     rand_form,
     rand_graph_section,

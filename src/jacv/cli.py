@@ -97,7 +97,7 @@ Value = object
 LIBRARY_ERRORS = (MismatchError, NotInvertible, OverflowError, TypeError, ValueError)
 
 SCALARS = (Fraction, ExpPoly)
-# what + and -, unary minus and ``check zero`` take
+# what + and -, * by a scalar, unary minus and ``check zero`` take
 VALUE_TYPES = SCALARS + (Form, MultiVector, TensorMap)
 
 
@@ -206,15 +206,10 @@ class Interpreter:
                 )
             return left + right if op == "+" else left - right
         if op == "*":
-            if isinstance(left, SCALARS):
-                if isinstance(right, TensorMap):
-                    return right.scale(left)
-                return left * right
-            if isinstance(right, SCALARS):
-                if isinstance(left, TensorMap):
-                    return left.scale(right)
-                return right * left
-            raise dsl.ScriptError("* needs a scalar on one side")
+            if not (isinstance(left, SCALARS) and isinstance(right, VALUE_TYPES)
+                    or isinstance(right, SCALARS) and isinstance(left, VALUE_TYPES)):
+                raise dsl.ScriptError("* scales a scalar, section or map by a scalar")
+            return left * right
         if op == "^":
             if isinstance(right, Fraction):
                 if right.denominator != 1 or right < 1:

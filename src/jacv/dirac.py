@@ -259,10 +259,10 @@ class _FrameTorsion:
 
 
 def _frame_pair_torsion(
-    M: TensorMap, flat: Optional[TensorMap] = None, c: Scalar = 1
-) -> Iterator[Tuple[str, Section]]:
-    """The torsion of N = c M on every frame pair, or its image under
-    ``flat`` if given, labelled by the pair; ``c`` is a rational constant.
+    M: TensorMap, c: Scalar = 1
+) -> Iterator[Tuple[str, MultiVector]]:
+    """The torsion of N = c M on every frame pair, labelled by the pair;
+    ``c`` is a rational constant.
 
     The torsion is taken of ``M`` by the closed form of the module
     docstring (``_FrameTorsion``), one pair at a time, and scaled by c^2
@@ -275,16 +275,13 @@ def _frame_pair_torsion(
     r = A.rank
     torsion = _FrameTorsion(M)
     c2 = c * c
-    kind = "torsion" if flat is None else "flattened torsion"
     for i in range(r):
         for j in range(i + 1, r):
             value = torsion.at(i, j)
-            if flat is not None:
-                value = flat.apply(value)
             if c2 != 1 and not value.is_zero:
                 value = value * c2
             where = f"({A.frame_labels[i]}, {A.frame_labels[j]})"
-            yield f"{kind} at {where} = ", value
+            yield f"torsion at {where} = ", value
 
 
 # -- pair verdicts ----------------------------------------------------------
@@ -321,17 +318,19 @@ def _member_gate(
     )
 
 
-def _reduction(kind: str, m1: TensorMap, m2: TensorMap) -> Report:
+def _reduction(m1: TensorMap, m2: TensorMap) -> Report:
     """Torsion of the endomorphism a matched pair induces, if it is a graph.
 
-    The second map is inverted if its Pfaffian Pf = q exp(kt) is a unit,
-    else the first; ``_adjugate`` gives the inverse as B / q with B the
-    signed sub-Pfaffians times exp(-kt).  The endomorphism is N = M / q,
-    with M ``outer after B`` for two sharps and ``B after outer`` for two
-    flats: the weight goes into M, and each residue of M is scaled by
-    1 / q^2 (module docstring).  With neither map invertible the verdict is
-    ``not-decided``.
+    Both maps are sharps, or both are flats; ``m1``'s target, the algebroid
+    side for a sharp, tells which.  The second map is inverted if its
+    Pfaffian Pf = q exp(kt) is a unit, else the first; ``_adjugate`` gives
+    the inverse as B / q with B the signed sub-Pfaffians times exp(-kt).
+    The endomorphism is N = M / q, with M ``outer after B`` for two sharps
+    and ``B after outer`` for two flats: the weight goes into M, and each
+    residue of M is scaled by 1 / q^2 (module docstring).  With neither map
+    invertible the verdict is ``not-decided``.
     """
+    kind = "sharp" if m1.target is SIDE_A else "flat"
     for inner, outer, which in ((m2, m1, "second"), (m1, m2, "first")):
         pfaffian = inner._pfaffian()
         if not pfaffian[0].is_unit():
@@ -385,7 +384,7 @@ def dirac_pair_check(
         B.a_side, left.section, right.section
     ).is_zero:
         return Report(PASS, strategy="bracket compatibility")
-    return _reduction(left.kind, left.music(), right.music())
+    return _reduction(left.music(), right.music())
 
 
 # -- bivector-with-form and form-with-endomorphism structures ----------------
@@ -421,7 +420,8 @@ def omegan_check(
     """Form-endomorphism pair: commutation, torsion, and two closed forms.
 
     ``weak`` replaces vanishing of the torsion itself by vanishing of its
-    image under the flat map of the form.
+    image under the flat map of the form; each frame pair's torsion is
+    flattened as it is read.
     """
     _check_over(J, omega)
     if N.algebroid is not J.algebroid:
@@ -434,9 +434,10 @@ def omegan_check(
     )])
     if not commute.ok:
         return commute
-    torsion = _first_failure(
-        "torsion on frame pairs", _frame_pair_torsion(N, fl if weak else None)
-    )
+    pairs = _frame_pair_torsion(N)
+    if weak:
+        pairs = ((f"flattened {label}", fl.apply(value)) for label, value in pairs)
+    torsion = _first_failure("torsion on frame pairs", pairs)
     if not torsion.ok:
         return torsion
 

@@ -62,15 +62,6 @@ def _weight_unit(algebroid: AlgebroidPatch, k: int) -> ExpPoly:
     return ExpPoly.exp(algebroid.patch.variables, k)
 
 
-def _time_derivative(section: Section) -> Section:
-    comps = {}
-    for key, c in section.components.items():
-        d = c.diff("t")
-        if not d.is_zero:
-            comps[key] = d
-    return type(section)(section.algebroid, section.degree, comps)
-
-
 @dataclass(eq=False)
 class LiftedInstance:
     """A dual pair downstairs and its untwisted lift."""
@@ -168,9 +159,9 @@ def verify_hat_bar_differentials(
     hat = lift_hat(J)
     bar = lift_bar(J)
     f = Form.scalar_section(A, scalar)
-    dt_f = _time_derivative(f).components.get((), A.zero_scalar())
-    scalar_formula = differential(A, f) + dt_f * J.phi0
-    tail = wedge(J.phi0, _time_derivative(cosection))
+    scalar_formula = differential(A, f) + scalar.diff("t") * J.phi0
+    dt_cosection = {key: c.diff("t") for key, c in cosection.components.items()}
+    tail = wedge(J.phi0, Form(A, 1, dt_cosection))
     emt = _weight_unit(A, -1)
 
     def against(up: AlgebroidPatch, w: Form, formula: Form) -> Form:

@@ -47,6 +47,7 @@ from .calculus import (
     MismatchError,
     MultiVector,
     Section,
+    _scalar_like,
     differential,
     flip_dual,
     lie_derivative,
@@ -70,7 +71,9 @@ def _other_side(side: type) -> type:
 @dataclass(eq=False)
 class TensorMap:
     """A bundle map between degree-1 sections, stored as a component matrix;
-    ``source`` and ``target`` are the section classes of its sides."""
+    ``source`` and ``target`` are the section classes of its sides.  Maps
+    add and subtract entrywise, and ``*`` scales one by an int, a
+    ``Fraction`` or an ``ExpPoly`` on either side, as it does a section."""
 
     algebroid: AlgebroidPatch
     source: type
@@ -129,11 +132,14 @@ class TensorMap:
     def __sub__(self, other: "TensorMap") -> "TensorMap":
         return self._entrywise(operator.sub, other)
 
-    def scale(self, factor) -> "TensorMap":
-        """``factor`` times the map."""
-        f = factor if isinstance(factor, ExpPoly) else self.algebroid.scalar(factor)
+    def __mul__(self, other: object) -> "TensorMap":
+        if not _scalar_like(other):
+            return NotImplemented
+        f = other if isinstance(other, ExpPoly) else self.algebroid.scalar(other)
         rows = tuple(tuple(f * a for a in row) for row in self.matrix)
         return TensorMap(self.algebroid, self.source, self.target, rows)
+
+    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TensorMap):
@@ -243,7 +249,7 @@ class TensorMap:
             det = self._determinant(pfaffian)
             raise NotInvertible(f"{det} is not a unit in the ring")
         q, adjugate = self._adjugate(pfaffian)
-        return adjugate if q == 1 else adjugate.scale(Fraction(1, q))
+        return adjugate if q == 1 else adjugate * Fraction(1, q)
 
     def _adjugate(self, pfaffian: Pfaffian) -> Tuple[Scalar, "TensorMap"]:
         """``(q, B)`` with ``self^-1 = B / q``, for this map's ``_pfaffian()``
@@ -736,9 +742,6 @@ class CouplePair:
             raise MismatchError("couple components must have degree 1")
         if self.vector.algebroid is not self.covector.algebroid:
             raise MismatchError("couple components over different algebroids")
-
-    def __str__(self) -> str:
-        return f"({self.vector}, {self.covector})"
 
 
 def pairing_pm(u: CouplePair, v: CouplePair, sign: int) -> ExpPoly:

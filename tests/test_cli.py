@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from jacv import calculus, cli, dsl
-from jacv.algebroid import JacobiAlgebroidData, Patch, make_tangent
+from jacv.algebroid import JacobiAlgebroidData, Patch, Report, make_tangent
 from jacv.calculus import Form, MultiVector
 from jacv.lift import lift_bialgebroid
 
@@ -100,6 +100,23 @@ def _run(tmp_path, capsys, text, *flags):
     return code, captured.out, captured.err
 
 
+def test_color_wraps_each_status_and_nothing_else():
+    report = cli.RunReport(
+        ["a", "b", "c", "d"],
+        [Report("pass"), Report("fail", "s", "w"), Report("not-decided"),
+         Report("error", witness="e")],
+    )
+    plain = cli.emit_text(report).splitlines()
+    colored = cli.emit_text(report, color=True).splitlines()
+    codes = {"pass": "32", "fail": "31", "not-decided": "33", "error": "35"}
+    for line, status in zip((0, 1, 3, 4), codes):
+        padded = status.ljust(len("not-decided"))
+        wrapped = f"\033[{codes[status]}m{padded}\033[0m"
+        assert colored[line] == plain[line].replace(padded, wrapped, 1)
+    # witnesses and the summary are not coloured
+    assert [colored[i] for i in (2, 5, 6)] == [plain[i] for i in (2, 5, 6)]
+
+
 def test_exit_zero_and_plain_text_output(tmp_path, capsys):
     code, out, err = _run(tmp_path, capsys, PASSING)
     assert code == 0
@@ -187,6 +204,10 @@ MALFORMED = [
     # a rank too large for an index, and a sum of two tuples
     "algebroid T = trivial(p, 100000000000000000000)",
     "let a = (x, y) + (x, y)",
+    # * scales by a scalar: a tuple, a graph and an algebroid are refused
+    "let a = 2 * (x, y)",
+    "let a = (sharp ddx^ddy) * 2",
+    "let a = A * x",
     "form z = zero_form(A, -1)",
     "section z = zero_section(A, -1)",
     # too deep for the recursive parser, printer or evaluator
@@ -310,7 +331,7 @@ OPERATORS = [
     # a section times a scalar on the right
     ("check equal (dx*2) (2*dx)", "pass", None),
     ("check equal (dx*x) (dy*x)", "fail", "difference = x*dx + -x*dy"),
-    ("check zero (dx*dy)", "error", "* needs a scalar on one side"),
+    ("check zero (dx*dy)", "error", "* scales a scalar, section or map by a scalar"),
     # t is the ring's own variable wherever an algebroid is declared
     ("check zero t", "fail", "value = t"),
     # tuples compare slot by slot, and their lengths first
@@ -322,6 +343,10 @@ OPERATORS = [
         "slot 1: slot 1: difference = 1*dx + -1*dy",
     ),
     ("check equal (1, x) (1, x, 2)", "fail", "tuple lengths differ: 2 vs 3"),
+    # a scalar where a form is expected is a degree-0 form
+    ("check equal d(A, x) dx", "pass", None),
+    ("check zero d(A, 1/2)", "pass", None),
+    ("check zero merge(extend(A), (dx, x))", "fail", "value = 1*dx + x*epshat"),
 ]
 
 
@@ -357,6 +382,7 @@ form OmC = dx^dy + dz^dw
         "check symplectic_pair C Z Om",
         "check hamiltonian_pair TA Bad Good",
         "check omegan C Om N",
+        "check omegan C OmC N",
         "check jomega TA Bad OmC",
     ],
 )
@@ -390,7 +416,7 @@ def test_check_errors_read_as_bare_messages(tmp_path, capsys):
     assert code == 2
     records = json.loads(out)["checks"]
     assert [(r["name"][:5], r["status"], r["witness"]) for r in records] == [
-        ("[L3] ", "error", "* needs a scalar on one side"),
+        ("[L3] ", "error", "* scales a scalar, section or map by a scalar"),
         ("[L4] ", "error", "a sharp graph needs a bivector"),
         ("[L5] ", "error", "unknown check 'frob'"),
     ]
@@ -662,6 +688,16 @@ def test_frame_names_are_the_printed_labels(tmp_path, capsys, line, witness):
         ("let a = -p", "cannot negate this value"),
         ("let a = dx^0", "wedge power needs a positive integer"),
         ("let a = x^2", "wedge power needs a section"),
+        ("let a = 2 * (x, y)", "* scales a scalar, section or map by a scalar\n"),
+        (
+            "let a = (sharp ddx^ddy) * 2",
+            "* scales a scalar, section or map by a scalar\n",
+        ),
+        ("let a = A * x", "* scales a scalar, section or map by a scalar\n"),
+        (
+            "jacobi K = p",
+            "jacobi declaration needs twisted data, an algebroid or (A, phi)\n",
+        ),
     ],
 )
 def test_declaration_errors_name_their_line(tmp_path, capsys, line, message):
@@ -669,6 +705,12 @@ def test_declaration_errors_name_their_line(tmp_path, capsys, line, message):
     assert code == 2 and out == ""
     assert err.startswith(f"error: line 3: {message}")
     assert "Traceback" not in err
+
+
+def test_a_constant_before_any_algebroid_exits_two_with_its_line(tmp_path, capsys):
+    code, out, err = _run(tmp_path, capsys, "patch p = (x)\nscalar f = 1\n")
+    assert code == 2 and out == ""
+    assert err == "error: line 2: no ambient algebroid for a constant\n"
 
 
 DEPTH = sys.getrecursionlimit()

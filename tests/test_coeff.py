@@ -35,6 +35,15 @@ def test_canonical_form_collapses_duplicates():
     assert x + x == ExpPoly.const(VARS, 2) * x
     assert (x - x).is_zero
     assert ExpPoly.zero(VARS) == ExpPoly.const(VARS, 0)
+    # equal values built in two ways hash alike
+    y = ExpPoly.var(VARS, "y")
+    for a, b in [
+        (x + x, ExpPoly.const(VARS, 2) * x),
+        ((x + y) * (x - y), x * x - y * y),
+        (x.times_exp(1) * y.times_exp(-1), x * y),
+        (ExpPoly.const(VARS, Fraction(4, 2)), ExpPoly.const(VARS, 2)),
+    ]:
+        assert a == b and hash(a) == hash(b)
 
 
 def test_exp_zero_weight_is_one():

@@ -314,7 +314,7 @@ def test_frame_torsion_matches_the_model(name):
     r = random.Random(13)
     f = A.patch.coord("x") * A.patch.coord("y") + A.patch.const(1).times_exp(1)
     # f Id has zero torsion in every frame; the drawn maps mostly do not
-    maps = [TensorMap.identity(A).scale(f)] + [_endomorphism(r, A) for _ in range(3)]
+    maps = [f * TensorMap.identity(A)] + [_endomorphism(r, A) for _ in range(3)]
     pairs = list(combinations(range(A.rank), 2))
     labels = A.frame_labels
     seen = set()

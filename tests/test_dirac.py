@@ -112,7 +112,7 @@ def test_strategy_ladder_on_corpus_pairs():
     auto = jacobi_pair_check(c.C, c.Pi, PiE)
     assert auto.ok and auto.strategy == "bracket compatibility"
     # the complete reduction, which the bracket test short-cuts, agrees
-    reduced = dirac._reduction("sharp", sharp_map(c.Pi), sharp_map(PiE))
+    reduced = dirac._reduction(sharp_map(c.Pi), sharp_map(PiE))
     assert reduced.ok
     assert reduced.strategy.startswith("tensor reduction")
 
@@ -434,18 +434,20 @@ def test_dirac_pair_input_validation():
         )
 
 
-def _torsion_by_the_public_formula(N, flat=None, strategy="torsion on frame pairs"):
-    """The frame-pair verdict built from the reference ``torsion_tensor``,
-    which brackets sections, pair by pair."""
+def _torsion_by_the_public_formula(N):
+    """The labelled torsion of N on every frame pair, from the reference
+    ``torsion_tensor``, which brackets sections, pair by pair."""
     A = N.algebroid
-    kind = "torsion" if flat is None else "flattened torsion"
     for i, j in combinations(range(A.rank), 2):
         value = torsion_tensor(N, MultiVector.frame(A, i), MultiVector.frame(A, j))
-        if flat is not None:
-            value = flat.apply(value)
+        yield f"torsion at ({A.frame_labels[i]}, {A.frame_labels[j]}) = ", value
+
+
+def _frame_pair_verdict(pairs, strategy="torsion on frame pairs"):
+    """``fail`` at the first nonzero (label, value) of ``pairs``, else ``pass``."""
+    for label, value in pairs:
         if not value.is_zero:
-            where = f"({A.frame_labels[i]}, {A.frame_labels[j]})"
-            return Report("fail", strategy, f"{kind} at {where} = {value}")
+            return Report("fail", strategy, f"{label}{value}")
     return Report("pass", strategy)
 
 
@@ -503,12 +505,12 @@ def _bracketed_cases():
         A = J.algebroid
         zero = Form.zero(A, 2)
         f = A.patch.coord("x").times_exp(1) * Fraction(2, 3)
-        cases.append((J, zero, TensorMap.identity(A).scale(f)))
+        cases.append((J, zero, f * TensorMap.identity(A)))
         cases.append((J, zero, _weighted_map(r, A)))
         cases.append((J, zero, _weighted_map(r, A, density=1, first=A.rank - 2)))
         if A.rank % 2 == 0:
             om = rand_unit_two_form(r, A)
-            cases.append((J, om, TensorMap.identity(A).scale(f)))
+            cases.append((J, om, f * TensorMap.identity(A)))
             N = flat_map(om).inverse().compose(flat_map(rand_form(r, A, 2)))
             cases.append((J, om, N))
     return cases
@@ -518,8 +520,11 @@ def test_frame_loop_matches_the_public_formula():
     statuses = {True: 0, False: 0}
     for J, om, N in _frame_loop_cases():
         fl = flat_map(om)
-        full = _torsion_by_the_public_formula(N)
-        weak = _torsion_by_the_public_formula(N, fl)
+        full = _frame_pair_verdict(_torsion_by_the_public_formula(N))
+        weak = _frame_pair_verdict(
+            (f"flattened {label}", fl.apply(value))
+            for label, value in _torsion_by_the_public_formula(N)
+        )
         assert torsion_tensor_check(N) == full
         for report, expected in ((omegan_check(J, om, N), full),
                                  (omegan_check(J, om, N, weak=True), weak)):

@@ -41,7 +41,10 @@ from tests.gen import (  # noqa: E402
     record_products,
     torsion_tensor,
 )
-from tests.test_dirac import _torsion_by_the_public_formula  # noqa: E402
+from tests.test_dirac import (  # noqa: E402
+    _frame_pair_verdict,
+    _torsion_by_the_public_formula,
+)
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None, database=None)
 
@@ -62,8 +65,9 @@ def _reference_pair(left, right):
         strategy = "tensor composition sharp after flat"
         if transposed:
             strategy += " (transposed)"
-        return _torsion_by_the_public_formula(
-            sharp.music().compose(flat.music()), strategy=strategy
+        return _frame_pair_verdict(
+            _torsion_by_the_public_formula(sharp.music().compose(flat.music())),
+            strategy,
         )
     m1, m2 = left.music(), right.music()
     for inner, outer, which in ((m2, m1, "second"), (m1, m2, "first")):
@@ -72,7 +76,9 @@ def _reference_pair(left, right):
         except NotInvertible:
             continue
         strategy = f"tensor reduction through the {which} flat"
-        return _torsion_by_the_public_formula(inverse.compose(outer), strategy=strategy)
+        return _frame_pair_verdict(
+            _torsion_by_the_public_formula(inverse.compose(outer)), strategy
+        )
     return Report(NOT_DECIDED, strategy="tensor reduction")
 
 
@@ -200,7 +206,7 @@ def test_torsion_of_a_rational_multiple_is_scaled_by_its_square(seed, c):
     N = _random_endomorphism(r, A)
     i, j = r.sample(range(A.rank), 2)
     X, Y = MultiVector.frame(A, i), MultiVector.frame(A, j)
-    assert torsion_tensor(N.scale(c), X, Y) == torsion_tensor(N, X, Y) * (c * c)
+    assert torsion_tensor(c * N, X, Y) == torsion_tensor(N, X, Y) * (c * c)
 
 
 def test_an_exponential_factor_breaks_the_homogeneity_on_lift_bar():
@@ -217,9 +223,9 @@ def test_an_exponential_factor_breaks_the_homogeneity_on_lift_bar():
     X, Y = MultiVector.frame(up, 0), MultiVector.frame(up, 1)
     e_t = ExpPoly.exp(up.patch.variables, 1)
     assert torsion_tensor(N, X, Y).is_zero
-    assert torsion_tensor(N.scale(3), X, Y).is_zero
+    assert torsion_tensor(3 * N, X, Y).is_zero
     # [e^t ehat, e^t e_1] = e^t rho(ehat)(e^t) e_1 = e^(2t) e_1
-    assert torsion_tensor(N.scale(e_t), X, Y) == Y * (e_t * e_t)
+    assert torsion_tensor(e_t * N, X, Y) == Y * (e_t * e_t)
 
 
 # -- integer arithmetic ------------------------------------------------------

@@ -121,7 +121,21 @@ def test_omega_pi_correspondence_pin():
     assert pi_from_omega(J, om) == pi
     fl = flat_map(om)
     sh = sharp_map(pi)
-    assert fl == sh.inverse().scale(Fraction(-1))
+    assert fl == Fraction(-1) * sh.inverse()
+
+
+def test_a_scalar_scales_a_map_from_either_side():
+    p, A, _ = _plane()
+    sh = sharp_map(MultiVector(A, 2, {(0, 1): p.coord("x")}))
+    for f in (3, Fraction(-1, 2), p.coord("y").times_exp(1)):
+        scaled = sharp_map(MultiVector(A, 2, {(0, 1): f * p.coord("x")}))
+        assert f * sh == scaled and sh * f == scaled
+    # a map scales only by a scalar, as a section does
+    for other in (sh, MultiVector.frame(A, 0), 1.5):
+        with pytest.raises(TypeError):
+            sh * other
+        with pytest.raises(TypeError):
+            other * sh
 
 
 def test_correspondence_round_trip_random():
@@ -265,7 +279,7 @@ def _unit_determinant_matrix(r, A, skew):
     L = endo(unit_triangular(r, A).dual())
     if skew:
         # Pf = u^(rank/2) for the unit u scaling J
-        J = endo(standard_flat(A)).scale(unit())
+        J = unit() * endo(standard_flat(A))
         return L.compose(J.compose(endo(L.dual())))
     zero = A.zero_scalar()
     diagonal = [unit() for _ in range(A.rank)]
@@ -496,7 +510,7 @@ def test_jacobi_check_takes_each_anchored_derivative_once(monkeypatch):
         assert validate_algebroid(A).ok
         stored = sum(map(len, A.anchor)) + sum(map(len, A.brackets.values()))
         assert 0 < len(calls) <= stored, (A.frame_labels, len(calls), stored)
-        f_id = TensorMap.identity(A).scale(A.patch.coord(A.patch.coords[0]))
+        f_id = A.patch.coord(A.patch.coords[0]) * TensorMap.identity(A)
         for N in (f_id, unit_triangular(r, A)):
             del calls[:]
             report = torsion_tensor_check(N)

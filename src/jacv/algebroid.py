@@ -410,8 +410,7 @@ class JacobiAlgebroidData:
     def __post_init__(self) -> None:
         if self.phi0.degree != 1:
             raise ValueError("the twist cosection must have degree 1")
-        if self.phi0.algebroid is not self.algebroid:
-            raise ValueError("the twist cosection must live on the same algebroid")
+        calculus._check_over(self.algebroid, self.phi0)
 
 
 def extend_with_R(A: AlgebroidPatch) -> JacobiAlgebroidData:

@@ -90,7 +90,12 @@ Sign conventions fixed here and relied on everywhere else:
   public constructor.  That is sound because every key of a result is
   derived from validated operands over one algebroid, and so is every
   product; ``Form(...)`` and ``MultiVector(...)`` keep every check for the
-  sections that come from outside.
+  sections that come from outside;
+* ``_check_over(A, *values)`` is the library's one membership test and the
+  one place where algebroids are compared.  An algebroid equals only
+  itself, so two constructor calls on one patch build two algebroids; a
+  section or map over one of them equals none over the other, and the
+  two do not combine.
 
 Sections over the direct sum with a trivial line are identified with pairs
 (P, Q) via  (P, Q) = P + ehat ^ Q  (split / merge below); all the pair
@@ -120,7 +125,15 @@ def _scalar_like(value: object) -> bool:
     return isinstance(value, (int, Fraction, ExpPoly))
 
 
-@dataclass(eq=False)
+def _check_over(A: object, *values: object) -> None:
+    """Each value (a section, a map or a graph) lives over ``A``: the one
+    membership test (module docstring)."""
+    for value in values:
+        if value.algebroid != A:
+            raise MismatchError("operands live over different algebroids")
+
+
+@dataclass
 class _Section:
     algebroid: object
     degree: int
@@ -173,8 +186,7 @@ class _Section:
     def _check_same(self, other: "_Section") -> None:
         if type(self) is not type(other):
             raise MismatchError("cannot combine a multivector with a form")
-        if self.algebroid is not other.algebroid:
-            raise MismatchError("sections live over different algebroids")
+        _check_over(self.algebroid, other)
         if self.degree != other.degree:
             raise MismatchError(
                 f"degree mismatch: {self.degree} vs {other.degree}"
@@ -214,20 +226,6 @@ class _Section:
         )
 
     __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _Section):
-            return NotImplemented
-        return (
-            type(self) is type(other)
-            and self.degree == other.degree
-            and self.algebroid.rank == other.algebroid.rank
-            and self.algebroid.patch.variables == other.algebroid.patch.variables
-            and self.components == other.components
-        )
-
-    def __hash__(self) -> None:  # type: ignore[override]
-        raise TypeError("sections are not hashable")
 
     # -- display -----------------------------------------------------------
 
@@ -318,8 +316,7 @@ def wedge(u: Section, v: Section) -> Section:
     """Shuffle-sum wedge of two sections of the same kind."""
     if type(u) is not type(v):
         raise MismatchError("wedge needs two sections of the same kind")
-    if u.algebroid is not v.algebroid:
-        raise MismatchError("sections live over different algebroids")
+    _check_over(u.algebroid, v)
     sums: Sums = defaultdict(list)
     _wedge_into(sums, 1, u, v)
     return _built(type(u), u.algebroid, u.degree + v.degree, sums)
@@ -362,8 +359,7 @@ def contract(x: Section, u: Section) -> Section:
     """First-slot contraction of a degree-1 section into the opposite kind."""
     if type(x) is type(u):
         raise MismatchError("contraction pairs a multivector with a form")
-    if x.algebroid is not u.algebroid:
-        raise MismatchError("sections live over different algebroids")
+    _check_over(x.algebroid, u)
     if x.degree != 1:
         raise MismatchError("the contracted section must have degree 1")
     if u.degree == 0:
@@ -382,8 +378,7 @@ def pair(w: Section, p: Section) -> ExpPoly:
     """Determinant pairing of a form with a multivector of equal degree."""
     if type(w) is type(p):
         raise MismatchError("pairing needs opposite kinds")
-    if w.algebroid is not p.algebroid:
-        raise MismatchError("sections live over different algebroids")
+    _check_over(w.algebroid, p)
     if w.degree != p.degree:
         raise MismatchError("pairing needs equal degrees")
     theirs = p.components
@@ -423,8 +418,7 @@ def differential(arg: object, w: Form) -> Form:
     A, phi0 = _twist_of(arg)
     if not isinstance(w, Form):
         raise MismatchError("the differential acts on forms")
-    if w.algebroid is not A:
-        raise MismatchError("form lives over a different algebroid")
+    _check_over(A, w)
     if A.is_trivial:
         return Form.zero(A, w.degree + 1) if phi0 is None else wedge(phi0, w)
     sums: Sums = defaultdict(list)
@@ -466,8 +460,7 @@ def lie_derivative(arg: object, X: MultiVector, u: Section) -> Section:
     A, _ = _twist_of(arg)
     if not isinstance(X, MultiVector) or X.degree != 1:
         raise MismatchError("lie_derivative needs a degree-1 multivector")
-    if X.algebroid is not A or u.algebroid is not A:
-        raise MismatchError("sections live over different algebroids")
+    _check_over(A, X, u)
     if isinstance(u, Form):
         if u.degree == 0:
             return contract(X, differential(arg, u))
@@ -495,8 +488,7 @@ def schouten(P: MultiVector, Q: MultiVector) -> MultiVector:
     """
     if not isinstance(P, MultiVector) or not isinstance(Q, MultiVector):
         raise MismatchError("the Schouten bracket acts on multivectors")
-    if P.algebroid is not Q.algebroid:
-        raise MismatchError("sections live over different algebroids")
+    _check_over(P.algebroid, Q)
     A = P.algebroid
     degree = P.degree + Q.degree - 1
     if A.is_trivial or (P is Q and P.degree % 2):
@@ -591,8 +583,7 @@ def phi0_schouten(J: object, D1: MultiVector, D2: MultiVector) -> MultiVector:
     whole bracket is 0 in odd degree a, and in even degree the corrections
     are 2 (a - 1) D ^ iota(D) (module docstring)."""
     A, phi0 = _twist_of(J)
-    if D1.algebroid is not A or D2.algebroid is not A:
-        raise MismatchError("sections live over different algebroids")
+    _check_over(A, D1, D2)
     if phi0 is None or phi0.is_zero:
         return schouten(D1, D2)
     a1, a2 = D1.degree, D2.degree
@@ -649,8 +640,7 @@ def merge(A_ext: object, P: Section, Q: Section) -> Section:
     base = A_ext.ext_base
     if type(P) is not type(Q):
         raise MismatchError("pair components must have the same kind")
-    if P.algebroid is not base or Q.algebroid is not base:
-        raise MismatchError("pair components must live over the base algebroid")
+    _check_over(base, P, Q)
     if P.degree == 0:
         if not Q.is_zero:
             raise MismatchError("a degree-0 pair has no second slot")

@@ -97,6 +97,7 @@ from .calculus import (
     MultiVector,
     Section,
     _anchored,
+    _check_over,
     differential,
     phi0_schouten,
 )
@@ -105,7 +106,6 @@ from .structures import (
     SIDE_A,
     JacobiBialgebroidData,
     TensorMap,
-    _check_over,
     _cleared,
     flat_map,
     jacobi_check,
@@ -363,8 +363,7 @@ def dirac_pair_check(
     determinant.  ``not-decided`` never means an obstruction was found.
     """
     B = _as_bialgebroid(data)
-    if left.algebroid is not B.A or right.algebroid is not B.A:
-        raise MismatchError("graph members live over a different algebroid")
+    _check_over(B.A, left, right)
     gate = _member_gate(
         lambda s: maurer_cartan_check(B, s), left.section, right.section
     )
@@ -398,7 +397,7 @@ def jomega_check(
     endomorphism sharp-after-flat; its closedness is the only coupling
     condition between the two inputs.
     """
-    _check_over(J, pi, omega)
+    _check_over(J.algebroid, pi, omega)
     base = jacobi_check(J, pi)
     if not base.ok:
         return Report(
@@ -423,9 +422,7 @@ def omegan_check(
     image under the flat map of the form; each frame pair's torsion is
     flattened as it is read.
     """
-    _check_over(J, omega)
-    if N.algebroid is not J.algebroid:
-        raise MismatchError("the endomorphism lives over a different algebroid")
+    _check_over(J.algebroid, omega, N)
     _check_endomorphism(N)
     fl = flat_map(omega)
     commute = _first_failure("matrix commutation", [(
@@ -483,7 +480,7 @@ def symplectic_pair_check(
     determinant.  Past it the verdict is that of ``presymplectic_pair_check``:
     the member gate, then the tensor reduction, which goes through the
     second flat."""
-    _check_over(J, om1, om2)
+    _check_over(J.algebroid, om1, om2)
     gate = _gate(
         "non-degeneracy", "form is degenerate",
         lambda om: nondegenerate_check(flat_map(om)), om1, om2,
@@ -504,7 +501,7 @@ def hamiltonian_pair_check(
     the sum is integrable exactly when the mixed bracket [pi1, pi2]_phi
     vanishes, an identity decided exactly; a nonzero one is the witness.
     """
-    _check_over(J, pi1, pi2)
+    _check_over(J.algebroid, pi1, pi2)
     gate = _member_gate(lambda pi: jacobi_check(J, pi), pi1, pi2)
     if gate is not None:
         return gate
@@ -523,20 +520,17 @@ def condition_image_check(
     (then both preimages are everything).  Anything else is reported as
     not decided rather than guessed.
     """
-    if pi1.algebroid is not pi2.algebroid:
-        raise MismatchError("sections live over different algebroids")
+    _check_over(pi1.algebroid, pi2)
     u1 = nondegenerate_check(sharp_map(pi1)).ok
     u2 = nondegenerate_check(sharp_map(pi2)).ok
     if u1 and u2:
         return Report(PASS, strategy="unit determinants: preimages are full")
-    lacking = []
-    if not u1:
-        lacking.append("first")
-    if not u2:
-        lacking.append("second")
-    which = " and ".join(lacking)
+    if u1 or u2:
+        lacking = f"{'second' if u1 else 'first'} sharp map lacks"
+    else:
+        lacking = "first and second sharp maps lack"
     return Report(
         NOT_DECIDED,
-        witness=f"{which} sharp map lacks unit determinant",
+        witness=f"{lacking} a unit determinant",
         strategy="image condition undecidable over the coefficient ring",
     )

@@ -35,6 +35,7 @@ from .calculus import (
     MismatchError,
     MultiVector,
     Section,
+    _check_over,
     differential,
     phi0_schouten,
     rebase,
@@ -126,8 +127,7 @@ def verify_bracket_scaling(L: LiftedInstance, sections: Sequence[Section]) -> Re
     """
     if not sections:
         raise MismatchError("no sections to verify")
-    if any(s.algebroid is not L.source.A for s in sections):
-        raise MismatchError("section lives over a different algebroid")
+    _check_over(L.source.A, *sections)
     lifted = [lift_section(L.upstairs.A, s) for s in sections]
     residues = (
         (f"{label} fails for section {index}: ", residue)
@@ -152,8 +152,9 @@ def verify_hat_bar_differentials(
     compared against a direct evaluation on the lifted algebroids.
     """
     A = J.algebroid
-    if cosection.algebroid is not A or cosection.degree != 1:
-        raise MismatchError("need a degree-1 form over the lifted data")
+    _check_over(A, cosection)
+    if cosection.degree != 1:
+        raise MismatchError("the cosection must have degree 1")
     if scalar.vars != A.patch.variables:
         raise MismatchError("scalar lives over different variables")
     hat = lift_hat(J)

@@ -47,6 +47,7 @@ from .calculus import (
     MismatchError,
     MultiVector,
     Section,
+    _check_over,
     _scalar_like,
     differential,
     flip_dual,
@@ -68,7 +69,7 @@ def _other_side(side: type) -> type:
     return SIDE_DUAL if side is SIDE_A else SIDE_A
 
 
-@dataclass(eq=False)
+@dataclass
 class TensorMap:
     """A bundle map between degree-1 sections, stored as a component matrix;
     ``source`` and ``target`` are the section classes of its sides.  Maps
@@ -110,8 +111,7 @@ class TensorMap:
     # -- algebra -----------------------------------------------------------
 
     def _check_same_shape(self, other: "TensorMap") -> None:
-        if self.algebroid is not other.algebroid:
-            raise MismatchError("maps live over different algebroids")
+        _check_over(self.algebroid, other)
         if self.source != other.source or self.target != other.target:
             raise MismatchError("maps have different sides")
 
@@ -141,18 +141,6 @@ class TensorMap:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TensorMap):
-            return NotImplemented
-        return (
-            self.algebroid is other.algebroid
-            and self.source == other.source
-            and self.target == other.target
-            and self.matrix == other.matrix
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
     @property
     def is_zero(self) -> bool:
         return all(entry.is_zero for row in self.matrix for entry in row)
@@ -166,8 +154,7 @@ class TensorMap:
             )
         if section.degree != 1:
             raise MismatchError("maps act on degree-1 sections")
-        if section.algebroid is not self.algebroid:
-            raise MismatchError("section lives over a different algebroid")
+        _check_over(self.algebroid, section)
         # Only the stored components contribute: column j of the matrix,
         # scaled by the component on e_j, summed over them.
         sums: Dict[Key, List] = {}
@@ -181,8 +168,7 @@ class TensorMap:
 
     def compose(self, inner: "TensorMap") -> "TensorMap":
         """The map ``self after inner``."""
-        if inner.algebroid is not self.algebroid:
-            raise MismatchError("maps live over different algebroids")
+        _check_over(self.algebroid, inner)
         if inner.target != self.source:
             raise MismatchError("inner target does not feed this map's source")
         zero = self.algebroid.zero_scalar()
@@ -465,13 +451,13 @@ def two_form_of(m: TensorMap) -> Form:
 
 def omega_from_pi(J: JacobiAlgebroidData, pi: MultiVector) -> Form:
     """The two-form with flat = -(sharp of pi)^(-1); needs a unit determinant."""
-    _check_over(J, pi)
+    _check_over(J.algebroid, pi)
     return -two_form_of(sharp_map(pi).inverse())
 
 
 def pi_from_omega(J: JacobiAlgebroidData, omega: Form) -> MultiVector:
     """The bivector with sharp = -(flat of omega)^(-1); needs a unit determinant."""
-    _check_over(J, omega)
+    _check_over(J.algebroid, omega)
     return -bivector_of(flat_map(omega).inverse())
 
 
@@ -480,12 +466,6 @@ def pi_from_omega(J: JacobiAlgebroidData, omega: Form) -> MultiVector:
 
 def _report_zero(residue: Section) -> Report:
     return _first_failure("", (("", residue),))
-
-
-def _check_over(J: JacobiAlgebroidData, *sections: Section) -> None:
-    for s in sections:
-        if s.algebroid is not J.algebroid:
-            raise MismatchError("section lives over a different algebroid")
 
 
 # -- Jacobi and presymplectic checks ---------------------------------------
@@ -526,7 +506,7 @@ def _self_bracket(J: JacobiAlgebroidData, pi: MultiVector, c: Scalar = 1) -> Sec
 def jacobi_check(J: JacobiAlgebroidData, pi: MultiVector) -> Report:
     """Pass iff the twisted self-bracket of the bivector vanishes
     (``_self_bracket``)."""
-    _check_over(J, pi)
+    _check_over(J.algebroid, pi)
     if pi.degree != 2:
         raise MismatchError("jacobi_check needs a degree-2 multivector")
     return _report_zero(_self_bracket(J, pi))
@@ -534,7 +514,7 @@ def jacobi_check(J: JacobiAlgebroidData, pi: MultiVector) -> Report:
 
 def presymplectic_check(J: JacobiAlgebroidData, omega: Form) -> Report:
     """Pass iff the twisted differential of the two-form vanishes."""
-    _check_over(J, omega)
+    _check_over(J.algebroid, omega)
     if omega.degree != 2:
         raise MismatchError("presymplectic_check needs a degree-2 form")
     return _report_zero(differential(J, omega))
@@ -644,7 +624,7 @@ def maurer_cartan_check(B: JacobiBialgebroidData, s: Section) -> Report:
     """
     if s.degree != 2:
         raise MismatchError("the Maurer-Cartan check needs a degree-2 section")
-    _check_over(B.a_side, s)
+    _check_over(B.A, s)
     if isinstance(s, MultiVector):
         residue = _self_bracket(B.a_side, s, Fraction(1, 2))
         if not _trivial_dual(B):
@@ -740,18 +720,7 @@ class CouplePair:
     def __post_init__(self) -> None:
         if self.vector.degree != 1 or self.covector.degree != 1:
             raise MismatchError("couple components must have degree 1")
-        if self.vector.algebroid is not self.covector.algebroid:
-            raise MismatchError("couple components over different algebroids")
-
-
-def pairing_pm(u: CouplePair, v: CouplePair, sign: int) -> ExpPoly:
-    """The symmetric (+1) or antisymmetric (-1) half-sum pairing."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    first = pair(u.covector, v.vector)
-    second = pair(v.covector, u.vector)
-    total = first + second if sign == 1 else first - second
-    return total * Fraction(1, 2)
+        _check_over(self.vector.algebroid, self.covector)
 
 
 def courant_bracket(
@@ -766,7 +735,7 @@ def courant_bracket(
     d<u, v>_- are computed.
     """
     A = B.A
-    minus = pairing_pm(u, v, -1)
+    minus = (pair(u.covector, v.vector) - pair(v.covector, u.vector)) * Fraction(1, 2)
     vec = phi0_schouten(B.a_side, u.vector, v.vector)
     cov = (
         lie_derivative(B.a_side, u.vector, v.covector)
@@ -791,7 +760,8 @@ def graph_closure_check(B: JacobiBialgebroidData, s: Section) -> Report:
     bivector; a couple's defect is its part off the graph.  The brackets of
     basis couples (frames X_i, resp. coframes e^i) decide closure:
 
-    * the graph is isotropic for ``pairing_pm(., ., +1)``;
+    * the graph is isotropic for the symmetric pairing
+      <u, v>_+ = (<xi, Y> + <eta, X>) / 2 of u = (X, xi) and v = (Y, eta);
     * so the Leibniz rule ``[u, f v] = f [u, v] + (rho(X) f + rho_*(xi) f) v
       - <u, v>_+ (d_* f, d f)``, u = (X, xi), gives ``defect(u, f v) =
       f defect(u, v)``: the middle term lies on the graph;

@@ -338,11 +338,13 @@ def test_image_condition_only_decided_for_units():
     PiE = pi_from_omega(c.C, c.wE)
     assert condition_image_check(c.Pi, PiE).ok
     degenerate = MultiVector(c.ext, 2, {(0, 1): c.p.const(1)})
-    report = condition_image_check(c.Pi, degenerate)
-    assert report.status == "not-decided"
-    assert "second" in report.witness
-    both = condition_image_check(degenerate, degenerate)
-    assert "first and second" in both.witness
+    for pi1, pi2, witness in (
+        (c.Pi, degenerate, "second sharp map lacks a unit determinant"),
+        (degenerate, c.Pi, "first sharp map lacks a unit determinant"),
+        (degenerate, degenerate, "first and second sharp maps lack a unit determinant"),
+    ):
+        report = condition_image_check(pi1, pi2)
+        assert (report.status, report.witness) == ("not-decided", witness)
 
 
 def test_jomega_agrees_with_graph_verdicts_on_corpus():

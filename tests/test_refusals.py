@@ -1,6 +1,8 @@
 """Every refusal of the library that no other test reaches: one row per
 ``raise``, giving the call, its exception class and a fragment of its
-message.
+message.  ``calculus._check_over``, the one membership test, has a row
+for each of its callers, so the table lists every place that asks whether
+operands share an algebroid.
 
 One ``raise`` has no row because no caller can reach it:
 ``calculus._Section._labels`` is abstract, and every constructor builds a
@@ -29,6 +31,7 @@ from jacv.calculus import (
     lie_derivative,
     merge,
     pair,
+    phi0_schouten,
     rebase,
     schouten,
     split,
@@ -36,7 +39,20 @@ from jacv.calculus import (
     wedge_power,
 )
 from jacv.coeff import ExpPoly, UnknownVariable
-from jacv.dirac import omegan_check
+from jacv.dirac import (
+    GraphRelation,
+    condition_image_check,
+    dirac_pair_check,
+    hamiltonian_pair_check,
+    jomega_check,
+    omegan_check,
+    symplectic_pair_check,
+)
+from jacv.lift import (
+    lift_instance,
+    verify_bracket_scaling,
+    verify_hat_bar_differentials,
+)
 from jacv.structures import (
     SIDE_A,
     SIDE_DUAL,
@@ -51,7 +67,8 @@ from jacv.structures import (
     jacobi_check,
     make_standard_bialgebroid,
     maurer_cartan_check,
-    pairing_pm,
+    omega_from_pi,
+    pi_from_omega,
     presymplectic_check,
     sharp_map,
     two_form_of,
@@ -77,7 +94,12 @@ def _data():
         J_wide=JacobiAlgebroidData(wide, Form.zero(wide, 1)),
         J_other=JacobiAlgebroidData(other, Form.zero(other, 1)),
         e1_B=MultiVector.frame(B, 0), eps1_B=Form.coframe(B, 0),
+        pi_B=wedge(MultiVector.frame(B, 0), MultiVector.frame(B, 1)),
+        om_B=wedge(Form.coframe(B, 0), Form.coframe(B, 1)),
     )
+
+
+OVER = "operands live over different algebroids"
 
 
 REFUSALS = [
@@ -92,8 +114,7 @@ REFUSALS = [
     ),
     pytest.param(
         lambda d: JacobiAlgebroidData(d.A, d.eps1_B),
-        ValueError, "twist cosection must live on the same algebroid",
-        id="twist-algebroid",
+        MismatchError, OVER, id="twist-algebroid",
     ),
     # coeff
     pytest.param(
@@ -115,11 +136,15 @@ REFUSALS = [
     ),
     pytest.param(
         lambda d: d.eps1 + d.eps1_B,
-        MismatchError, "sections live over different algebroids", id="add-algebroids",
+        MismatchError, OVER, id="add-algebroids",
     ),
     pytest.param(
         lambda d: hash(d.eps1),
-        TypeError, "sections are not hashable", id="hash",
+        TypeError, "unhashable type", id="hash",
+    ),
+    pytest.param(
+        lambda d: wedge(d.eps1, d.eps1_B),
+        MismatchError, OVER, id="wedge-algebroids",
     ),
     pytest.param(
         lambda d: wedge_power(d.eps1, -1),
@@ -132,8 +157,7 @@ REFUSALS = [
     ),
     pytest.param(
         lambda d: contract(d.e1, d.eps1_B),
-        MismatchError, "sections live over different algebroids",
-        id="contract-algebroids",
+        MismatchError, OVER, id="contract-algebroids",
     ),
     pytest.param(
         lambda d: pair(d.eps1, d.eps1),
@@ -141,12 +165,11 @@ REFUSALS = [
     ),
     pytest.param(
         lambda d: pair(d.eps1, d.e1_B),
-        MismatchError, "sections live over different algebroids", id="pair-algebroids",
+        MismatchError, OVER, id="pair-algebroids",
     ),
     pytest.param(
         lambda d: differential(d.A, d.eps1_B),
-        MismatchError, "form lives over a different algebroid",
-        id="differential-algebroid",
+        MismatchError, OVER, id="differential-algebroid",
     ),
     pytest.param(
         lambda d: lie_derivative(d.A, d.eps1, d.eps1),
@@ -155,11 +178,19 @@ REFUSALS = [
     ),
     pytest.param(
         lambda d: lie_derivative(d.A, d.e1_B, d.eps1),
-        MismatchError, "sections live over different algebroids", id="lie-algebroids",
+        MismatchError, OVER, id="lie-algebroids",
     ),
     pytest.param(
         lambda d: schouten(d.eps1, d.eps1),
         MismatchError, "the Schouten bracket acts on multivectors", id="schouten-kind",
+    ),
+    pytest.param(
+        lambda d: schouten(d.e1, d.e1_B),
+        MismatchError, OVER, id="schouten-algebroids",
+    ),
+    pytest.param(
+        lambda d: phi0_schouten(d.J, d.e1, d.e1_B),
+        MismatchError, OVER, id="phi0-schouten-algebroids",
     ),
     pytest.param(
         lambda d: split(d.eps1),
@@ -171,8 +202,7 @@ REFUSALS = [
     ),
     pytest.param(
         lambda d: merge(d.C, d.om, d.eps1_B),
-        MismatchError, "pair components must live over the base algebroid",
-        id="merge-algebroid",
+        MismatchError, OVER, id="merge-algebroid",
     ),
     pytest.param(
         lambda d: merge(d.C, Form.scalar_section(d.A, d.x), d.eps1),
@@ -199,7 +229,7 @@ REFUSALS = [
     ),
     pytest.param(
         lambda d: TensorMap.identity(d.A) + TensorMap.identity(d.B),
-        MismatchError, "maps live over different algebroids", id="add-maps-algebroids",
+        MismatchError, OVER, id="add-maps-algebroids",
     ),
     pytest.param(
         lambda d: sharp_map(d.pi) - flat_map(d.om),
@@ -207,7 +237,11 @@ REFUSALS = [
     ),
     pytest.param(
         lambda d: TensorMap.identity(d.A).compose(TensorMap.identity(d.B)),
-        MismatchError, "maps live over different algebroids", id="compose-algebroids",
+        MismatchError, OVER, id="compose-algebroids",
+    ),
+    pytest.param(
+        lambda d: TensorMap.identity(d.A).apply(d.e1_B),
+        MismatchError, OVER, id="apply-algebroid",
     ),
     pytest.param(
         lambda d: sharp_map(d.om),
@@ -237,6 +271,22 @@ REFUSALS = [
         MismatchError, "jacobi_check needs a degree-2 multivector", id="jacobi-degree",
     ),
     pytest.param(
+        lambda d: omega_from_pi(d.J, d.pi_B),
+        MismatchError, OVER, id="omega-from-pi-algebroid",
+    ),
+    pytest.param(
+        lambda d: pi_from_omega(d.J, d.om_B),
+        MismatchError, OVER, id="pi-from-omega-algebroid",
+    ),
+    pytest.param(
+        lambda d: jacobi_check(d.J, d.pi_B),
+        MismatchError, OVER, id="jacobi-algebroid",
+    ),
+    pytest.param(
+        lambda d: presymplectic_check(d.J, d.om_B),
+        MismatchError, OVER, id="presymplectic-algebroid",
+    ),
+    pytest.param(
         lambda d: presymplectic_check(d.J, d.eps1),
         MismatchError, "presymplectic_check needs a degree-2 form",
         id="presymplectic-degree",
@@ -264,17 +314,16 @@ REFUSALS = [
         id="mc-degree",
     ),
     pytest.param(
+        lambda d: maurer_cartan_check(d.Bi, d.pi_B),
+        MismatchError, OVER, id="mc-algebroid",
+    ),
+    pytest.param(
         lambda d: CouplePair(d.pi, d.eps1),
         MismatchError, "couple components must have degree 1", id="couple-degree",
     ),
     pytest.param(
         lambda d: CouplePair(d.e1, d.eps1_B),
-        MismatchError, "couple components over different algebroids",
-        id="couple-algebroids",
-    ),
-    pytest.param(
-        lambda d: pairing_pm(CouplePair(d.e1, d.eps1), CouplePair(d.e1, d.eps1), 0),
-        ValueError, "sign must be +1 or -1", id="pairing-sign",
+        MismatchError, OVER, id="couple-algebroids",
     ),
     pytest.param(
         lambda d: graph_closure_check(d.Bi, d.e1),
@@ -282,9 +331,43 @@ REFUSALS = [
     ),
     # dirac
     pytest.param(
+        lambda d: dirac_pair_check(
+            d.J, GraphRelation.of_bivector(d.pi), GraphRelation.of_bivector(d.pi_B)
+        ),
+        MismatchError, OVER, id="dirac-pair-algebroids",
+    ),
+    pytest.param(
+        lambda d: jomega_check(d.J, d.pi, d.om_B),
+        MismatchError, OVER, id="jomega-algebroids",
+    ),
+    pytest.param(
         lambda d: omegan_check(d.J, d.om, TensorMap.identity(d.B)),
-        MismatchError, "the endomorphism lives over a different algebroid",
-        id="omegan-algebroid",
+        MismatchError, OVER, id="omegan-algebroid",
+    ),
+    pytest.param(
+        lambda d: symplectic_pair_check(d.J, d.om, d.om_B),
+        MismatchError, OVER, id="symplectic-pair-algebroids",
+    ),
+    pytest.param(
+        lambda d: hamiltonian_pair_check(d.J, d.pi, d.pi_B),
+        MismatchError, OVER, id="hamiltonian-pair-algebroids",
+    ),
+    pytest.param(
+        lambda d: condition_image_check(d.pi, d.pi_B),
+        MismatchError, OVER, id="condition-image-algebroids",
+    ),
+    # lift
+    pytest.param(
+        lambda d: verify_bracket_scaling(lift_instance(d.J), [d.pi, d.pi_B]),
+        MismatchError, OVER, id="bracket-scaling-algebroid",
+    ),
+    pytest.param(
+        lambda d: verify_hat_bar_differentials(d.J, d.x, d.eps1_B),
+        MismatchError, OVER, id="lift-formulas-algebroid",
+    ),
+    pytest.param(
+        lambda d: verify_hat_bar_differentials(d.J, d.x, d.om),
+        MismatchError, "the cosection must have degree 1", id="lift-formulas-degree",
     ),
 ]
 

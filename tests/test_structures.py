@@ -25,6 +25,7 @@ from jacv.calculus import (
     MultiVector,
     contract,
     differential,
+    pair,
     phi0_schouten,
     schouten,
     wedge,
@@ -50,7 +51,6 @@ from jacv.structures import (
     maurer_cartan_check,
     nondegenerate_check,
     omega_from_pi,
-    pairing_pm,
     pi_from_omega,
     presymplectic_check,
     sharp_map,
@@ -170,6 +170,21 @@ def test_nondegenerate_needs_unit_not_just_nonzero():
 def _identity(A, side):
     ident = TensorMap.identity(A)
     return ident if side is SIDE_A else ident.dual()
+
+
+def test_equality_and_combining_agree_across_algebroids():
+    """Two tangent algebroids built from one patch are two algebroids:
+    sections and maps over them never compare equal, and never combine."""
+    p = Patch(("x", "y"))
+    A1, A2 = make_tangent(p), make_tangent(p)
+    e1, e2 = MultiVector.frame(A1, 0), MultiVector.frame(A2, 0)
+    m1, m2 = TensorMap.identity(A1), TensorMap.identity(A2)
+    assert e1 == MultiVector.frame(A1, 0) and m1 == TensorMap.identity(A1)
+    assert e1 != e2 and m1 != m2
+    for combine in (lambda: e1 - e2, lambda: wedge(e1, e2), lambda: m1.compose(m2)):
+        with pytest.raises(MismatchError) as info:
+            combine()
+        assert str(info.value) == "operands live over different algebroids"
 
 
 def test_tensor_map_algebra():
@@ -1003,6 +1018,12 @@ def test_frame_closure_agrees_with_the_scaled_family():
     assert seen == {"couple": {"pass", "fail"}, "solvable": {"pass"}}
 
 
+def _half_pairing(u, v, sign):
+    """<u, v>_+ (sign +1) or <u, v>_- (sign -1) of two couples."""
+    first, second = pair(u.covector, v.vector), pair(v.covector, u.vector)
+    return (first + second if sign > 0 else first - second) * Fraction(1, 2)
+
+
 def test_courant_bracket_and_pairings():
     B = solvable_bialgebroid()
     e1 = MultiVector.frame(B.A, 0)
@@ -1013,9 +1034,9 @@ def test_courant_bracket_and_pairings():
     out = courant_bracket(B, u, v)
     assert out.vector == e2  # [e1,e2] = e2 on the primal side
     assert out.covector.is_zero
-    assert pairing_pm(u, u, -1).is_zero
+    assert _half_pairing(u, u, -1).is_zero
     w = CouplePair(e1, Form.coframe(B.A, 0))
-    assert pairing_pm(w, w, +1) == B.A.scalar(1)
+    assert _half_pairing(w, w, +1) == B.A.scalar(1)
 
 
 def test_graphs_are_plus_isotropic():
@@ -1027,7 +1048,7 @@ def test_graphs_are_plus_isotropic():
             eta = Form.coframe(c.ext, j)
             u = CouplePair(sh.apply(xi), xi)
             v = CouplePair(sh.apply(eta), eta)
-            assert pairing_pm(u, v, +1).is_zero, (i, j)
+            assert _half_pairing(u, v, +1).is_zero, (i, j)
 
 
 def test_jacobi_iff_presymplectic_for_unit_bivectors():

@@ -104,7 +104,7 @@ def _nonzero_entries(
     return tuple(sorted(kept.items(), key=lambda item: position[item[0]]))
 
 
-@dataclass(eq=False)
+@dataclass
 class AlgebroidPatch:
     """Anchor and structure functions for one frame over one patch, sparse.
 
@@ -115,6 +115,10 @@ class AlgebroidPatch:
     are dropped.  ``anchor_derivs`` reads the anchor by variable instead:
     for each variable index, the frame elements whose anchor has an entry
     along it, with that entry.
+
+    Algebroids are equal exactly when their frame data are, as normalized
+    here: patch, rank, anchor, brackets, both label tuples and ``ext_base``.
+    The hash is over ``(patch, rank, frame_labels)``.
     """
 
     patch: Patch
@@ -156,6 +160,9 @@ class AlgebroidPatch:
             for name, entry in column:
                 by_variable.setdefault(variables.index(name), []).append((i, entry))
         self._by_variable = dict(sorted(by_variable.items()))
+
+    def __hash__(self) -> int:
+        return hash((self.patch, self.rank, self.frame_labels))
 
     @property
     def is_trivial(self) -> bool:

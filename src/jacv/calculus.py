@@ -92,10 +92,10 @@ Sign conventions fixed here and relied on everywhere else:
   product; ``Form(...)`` and ``MultiVector(...)`` keep every check for the
   sections that come from outside;
 * ``_check_over(A, *values)`` is the library's one membership test and the
-  one place where algebroids are compared.  An algebroid equals only
-  itself, so two constructor calls on one patch build two algebroids; a
-  section or map over one of them equals none over the other, and the
-  two do not combine.
+  one place where algebroids are compared.  Algebroids compare by their
+  frame data (``AlgebroidPatch``): sections and maps over equal ones
+  combine, and over algebroids whose data differ they neither compare
+  equal nor combine.
 
 Sections over the direct sum with a trivial line are identified with pairs
 (P, Q) via  (P, Q) = P + ehat ^ Q  (split / merge below); all the pair
@@ -127,9 +127,9 @@ def _scalar_like(value: object) -> bool:
 
 def _check_over(A: object, *values: object) -> None:
     """Each value (a section, a map or a graph) lives over ``A``: the one
-    membership test (module docstring)."""
+    membership test (module docstring); the cheap identity test first."""
     for value in values:
-        if value.algebroid != A:
+        if value.algebroid is not A and value.algebroid != A:
             raise MismatchError("operands live over different algebroids")
 
 

@@ -153,8 +153,8 @@ def verify_hat_bar_differentials(
     """
     A = J.algebroid
     _check_over(A, cosection)
-    if cosection.degree != 1:
-        raise MismatchError("the cosection must have degree 1")
+    if not isinstance(cosection, Form) or cosection.degree != 1:
+        raise MismatchError("the cosection must be a degree-1 form")
     if scalar.vars != A.patch.variables:
         raise MismatchError("scalar lives over different variables")
     hat = lift_hat(J)

@@ -356,9 +356,10 @@ def test_anchor_derivs_and_brackets_refuse_foreign_operands():
     with pytest.raises(VariableSetMismatch):
         A.anchor_derivs(x_swapped)
     assert A.anchor_derivs(p.coord("x")) == {0: p.const(1)}
-    # sections over two algebroids on one patch do not bracket, and the
-    # twisted bracket over A refuses sections over another algebroid
-    other = make_tangent(p)
+    # sections over two algebroids on one patch whose data differ do not
+    # bracket, and the twisted bracket over A refuses sections over another
+    # algebroid
+    other = make_trivial(p, 2)
     foreign = MultiVector.frame(other, 0), MultiVector.frame(other, 1)
     with pytest.raises(MismatchError):
         schouten(ddx, foreign[1])

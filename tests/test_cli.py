@@ -289,6 +289,17 @@ def test_condition31_over_two_algebroids_is_an_error(tmp_path, capsys):
 TANGENT_XY = "patch p = (x, y)\nalgebroid A = tangent(p)\n"
 
 
+def test_two_extensions_of_one_algebroid_combine(tmp_path, capsys):
+    # each extend(A) builds an algebroid from the same frame data: the two
+    # are equal, so sections over them compare and combine
+    text = TANGENT_XY + (
+        "check equal merge(extend(A), (dx, x)) merge(extend(A), (dx, x))\n"
+    )
+    code, out, _ = _run(tmp_path, capsys, text)
+    assert code == 0
+    assert out.startswith("pass  [L3] equal merge(extend(A), (dx, x)) ")
+
+
 @pytest.mark.parametrize(
     "twist, status, witness, exit_code",
     [("x*dy", "fail", "d(phi0): 1*dx^dy", 1), ("dx", "pass", None, 0)],

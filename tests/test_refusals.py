@@ -76,11 +76,12 @@ from jacv.structures import (
 
 
 def _data():
-    """Sections and maps over a rank-2 tangent algebroid A, over a second
-    tangent algebroid B on the same patch, and over others that differ in
-    rank or variables."""
+    """Sections and maps over a rank-2 tangent algebroid A, over another
+    algebroid B of the same rank on the same patch (the trivial one, whose
+    anchor and brackets differ), and over others that differ in rank or
+    variables."""
     p = Patch(("x", "y"))
-    A, B = make_tangent(p), make_tangent(p)
+    A, B = make_tangent(p), make_trivial(p, 2)
     J = JacobiAlgebroidData(A, Form.zero(A, 1))
     e1, e2 = MultiVector.frame(A, 0), MultiVector.frame(A, 1)
     eps1, eps2 = Form.coframe(A, 0), Form.coframe(A, 1)
@@ -367,7 +368,11 @@ REFUSALS = [
     ),
     pytest.param(
         lambda d: verify_hat_bar_differentials(d.J, d.x, d.om),
-        MismatchError, "the cosection must have degree 1", id="lift-formulas-degree",
+        MismatchError, "the cosection must be a degree-1 form", id="lift-formulas-degree",
+    ),
+    pytest.param(
+        lambda d: verify_hat_bar_differentials(d.J, d.x, d.e1),
+        MismatchError, "the cosection must be a degree-1 form", id="lift-formulas-kind",
     ),
 ]
 

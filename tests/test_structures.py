@@ -1,7 +1,7 @@
 import random
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -13,6 +13,7 @@ from jacv.algebroid import (
     Patch,
     Report,
     extend_with_R,
+    lift_bar,
     lift_hat,
     make_explicit,
     make_tangent,
@@ -173,18 +174,51 @@ def _identity(A, side):
 
 
 def test_equality_and_combining_agree_across_algebroids():
-    """Two tangent algebroids built from one patch are two algebroids:
-    sections and maps over them never compare equal, and never combine."""
+    """Two tangent algebroids built from one patch are one algebroid:
+    sections and maps over them compare equal and combine.  Over the
+    tangent and the trivial algebroid of the same rank, whose anchors
+    differ, they do neither."""
     p = Patch(("x", "y"))
-    A1, A2 = make_tangent(p), make_tangent(p)
-    e1, e2 = MultiVector.frame(A1, 0), MultiVector.frame(A2, 0)
-    m1, m2 = TensorMap.identity(A1), TensorMap.identity(A2)
-    assert e1 == MultiVector.frame(A1, 0) and m1 == TensorMap.identity(A1)
-    assert e1 != e2 and m1 != m2
-    for combine in (lambda: e1 - e2, lambda: wedge(e1, e2), lambda: m1.compose(m2)):
+    T1, T2, Z = make_tangent(p), make_tangent(p), make_trivial(p, 2)
+    e1, e2, ez = (MultiVector.frame(A, 0) for A in (T1, T2, Z))
+    m1, m2, mz = (TensorMap.identity(A) for A in (T1, T2, Z))
+    assert e1 == e2 and m1 == m2
+    assert (e1 - e2).is_zero and wedge(e1, e2).is_zero and m1.compose(m2) == m1
+    assert e1 != ez and m1 != mz
+    for combine in (lambda: e1 - ez, lambda: wedge(e1, ez), lambda: m1.compose(mz)):
         with pytest.raises(MismatchError) as info:
             combine()
         assert str(info.value) == "operands live over different algebroids"
+
+
+def _algebroid_table():
+    """(class, algebroid) rows over one patch: rows of one class are built
+    apart from the same data, rows of different classes differ in anchor,
+    rank, labels or patch."""
+    p = Patch(("x", "y"))
+    T = make_tangent(p)
+    return [
+        ("tangent", T),
+        ("tangent", make_tangent(p)),
+        ("trivial", make_trivial(p, 2)),
+        ("extension", extend_with_R(T).algebroid),
+        ("extension", extend_with_R(make_tangent(p)).algebroid),
+        ("relabelled", AlgebroidPatch(p, 2, T.anchor, T.brackets, frame_labels=("a", "b"))),
+        ("bar lift", lift_bar(JacobiAlgebroidData(T, Form.zero(T, 1)))),
+    ]
+
+
+def test_equality_and_combining_agree_on_every_pair_of_algebroids():
+    table = _algebroid_table()
+    for (kind1, A1), (kind2, A2) in product(table, repeat=2):
+        assert (A1 == A2) == (kind1 == kind2), (kind1, kind2)
+        try:
+            MultiVector.frame(A1, 0) - MultiVector.frame(A2, 0)
+        except MismatchError as refusal:
+            assert A1 != A2, (kind1, kind2)
+            assert str(refusal) == "operands live over different algebroids"
+        else:
+            assert A1 == A2 and hash(A1) == hash(A2), (kind1, kind2)
 
 
 def test_tensor_map_algebra():
